@@ -154,12 +154,12 @@ def cmd_repair(args: argparse.Namespace) -> int:
     for schema in document.relations:
         started = time.perf_counter()
         ingest = _load_relation_csv(args.data, schema)
-        trace = classify(schema)
-        if trace.tractable:
-            result = find_crep(schema, ingest.instance)
-            assert result is not None
+        result = find_crep(schema, ingest.instance)
+        if result is not None:
+            trace = result.trace
             method = "exact"
         elif args.fallback_oracle is not None:
+            trace = classify(schema)
             if len(ingest.instance) > args.fallback_oracle:
                 raise CliError(
                     f"relation {schema.signature.relation} is intractable and "

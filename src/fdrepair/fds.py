@@ -202,7 +202,17 @@ class Instance:
 
     @property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(sorted(self.facts, key=fact_key))
+        """The facts in canonical (:func:`fact_key`) order.
+
+        Plain tuple order is the same order wherever it is defined, that
+        is while every compared pair of values is str/str or tuple/tuple,
+        and it needs no per-value key. A comparison that meets DOT or
+        mixed types raises TypeError, and the keyed sort takes over.
+        """
+        try:
+            return tuple(sorted(self.facts))
+        except TypeError:
+            return tuple(sorted(self.facts, key=fact_key))
 
     def value_of(self, fact: Fact, attrs: Iterable[str]) -> tuple[Constant, ...]:
         """The fact's values on the given attributes, in signature order."""

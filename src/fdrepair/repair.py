@@ -1,16 +1,20 @@
 """Exact cardinality repair for tractable FD schemas.
 
-:func:`find_crep` mirrors the classifier: it splits the instance into
-blocks along the rewrite that applies, repairs each block recursively
-under the projected schema, and recombines. Recombination is a plain
-union for S1, a best-block choice for S2, and a maximum-weight bipartite
-matching over block repair sizes for S3.
+:func:`find_crep` runs :func:`fdrepair.simplify.classify` once and
+compiles its trace into a *plan*: one step per applied rewrite, each
+naming the columns of the original signature that the rewrite removes.
+The plan then runs on the raw fact tuples. Each step splits the facts
+into blocks that agree on its columns, repairs every block with the
+rest of the plan, and recombines: a plain union for S1, a best-block
+choice for S2, and a maximum-weight bipartite matching over block repair
+sizes for S3.
 
-Facts handed to a recursive call are projected; inside a block the
-projection is injective (all facts agree on the removed columns), so
-results map back to original facts without losing cardinality.
+No fact is ever projected: inside a block all facts agree on the
+columns removed so far, so the remaining steps can read the original
+columns directly, and a block's repair is already a set of original
+facts.
 
-Every tie is broken canonically (fact order, block-key order, or the
+Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
 the same repair.
 """
@@ -18,7 +22,8 @@ the same repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -31,30 +36,18 @@ from .fds import (
     SchemaError,
     Signature,
     constant_key,
-    normalize,
-    project,
 )
-from .simplify import (
-    NotApplicableError,
-    SimplificationTrace,
-    classify,
-    find_s1,
-    find_s2,
-    find_s3,
-)
-
-
-@dataclass(frozen=True)
-class Block:
-    """The facts sharing one value tuple on the blocking attributes."""
-
-    key: tuple[Constant, ...]
-    facts: Instance
+from .simplify import SimplificationTrace, classify
 
 
 @dataclass(frozen=True)
 class RepairResult:
-    """A repair, its size, the schema trace, and per-block diagnostics."""
+    """A repair, its size, the schema trace, and per-block diagnostics.
+
+    ``block_sizes`` pairs each block of the first rewrite step with the
+    size of its repair, in block-key order; it is empty when the schema
+    has no FDs.
+    """
 
     repair: Instance
     size: int
@@ -102,43 +95,85 @@ class BipartiteMatchProblem:
         object.__setattr__(self, "edges", edges)
 
 
-def blocks_by(instance: Instance, attrs: Iterable[str]) -> tuple[Block, ...]:
-    """Partition the instance by its value tuples on the given attributes.
+# One compiled rewrite: its kind and the block key of a fact. The key is
+# the tuple of the fact's values on the removed columns (S1, S2), or the
+# pair of such tuples on X1 and X2 (S3).
+PlanStep = tuple[str, Callable[[Fact], tuple]]
 
-    Blocks come back sorted by key; they are pairwise disjoint and cover
-    the instance.
+
+def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
+    """Turn the trace into steps over columns of the original signature.
+
+    Projection keeps the surviving attributes in signature order, so
+    "signature order" means the same thing at every step.
     """
-    attrs = instance.signature.sorted_attrs(attrs)
-    grouped: dict[tuple, list[Fact]] = {}
-    for fact in instance.facts:
-        grouped.setdefault(instance.value_of(fact, attrs), []).append(fact)
-    return tuple(
-        Block(key=key, facts=Instance(instance.signature, facts))
-        for key, facts in sorted(
-            grouped.items(), key=lambda kv: tuple(constant_key(v) for v in kv[0])
+
+    def values_of(attrs: Iterable[str]) -> Callable[[Fact], tuple]:
+        positions = [signature.position(a) for a in signature.sorted_attrs(attrs)]
+        if len(positions) == 1:
+            (i,) = positions
+            return lambda fact: (fact[i],)
+        return itemgetter(*positions)
+
+    plan: list[PlanStep] = []
+    for step in trace.steps:
+        if step.kind == "S1":
+            plan.append(("S1", values_of([step.witness])))
+        elif step.kind == "S2":
+            plan.append(("S2", values_of(step.witness.rhs)))
+        else:
+            first, second = step.witness
+            x1, x2 = values_of(first.lhs), values_of(second.lhs)
+            plan.append(("S3", lambda fact, x1=x1, x2=x2: (x1(fact), x2(fact))))
+    return plan
+
+
+def _solve(
+    plan: list[PlanStep], facts: list[Fact], depth: int
+) -> tuple[list[Fact], dict[tuple, int]]:
+    """Repair ``facts`` under ``plan[depth:]``.
+
+    Returns the repair and the repair size of every block of
+    ``plan[depth]`` (empty once the plan is used up).
+    """
+    if depth == len(plan) or not facts:
+        return facts, {}
+    kind, key_of = plan[depth]
+    blocks: dict[tuple, list[Fact]] = {}
+    for fact in facts:
+        blocks.setdefault(key_of(fact), []).append(fact)
+    if len(blocks) == 1:
+        # a lone block is its own optimum under every recombination rule
+        ((key, block),) = blocks.items()
+        repair = _solve(plan, block, depth + 1)[0]
+        return repair, {key: len(repair)}
+    repairs = {
+        key: _solve(plan, block, depth + 1)[0] for key, block in blocks.items()
+    }
+    sizes = {key: len(repair) for key, repair in repairs.items()}
+    if kind == "S1":
+        # every lhs holds the witness column: blocks never conflict
+        chosen = [fact for repair in repairs.values() for fact in repair]
+    elif kind == "S2":
+        # facts differing on an empty lhs's rhs conflict: one block survives
+        best = max(sizes.values())
+        chosen = repairs[
+            min((k for k, size in sizes.items() if size == best), key=constant_key)
+        ]
+    else:
+        # a repair joins each X1 value and each X2 value at most once
+        problem = BipartiteMatchProblem(
+            left=(k[0] for k in sizes),
+            right=(k[1] for k in sizes),
+            edges=((k[0], k[1], size) for k, size in sizes.items()),
         )
-    )
-
-
-def split_s1(schema: FdSchema, instance: Instance, attr: str) -> tuple[Block, ...]:
-    """Blocks of facts sharing a value on the S1 witness attribute."""
-    schema.signature.check_attrs([attr])
-    return blocks_by(instance, [attr])
-
-
-def _project_block(
-    block_facts: Instance, removed: frozenset[str]
-) -> tuple[Instance, dict[Fact, Fact]]:
-    """Project a block's facts and keep the (injective) reverse map."""
-    sig = block_facts.signature
-    keep = [i for i, a in enumerate(sig.attributes) if a not in removed]
-    new_sig = Signature(sig.relation, tuple(sig.attributes[i] for i in keep))
-    back: dict[Fact, Fact] = {}
-    for fact in block_facts.facts:
-        projected = tuple(fact[i] for i in keep)
-        assert projected not in back, "projection collided inside a block"
-        back[projected] = fact
-    return Instance(new_sig, back.keys()), back
+        chosen = []
+        total = 0
+        for edge in max_weight_matching(problem):
+            chosen.extend(repairs[edge])
+            total += sizes[edge]
+        assert len(chosen) == total, "matching weight must equal repair size"
+    return chosen, sizes
 
 
 def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
@@ -146,182 +181,27 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
 
     Returns None exactly when :func:`fdrepair.simplify.classify` reports
     the schema intractable; otherwise the result is a consistent,
-    maximum-size subinstance.
+    maximum-size subinstance. The classifier runs once; its trace is
+    compiled into a plan that repairs the facts block by block (see the
+    module docstring). ``block_sizes`` describes the blocks of the first
+    step only.
     """
     if schema.signature != instance.signature:
         raise SchemaError("instance signature does not match schema")
     trace = classify(schema)
     if not trace.tractable:
         return None
-    norm = normalize(schema)
-    if not norm.fds:
-        return RepairResult(repair=instance, size=len(instance), trace=trace)
-    if find_s1(norm) is not None:
-        return repair_s1(norm, instance)
-    if find_s2(norm) is not None:
-        return repair_s2(norm, instance)
-    return repair_s3(norm, instance)
-
-
-def repair_s1(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
-    """Repair each same-witness-value block recursively; return the union.
-
-    No two facts from different blocks can violate an FD, because every
-    lhs contains the witness attribute.
-    """
-    norm = normalize(schema)
-    attr = find_s1(norm)
-    if attr is None:
-        raise NotApplicableError("S1 does not apply")
-    removed = frozenset([attr])
-    projected_schema = project(norm, removed)
-    chosen: set[Fact] = set()
-    sizes = []
-    for block in split_s1(norm, instance, attr):
-        sub_instance, back = _project_block(block.facts, removed)
-        sub = find_crep(projected_schema, sub_instance)
-        if sub is None:
-            return None
-        chosen.update(back[f] for f in sub.repair.facts)
-        sizes.append((block.key, sub.size))
+    chosen, sizes = _solve(
+        _compile(schema.signature, trace), list(instance.facts), 0
+    )
     repaired = Instance(schema.signature, chosen)
     return RepairResult(
         repair=repaired,
         size=len(repaired),
-        trace=classify(norm),
-        block_sizes=tuple(sizes),
-    )
-
-
-def repair_s2(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
-    """Repair each block of the empty-lhs witness; keep only the largest.
-
-    Any consistent subinstance lives inside a single block here, so the
-    best block's repair is the global optimum. Ties go to the earliest
-    block key.
-    """
-    norm = normalize(schema)
-    witness = find_s2(norm)
-    if witness is None:
-        raise NotApplicableError("S2 does not apply")
-    removed = witness.rhs
-    projected_schema = project(norm, removed)
-    best: Optional[tuple[frozenset[Fact], int]] = None
-    sizes = []
-    for block in blocks_by(instance, removed):
-        sub_instance, back = _project_block(block.facts, removed)
-        sub = find_crep(projected_schema, sub_instance)
-        if sub is None:
-            return None
-        sizes.append((block.key, sub.size))
-        if best is None or sub.size > best[1]:
-            best = (frozenset(back[f] for f in sub.repair.facts), sub.size)
-    chosen = best[0] if best is not None else frozenset()
-    repaired = Instance(schema.signature, chosen)
-    return RepairResult(
-        repair=repaired,
-        size=len(repaired),
-        trace=classify(norm),
-        block_sizes=tuple(sizes),
-    )
-
-
-def _s3_blocks(
-    schema: FdSchema, instance: Instance
-) -> tuple[frozenset[str], tuple[str, ...], tuple[str, ...], tuple[Block, ...]]:
-    witness = find_s3(schema)
-    if witness is None:
-        raise NotApplicableError("S3 does not apply")
-    first, second = witness
-    x1 = schema.signature.sorted_attrs(first.lhs)
-    x2 = schema.signature.sorted_attrs(second.lhs)
-    removed = first.lhs | second.lhs
-    grouped: dict[tuple, list[Fact]] = {}
-    for fact in instance.facts:
-        key = (instance.value_of(fact, x1), instance.value_of(fact, x2))
-        grouped.setdefault(key, []).append(fact)
-    blocks = tuple(
-        Block(key=key, facts=Instance(instance.signature, facts))
-        for key, facts in sorted(
-            grouped.items(),
-            key=lambda kv: (constant_key(kv[0][0]), constant_key(kv[0][1])),
-        )
-    )
-    return removed, x1, x2, blocks
-
-
-def build_match_problem(
-    schema: FdSchema,
-    instance: Instance,
-    x1: Iterable[str],
-    x2: Iterable[str],
-) -> Optional[BipartiteMatchProblem]:
-    """The weighted bipartite graph driving the S3 recombination.
-
-    One node per realized value tuple on each side, one edge per occupied
-    block, weighted by the block's recursive repair size. Returns None if
-    any block repair comes back absent.
-    """
-    norm = normalize(schema)
-    x1 = norm.signature.sorted_attrs(x1)
-    x2 = norm.signature.sorted_attrs(x2)
-    removed, wit_x1, wit_x2, blocks = _s3_blocks(norm, instance)
-    if set(x1) != set(wit_x1) or set(x2) != set(wit_x2):
-        raise NotApplicableError(
-            "given attribute sets do not match the S3 witness pair"
-        )
-    projected_schema = project(norm, removed)
-    edges = []
-    for block in blocks:
-        sub_instance, _ = _project_block(block.facts, removed)
-        sub = find_crep(projected_schema, sub_instance)
-        if sub is None:
-            return None
-        edges.append((block.key[0], block.key[1], sub.size))
-    return BipartiteMatchProblem(
-        left=(e[0] for e in edges), right=(e[1] for e in edges), edges=edges
-    )
-
-
-def repair_s3(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
-    """Repair blocks keyed by both witness value tuples, then match.
-
-    A consistent subinstance can touch a left value and a right value
-    together only once, so the optimum is a maximum-weight matching over
-    block repair sizes; the repair is the union of the matched blocks'
-    repairs.
-    """
-    norm = normalize(schema)
-    removed, _, _, blocks = _s3_blocks(norm, instance)
-    projected_schema = project(norm, removed)
-    block_repairs: dict[tuple, frozenset[Fact]] = {}
-    edges = []
-    sizes = []
-    for block in blocks:
-        sub_instance, back = _project_block(block.facts, removed)
-        sub = find_crep(projected_schema, sub_instance)
-        if sub is None:
-            return None
-        block_repairs[block.key] = frozenset(back[f] for f in sub.repair.facts)
-        edges.append((block.key[0], block.key[1], sub.size))
-        sizes.append((block.key, sub.size))
-    problem = BipartiteMatchProblem(
-        left=(e[0] for e in edges), right=(e[1] for e in edges), edges=edges
-    )
-    matching = max_weight_matching(problem)
-    weights = {(x, y): w for x, y, w in problem.edges}
-    chosen: set[Fact] = set()
-    total = 0
-    for x, y in matching:
-        chosen.update(block_repairs[(x, y)])
-        total += weights[(x, y)]
-    repaired = Instance(schema.signature, chosen)
-    assert len(repaired) == total, "matching weight must equal repair size"
-    return RepairResult(
-        repair=repaired,
-        size=len(repaired),
-        trace=classify(norm),
-        block_sizes=tuple(sizes),
+        trace=trace,
+        block_sizes=tuple(
+            sorted(sizes.items(), key=lambda kv: constant_key(kv[0]))
+        ),
     )
 
 

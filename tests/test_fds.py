@@ -83,6 +83,43 @@ def test_constant_order_dot_then_strings_then_tuples():
     assert ordered == [DOT, "a", "z", ("a",), ("x", "1")]
 
 
+def _random_constant(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.15:
+        return DOT
+    if roll < 0.3 and depth < 2:
+        return tuple(
+            _random_constant(rng, depth + 1) for _ in range(rng.randint(0, 3))
+        )
+    return rng.choice(["", "0", "1", "10", "a", "b", "~"])
+
+
+def test_sorted_facts_is_canonical_order():
+    rng = random.Random(41)
+    sig = Signature("R", ("A", "B", "C"))
+    str_only = [
+        tuple(rng.choice(["", "0", "1", "10", "a"]) for _ in range(3))
+        for _ in range(40)
+    ]
+    # gadget facts: nested tuples of strings and DOT
+    gadget = [
+        (("1", ("a", DOT)), ("2",), DOT),
+        (("1", ("a", "b")), ("2",), DOT),
+        (("1",), ("2", "3"), DOT),
+        (("0", ("b",)), (), DOT),
+        ((), ("1",), DOT),
+    ]
+    with_dot = [(DOT, "1", "a"), ("0", "1", "a"), (DOT, DOT, "b"), ("0", DOT, "a")]
+    # str, tuple and DOT mixed in one column
+    mixed = [("1", "x", "y"), (("1",), "x", "y"), (DOT, "x", "y"), ("0", "x", "z")]
+    drawn = [
+        tuple(_random_constant(rng) for _ in range(3)) for _ in range(60)
+    ]
+    for facts in (str_only, gadget, with_dot, mixed, drawn):
+        inst = Instance(sig, facts)
+        assert inst.sorted_facts == tuple(sorted(inst.facts, key=fact_key))
+
+
 # -- closure / entailment / equivalence -------------------------------------
 
 def test_closure_no_fds_is_identity():

@@ -11,6 +11,7 @@ from generators import (
 )
 from oracles import max_repair_size_by_subsets
 
+import fdrepair.repair
 from fdrepair.fds import (
     FdSchema,
     Instance,
@@ -22,16 +23,10 @@ from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.oracle import brute_force_matching, is_s_repair
 from fdrepair.repair import (
     BipartiteMatchProblem,
-    blocks_by,
-    build_match_problem,
     find_crep,
     max_weight_matching,
-    repair_s1,
-    repair_s2,
-    repair_s3,
-    split_s1,
 )
-from fdrepair.simplify import NotApplicableError, classify
+from fdrepair.simplify import classify
 
 
 # -- find_crep ---------------------------------------------------------------
@@ -73,42 +68,79 @@ def test_empty_instance_tractable_schema():
     assert result.size == 0
 
 
-# -- blocks ------------------------------------------------------------------
+# -- blocks of the first plan step --------------------------------------------
+#
+# ``block_sizes`` pairs each block of the first rewrite step with its repair
+# size: an S1 repair is the union of the blocks, so their sizes add up; an S2
+# repair is the best block alone; an S3 repair is a maximum-weight matching
+# with the block sizes as edge weights.
+
+
+def _matching_weight(result):
+    """Weight of the brute-force matching over the top-level S3 blocks."""
+    weights = result.per_block_sizes
+    problem = BipartiteMatchProblem(
+        left=(x for x, _ in weights),
+        right=(y for _, y in weights),
+        edges=((x, y, w) for (x, y), w in weights.items()),
+    )
+    return sum(weights[edge] for edge in brute_force_matching(problem))
+
 
 def test_split_s1_grouping():
     schema = schema_of("AB", "A->B")
     inst = inst_of(schema, "1a", "1b", "2c")
-    blocks = split_s1(schema, inst, "A")
-    assert [(b.key, len(b.facts)) for b in blocks] == [
-        (("1",), 2),
-        (("2",), 1),
-    ]
+    result = find_crep(schema, inst)
+    assert result.trace.kinds[0] == "S1"
+    assert result.block_sizes == ((("1",), 1), (("2",), 1))
+    assert sum(result.per_block_sizes.values()) == result.size
 
 
 def test_split_s1_empty_and_single_block():
     schema = schema_of("AB", "A->B")
-    assert split_s1(schema, Instance(schema.signature, []), "A") == ()
+    empty = find_crep(schema, Instance(schema.signature, []))
+    assert empty.block_sizes == () and empty.size == 0
     inst = inst_of(schema, "1a", "1b")
-    (block,) = split_s1(schema, inst, "A")
-    assert block.facts == inst
+    result = find_crep(schema, inst)
+    assert result.block_sizes == ((("1",), 1),)
+    assert result.repair.facts <= inst.facts
 
 
 def test_blocks_partition_instance():
+    # the blocks are exactly the realized values of the first step's
+    # columns, and recombine by the rule of its kind
     rng = random.Random(30)
-    for _ in range(30):
-        schema = random_schema(rng, max_attrs=4)
+    kinds = set()
+    for _ in range(60):
+        schema = random_tractable_schema(rng, max_attrs=4)
         inst = random_instance(rng, schema.signature, max_facts=8)
-        attrs = [
-            a for a in schema.signature.attributes if rng.random() < 0.5
-        ]
-        blocks = blocks_by(inst, attrs)
-        union = set()
-        total = 0
-        for block in blocks:
-            assert not (union & block.facts.facts)
-            union |= block.facts.facts
-            total += len(block.facts)
-        assert union == inst.facts and total == len(inst)
+        result = find_crep(schema, inst)
+        assert result.size == max_repair_size_by_subsets(schema, inst)
+        if not result.trace.steps:
+            assert result.block_sizes == () and result.repair == inst
+            continue
+        step = result.trace.steps[0]
+        kinds.add(step.kind)
+        if step.kind == "S3":
+            first, second = step.witness
+            keys = {
+                (inst.value_of(f, first.lhs), inst.value_of(f, second.lhs))
+                for f in inst.facts
+            }
+        else:
+            keys = {
+                inst.value_of(f, step.removed_attributes) for f in inst.facts
+            }
+        assert set(result.per_block_sizes) == keys
+        assert len(result.block_sizes) == len(keys)
+        sizes = result.per_block_sizes.values()
+        if step.kind == "S1":
+            assert sum(sizes) == result.size
+        elif step.kind == "S2":
+            assert result.size == max(sizes, default=0)
+        else:
+            assert _matching_weight(result) == result.size
+    assert kinds == {"S1", "S2", "S3"}
 
 
 # -- the three recombination routes -------------------------------------------
@@ -116,73 +148,78 @@ def test_blocks_partition_instance():
 def test_repair_s1_union_of_blocks():
     schema = schema_of("AB", "A->B")
     inst = inst_of(schema, "1a", "1b", "2c")
-    result = repair_s1(schema, inst)
+    result = find_crep(schema, inst)
     assert result.size == 2
     assert result.repair.sorted_facts == (("1", "a"), ("2", "c"))
     assert result.per_block_sizes == {("1",): 1, ("2",): 1}
+    assert sum(result.per_block_sizes.values()) == result.size
 
 
 def test_repair_s1_consistent_instance_unchanged():
     schema = schema_of("AB", "A->B")
     inst = inst_of(schema, "1a", "2b", "3c")
-    assert repair_s1(schema, inst).repair == inst
+    assert find_crep(schema, inst).repair == inst
 
 
 def test_repair_s1_propagates_absent():
     # removing D exposes a hard three-column core
     schema = schema_of("DABC", "DAB->C", "DC->B")
     inst = inst_of(schema, "d010", "d011")
-    assert repair_s1(schema, inst) is None
+    assert find_crep(schema, inst) is None
 
 
 def test_repair_s2_single_column():
     schema = schema_of("A", "->A")
     inst = inst_of(schema, "1", "1", "2")
-    result = repair_s2(schema, inst)
+    result = find_crep(schema, inst)
     assert max_repair_size_by_subsets(schema, inst) == 1
     assert result.size == 1
     assert result.repair.sorted_facts == (("1",),)
+    assert result.per_block_sizes == {("1",): 1, ("2",): 1}
+    assert result.size == max(result.per_block_sizes.values())
 
 
 def test_repair_s2_largest_block_wins():
     schema = schema_of("AB", "->A")
     inst = inst_of(schema, "1a", "1b", "2c")
-    result = repair_s2(schema, inst)
+    result = find_crep(schema, inst)
     assert result.size == 2
     assert result.repair.sorted_facts == (("1", "a"), ("1", "b"))
     assert result.per_block_sizes == {("1",): 2, ("2",): 1}
+    assert result.size == max(result.per_block_sizes.values())
 
 
 def test_repair_s2_single_block_is_its_repair():
     schema = schema_of("AB", "->A")
     inst = inst_of(schema, "1a", "1b")
-    assert repair_s2(schema, inst).repair == inst
-
-
-def test_repair_s2_not_applicable():
-    with pytest.raises(NotApplicableError):
-        repair_s2(schema_of("AB", "A->B"), inst_of(schema_of("AB"), "1a"))
+    result = find_crep(schema, inst)
+    assert result.repair == inst
+    assert result.per_block_sizes == {("1",): 2}
 
 
 def test_build_match_problem_weights():
     schema = schema_of("ABC", "A->B", "B->A")
     inst = inst_of(schema, "1ax", "1ay", "1bz", "2bw")
     # blocks: (1,a) has two consistent facts after projection, others one
-    problem = build_match_problem(schema, inst, {"A"}, {"B"})
-    weights = {(x, y): w for x, y, w in problem.edges}
-    assert weights == {
+    result = find_crep(schema, inst)
+    assert result.per_block_sizes == {
         (("1",), ("a",)): 2,
         (("1",), ("b",)): 1,
         (("2",), ("b",)): 1,
     }
+    assert _matching_weight(result) == result.size == 3
+    assert result.repair.sorted_facts == (
+        ("1", "a", "x"),
+        ("1", "a", "y"),
+        ("2", "b", "w"),
+    )
 
 
 def test_build_match_problem_empty_instance():
     schema = schema_of("AB", "A->B", "B->A")
-    problem = build_match_problem(
-        schema, Instance(schema.signature, []), {"A"}, {"B"}
-    )
-    assert problem.edges == () and problem.left == () and problem.right == ()
+    result = find_crep(schema, Instance(schema.signature, []))
+    assert result.trace.kinds == ("S3",)
+    assert result.block_sizes == () and result.size == 0
 
 
 def test_build_match_problem_propagates_absent():
@@ -191,7 +228,7 @@ def test_build_match_problem_propagates_absent():
         "ABCDE", "A->B", "B->A", "ACD->E", "ACE->D", "ADE->C"
     )
     inst = inst_of(schema, "1a012", "1a013")
-    assert build_match_problem(schema, inst, {"A"}, {"B"}) is None
+    assert find_crep(schema, inst) is None
 
 
 def test_repair_s3_path_plus_isolated_fact():
@@ -200,27 +237,63 @@ def test_repair_s3_path_plus_isolated_fact():
     # conflict graph is a path on the first three facts plus an isolated
     # one; independent enumeration gives 3, not 2
     assert max_repair_size_by_subsets(schema, inst) == 3
-    result = repair_s3(schema, inst)
+    result = find_crep(schema, inst)
     assert result.size == 3
     assert result.repair.sorted_facts == (
         ("1", "a"),
         ("2", "b"),
         ("3", "c"),
     )
+    assert len(result.per_block_sizes) == 4
+    assert _matching_weight(result) == result.size
 
 
 def test_repair_s3_consistent_instance_kept_whole():
     schema = schema_of("AB", "A->B", "B->A")
     inst = inst_of(schema, "1a", "2b", "3c")
-    assert repair_s3(schema, inst).repair == inst
+    result = find_crep(schema, inst)
+    assert result.repair == inst
+    assert _matching_weight(result) == result.size
 
 
 def test_repair_s3_two_lefts_one_right():
     schema = schema_of("AB", "A->B", "B->A")
     inst = inst_of(schema, "1a", "2a")
-    result = repair_s3(schema, inst)
+    result = find_crep(schema, inst)
     assert result.size == 1
     assert result.repair.sorted_facts == (("1", "a"),)
+    assert result.per_block_sizes == {(("1",), ("a",)): 1, (("2",), ("a",)): 1}
+    assert _matching_weight(result) == result.size
+
+
+def test_plan_is_compiled_once(worked_example, monkeypatch):
+    # steps: S2 on A, S1 on D, S3 on B/C, S2 on E, S2 on F; three
+    # blocks at every level
+    calls = []
+    original = fdrepair.repair.classify
+
+    def counting(schema):
+        calls.append(schema)
+        return original(schema)
+
+    monkeypatch.setattr(fdrepair.repair, "classify", counting)
+    pairs = [("b0", "c0"), ("b0", "c1"), ("b1", "c1")]
+    facts = [
+        (a, b, c, d, e, f)
+        for a in "012"
+        for b, c in pairs
+        for d in "012"
+        for e in "012"
+        for f in "012"
+    ]
+    inst = Instance(worked_example.signature, facts)
+    result = find_crep(worked_example, inst)
+    assert len(calls) == 1
+    assert result.trace.kinds == ("S2", "S1", "S3", "S2", "S2")
+    # per A block: three D blocks, each a two-edge matching of one fact
+    assert result.per_block_sizes == {("0",): 6, ("1",): 6, ("2",): 6}
+    assert result.size == 6
+    assert is_s_repair(worked_example, inst, result.repair)
 
 
 # -- matching ----------------------------------------------------------------
