@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Callable, Optional
 
-from .fds import FdSchema, saturate
+from .fds import FdSchema
 from .gadgets import (
     HARD_SCHEMAS,
     ReductionError,
@@ -156,10 +156,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
         ingest = _load_relation_csv(args.data, schema)
         result = find_crep(schema, ingest.instance)
         if result is not None:
-            trace = result.trace
             method = "exact"
         elif args.fallback_oracle is not None:
-            trace = classify(schema)
             if len(ingest.instance) > args.fallback_oracle:
                 raise CliError(
                     f"relation {schema.signature.relation} is intractable and "
@@ -171,22 +169,15 @@ def cmd_repair(args: argparse.Namespace) -> int:
             )
             method = "oracle"
         else:
-            message = (
+            raise CliError(
                 f"relation {schema.signature.relation} is intractable; "
                 "rerun with --fallback-oracle CAP to brute-force small inputs"
             )
-            if classify(saturate(schema)).tractable:
-                message += (
-                    " (note: an equivalent rewriting is tractable; declare "
-                    "each left-hand side once, with its full closure as the "
-                    "right-hand side)"
-                )
-            raise CliError(message)
         out_path = os.path.join(args.out, f"{schema.signature.relation}.csv")
         write_instance_csv(out_path, result.repair)
         lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(trace.tractable).lower()}")
-        lines.append(f"  steps: {_format_steps(trace)}")
+        lines.append(f"  tractable: {str(result.trace.tractable).lower()}")
+        lines.append(f"  steps: {_format_steps(result.trace)}")
         lines.append(f"  method: {method}")
         lines.append(f"  input-facts: {len(ingest.instance)}")
         lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")

@@ -53,7 +53,7 @@ def constant_key(value: Constant):
     if isinstance(value, str):
         return (1, value)
     if isinstance(value, tuple):
-        return (2, tuple(constant_key(part) for part in value))
+        return (2, tuple(map(constant_key, value)))
     raise SchemaError(f"unsupported constant type: {type(value).__name__}")
 
 
@@ -153,13 +153,6 @@ class FdSchema:
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "fds", _canonical_fds(signature, fds))
 
-    def fd_key(self, fd: Fd):
-        pos = self.signature.position
-        return (
-            tuple(sorted(pos(a) for a in fd.lhs)),
-            tuple(sorted(pos(a) for a in fd.rhs)),
-        )
-
     def render_fds(self) -> str:
         return "; ".join(fd.render(self.signature) for fd in self.fds) or "(none)"
 
@@ -178,7 +171,11 @@ def _canonical_fds(signature: Signature, fds: tuple[Fd, ...]) -> tuple[Fd, ...]:
 
 @dataclass(frozen=True)
 class Instance:
-    """A deduplicated set of facts over a signature."""
+    """A deduplicated set of facts over a signature.
+
+    Every cell must be a constant; anything else raises
+    :class:`SchemaError` here rather than at some later sort.
+    """
 
     signature: Signature
     facts: frozenset[Fact]
@@ -191,6 +188,9 @@ class Instance:
                     f"fact {fact!r} has arity {len(fact)}, "
                     f"expected {signature.arity}"
                 )
+            for value in fact:
+                if type(value) is not str:
+                    constant_key(value)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "facts", facts)
 
@@ -273,6 +273,8 @@ def normalize(schema: FdSchema) -> FdSchema:
     FDs whose rhs becomes empty disappear. The result is deduplicated and
     canonically ordered. Idempotent, and preserves entailment.
     """
+    if all(fd.rhs and fd.rhs.isdisjoint(fd.lhs) for fd in schema.fds):
+        return schema
     kept = []
     for fd in schema.fds:
         rhs = fd.rhs - fd.lhs
@@ -284,10 +286,8 @@ def normalize(schema: FdSchema) -> FdSchema:
 def saturate(schema: FdSchema) -> FdSchema:
     """Replace the FDs on each left-hand side with one FD to its closure.
 
-    The result is always equivalent to the input, but the classifier may
-    treat the two differently: the rewrites match FD syntax, not entailed
-    consequences. Useful for detecting that a rejected schema is a
-    rewriting away from an accepted one.
+    The result is always equivalent to the input, and so gets the same
+    classifier verdict.
     """
     sites = []
     for fd in schema.fds:

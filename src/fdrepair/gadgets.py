@@ -47,12 +47,6 @@ class ReductionError(ValueError):
     """No hardness witness can be built for the given schema."""
 
 
-class ReductionGapError(ReductionError):
-    """The case analysis matched no construction; the schema falls into a
-    known blind spot of the dichotomy argument (a mutually-determining
-    minimum pair with no third minimum)."""
-
-
 # ---------------------------------------------------------------------------
 # CNF formulas and tripartite triangle sets
 
@@ -454,7 +448,6 @@ def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
     attrs = terminal.signature.attributes
     sites = minima_sites(terminal)
     closures = {site: closure(terminal, site) for site in sites}
-    saw_gap = False
     for x1, x2 in itertools.permutations(sites, 2):
         x1_plus, x1_star = closures[x1].closure, closures[x1].proper
         x2_plus, x2_star = closures[x2].closure, closures[x2].proper
@@ -469,21 +462,15 @@ def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
             return 3, FactWiseReduction(schema_rl(), terminal, rules)
         if (x1_star & x2) and (x2_star & x1):
             if (x1 - x2) <= x2_star and (x2 - x1) <= x1_star:
+                # a stuck schema has a third minimum here: were x1 and x2
+                # the only minima, they would be an lhs marriage for S3
                 third = next((s for s in sites if s not in (x1, x2)), None)
-                if third is None:
-                    saw_gap = True
-                    continue
-                rules = _rules_from_tr(attrs, x1, x2, third)
-                return 4, FactWiseReduction(schema_tr(), terminal, rules)
-            if not (x2 - x1) <= x1_star:
+                if third is not None:
+                    rules = _rules_from_tr(attrs, x1, x2, third)
+                    return 4, FactWiseReduction(schema_tr(), terminal, rules)
+            elif not (x2 - x1) <= x1_star:
                 rules = _rules_from_2fd(attrs, x1, x2, x1_star)
                 return 5, FactWiseReduction(schema_2fd(), terminal, rules)
-    if saw_gap:
-        raise ReductionGapError(
-            "two mutually determining minimal FDs but no third minimum: "
-            "the stuck schema is equivalent to a simplifiable one and no "
-            "hardness witness exists"
-        )
     raise ReductionError(
         "no closure-structure case matched; this should be unreachable "
         "for a stuck schema with FDs left"

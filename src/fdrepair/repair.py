@@ -122,8 +122,7 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
         elif step.kind == "S2":
             plan.append(("S2", values_of(step.witness.rhs)))
         else:
-            first, second = step.witness
-            x1, x2 = values_of(first.lhs), values_of(second.lhs)
+            x1, x2 = map(values_of, step.witness)
             plan.append(("S3", lambda fact, x1=x1, x2=x2: (x1(fact), x2(fact))))
     return plan
 

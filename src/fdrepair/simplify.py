@@ -5,14 +5,16 @@ Three rewrites shrink an FD schema by projecting attributes away:
 * S1: some attribute occurs on the left-hand side of every FD;
   remove that attribute.
 * S2: some FD has an empty left-hand side; remove its right-hand side.
-* S3: two FDs determine each other's left-hand sides (lhs of each is
-  contained in the rhs of the other) and every FD's lhs contains one of
-  the two; remove the union of the two left-hand sides.
+* S3: an *lhs marriage*, two distinct left-hand sides X1 and X2 with
+  the same closure, where every FD's lhs contains X1 or X2; remove
+  the union of X1 and X2.
 
 :func:`classify` applies them greedily (S1, then S2, then S3, lowest
 canonical witness first) until none fits. A schema admits an exact
 polynomial-time cardinality repair exactly when the surviving FD set is
-empty; the returned trace is the witness either way.
+empty; the returned trace is the witness either way. Equivalent FD sets
+get the same verdict, as the dichotomy requires: S3 compares closures,
+not the FDs' right-hand sides.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .fds import Fd, FdSchema, normalize, project
+from .fds import Fd, FdSchema, closure, normalize, project
 
 KINDS = ("S1", "S2", "S3")
 
-Witness = Union[str, Fd, tuple[Fd, Fd]]
+Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
 
 class NotApplicableError(ValueError):
@@ -78,21 +80,34 @@ def find_s2(schema: FdSchema) -> Optional[Fd]:
     return None
 
 
-def find_s3(schema: FdSchema) -> Optional[tuple[Fd, Fd]]:
-    """First FD pair (canonical order) eligible for the mutual rewrite.
+def find_s3(
+    schema: FdSchema,
+) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """First lhs marriage (X1, X2), distinct lhs in canonical FD order.
 
-    The pair (X1 -> Y1, X2 -> Y2) qualifies when X1 is contained in Y2,
-    X2 in Y1, and every FD's lhs contains X1 or X2.
+    X1 and X2 marry when every FD's lhs contains X1 or X2 and
+    cl(X1) = cl(X2), that is X2 is in cl(X1) and X1 in cl(X2). Cheap
+    tests run first: containment, then whether every attribute in one
+    lhs but not the other is on some rhs (a closure adds nothing else).
+    Each closure is computed at most once.
     """
-    fds = schema.fds
-    for i, first in enumerate(fds):
-        for second in fds[i + 1 :]:
-            if not (first.lhs <= second.rhs and second.lhs <= first.rhs):
-                continue
-            if all(
-                first.lhs <= fd.lhs or second.lhs <= fd.lhs for fd in fds
-            ):
-                return (first, second)
+    sites = list(dict.fromkeys([fd.lhs for fd in schema.fds]))
+    determined = frozenset().union(*[fd.rhs for fd in schema.fds])
+    closures: dict[frozenset[str], frozenset[str]] = {}
+
+    def cl(lhs: frozenset[str]) -> frozenset[str]:
+        if lhs not in closures:
+            closures[lhs] = closure(schema, lhs).closure
+        return closures[lhs]
+
+    for i, x1 in enumerate(sites):
+        for x2 in sites[i + 1 :]:
+            for lhs in sites:
+                if not (x1 <= lhs or x2 <= lhs):
+                    break
+            else:
+                if x1 ^ x2 <= determined and x2 <= cl(x1) and x1 <= cl(x2):
+                    return (x1, x2)
     return None
 
 
@@ -118,9 +133,9 @@ def apply_step(schema: FdSchema, kind: str) -> SimplificationStep:
     elif kind == "S3":
         pair = find_s3(before)
         if pair is None:
-            raise NotApplicableError("no mutually determining FD pair")
+            raise NotApplicableError("no lhs marriage")
         witness = pair
-        removed = pair[0].lhs | pair[1].lhs
+        removed = pair[0] | pair[1]
     else:
         raise NotApplicableError(f"unknown simplification kind {kind!r}")
     return SimplificationStep(

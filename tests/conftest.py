@@ -34,5 +34,5 @@ def worked_example() -> FdSchema:
 
 @pytest.fixture
 def gap_schema() -> FdSchema:
-    # stuck for the classifier, yet equivalent to a tractable rewriting
+    # A determines B,C only through a chain of FDs: S3 must compare closures
     return schema_of("ABC", "A->B", "AB->C", "BC->A")

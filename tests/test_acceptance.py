@@ -18,11 +18,10 @@ from generators import (
 )
 
 from fdrepair.cli import main
-from fdrepair.fds import equivalent, is_consistent, saturate
+from fdrepair.fds import equivalent, is_consistent
 from fdrepair.gadgets import (
     CnfFormula,
     HARD_SCHEMAS,
-    ReductionGapError,
     TripartiteGraph,
     cnf_satisfiable,
     gadget_2fd,
@@ -97,47 +96,37 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_negative_side_alignment():
-    """Hard-side triangulation, with the documented dispatcher blind spot.
+    """Hard-side triangulation: every rejected schema is witnessed.
 
-    Random rejected schemas are streamed until 100 carry a verified
-    hardness witness. A rejected schema may instead hit the known gap
-    (mutually determining minimum pair, no third minimum); such schemas
-    admit no witness at all, and the test demands proof: they must be
-    equivalent to a schema the classifier accepts. Everything rejected
-    must make the repair engine abstain.
+    Random rejected schemas are streamed until 100 are drawn. Each must
+    make the repair engine abstain and must carry a hardness witness
+    that the exhaustive reduction check accepts.
     """
     started = time.perf_counter()
     rng = random.Random(777)
     witnessed = 0
-    gaps = 0
     drawn = 0
-    while witnessed < 100:
+    cases = set()
+    while drawn < 100:
         schema = random_schema(rng, max_attrs=5, max_fds=4)
         if classify(schema).tractable:
             continue
         drawn += 1
-        assert drawn < 400, "witness yield unexpectedly low"
         instance = random_instance(rng, schema.signature, max_facts=6)
         assert find_crep(schema, instance) is None
-        try:
-            case_id, reduction = hard_case_witness(schema)
-        except ReductionGapError:
-            gaps += 1
-            rewritten = saturate(schema)
-            assert equivalent(schema, rewritten)
-            assert classify(rewritten).tractable
-            continue
+        case_id, reduction = hard_case_witness(schema)
         assert case_id in {1, 2, 3, 4, 5}
         report = verify_reduction(reduction, domain=("0", "1", "2"))
         assert report.exhaustive and report.ok, (schema, report.violations[:2])
+        cases.add(case_id)
         witnessed += 1
     elapsed = time.perf_counter() - started
     _verdict(
         3,
         "negative-side alignment",
-        witnessed >= 100 and elapsed < 60.0,
-        f"{witnessed} verified witnesses, {gaps} proven false negatives "
-        f"of the classifier, {elapsed:.1f}s",
+        witnessed == drawn == 100 and cases == {1, 2, 3, 4, 5} and elapsed < 60.0,
+        f"{witnessed} of {drawn} rejected schemas carry verified "
+        f"witnesses, cases {sorted(cases)}, {elapsed:.1f}s",
     )
 
 

@@ -135,17 +135,29 @@ def test_repair_fallback_cap_exceeded(tmp_path, capsys):
     assert "above the oracle cap" in capsys.readouterr().err
 
 
-def test_repair_hints_at_tractable_rewriting(tmp_path, capsys):
+def test_repair_former_gap_schema_is_exact(tmp_path, capsys):
+    # cl(A) = cl(B,C) = ABC: an lhs marriage, so S3 repairs it exactly
     schema_path = write(tmp_path, "s.fd", GAP_SCHEMA)
     data = tmp_path / "d"
     data.mkdir()
-    (data / "R.csv").write_text("A,B,C\n1,1,1\n", encoding="utf-8")
+    (data / "R.csv").write_text(
+        "A,B,C\n1,1,1\n1,2,1\n2,1,1\n3,3,3\n", encoding="utf-8"
+    )
     code = main([
         "repair", "--schema", schema_path, "--data", str(data),
-        "--out", str(tmp_path / "o"),
+        "--out", str(tmp_path / "o"), "--stable",
     ])
-    assert code == 1
-    assert "equivalent rewriting is tractable" in capsys.readouterr().err
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "tractable: true" in out
+    assert "steps: S3:{A,B,C}" in out
+    assert "method: exact" in out
+    # (1,1,1) conflicts with (1,2,1) on A->B and with (2,1,1) on B,C->A
+    assert "repair-size: 3" in out
+    schema = parse_schema(GAP_SCHEMA).relations[0]
+    repaired = read_instance_csv(str(tmp_path / "o" / "R.csv"), schema.signature)
+    original = read_instance_csv(str(data / "R.csv"), schema.signature)
+    assert is_s_repair(schema, original.instance, repaired.instance)
 
 
 def test_repair_missing_data_file(tmp_path, capsys):
@@ -255,10 +267,13 @@ def test_verify_reduction_skips_tractable(tmp_path, capsys):
 
 
 def test_verify_reduction_surfaces_gap(tmp_path, capsys):
+    # the former gap schema is tractable, so there is nothing to witness
     schema_path = write(tmp_path, "s.fd", GAP_SCHEMA)
-    assert main(["verify-reduction", "--schema", schema_path]) == 1
+    assert main(["verify-reduction", "--schema", schema_path]) == 0
     out = capsys.readouterr().out
-    assert "witness: error" in out
+    assert "tractable: true" in out
+    assert "witness: none (tractable schema)" in out
+    assert "witness: error" not in out
 
 
 def test_verify_reduction_domain_flag(tmp_path, capsys):

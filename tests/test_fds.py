@@ -77,6 +77,19 @@ def test_instance_dedupes_and_checks_arity():
         Instance(sig, [("1",)])
 
 
+def test_instance_rejects_unsupported_cell_values():
+    sig = Signature("R", ("A", "B"))
+    for bad in (1, 2.5, None, ("a", 1), (("a",), None)):
+        with pytest.raises(SchemaError):
+            Instance(sig, [("1", "2"), ("1", bad)])
+    with pytest.raises(SchemaError):
+        Instance(sig, [(1, "2"), (1, "3")])
+    accepted = Instance(
+        sig, [(DOT, "a"), ("x", ("a", DOT)), (("p", ("q", "r")), "b")]
+    )
+    assert len(accepted) == 3
+
+
 def test_constant_order_dot_then_strings_then_tuples():
     values = [("x", "1"), "z", DOT, "a", ("a",)]
     ordered = sorted(values, key=constant_key)

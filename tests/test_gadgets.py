@@ -3,16 +3,15 @@ import random
 import pytest
 
 from conftest import schema_of
-from generators import random_cnf, random_intractable_schema
+from generators import random_cnf, random_instance, random_intractable_schema
 
-from fdrepair.fds import DOT, equivalent, saturate
+from fdrepair.fds import DOT
 from fdrepair.gadgets import (
     CnfFormula,
     FactWiseReduction,
     GadgetError,
     HARD_SCHEMAS,
     ReductionError,
-    ReductionGapError,
     TripartiteGraph,
     cnf_satisfiable,
     compose,
@@ -30,6 +29,7 @@ from fdrepair.gadgets import (
     verify_reduction,
 )
 from fdrepair.oracle import brute_force_crep
+from fdrepair.repair import find_crep
 from fdrepair.simplify import apply_step, classify
 
 
@@ -189,36 +189,38 @@ def test_witness_lifts_through_applied_rewrites():
     assert report.ok and report.exhaustive
 
 
-def test_witness_gap_detected_and_proven(gap_schema):
-    """The known blind spot: a stuck schema with no hardness witness.
+def test_former_gap_schema_is_tractable(gap_schema):
+    """{A->B, AB->C, BC->A} once had neither a rewrite nor a witness.
 
-    Two minimal FDs determine each other through their closures and no
-    third minimum exists. No valid reduction can exist because the
-    schema is equivalent to one the classifier accepts.
+    A and BC have the same closure and every lhs contains one of them,
+    so S3 removes all three attributes, and the exact repair agrees
+    with brute force.
     """
-    with pytest.raises(ReductionGapError):
+    trace = classify(gap_schema)
+    assert trace.tractable
+    assert trace.kinds == ("S3",)
+    assert trace.removed_sets == (frozenset("ABC"),)
+    assert trace.steps[0].witness == (frozenset("A"), frozenset("BC"))
+    with pytest.raises(ReductionError):
         hard_case_witness(gap_schema)
-    sat = saturate(gap_schema)
-    assert equivalent(gap_schema, sat)
-    assert classify(sat).tractable
+    rng = random.Random(19)
+    for _ in range(40):
+        instance = random_instance(rng, gap_schema.signature, max_facts=10)
+        result = find_crep(gap_schema, instance)
+        assert result.size == brute_force_crep(gap_schema, instance).size
 
 
 def test_witness_or_proven_gap_on_random_stuck_schemas():
+    """Every rejected schema carries a verified hardness witness."""
     rng = random.Random(33)
-    witnessed = 0
-    gaps = 0
+    cases = set()
     for _ in range(60):
         schema = random_intractable_schema(rng)
-        try:
-            _, reduction = hard_case_witness(schema)
-        except ReductionGapError:
-            gaps += 1
-            sat = saturate(schema)
-            assert equivalent(schema, sat) and classify(sat).tractable
-        else:
-            witnessed += 1
-            assert verify_reduction(reduction).ok
-    assert witnessed >= 40  # the gap is the exception, not the rule
+        case_id, reduction = hard_case_witness(schema)
+        report = verify_reduction(reduction)
+        assert report.ok and report.exhaustive, (schema, report.violations[:2])
+        cases.add(case_id)
+    assert len(cases) >= 3
 
 
 # -- lifting and composition ------------------------------------------------------

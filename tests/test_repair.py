@@ -122,9 +122,11 @@ def test_blocks_partition_instance():
         step = result.trace.steps[0]
         kinds.add(step.kind)
         if step.kind == "S3":
-            first, second = step.witness
+            # the witness is the lhs marriage (X1, X2) itself
+            x1, x2 = step.witness
+            assert x1 | x2 == step.removed_attributes and x1 != x2
             keys = {
-                (inst.value_of(f, first.lhs), inst.value_of(f, second.lhs))
+                (inst.value_of(f, x1), inst.value_of(f, x2))
                 for f in inst.facts
             }
         else:

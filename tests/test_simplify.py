@@ -1,12 +1,19 @@
 import random
-import warnings
 
 import pytest
 
 from conftest import schema_of
 from generators import random_chain_schema, random_schema, random_tractable_schema
 
-from fdrepair.fds import Fd, equivalent, normalize, project, saturate
+from fdrepair.fds import (
+    Fd,
+    FdSchema,
+    closure,
+    equivalent,
+    normalize,
+    project,
+    saturate,
+)
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.simplify import (
     NotApplicableError,
@@ -41,17 +48,58 @@ def test_find_s2_first_in_canonical_order():
 
 
 def test_find_s3_worked_example_pair():
+    # the witness is the lhs pair, not the FDs that spell it
     schema = schema_of("BCEF", "B->CE", "C->B", "B->F")
-    assert find_s3(schema) == (Fd({"B"}, {"C", "E"}), Fd({"C"}, {"B"}))
+    assert find_s3(schema) == (frozenset("B"), frozenset("C"))
 
 
 def test_find_s3_rejects_one_way_determination():
     assert find_s3(schema_of("ABC", "A->B", "B->C")) is None
+    # equal closures are not enough: every lhs must contain X1 or X2
+    assert find_s3(schema_of("ABCD", "A->B", "B->A", "CD->A")) is None
+    assert find_s3(schema_of("ABCD", "A->B", "B->A", "AC->D")) == (
+        frozenset("A"),
+        frozenset("B"),
+    )
 
 
 def test_find_s3_mutual_pair():
     schema = schema_of("AB", "A->B", "B->A")
-    assert find_s3(schema) == (Fd({"A"}, {"B"}), Fd({"B"}, {"A"}))
+    assert find_s3(schema) == (frozenset("A"), frozenset("B"))
+
+
+def test_find_s3_reads_closures_not_rhs(gap_schema):
+    # A reaches B,C only through A -> B and then AB -> C, so no FD's rhs
+    # holds BC, yet cl(A) = cl(BC)
+    assert find_s3(gap_schema) == (frozenset("A"), frozenset("BC"))
+    for spelling in (
+        schema_of("ABC", "A->BC", "BC->A"),
+        schema_of("ABC", "A->B", "A->C", "BC->A"),
+    ):
+        assert find_s3(spelling) == (frozenset("A"), frozenset("BC"))
+
+
+def test_find_s3_is_the_lhs_marriage_definition():
+    # first pair of distinct lhs (canonical FD order) that covers every
+    # lhs and has equal closures, checked against a direct reading
+    rng = random.Random(5)
+    found = 0
+    for _ in range(300):
+        schema = normalize(random_schema(rng))
+        sites = list(dict.fromkeys(fd.lhs for fd in schema.fds))
+        expected = next(
+            (
+                (x1, x2)
+                for i, x1 in enumerate(sites)
+                for x2 in sites[i + 1 :]
+                if all(x1 <= fd.lhs or x2 <= fd.lhs for fd in schema.fds)
+                and closure(schema, x1).closure == closure(schema, x2).closure
+            ),
+            None,
+        )
+        assert find_s3(schema) == expected, schema
+        found += expected is not None
+    assert found >= 20
 
 
 # -- applying steps ----------------------------------------------------------
@@ -146,21 +194,34 @@ def test_classify_step_witnesses_recheck():
                 assert find_s3(step.schema_before) == step.witness
 
 
-def test_classifier_is_not_invariant_under_equivalence(gap_schema):
-    """A rewriting of the same constraints can flip the verdict.
-
-    The rules match FD syntax; replacing each lhs's FDs by one FD to its
-    closure preserves the constraint semantics but can unlock a rewrite.
-    Pinned here as documented behavior, not an invariant.
-    """
-    assert not classify(gap_schema).tractable
-    sat = saturate(gap_schema)
-    assert equivalent(gap_schema, sat)
-    assert classify(sat).tractable
+def _split_rhs(schema: FdSchema) -> FdSchema:
+    """One FD per rhs attribute; equivalent to the input."""
+    return FdSchema(
+        schema.signature,
+        [Fd(fd.lhs, {a}) for fd in schema.fds for a in fd.rhs],
+    )
 
 
-def test_alternative_rule_orders_reported_not_asserted():
-    """Divergence between rule orders is surfaced as a warning only."""
+def test_classifier_is_invariant_under_equivalence(gap_schema):
+    """Equivalent spellings of one FD set get one verdict."""
+    rng = random.Random(41)
+    schemas = [gap_schema] + [
+        random_schema(rng, max_attrs=6, max_fds=5) for _ in range(2000)
+    ]
+    verdicts = set()
+    for schema in schemas:
+        verdict = classify(schema).tractable
+        verdicts.add(verdict)
+        for rewriting in (normalize, saturate, _split_rhs):
+            other = rewriting(schema)
+            assert equivalent(schema, other)
+            assert classify(other).tractable == verdict, (schema, other)
+    assert verdicts == {True, False}
+    assert classify(gap_schema).tractable
+
+
+def test_alternative_rule_orders_agree():
+    """Any order of the three rules reaches the same verdict."""
     rng = random.Random(4)
     orders = [("S3", "S2", "S1"), ("S2", "S3", "S1")]
     divergences = 0
@@ -192,8 +253,4 @@ def test_alternative_rule_orders_reported_not_asserted():
                 current = apply_step(current, kind).schema_after
             if (not current.fds) != fixed:
                 divergences += 1
-    if divergences:
-        warnings.warn(
-            f"rule-order divergence observed on {divergences} schema/order "
-            "combinations"
-        )
+    assert divergences == 0
