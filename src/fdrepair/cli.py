@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--schema", required=True)
     p_verify.add_argument(
-        "--domain", type=int, default=3, help="value domain size (default 3)"
+        "--domain", type=int, default=3, help="value domain size, 2-10 (default 3)"
     )
     p_verify.add_argument("--stable", action="store_true")
     p_verify.set_defaults(func=cmd_verify_reduction)

@@ -11,12 +11,18 @@ A *constant* (cell value) is one of:
 
 Facts are plain tuples of constants, positionally aligned with the
 signature's attribute list.
+
+Two facts conflict when they agree on an FD's lhs and differ on its
+rhs. Every conflict check in the package reads one hash index of that
+relation, :func:`_conflicts`, in O(facts x FDs + conflicts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from itertools import combinations, product
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
 class SchemaError(ValueError):
@@ -104,6 +110,17 @@ class Signature:
         """The given attributes, ordered by their signature position."""
         attrs = self.check_attrs(attrs)
         return tuple(a for a in self.attributes if a in attrs)
+
+    def getter(self, attrs: Iterable[str]) -> Callable[[Fact], tuple]:
+        """Map a fact to its values on ``attrs``, in signature order."""
+        attrs = self.check_attrs(attrs)
+        positions = [i for i, a in enumerate(self.attributes) if a in attrs]
+        if not positions:
+            return lambda fact: ()
+        if len(positions) == 1:
+            (i,) = positions
+            return lambda fact: (fact[i],)
+        return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -213,11 +230,6 @@ class Instance:
             return tuple(sorted(self.facts))
         except TypeError:
             return tuple(sorted(self.facts, key=fact_key))
-
-    def value_of(self, fact: Fact, attrs: Iterable[str]) -> tuple[Constant, ...]:
-        """The fact's values on the given attributes, in signature order."""
-        pos = self.signature.position
-        return tuple(fact[pos(a)] for a in self.signature.sorted_attrs(attrs))
 
 
 @dataclass(frozen=True)
@@ -353,30 +365,34 @@ def project_instance(instance: Instance, removed: Iterable[str]) -> Instance:
     return Instance(new_sig, (tuple(f[i] for i in keep) for f in instance.facts))
 
 
-def _pair_violates(fd: Fd, sig: Signature, f: Fact, g: Fact) -> bool:
-    pos = sig.position
-    return all(f[pos(a)] == g[pos(a)] for a in fd.lhs) and any(
-        f[pos(a)] != g[pos(a)] for a in fd.rhs
-    )
+def _conflicts(schema: FdSchema, facts: Sequence[Fact]) -> Iterator[tuple]:
+    """``(i, j, fd)`` for each FD, in canonical order, and pair it splits.
+
+    Per FD, facts are grouped by lhs values, then by rhs values; two
+    facts conflict exactly when they share an lhs group but not an rhs
+    group. Always ``i < j``.
+    """
+    for fd in schema.fds:
+        lhs = schema.signature.getter(fd.lhs)
+        rhs = schema.signature.getter(fd.rhs)
+        groups: dict[tuple, dict[tuple, list[int]]] = {}
+        for i, fact in enumerate(facts):
+            groups.setdefault(lhs(fact), {}).setdefault(rhs(fact), []).append(i)
+        for by_rhs in groups.values():
+            for first, second in combinations(by_rhs.values(), 2):
+                for i, j in product(first, second):
+                    yield (i, j, fd) if i < j else (j, i, fd)
 
 
 def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:
     """Whether the two facts jointly satisfy every FD of the schema."""
-    return not any(
-        _pair_violates(fd, schema.signature, f, g) for fd in schema.fds
-    )
+    return next(_conflicts(schema, (f, g)), None) is None
 
 
 def is_consistent(schema: FdSchema, instance: Instance) -> bool:
     """Whether no two facts agree on some FD's lhs but differ on its rhs."""
     _check_same_signature(schema, instance)
-    facts = instance.sorted_facts
-    for i, f in enumerate(facts):
-        for g in facts[i + 1 :]:
-            for fd in schema.fds:
-                if _pair_violates(fd, schema.signature, f, g):
-                    return False
-    return True
+    return next(_conflicts(schema, tuple(instance.facts)), None) is None
 
 
 def violating_pairs(
@@ -390,14 +406,10 @@ def violating_pairs(
     """
     _check_same_signature(schema, instance)
     facts = instance.sorted_facts
-    found = set()
-    for i, f in enumerate(facts):
-        for g in facts[i + 1 :]:
-            for fd in schema.fds:
-                if _pair_violates(fd, schema.signature, f, g):
-                    found.add((f, g, fd))
-                    break
-    return frozenset(found)
+    first: dict[tuple[int, int], Fd] = {}
+    for i, j, fd in _conflicts(schema, facts):
+        first.setdefault((i, j), fd)
+    return frozenset((facts[i], facts[j], fd) for (i, j), fd in first.items())
 
 
 def _check_same_signature(schema: FdSchema, instance: Instance) -> None:

@@ -17,9 +17,10 @@ from .fds import (
     FdSchema,
     Instance,
     SchemaError,
+    _check_same_signature,
+    _conflicts,
     constant_key,
     fact_key,
-    violating_pairs,
 )
 from .repair import BipartiteMatchProblem, RepairResult
 from .simplify import classify
@@ -41,11 +42,10 @@ class ConflictGraph:
 
     @classmethod
     def build(cls, schema: FdSchema, instance: Instance) -> "ConflictGraph":
+        _check_same_signature(schema, instance)
         facts = instance.sorted_facts
-        index = {fact: i for i, fact in enumerate(facts)}
         adjacency = [0] * len(facts)
-        for f, g, _ in violating_pairs(schema, instance):
-            i, j = index[f], index[g]
+        for i, j, _ in _conflicts(schema, facts):
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
         return cls(facts=facts, adjacency=tuple(adjacency))
@@ -174,25 +174,23 @@ def brute_force_matching(
 def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bool:
     """Whether the candidate is a maximal consistent subinstance.
 
-    True exactly when the candidate is consistent and every excluded fact
-    conflicts with some included one.
+    True exactly when no conflict pair of the instance lies inside the
+    candidate and every excluded fact conflicts with some kept one.
     """
     if candidate.signature != instance.signature:
         raise SchemaError("candidate signature does not match instance")
     if not candidate.facts <= instance.facts:
         raise SchemaError("candidate is not a subinstance")
-    graph = ConflictGraph.build(schema, instance)
-    index = {fact: i for i, fact in enumerate(graph.facts)}
-    chosen_mask = 0
-    for fact in candidate.facts:
-        chosen_mask |= 1 << index[fact]
-    for fact in candidate.facts:
-        if graph.adjacency[index[fact]] & chosen_mask:
+    _check_same_signature(schema, instance)
+    facts = tuple(instance.facts)
+    kept = [fact in candidate.facts for fact in facts]
+    covered = {i for i, keep in enumerate(kept) if keep}
+    for i, j, _ in _conflicts(schema, facts):
+        if kept[i] and kept[j]:
             return False
-    for fact in instance.facts - candidate.facts:
-        if not graph.adjacency[index[fact]] & chosen_mask:
-            return False
-    return True
+        if kept[i] or kept[j]:
+            covered.update((i, j))
+    return len(covered) == len(facts)
 
 
 def greedy_s_repair(

@@ -22,7 +22,6 @@ the same repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,22 +106,14 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
     Projection keeps the surviving attributes in signature order, so
     "signature order" means the same thing at every step.
     """
-
-    def values_of(attrs: Iterable[str]) -> Callable[[Fact], tuple]:
-        positions = [signature.position(a) for a in signature.sorted_attrs(attrs)]
-        if len(positions) == 1:
-            (i,) = positions
-            return lambda fact: (fact[i],)
-        return itemgetter(*positions)
-
     plan: list[PlanStep] = []
     for step in trace.steps:
         if step.kind == "S1":
-            plan.append(("S1", values_of([step.witness])))
+            plan.append(("S1", signature.getter([step.witness])))
         elif step.kind == "S2":
-            plan.append(("S2", values_of(step.witness.rhs)))
+            plan.append(("S2", signature.getter(step.witness.rhs)))
         else:
-            x1, x2 = map(values_of, step.witness)
+            x1, x2 = map(signature.getter, step.witness)
             plan.append(("S3", lambda fact, x1=x1, x2=x2: (x1(fact), x2(fact))))
     return plan
 

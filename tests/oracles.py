@@ -77,3 +77,50 @@ def max_repair_size_by_subsets(schema: FdSchema, instance: Instance) -> int:
                 best = r
                 break
     return best
+
+
+def first_violated_fd(schema: FdSchema, f, g):
+    """The first FD of ``schema.fds`` that the two facts violate, or None."""
+    attrs = schema.signature.attributes
+    for fd in schema.fds:
+        if not _two_fact_satisfies(len(attrs), f, g, fd, attrs):
+            return fd
+    return None
+
+
+def conflict_by_definition(schema: FdSchema, f, g) -> bool:
+    return first_violated_fd(schema, f, g) is not None
+
+
+def s_repair_by_definition(schema: FdSchema, facts, kept) -> bool:
+    """Kept facts are consistent and every other fact conflicts with one."""
+    kept = set(kept)
+    return consistent_by_definition(schema, kept) and all(
+        any(conflict_by_definition(schema, f, g) for g in kept)
+        for f in facts
+        if f not in kept
+    )
+
+
+def reduction_violations_by_pairs(reduction, domain) -> tuple:
+    """``(kind, first, second)`` per failing source pair, pair by pair.
+
+    The same report a fact-wise reduction check should give: equal images
+    are an injectivity failure; otherwise a pair whose images conflict
+    exactly when it does not is a consistency (images conflict) or an
+    inconsistency (images agree) failure.
+    """
+    arity = reduction.source.signature.arity
+    facts = sorted(itertools.product(sorted(set(domain)), repeat=arity))
+    found = []
+    for f, g in itertools.combinations(facts, 2):
+        fi, gi = reduction.apply(f), reduction.apply(g)
+        before = conflict_by_definition(reduction.source, f, g)
+        after = conflict_by_definition(reduction.target, fi, gi)
+        if fi == gi:
+            found.append(("injectivity", f, g))
+        elif after and not before:
+            found.append(("consistency", f, g))
+        elif before and not after:
+            found.append(("inconsistency", f, g))
+    return tuple(sorted(found))

@@ -283,3 +283,21 @@ def test_verify_reduction_domain_flag(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "pairs-checked: 28" in out  # 8 facts over a 2-symbol domain
+
+
+def test_verify_reduction_refuses_vacuous_and_oversized_domains(tmp_path, capsys):
+    schema_path = write(tmp_path, "s.fd", HARD_SCHEMA)
+    for size in ("0", "1", "-3"):
+        assert main([
+            "verify-reduction", "--schema", schema_path, "--domain", size,
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "need at least 2" in captured.err
+        assert "pairs-checked" not in captured.out
+    assert main([
+        "verify-reduction", "--schema", schema_path, "--domain", "11",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "1331 source facts" in captured.err
+    assert "cap is 1000" in captured.err
+    assert "pairs-checked" not in captured.out

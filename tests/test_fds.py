@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     closure_by_closed_sets,
     consistent_by_definition,
     entails_by_two_fact_models,
+    first_violated_fd,
 )
 
 from fdrepair.fds import (
@@ -29,6 +31,7 @@ from fdrepair.fds import (
     local_minima,
     minima_sites,
     normalize,
+    pair_consistent,
     project,
     project_instance,
     saturate,
@@ -366,6 +369,42 @@ def test_violating_pairs_all_pairs_conflict():
     schema = schema_of("A", "->A")
     inst = inst_of(schema, "1", "2", "3")
     assert len(violating_pairs(schema, inst)) == 3
+
+
+def test_violating_pairs_report_the_first_fd_in_canonical_order():
+    # the pair violates both FDs; canonical order puts A->C before AB->C
+    # and A->C before B->C, whatever order they were written in
+    for schema in (
+        schema_of("ABC", "AB->C", "A->C"),
+        schema_of("ABC", "B->C", "A->C"),
+    ):
+        inst = inst_of(schema, "11x", "11y")
+        assert violating_pairs(schema, inst) == {
+            (("1", "1", "x"), ("1", "1", "y"), Fd({"A"}, {"C"}))
+        }
+
+
+def test_conflict_index_matches_the_definition():
+    """Pairs, reported FDs and pair checks against a pairwise reading."""
+    rng = random.Random(41)
+    pool = ("0", "1", DOT, ("0", "1"))
+    conflicts = multi = 0
+    for _ in range(300):
+        schema = random_schema(rng, max_attrs=5, max_fds=4)
+        inst = random_instance(rng, schema.signature, max_facts=10, pool=pool)
+        expected = set()
+        for f, g in itertools.combinations(inst.sorted_facts, 2):
+            fd = first_violated_fd(schema, f, g)
+            assert pair_consistent(schema, f, g) == (fd is None)
+            if fd is not None:
+                expected.add((f, g, fd))
+                # also violating a later FD: the report has to choose
+                rest = FdSchema(schema.signature, schema.fds[1:])
+                multi += first_violated_fd(rest, f, g) not in (None, fd)
+        assert violating_pairs(schema, inst) == expected
+        assert is_consistent(schema, inst) == (not expected)
+        conflicts += len(expected)
+    assert conflicts > 300 and multi > 20
 
 
 def test_consistent_iff_no_violating_pairs_random():

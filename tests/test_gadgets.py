@@ -4,6 +4,7 @@ import pytest
 
 from conftest import schema_of
 from generators import random_cnf, random_instance, random_intractable_schema
+from oracles import reduction_violations_by_pairs
 
 from fdrepair.fds import DOT
 from fdrepair.gadgets import (
@@ -28,7 +29,7 @@ from fdrepair.gadgets import (
     schema_tr,
     verify_reduction,
 )
-from fdrepair.oracle import brute_force_crep
+from fdrepair.oracle import CapExceededError, brute_force_crep
 from fdrepair.repair import find_crep
 from fdrepair.simplify import apply_step, classify
 
@@ -269,27 +270,68 @@ def test_verify_identity_map_clean():
     assert report.ok and report.facts_checked == 8
 
 
-def test_verify_catches_corrupted_rules():
+def _corrupted_2fd_witness():
     _, reduction = hard_case_witness(schema_2fd())
     broken_rules = list(reduction.rules)
     broken_rules[-1] = "A"  # drop one case row's distinction
-    broken = FactWiseReduction(
+    return FactWiseReduction(
         reduction.source, reduction.target, tuple(broken_rules)
     )
-    report = verify_reduction(broken)
+
+
+def test_verify_catches_corrupted_rules():
+    report = verify_reduction(_corrupted_2fd_witness())
     assert not report.ok
     kinds = {v.kind for v in report.violations}
     assert kinds & {"injectivity", "consistency", "inconsistency"}
 
 
-def test_verify_sampling_mode_above_pair_budget():
+def _domain(size):
+    return tuple(str(i) for i in range(size))
+
+
+def test_verify_is_exhaustive_up_to_the_cap():
     schema = schema_rl()
     identity = FactWiseReduction(schema, schema, ("A", "B", "C"))
-    domain = tuple(str(i) for i in range(6))  # 216 facts, 23k pairs
-    report = verify_reduction(identity, domain=domain, max_pairs=1000, seed=1)
-    assert not report.exhaustive
-    assert report.pairs_checked == 1000
-    assert report.ok
+    report = verify_reduction(identity, domain=_domain(6))  # 216 facts
+    assert report.exhaustive and report.ok
+    assert report.facts_checked == 216 and report.pairs_checked == 23220
+    assert not verify_reduction(_corrupted_2fd_witness(), domain=_domain(6)).ok
+    report = verify_reduction(identity, domain=_domain(10))  # at the cap
+    assert report.exhaustive and report.ok and report.pairs_checked == 499500
+    with pytest.raises(CapExceededError):
+        verify_reduction(identity, domain=_domain(11))
+
+
+def test_verify_needs_two_domain_values():
+    identity = FactWiseReduction(schema_rl(), schema_rl(), ("A", "B", "C"))
+    for domain in ((), ("0",), ("1", "1")):
+        with pytest.raises(ReductionError):
+            verify_reduction(identity, domain=domain)
+
+
+def test_verify_violations_equal_the_pairwise_reference():
+    """Whole violation tuples of corrupted witnesses, pair by pair."""
+    rng = random.Random(53)
+    schemas = list(HARD_SCHEMAS.values())
+    schemas += [random_intractable_schema(rng) for _ in range(20)]
+    kinds = set()
+    for schema in schemas:
+        _, reduction = hard_case_witness(schema)
+        source = reduction.source.signature.attributes
+        for _ in range(3):
+            rules = list(reduction.rules)
+            rules[rng.randrange(len(rules))] = rng.choice(
+                [DOT, rng.choice(source), tuple(rng.sample(source, 2))]
+            )
+            broken = FactWiseReduction(
+                reduction.source, reduction.target, tuple(rules)
+            )
+            report = verify_reduction(broken, domain=_domain(3))
+            got = tuple((v.kind, v.first, v.second) for v in report.violations)
+            assert got == reduction_violations_by_pairs(broken, _domain(3))
+            kinds |= {v.kind for v in report.violations}
+    assert kinds == {"injectivity", "consistency", "inconsistency"}
 
 
 def test_rule_validation():

@@ -5,9 +5,14 @@ import pytest
 
 from conftest import inst_of, schema_of
 from generators import random_instance, random_schema
-from oracles import consistent_by_definition, max_repair_size_by_subsets
+from oracles import (
+    conflict_by_definition,
+    consistent_by_definition,
+    max_repair_size_by_subsets,
+    s_repair_by_definition,
+)
 
-from fdrepair.fds import Instance, SchemaError, fact_key
+from fdrepair.fds import DOT, Instance, SchemaError, fact_key
 from fdrepair.gadgets import (
     TripartiteGraph,
     gadget_tr,
@@ -156,9 +161,52 @@ def test_greedy_s_repairs_never_beat_the_maximum():
         assert len(sampled) <= maximum
 
 
+def test_conflict_graph_rejects_other_signature():
+    schema = schema_of("AB", "A->B")
+    other = inst_of(schema_of("AC", "A->C"), "1a")
+    with pytest.raises(SchemaError):
+        ConflictGraph.build(schema, other)
+    with pytest.raises(SchemaError):
+        is_s_repair(schema, other, other)
+
+
 def test_conflict_graph_edges_match_violations():
     schema = schema_of("AB", "A->B")
     inst = inst_of(schema, "1a", "1b", "2c")
     graph = ConflictGraph.build(schema, inst)
     assert graph.edge_count == 1
     assert max_repair_size_by_subsets(schema, inst) == len(inst) - 1
+
+
+def test_conflict_graph_and_s_repair_match_the_definition():
+    rng = random.Random(43)
+    pool = ("0", "1", DOT, ("0", "1"))
+    verdicts = set()
+    for _ in range(300):
+        schema = random_schema(rng, max_attrs=5)
+        inst = random_instance(rng, schema.signature, max_facts=10, pool=pool)
+        facts = inst.sorted_facts
+        graph = ConflictGraph.build(schema, inst)
+        assert graph.facts == facts
+        assert graph.adjacency == tuple(
+            sum(
+                1 << j
+                for j, g in enumerate(facts)
+                if conflict_by_definition(schema, f, g)
+            )
+            for f in facts
+        )
+        # random subsets, plus a maximal one grown by the definition
+        # and that one less a fact
+        subsets = [[f for f in facts if rng.random() < 0.5] for _ in range(3)]
+        grown = []
+        for f in rng.sample(facts, len(facts)):
+            if not any(conflict_by_definition(schema, f, g) for g in grown):
+                grown.append(f)
+        subsets += [grown, grown[1:]]
+        for kept in subsets:
+            expected = s_repair_by_definition(schema, facts, kept)
+            candidate = Instance(schema.signature, kept)
+            assert is_s_repair(schema, inst, candidate) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}

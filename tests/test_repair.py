@@ -125,14 +125,11 @@ def test_blocks_partition_instance():
             # the witness is the lhs marriage (X1, X2) itself
             x1, x2 = step.witness
             assert x1 | x2 == step.removed_attributes and x1 != x2
-            keys = {
-                (inst.value_of(f, x1), inst.value_of(f, x2))
-                for f in inst.facts
-            }
+            first, second = map(inst.signature.getter, (x1, x2))
+            keys = {(first(f), second(f)) for f in inst.facts}
         else:
-            keys = {
-                inst.value_of(f, step.removed_attributes) for f in inst.facts
-            }
+            key = inst.signature.getter(step.removed_attributes)
+            keys = {key(f) for f in inst.facts}
         assert set(result.per_block_sizes) == keys
         assert len(result.block_sizes) == len(keys)
         sizes = result.per_block_sizes.values()
