@@ -32,7 +32,7 @@ from .gadgets import (
     hard_case_witness,
     verify_reduction,
 )
-from .oracle import CapExceededError, brute_force_crep
+from .oracle import DEFAULT_FACT_CAP, CapExceededError, brute_force_crep
 from .repair import find_crep
 from .simplify import SimplificationTrace, classify
 from .textio import (
@@ -156,7 +156,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         ingest = _load_relation_csv(args.data, schema)
         result = find_crep(schema, ingest.instance)
         if result is not None:
-            method = "exact"
+            method, trace = "exact", result.trace
         elif args.fallback_oracle is not None:
             if len(ingest.instance) > args.fallback_oracle:
                 raise CliError(
@@ -167,7 +167,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
             result = brute_force_crep(
                 schema, ingest.instance, cap=args.fallback_oracle
             )
-            method = "oracle"
+            method, trace = "oracle", classify(schema)
         else:
             raise CliError(
                 f"relation {schema.signature.relation} is intractable; "
@@ -176,8 +176,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
         out_path = os.path.join(args.out, f"{schema.signature.relation}.csv")
         write_instance_csv(out_path, result.repair)
         lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(result.trace.tractable).lower()}")
-        lines.append(f"  steps: {_format_steps(result.trace)}")
+        lines.append(f"  tractable: {str(trace.tractable).lower()}")
+        lines.append(f"  steps: {_format_steps(trace)}")
         lines.append(f"  method: {method}")
         lines.append(f"  input-facts: {len(ingest.instance)}")
         lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")
@@ -346,7 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--schema", required=True)
     p_oracle.add_argument("--data", required=True)
-    p_oracle.add_argument("--cap", type=int, default=20)
+    p_oracle.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_FACT_CAP,
+        metavar="CAP",
+        help="refuse relations above CAP facts (default %(default)s)",
+    )
     p_oracle.add_argument("--out", help="optional output directory")
     p_oracle.add_argument("--stable", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)

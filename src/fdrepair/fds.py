@@ -134,9 +134,6 @@ class Fd:
         object.__setattr__(self, "lhs", frozenset(self.lhs))
         object.__setattr__(self, "rhs", frozenset(self.rhs))
 
-    def is_trivial(self) -> bool:
-        return self.rhs <= self.lhs
-
     def render(self, signature: Signature | None = None) -> str:
         if signature is not None:
             lhs = ",".join(signature.sorted_attrs(self.lhs))

@@ -1,7 +1,8 @@
 """Hardness gadgets: instance generators and fact-wise reductions.
 
-Four fixed three-column schemas are the hard cores of the repair
-problem; this module builds the instances that tie them to satisfiability
+Four fixed three-column schemas over one signature R(A,B,C), built once
+in :data:`HARD_SCHEMAS`, are the hard cores of the repair problem; this
+module builds the instances that tie them to satisfiability
 and to edge-disjoint triangle packing, and constructs the injective,
 conflict-preserving fact maps that transfer hardness into any schema the
 classifier rejects.
@@ -22,7 +23,6 @@ from typing import Iterable, Mapping, Union
 
 from .fds import (
     DOT,
-    Constant,
     Fact,
     Fd,
     FdSchema,
@@ -127,37 +127,36 @@ class TripartiteGraph:
         object.__setattr__(self, "triangles", tuple(sorted(cleaned)))
 
 
-def _share_edge(t1: tuple[str, str, str], t2: tuple[str, str, str]) -> bool:
-    # A shared edge means agreeing on two of the three sides.
-    return sum(u == v for u, v in zip(t1, t2)) >= 2
-
-
 def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
     """Largest pairwise edge-disjoint triangle subset, by exhaustion."""
     triangles = graph.triangles
     n = len(triangles)
     if n > cap:
         raise CapExceededError(f"{n} triangles exceeds enumeration cap {cap}")
-    conflict = [
-        [ _share_edge(triangles[i], triangles[j]) for j in range(n) ]
-        for i in range(n)
-    ]
+    # clash[i]: the earlier triangles sharing an edge with triangle i,
+    # found by indexing each triangle under its three side-tagged edges
+    clash = []
+    by_edge: dict[tuple, int] = {}
+    for i, (a, b, c) in enumerate(triangles):
+        mask = 0
+        for edge in (("AB", a, b), ("AC", a, c), ("BC", b, c)):
+            mask |= by_edge.get(edge, 0)
+            by_edge[edge] = by_edge.get(edge, 0) | 1 << i
+        clash.append(mask)
     best = 0
 
-    def grow(i: int, picked: list[int]) -> None:
+    def grow(i: int, picked: int, count: int) -> None:
         nonlocal best
-        if len(picked) + (n - i) <= best:
+        if count + (n - i) <= best:
             return
         if i == n:
-            best = max(best, len(picked))
+            best = max(best, count)
             return
-        if all(not conflict[i][j] for j in picked):
-            picked.append(i)
-            grow(i + 1, picked)
-            picked.pop()
-        grow(i + 1, picked)
+        if not clash[i] & picked:
+            grow(i + 1, picked | 1 << i, count + 1)
+        grow(i + 1, picked, count)
 
-    grow(0, [])
+    grow(0, 0, 0)
     return best
 
 
@@ -165,34 +164,16 @@ def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
 # The four hard three-column schemas and their instance generators
 
 
-def _abc_signature() -> Signature:
-    return Signature("R", ("A", "B", "C"))
-
-
-def schema_2fd() -> FdSchema:
-    return FdSchema(_abc_signature(), [Fd({"A", "B"}, {"C"}), Fd({"C"}, {"B"})])
-
-
-def schema_rl() -> FdSchema:
-    return FdSchema(_abc_signature(), [Fd({"A"}, {"B"}), Fd({"B"}, {"C"})])
-
-
-def schema_2r() -> FdSchema:
-    return FdSchema(_abc_signature(), [Fd({"A"}, {"C"}), Fd({"B"}, {"C"})])
-
-
-def schema_tr() -> FdSchema:
-    return FdSchema(
-        _abc_signature(),
-        [Fd({"A", "B"}, {"C"}), Fd({"A", "C"}, {"B"}), Fd({"B", "C"}, {"A"})],
-    )
-
+_ABC = Signature("R", ("A", "B", "C"))
 
 HARD_SCHEMAS: Mapping[str, FdSchema] = {
-    "2fd": schema_2fd(),
-    "rl": schema_rl(),
-    "2r": schema_2r(),
-    "tr": schema_tr(),
+    "2fd": FdSchema(_ABC, [Fd({"A", "B"}, {"C"}), Fd({"C"}, {"B"})]),
+    "rl": FdSchema(_ABC, [Fd({"A"}, {"B"}), Fd({"B"}, {"C"})]),
+    "2r": FdSchema(_ABC, [Fd({"A"}, {"C"}), Fd({"B"}, {"C"})]),
+    "tr": FdSchema(
+        _ABC,
+        [Fd({"A", "B"}, {"C"}), Fd({"A", "C"}, {"B"}), Fd({"B", "C"}, {"A"})],
+    ),
 }
 
 
@@ -219,7 +200,7 @@ def gadget_2fd(formula: CnfFormula) -> Instance:
         polarity = "1" if clause[0] > 0 else "0"
         for lit in clause:
             facts.append((_clause_id(j), polarity, _var_id(abs(lit))))
-    return Instance(schema_2fd().signature, facts)
+    return Instance(_ABC, facts)
 
 
 def gadget_rl(formula: CnfFormula) -> Instance:
@@ -230,7 +211,7 @@ def gadget_rl(formula: CnfFormula) -> Instance:
             facts.append(
                 (_clause_id(j), _var_id(abs(lit)), "1" if lit > 0 else "0")
             )
-    return Instance(schema_rl().signature, facts)
+    return Instance(_ABC, facts)
 
 
 def gadget_2r(formula: CnfFormula) -> Instance:
@@ -246,12 +227,12 @@ def gadget_2r(formula: CnfFormula) -> Instance:
             facts.append(
                 (_clause_id(j), var, (var, "1" if lit > 0 else "0"))
             )
-    return Instance(schema_2r().signature, facts)
+    return Instance(_ABC, facts)
 
 
 def gadget_tr(graph: TripartiteGraph) -> Instance:
     """One fact per triangle; repairs are edge-disjoint triangle packings."""
-    return Instance(schema_tr().signature, graph.triangles)
+    return Instance(_ABC, graph.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +244,17 @@ def gadget_tr(graph: TripartiteGraph) -> Instance:
 Rule = Union[_DotType, str, tuple]
 
 
-def _eval_rule(rule, values: Mapping[str, Constant]) -> Constant:
+def _substitute(rule, mapping: Mapping[str, object]):
+    """The rule with each attribute name replaced by its mapped value.
+
+    Maps to source values to evaluate a rule on a fact, and to rules to
+    compose two maps.
+    """
     if rule is DOT:
         return DOT
     if isinstance(rule, str):
-        return values[rule]
-    return tuple(_eval_rule(part, values) for part in rule)
-
-
-def _subst_rule(rule, replacements: Mapping[str, Rule]) -> Rule:
-    if rule is DOT:
-        return DOT
-    if isinstance(rule, str):
-        return replacements[rule]
-    return tuple(_subst_rule(part, replacements) for part in rule)
+        return mapping[rule]
+    return tuple(_substitute(part, mapping) for part in rule)
 
 
 def _check_rule(rule, source_attrs: frozenset[str]) -> None:
@@ -318,14 +296,7 @@ class FactWiseReduction:
 
     def apply(self, fact: Fact) -> Fact:
         values = dict(zip(self.source.signature.attributes, fact))
-        return tuple(_eval_rule(rule, values) for rule in self.rules)
-
-    def map_instance(self, instance: Instance) -> Instance:
-        if instance.signature != self.source.signature:
-            raise ReductionError("instance is not over the source signature")
-        return Instance(
-            self.target.signature, (self.apply(f) for f in instance.facts)
-        )
+        return tuple(_substitute(rule, values) for rule in self.rules)
 
 
 def compose(
@@ -340,7 +311,7 @@ def compose(
     return FactWiseReduction(
         source=inner.source,
         target=outer.target,
-        rules=tuple(_subst_rule(rule, replacements) for rule in outer.rules),
+        rules=tuple(_substitute(rule, replacements) for rule in outer.rules),
     )
 
 
@@ -451,13 +422,13 @@ def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
         x2_plus, x2_star = closures[x2].closure, closures[x2].proper
         if not (x1_star & x2_plus) and not (x2_star & x1_plus):
             rules = _rules_from_2r(attrs, x1, x2, x1_star, x2_star)
-            return 1, FactWiseReduction(schema_2r(), terminal, rules)
+            return 1, FactWiseReduction(HARD_SCHEMAS["2r"], terminal, rules)
         if (x1_star & x2_star) and not (x1_star & x2) and not (x2_star & x1):
             rules = _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
-            return 2, FactWiseReduction(schema_rl(), terminal, rules)
+            return 2, FactWiseReduction(HARD_SCHEMAS["rl"], terminal, rules)
         if (x1_star & x2) and not (x2_star & x1):
             rules = _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
-            return 3, FactWiseReduction(schema_rl(), terminal, rules)
+            return 3, FactWiseReduction(HARD_SCHEMAS["rl"], terminal, rules)
         if (x1_star & x2) and (x2_star & x1):
             if (x1 - x2) <= x2_star and (x2 - x1) <= x1_star:
                 # a stuck schema has a third minimum here: were x1 and x2
@@ -465,10 +436,10 @@ def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
                 third = next((s for s in sites if s not in (x1, x2)), None)
                 if third is not None:
                     rules = _rules_from_tr(attrs, x1, x2, third)
-                    return 4, FactWiseReduction(schema_tr(), terminal, rules)
+                    return 4, FactWiseReduction(HARD_SCHEMAS["tr"], terminal, rules)
             elif not (x2 - x1) <= x1_star:
                 rules = _rules_from_2fd(attrs, x1, x2, x1_star)
-                return 5, FactWiseReduction(schema_2fd(), terminal, rules)
+                return 5, FactWiseReduction(HARD_SCHEMAS["2fd"], terminal, rules)
     raise ReductionError(
         "no closure-structure case matched; this should be unreachable "
         "for a stuck schema with FDs left"

@@ -2,8 +2,10 @@
 
 A cardinality repair is a maximum independent set of the conflict graph
 (facts as nodes, violating pairs as edges), since FD violations are
-always pairwise. This module computes that set exactly by branch and
-bound, enumerates maximum-weight matchings exhaustively, and validates
+always pairwise. This module computes that set exactly, by one branch
+and bound search that returns the lexicographically first maximum set,
+without classifying the schema (its ``RepairResult.trace`` is None). It
+also enumerates maximum-weight matchings exhaustively and validates
 repair maximality. Inputs above the configured caps are refused rather
 than ground through slowly.
 """
@@ -23,7 +25,6 @@ from .fds import (
     fact_key,
 )
 from .repair import BipartiteMatchProblem, RepairResult
-from .simplify import classify
 
 DEFAULT_FACT_CAP = 20
 DEFAULT_EDGE_CAP = 16
@@ -55,34 +56,53 @@ class ConflictGraph:
         return sum(bin(mask).count("1") for mask in self.adjacency) // 2
 
 
-def _mis_size(adjacency: tuple[int, ...], mask: int, best_so_far: int = 0) -> int:
-    """Maximum independent set size within ``mask``, by branch and bound."""
-    best = best_so_far
+def _clique_cover(adjacency: tuple[int, ...], mask: int) -> int:
+    """Cliques in a greedy cover of ``mask``, a bound on its independent sets."""
+    cliques = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        grow = mask & adjacency[low.bit_length() - 1]
+        while grow:
+            low = grow & -grow
+            mask ^= low
+            grow &= adjacency[low.bit_length() - 1]
+        cliques += 1
+    return cliques
 
-    def search(chosen: int, mask: int) -> None:
+
+def _first_maximum_independent_set(adjacency: tuple[int, ...]) -> list[int]:
+    """Lexicographically first maximum independent set, by branch and bound.
+
+    Branches on the lowest remaining vertex, taking it before leaving it
+    out, so maximum sets are met in lexicographic order; only a strictly
+    larger set replaces the best one. A branch is cut when the remaining
+    vertices, and then a clique cover of them, cannot beat the best set.
+    Leaving out a vertex with no neighbour left cannot lead to a maximum
+    set, so that branch is cut too.
+    """
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def search(mask: int) -> None:
         nonlocal best
-        if chosen + bin(mask).count("1") <= best:
+        if len(chosen) + mask.bit_count() <= len(best):
             return
-        if mask == 0:
-            best = max(best, chosen)
+        if not mask:
+            best = chosen.copy()
             return
-        pivot, pivot_degree = -1, -1
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            degree = bin(adjacency[i] & mask).count("1")
-            if degree > pivot_degree:
-                pivot, pivot_degree = i, degree
-            m ^= low
-        if pivot_degree == 0:
-            best = max(best, chosen + bin(mask).count("1"))
+        if len(chosen) + _clique_cover(adjacency, mask) <= len(best):
             return
-        bit = 1 << pivot
-        search(chosen + 1, mask & ~bit & ~adjacency[pivot])
-        search(chosen, mask & ~bit)
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        chosen.append(i)
+        search(rest & ~adjacency[i])
+        chosen.pop()
+        if adjacency[i] & rest:
+            search(rest)
 
-    search(0, mask)
+    search((1 << len(adjacency)) - 1)
     return best
 
 
@@ -93,36 +113,17 @@ def brute_force_crep(
 
     Works on any schema, tractable or not, up to ``cap`` facts. Among the
     maximum repairs, returns the one whose sorted fact list is
-    lexicographically smallest.
+    lexicographically smallest. The schema is not classified, so
+    ``trace`` is None.
     """
     if len(instance) > cap:
         raise CapExceededError(
             f"instance has {len(instance)} facts, brute-force cap is {cap}"
         )
     graph = ConflictGraph.build(schema, instance)
-    n = len(graph.facts)
-    full = (1 << n) - 1
-    alpha = _mis_size(graph.adjacency, full)
-    chosen: list[Fact] = []
-    available = full
-    for i in range(n):
-        if len(chosen) == alpha:
-            break
-        bit = 1 << i
-        if not available & bit:
-            continue
-        upper = ~((bit << 1) - 1)
-        with_i = (available & ~bit & ~graph.adjacency[i]) & upper
-        if len(chosen) + 1 + _mis_size(graph.adjacency, with_i) == alpha:
-            chosen.append(graph.facts[i])
-            available &= ~bit & ~graph.adjacency[i]
-        else:
-            available &= ~bit
-    assert len(chosen) == alpha
-    repaired = Instance(schema.signature, chosen)
-    return RepairResult(
-        repair=repaired, size=len(repaired), trace=classify(schema)
-    )
+    chosen = _first_maximum_independent_set(graph.adjacency)
+    repaired = Instance(schema.signature, [graph.facts[i] for i in chosen])
+    return RepairResult(repair=repaired, size=len(repaired), trace=None)
 
 
 def brute_force_matching(

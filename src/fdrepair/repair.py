@@ -43,14 +43,15 @@ from .simplify import SimplificationTrace, classify
 class RepairResult:
     """A repair, its size, the schema trace, and per-block diagnostics.
 
-    ``block_sizes`` pairs each block of the first rewrite step with the
+    ``trace`` is the classify trace the repair followed; it is None from
+    the oracle, which does not classify. ``block_sizes`` pairs each block of the first rewrite step with the
     size of its repair, in block-key order; it is empty when the schema
     has no FDs.
     """
 
     repair: Instance
     size: int
-    trace: SimplificationTrace
+    trace: Optional[SimplificationTrace]
     block_sizes: tuple[tuple[tuple[Constant, ...], int], ...] = ()
 
     @property

@@ -24,8 +24,6 @@ from typing import Optional, Union
 
 from .fds import Fd, FdSchema, closure, normalize, project
 
-KINDS = ("S1", "S2", "S3")
-
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
 
@@ -111,33 +109,17 @@ def find_s3(
     return None
 
 
-def apply_step(schema: FdSchema, kind: str) -> SimplificationStep:
-    """Apply one rewrite of the given kind to the (normalized) schema.
+# kind -> (finder, attributes its witness removes), in the order that
+# classify tries them
+_RULES = {
+    "S1": (find_s1, lambda attr: frozenset([attr])),
+    "S2": (find_s2, lambda fd: fd.rhs),
+    "S3": (find_s3, lambda pair: pair[0] | pair[1]),
+}
 
-    Raises :class:`NotApplicableError` when the kind's precondition does
-    not hold.
-    """
-    before = normalize(schema)
-    if kind == "S1":
-        attr = find_s1(before)
-        if attr is None:
-            raise NotApplicableError("no attribute shared by every lhs")
-        witness: Witness = attr
-        removed = frozenset([attr])
-    elif kind == "S2":
-        fd = find_s2(before)
-        if fd is None:
-            raise NotApplicableError("no FD with an empty lhs")
-        witness = fd
-        removed = fd.rhs
-    elif kind == "S3":
-        pair = find_s3(before)
-        if pair is None:
-            raise NotApplicableError("no lhs marriage")
-        witness = pair
-        removed = pair[0] | pair[1]
-    else:
-        raise NotApplicableError(f"unknown simplification kind {kind!r}")
+
+def _step(before: FdSchema, kind: str, witness: Witness) -> SimplificationStep:
+    removed = _RULES[kind][1](witness)
     return SimplificationStep(
         kind=kind,
         removed_attributes=removed,
@@ -147,33 +129,39 @@ def apply_step(schema: FdSchema, kind: str) -> SimplificationStep:
     )
 
 
-def next_kind(schema: FdSchema) -> Optional[str]:
-    """The first applicable rewrite kind on a normalized schema, if any."""
-    if find_s1(schema) is not None:
-        return "S1"
-    if find_s2(schema) is not None:
-        return "S2"
-    if find_s3(schema) is not None:
-        return "S3"
-    return None
+def apply_step(schema: FdSchema, kind: str) -> SimplificationStep:
+    """Apply one rewrite of the given kind to the (normalized) schema.
+
+    Raises :class:`NotApplicableError` when the kind's precondition does
+    not hold.
+    """
+    if kind not in _RULES:
+        raise NotApplicableError(f"unknown simplification kind {kind!r}")
+    before = normalize(schema)
+    witness = _RULES[kind][0](before)
+    if witness is None:
+        raise NotApplicableError(f"no {kind} witness in {before.render_fds()}")
+    return _step(before, kind, witness)
 
 
 def classify(schema: FdSchema) -> SimplificationTrace:
     """Run the rewrite loop to completion and report tractability.
 
-    Each step strictly removes at least one attribute, so the loop ends
-    within arity steps. The schema is tractable exactly when the terminal
-    FD set is empty.
+    Each step applies the first rule in ``_RULES`` order that has a
+    witness, and strictly removes at least one attribute, so the loop
+    ends within arity steps. The schema is tractable exactly when the
+    terminal FD set is empty.
     """
     current = normalize(schema)
     steps: list[SimplificationStep] = []
-    for _ in range(schema.signature.arity + 1):
-        if not current.fds:
+    while current.fds:
+        for kind, (find, _) in _RULES.items():
+            witness = find(current)
+            if witness is not None:
+                break
+        else:
             break
-        kind = next_kind(current)
-        if kind is None:
-            break
-        step = apply_step(current, kind)
+        step = _step(current, kind, witness)
         assert step.schema_after.signature.arity < current.signature.arity
         steps.append(step)
         current = step.schema_after

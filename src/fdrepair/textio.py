@@ -82,9 +82,6 @@ class SchemaDocument:
 
     relations: tuple[FdSchema, ...]
 
-    def by_name(self) -> dict[str, FdSchema]:
-        return {schema.signature.relation: schema for schema in self.relations}
-
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RELATION_RE = re.compile(

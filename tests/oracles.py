@@ -79,6 +79,44 @@ def max_repair_size_by_subsets(schema: FdSchema, instance: Instance) -> int:
     return best
 
 
+def lex_first_max_repair_by_subsets(schema: FdSchema, facts) -> tuple:
+    """The first largest consistent subset of ``facts``, as a tuple.
+
+    "First" is lexicographic in the given fact order: combinations of one
+    size come in that order, and sizes are tried from the largest down.
+    """
+    facts = list(facts)
+    assert len(facts) <= 16, "subset enumeration oracle capped at 16 facts"
+    clash = {
+        (f, g)
+        for f, g in itertools.combinations(facts, 2)
+        if conflict_by_definition(schema, f, g)
+    }
+    for r in range(len(facts), -1, -1):
+        for combo in itertools.combinations(facts, r):
+            if not any(p in clash for p in itertools.combinations(combo, 2)):
+                return combo
+    raise AssertionError("unreachable: the empty set is consistent")
+
+
+def max_triangle_packing_by_subsets(triangles) -> int:
+    """Largest set of triangles no two of which share an edge.
+
+    Triangles are (a, b, c) node triples, one node per side; two share an
+    edge when they agree on two of the three sides.
+    """
+    triangles = list(triangles)
+    assert len(triangles) <= 16, "subset enumeration oracle capped at 16"
+    for r in range(len(triangles), 0, -1):
+        for combo in itertools.combinations(triangles, r):
+            if all(
+                sum(u == v for u, v in zip(s, t)) < 2
+                for s, t in itertools.combinations(combo, 2)
+            ):
+                return r
+    return 0
+
+
 def first_violated_fd(schema: FdSchema, f, g):
     """The first FD of ``schema.fds`` that the two facts violate, or None."""
     attrs = schema.signature.attributes

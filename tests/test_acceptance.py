@@ -30,10 +30,6 @@ from fdrepair.gadgets import (
     gadget_tr,
     hard_case_witness,
     max_edge_disjoint_triangles,
-    schema_2fd,
-    schema_2r,
-    schema_rl,
-    schema_tr,
     verify_reduction,
 )
 from fdrepair.oracle import brute_force_crep, brute_force_matching, is_s_repair
@@ -140,9 +136,9 @@ def test_criterion_4_gadgets_iff_satisfiable():
     ]
     universe = positive + [tuple(-v for v in clause) for clause in positive]
     routes = (
-        (gadget_2fd, schema_2fd()),
-        (gadget_rl, schema_rl()),
-        (gadget_2r, schema_2r()),
+        (gadget_2fd, HARD_SCHEMAS["2fd"]),
+        (gadget_rl, HARD_SCHEMAS["rl"]),
+        (gadget_2r, HARD_SCHEMAS["2r"]),
     )
     exhaustive_count = 0
     for count in range(1, 5):
@@ -160,7 +156,10 @@ def test_criterion_4_gadgets_iff_satisfiable():
         formula = random_cnf(rng, max_vars=8, max_clauses=5, mixed=True)
         satisfiable = cnf_satisfiable(formula)
         m = len(formula.clauses)
-        for build, schema in ((gadget_rl, schema_rl()), (gadget_2r, schema_2r())):
+        for build, schema in (
+            (gadget_rl, HARD_SCHEMAS["rl"]),
+            (gadget_2r, HARD_SCHEMAS["2r"]),
+        ):
             size = brute_force_crep(schema, build(formula)).size
             assert (size == m) == satisfiable, (formula, build.__name__)
         mixed_count += 1
@@ -178,7 +177,7 @@ def test_criterion_5_gadget_iff_triangle_packing():
     started = time.perf_counter()
     a_side, b_side, c_side = ("a1", "a2", "a3"), ("b1", "b2", "b3"), ("c1", "c2", "c3")
     universe = [(a, b, c) for a in a_side for b in b_side for c in c_side]
-    schema = schema_tr()
+    schema = HARD_SCHEMAS["tr"]
     count = 0
     for size in range(0, 6):
         for chosen in itertools.combinations(universe, size):

@@ -5,9 +5,10 @@ wraps and reads these; renaming one silently breaks its traces.
 """
 
 import dataclasses
+import inspect
 
 import fdrepair
-from fdrepair import fds, gadgets, oracle
+from fdrepair import fds, gadgets, oracle, repair
 
 
 def test_public_names_resolve():
@@ -18,3 +19,14 @@ def test_public_names_resolve():
     assert callable(oracle.ConflictGraph.build)
     fields = {f.name for f in dataclasses.fields(gadgets.ReductionReport)}
     assert {"pairs_checked", "exhaustive"} <= fields
+
+
+def test_benchmark_contract_names():
+    assert set(gadgets.HARD_SCHEMAS) == {"2fd", "rl", "2r", "tr"}
+    for key in gadgets.HARD_SCHEMAS:
+        assert inspect.isfunction(getattr(gadgets, f"gadget_{key}")), key
+    fields = {f.name for f in dataclasses.fields(repair.RepairResult)}
+    assert {"repair", "size"} <= fields
+    assert callable(repair.linear_sum_assignment)
+    # the tracer wraps exactly the module-level names that pass this test
+    assert inspect.isfunction(oracle.brute_force_crep)

@@ -118,7 +118,33 @@ def test_repair_fallback_oracle(tmp_path, capsys):
     ])
     assert code == 0
     report = capsys.readouterr().out
-    assert "method: oracle" in report and "repair-size: 1" in report
+    assert "  tractable: false\n  steps: (none)\n  method: oracle\n" in report
+    assert "repair-size: 1" in report
+    assert (out_dir / "R.csv").read_text(encoding="utf-8") == "A,B,C\n1,1,0\n"
+
+
+def test_repair_fallback_oracle_reports_the_applied_rewrites(tmp_path, capsys):
+    # S1 removes D, then {A,B -> C; C -> B} is stuck
+    schema_path = write(
+        tmp_path, "s.fd", "relation R(A,B,C,D)\nfd R: D,A,B -> C\nfd R: D,C -> B\n"
+    )
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "R.csv").write_text(
+        "A,B,C,D\n1,1,1,0\n1,1,0,0\n2,0,0,0\n1,1,1,1\n", encoding="utf-8"
+    )
+    out_dir = tmp_path / "o"
+    code = main([
+        "repair", "--schema", schema_path, "--data", str(data),
+        "--out", str(out_dir), "--fallback-oracle", "10", "--stable",
+    ])
+    assert code == 0
+    report = capsys.readouterr().out
+    assert "  tractable: false\n  steps: S1:{D}\n  method: oracle\n" in report
+    assert "repair-size: 3" in report
+    assert (out_dir / "R.csv").read_text(encoding="utf-8") == (
+        "A,B,C,D\n1,1,1,0\n1,1,1,1\n2,0,0,0\n"
+    )
 
 
 def test_repair_fallback_cap_exceeded(tmp_path, capsys):

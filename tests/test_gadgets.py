@@ -23,10 +23,6 @@ from fdrepair.gadgets import (
     hard_case_witness,
     lift_through_simplification,
     max_edge_disjoint_triangles,
-    schema_2fd,
-    schema_2r,
-    schema_rl,
-    schema_tr,
     verify_reduction,
 )
 from fdrepair.oracle import CapExceededError, brute_force_crep
@@ -65,18 +61,18 @@ def test_gadget_2fd_published_shape():
         ("c2", "0", "x1"),
     }
     # satisfiable, so the repair covers every clause
-    assert brute_force_crep(schema_2fd(), inst).size == 2
+    assert brute_force_crep(HARD_SCHEMAS["2fd"], inst).size == 2
 
 
 def test_gadget_2fd_unit_clause():
     inst = gadget_2fd(CnfFormula(1, [[1]]))
     assert len(inst) == 1
-    assert brute_force_crep(schema_2fd(), inst).size == 1
+    assert brute_force_crep(HARD_SCHEMAS["2fd"], inst).size == 1
 
 
 def test_gadget_2fd_contradiction_falls_short():
     inst = gadget_2fd(CnfFormula(1, [[1], [-1]]))
-    assert brute_force_crep(schema_2fd(), inst).size == 1  # below m = 2
+    assert brute_force_crep(HARD_SCHEMAS["2fd"], inst).size == 1  # below m = 2
 
 
 def test_gadget_2fd_rejects_mixed_clause():
@@ -92,7 +88,7 @@ def test_gadget_rl_columns_and_sizes():
         ("c1", "x2", "0"),
         ("c2", "x1", "0"),
     }
-    assert brute_force_crep(schema_rl(), inst).size == 2  # satisfiable
+    assert brute_force_crep(HARD_SCHEMAS["rl"], inst).size == 2  # satisfiable
 
 
 def test_gadget_2r_structural_third_column():
@@ -101,7 +97,7 @@ def test_gadget_2r_structural_third_column():
         ("c1", "x1", ("x1", "1")),
         ("c1", "x1", ("x1", "0")),
     }
-    assert brute_force_crep(schema_2r(), inst).size == 1
+    assert brute_force_crep(HARD_SCHEMAS["2r"], inst).size == 1
 
 
 def test_gadget_size_tracks_satisfiability_on_random_formulas():
@@ -111,8 +107,8 @@ def test_gadget_size_tracks_satisfiability_on_random_formulas():
         sat = cnf_satisfiable(formula)
         m = len(formula.clauses)
         for build, schema in (
-            (gadget_rl, schema_rl()),
-            (gadget_2r, schema_2r()),
+            (gadget_rl, HARD_SCHEMAS["rl"]),
+            (gadget_2r, HARD_SCHEMAS["2r"]),
         ):
             size = brute_force_crep(schema, build(formula)).size
             assert size <= m
@@ -123,7 +119,7 @@ def test_gadget_size_tracks_satisfiability_on_random_formulas():
 
 def test_gadget_tr_single_triangle():
     graph = TripartiteGraph(("a",), ("b",), ("c",), [("a", "b", "c")])
-    assert brute_force_crep(schema_tr(), gadget_tr(graph)).size == 1
+    assert brute_force_crep(HARD_SCHEMAS["tr"], gadget_tr(graph)).size == 1
 
 
 def test_gadget_tr_shared_edge_vs_shared_node():
@@ -132,14 +128,14 @@ def test_gadget_tr_shared_edge_vs_shared_node():
         [("a1", "b1", "c1"), ("a1", "b1", "c2")],
     )
     assert max_edge_disjoint_triangles(shared_edge) == 1
-    assert brute_force_crep(schema_tr(), gadget_tr(shared_edge)).size == 1
+    assert brute_force_crep(HARD_SCHEMAS["tr"], gadget_tr(shared_edge)).size == 1
 
     shared_node = TripartiteGraph(
         ("a1", "a2"), ("b1", "b2"), ("c1",),
         [("a1", "b1", "c1"), ("a2", "b2", "c1")],
     )
     assert max_edge_disjoint_triangles(shared_node) == 2
-    assert brute_force_crep(schema_tr(), gadget_tr(shared_node)).size == 2
+    assert brute_force_crep(HARD_SCHEMAS["tr"], gadget_tr(shared_node)).size == 2
 
 
 def test_tripartite_validation():
@@ -161,7 +157,7 @@ def test_witness_cases_for_the_four_cores():
 
 
 def test_witness_for_tr_is_the_identity_map():
-    _, reduction = hard_case_witness(schema_tr())
+    _, reduction = hard_case_witness(HARD_SCHEMAS["tr"])
     assert reduction.rules == ("A", "B", "C")
 
 
@@ -255,8 +251,8 @@ def test_composed_lifts_across_worked_example(worked_example):
 
 
 def test_compose_requires_matching_schemas():
-    _, first = hard_case_witness(schema_2fd())
-    _, second = hard_case_witness(schema_rl())
+    _, first = hard_case_witness(HARD_SCHEMAS["2fd"])
+    _, second = hard_case_witness(HARD_SCHEMAS["rl"])
     with pytest.raises(ReductionError):
         compose(first, second)
 
@@ -264,14 +260,14 @@ def test_compose_requires_matching_schemas():
 # -- the empirical verifier --------------------------------------------------------
 
 def test_verify_identity_map_clean():
-    schema = schema_rl()
+    schema = HARD_SCHEMAS["rl"]
     identity = FactWiseReduction(schema, schema, ("A", "B", "C"))
     report = verify_reduction(identity, domain=("0", "1"))
     assert report.ok and report.facts_checked == 8
 
 
 def _corrupted_2fd_witness():
-    _, reduction = hard_case_witness(schema_2fd())
+    _, reduction = hard_case_witness(HARD_SCHEMAS["2fd"])
     broken_rules = list(reduction.rules)
     broken_rules[-1] = "A"  # drop one case row's distinction
     return FactWiseReduction(
@@ -291,7 +287,7 @@ def _domain(size):
 
 
 def test_verify_is_exhaustive_up_to_the_cap():
-    schema = schema_rl()
+    schema = HARD_SCHEMAS["rl"]
     identity = FactWiseReduction(schema, schema, ("A", "B", "C"))
     report = verify_reduction(identity, domain=_domain(6))  # 216 facts
     assert report.exhaustive and report.ok
@@ -304,7 +300,7 @@ def test_verify_is_exhaustive_up_to_the_cap():
 
 
 def test_verify_needs_two_domain_values():
-    identity = FactWiseReduction(schema_rl(), schema_rl(), ("A", "B", "C"))
+    identity = FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B", "C"))
     for domain in ((), ("0",), ("1", "1")):
         with pytest.raises(ReductionError):
             verify_reduction(identity, domain=domain)
@@ -336,6 +332,6 @@ def test_verify_violations_equal_the_pairwise_reference():
 
 def test_rule_validation():
     with pytest.raises(ReductionError):
-        FactWiseReduction(schema_rl(), schema_rl(), ("A", "B"))
+        FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B"))
     with pytest.raises(ReductionError):
-        FactWiseReduction(schema_rl(), schema_rl(), ("A", "B", "Z"))
+        FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B", "Z"))

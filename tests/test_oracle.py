@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -7,17 +8,23 @@ from conftest import inst_of, schema_of
 from generators import random_instance, random_schema
 from oracles import (
     conflict_by_definition,
-    consistent_by_definition,
+    lex_first_max_repair_by_subsets,
     max_repair_size_by_subsets,
+    max_triangle_packing_by_subsets,
     s_repair_by_definition,
 )
 
-from fdrepair.fds import DOT, Instance, SchemaError, fact_key
+from fdrepair import simplify
+from fdrepair.fds import DOT, Instance, SchemaError, fact_key, normalize
 from fdrepair.gadgets import (
+    HARD_SCHEMAS,
+    CnfFormula,
     TripartiteGraph,
+    cnf_satisfiable,
+    gadget_2r,
+    gadget_rl,
     gadget_tr,
     max_edge_disjoint_triangles,
-    schema_tr,
 )
 from fdrepair.oracle import (
     CapExceededError,
@@ -61,7 +68,7 @@ def test_triangle_gadget_matches_packing():
     inst = gadget_tr(graph)
     packing = max_edge_disjoint_triangles(graph)
     assert packing == 3
-    assert brute_force_crep(schema_tr(), inst).size == packing
+    assert brute_force_crep(HARD_SCHEMAS["tr"], inst).size == packing
 
 
 def test_cap_enforced_and_configurable():
@@ -74,25 +81,70 @@ def test_cap_enforced_and_configurable():
 
 def test_returns_lexicographically_smallest_maximum():
     rng = random.Random(23)
-    for _ in range(25):
+    conflicted = 0
+    for _ in range(100):
         schema = random_schema(rng, max_attrs=3, max_fds=3)
-        inst = random_instance(rng, schema.signature, max_facts=7)
+        while not normalize(schema).fds:
+            schema = random_schema(rng, max_attrs=3, max_fds=3)
+        inst = random_instance(rng, schema.signature, max_facts=12)
         result = brute_force_crep(schema, inst)
-        # independent reference: enumerate all subsets
-        facts = inst.sorted_facts
-        best = None
-        for r in range(len(facts), -1, -1):
-            for combo in itertools.combinations(facts, r):
-                if consistent_by_definition(schema, combo):
-                    key = tuple(fact_key(f) for f in combo)
-                    if best is None or len(combo) > len(best) or (
-                        len(combo) == len(best)
-                        and key < tuple(fact_key(f) for f in best)
-                    ):
-                        best = combo
-            if best is not None and len(best) == r:
-                break
+        # independent reference: enumerate subsets in fact_key order
+        best = lex_first_max_repair_by_subsets(
+            schema, sorted(inst.facts, key=fact_key)
+        )
         assert result.repair.sorted_facts == best
+        assert result.size == len(best)
+        conflicted += len(best) < len(inst)
+    assert conflicted >= 60
+
+
+def test_oracle_does_not_classify(monkeypatch):
+    def refuse(schema):
+        raise AssertionError("the oracle must not classify")
+
+    classify, bound = simplify.classify, 0
+    for name, module in list(sys.modules.items()):
+        if name == "fdrepair" or name.startswith("fdrepair."):
+            for attr, value in list(vars(module).items()):
+                if value is classify:
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound += 1
+    assert bound >= 3  # at least simplify, repair and the package
+    inst = gadget_rl(CnfFormula(2, [[1, 2], [-1], [-2]]))
+    result = brute_force_crep(HARD_SCHEMAS["rl"], inst)
+    assert result.trace is None
+    assert result.size == 2  # unsatisfiable: one clause short of 3
+
+
+def test_search_scales_past_the_default_cap():
+    # 48-fact gadgets: the repair covers all 16 clauses iff satisfiable
+    rng = random.Random(41)
+    # every sign pattern over x1..x3 makes the last formula unsatisfiable
+    unsat = [[a, 2 * b, 3 * c] for a, b, c in itertools.product((1, -1), repeat=3)]
+    for prefix in ([], [], unsat):
+        clauses = prefix + [
+            [v * rng.choice((1, -1)) for v in rng.sample(range(1, 11), 3)]
+            for _ in range(16 - len(prefix))
+        ]
+        formula = CnfFormula(10, clauses)
+        for build, kind in ((gadget_rl, "rl"), (gadget_2r, "2r")):
+            schema, inst = HARD_SCHEMAS[kind], build(formula)
+            result = brute_force_crep(schema, inst, cap=48)
+            assert (result.size == 16) == cnf_satisfiable(formula)
+            assert is_s_repair(schema, inst, result.repair)
+
+
+def test_triangle_packing_matches_subset_enumeration():
+    # names repeat across sides, so only side-aware edge tests pass
+    names = ("0", "1", "2", "3")
+    universe = list(itertools.product(names, repeat=3))
+    rng = random.Random(31)
+    for _ in range(200):
+        chosen = rng.sample(universe, rng.randint(6, 12))
+        graph = TripartiteGraph(names, names, names, chosen)
+        assert max_edge_disjoint_triangles(graph) == (
+            max_triangle_packing_by_subsets(chosen)
+        ), chosen
 
 
 def test_size_invariant_under_renaming_and_reordering():

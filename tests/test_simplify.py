@@ -22,7 +22,6 @@ from fdrepair.simplify import (
     find_s1,
     find_s2,
     find_s3,
-    next_kind,
 )
 
 
@@ -178,7 +177,9 @@ def test_classify_progress_and_replay():
             current = step.schema_after
         assert current == trace.terminal
         assert trace.tractable == (not trace.terminal.fds)
-        assert next_kind(trace.terminal) is None
+        for kind in ("S1", "S2", "S3"):
+            with pytest.raises(NotApplicableError):
+                apply_step(trace.terminal, kind)
 
 
 def test_classify_step_witnesses_recheck():

@@ -1,7 +1,7 @@
 import pytest
 
 from fdrepair.fds import DOT, Instance, Signature
-from fdrepair.gadgets import schema_2fd
+from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.textio import (
     DataError,
     SchemaParseError,
@@ -26,7 +26,7 @@ def test_parse_two_fd_core():
     fd R: C -> B
     """
     document = parse_schema(text)
-    assert document.relations == (schema_2fd(),)
+    assert document.relations == (HARD_SCHEMAS["2fd"],)
 
 
 def test_parse_empty_file():
