@@ -68,6 +68,22 @@ def fact_key(fact: Fact):
     return tuple(constant_key(value) for value in fact)
 
 
+def canonical_sorted(values: Iterable, key: Callable = constant_key) -> list:
+    """``values`` in canonical order, ``key`` being the canonical sort key.
+
+    Plain tuple order is the same order wherever it is defined, that is
+    while every compared pair of values is str/str or tuple/tuple, and it
+    needs no per-value key. A comparison that meets DOT or mixed types
+    raises TypeError, and the keyed sort takes over.
+    """
+    values = list(values)
+    try:
+        values.sort()
+    except TypeError:
+        values.sort(key=key)
+    return values
+
+
 @dataclass(frozen=True)
 class Signature:
     """A relation name with an ordered list of distinct attribute names."""
@@ -214,19 +230,18 @@ class Instance:
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.sorted_facts)
 
+    @classmethod
+    def _of_checked(cls, signature: Signature, facts: Iterable[Fact]) -> "Instance":
+        """An instance of facts taken from an instance already checked."""
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "signature", signature)
+        object.__setattr__(instance, "facts", frozenset(facts))
+        return instance
+
     @property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        """The facts in canonical (:func:`fact_key`) order.
-
-        Plain tuple order is the same order wherever it is defined, that
-        is while every compared pair of values is str/str or tuple/tuple,
-        and it needs no per-value key. A comparison that meets DOT or
-        mixed types raises TypeError, and the keyed sort takes over.
-        """
-        try:
-            return tuple(sorted(self.facts))
-        except TypeError:
-            return tuple(sorted(self.facts, key=fact_key))
+        """The facts in canonical (:func:`fact_key`) order."""
+        return tuple(canonical_sorted(self.facts, key=fact_key))
 
 
 @dataclass(frozen=True)

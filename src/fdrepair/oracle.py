@@ -122,7 +122,9 @@ def brute_force_crep(
         )
     graph = ConflictGraph.build(schema, instance)
     chosen = _first_maximum_independent_set(graph.adjacency)
-    repaired = Instance(schema.signature, [graph.facts[i] for i in chosen])
+    repaired = Instance._of_checked(
+        schema.signature, [graph.facts[i] for i in chosen]
+    )
     return RepairResult(repair=repaired, size=len(repaired), trace=None)
 
 

@@ -21,6 +21,7 @@ the same repair.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,6 +35,7 @@ from .fds import (
     Instance,
     SchemaError,
     Signature,
+    canonical_sorted,
     constant_key,
 )
 from .simplify import SimplificationTrace, classify
@@ -94,6 +96,21 @@ class BipartiteMatchProblem:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edges)
 
+    @classmethod
+    def _of_sorted_edges(cls, edges: tuple) -> "BipartiteMatchProblem":
+        """A problem over valid edges already in canonical order.
+
+        Its nodes are the edge endpoints. The S3 step sorts its block keys
+        once and builds its problem here, with no second sort or check.
+        """
+        problem = object.__new__(cls)
+        left = tuple(dict.fromkeys(e[0] for e in edges))
+        right = tuple(canonical_sorted({e[1] for e in edges}))
+        object.__setattr__(problem, "left", left)
+        object.__setattr__(problem, "right", right)
+        object.__setattr__(problem, "edges", edges)
+        return problem
+
 
 # One compiled rewrite: its kind and the block key of a fact. The key is
 # the tuple of the fact's values on the removed columns (S1, S2), or the
@@ -153,10 +170,8 @@ def _solve(
         ]
     else:
         # a repair joins each X1 value and each X2 value at most once
-        problem = BipartiteMatchProblem(
-            left=(k[0] for k in sizes),
-            right=(k[1] for k in sizes),
-            edges=((k[0], k[1], size) for k, size in sizes.items()),
+        problem = BipartiteMatchProblem._of_sorted_edges(
+            tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
         )
         chosen = []
         total = 0
@@ -185,32 +200,15 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     chosen, sizes = _solve(
         _compile(schema.signature, trace), list(instance.facts), 0
     )
-    repaired = Instance(schema.signature, chosen)
+    repaired = Instance._of_checked(schema.signature, chosen)
     return RepairResult(
         repair=repaired,
         size=len(repaired),
         trace=trace,
         block_sizes=tuple(
-            sorted(sizes.items(), key=lambda kv: constant_key(kv[0]))
+            canonical_sorted(sizes.items(), key=lambda kv: constant_key(kv[0]))
         ),
     )
-
-
-def _max_matching_weight(
-    edges: Sequence[tuple[Constant, Constant, int]]
-) -> int:
-    """Maximum total weight of any matching among the given edges."""
-    if not edges:
-        return 0
-    lefts = sorted({e[0] for e in edges}, key=constant_key)
-    rights = sorted({e[1] for e in edges}, key=constant_key)
-    lindex = {x: i for i, x in enumerate(lefts)}
-    rindex = {y: j for j, y in enumerate(rights)}
-    weight = np.zeros((len(lefts), len(rights)), dtype=np.int64)
-    for x, y, w in edges:
-        weight[lindex[x], rindex[y]] = max(weight[lindex[x], rindex[y]], w)
-    rows, cols = linear_sum_assignment(weight, maximize=True)
-    return int(weight[rows, cols].sum())
 
 
 def max_weight_matching(
@@ -219,34 +217,187 @@ def max_weight_matching(
     """A maximum-weight matching, deterministically tie-broken.
 
     Among all maximum-weight matchings, returns the one whose canonically
-    sorted edge list is lexicographically smallest (so a zero-weight edge
-    is left out rather than matched). The weight maximization itself is
-    delegated to an assignment solver; this wrapper only pins the choice
-    of edge set.
+    sorted edge list is lexicographically smallest. A list that is a
+    prefix of another is the smaller, so a zero-weight edge is kept when
+    it comes before the last edge the optimum needs and left out when it
+    comes after: edges ``(a,b,0), (c,d,5)`` give ``((a,b), (c,d))`` and
+    ``(a,b,5), (c,d,0)`` give ``((a,b),)``.
+
+    That list is the lex greedy: take the edges in canonical order, keep
+    an edge when its endpoints are free and the edges after it can still
+    complete an optimum with it, and stop once the optimum is reached.
+    Optimal weight adds up over the connected components, so each
+    component runs its own greedy (:func:`_component_greedy`), and the
+    merged list stops at the edge where the last component reached its
+    optimum.
     """
     edges = problem.edges
-    target = _max_matching_weight(edges)
-    chosen: list[tuple[Constant, Constant]] = []
-    chosen_weight = 0
-    used_left: set = set()
-    used_right: set = set()
-    for i, (x, y, w) in enumerate(edges):
-        if chosen_weight == target:
-            break
-        if x in used_left or y in used_right:
+    accepted: list[int] = []
+    stop = -1
+    for component in _components(edges):
+        taken, reached = _component_greedy([edges[i] for i in component])
+        accepted.extend(component[k] for k in taken)
+        if reached >= 0:
+            stop = max(stop, component[reached])
+    return tuple(edges[i][:2] for i in sorted(accepted) if i <= stop)
+
+
+def _components(edges: Sequence[tuple]) -> list[list[int]]:
+    """Positions of the edges of each connected component, in edge order."""
+    parent: dict = {}
+
+    def root(node):
+        path = []
+        while node in parent:
+            path.append(node)
+            node = parent[node]
+        for below in path:
+            parent[below] = node
+        return node
+
+    for x, y, _ in edges:
+        a, b = root((0, x)), root((1, y))
+        if a != b:
+            parent[a] = b
+    groups: dict = {}
+    for i, (x, _, _) in enumerate(edges):
+        groups.setdefault(root((0, x)), []).append(i)
+    return list(groups.values())
+
+
+def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:
+    """The lex greedy on the edges of one connected component.
+
+    Returns the positions of the accepted edges and the position at which
+    their weight reached the component's optimum (-1 when that is 0).
+    After that point it still accepts every zero-weight edge with free
+    endpoints; the caller keeps those that come before its stop.
+
+    One assignment solve gives the optimum and LP duals (:func:`_duals`).
+    By complementary slackness every optimum uses only tight edges, so an
+    edge that is not tight is rejected at once. ``current`` is an optimum
+    that holds the accepted edges and otherwise only later ones, so an
+    edge in it is accepted at once. Any other edge needs a solve over the
+    later tight edges with free endpoints, and refreshes ``current`` when
+    it is accepted.
+    """
+    lefts: dict = {}
+    rights: dict = {}
+    ls = [lefts.setdefault(x, len(lefts)) for x, _, _ in edges]
+    rs = [rights.setdefault(y, len(rights)) for _, y, _ in edges]
+    ws = [w for _, _, w in edges]
+    if len(edges) == 1:
+        return [0], 0 if ws[0] else -1
+    ls_array, rs_array, ws_array = np.array(ls), np.array(rs), np.array(ws)
+    shape = (len(lefts), len(rights))
+    target, optimum = _assignment(ls_array, rs_array, ws_array, shape)
+    u, v = _duals(ls, rs, ws, optimum.tolist(), *shape)
+    assert sum(u) + sum(v) == target, "the duals must certify the optimum"
+    tight = u[ls_array] + v[rs_array] == ws_array
+    current = set(optimum.tolist())
+    free_left = [True] * shape[0]
+    free_right = [True] * shape[1]
+    accepted: list[int] = []
+    weight = 0
+    reached = -1
+    for i, (x, y, w) in enumerate(zip(ls, rs, ws)):
+        if not (free_left[x] and free_right[y]):
             continue
-        rest = [
-            e
-            for e in edges[i + 1 :]
-            if e[0] not in used_left
-            and e[0] != x
-            and e[1] not in used_right
-            and e[1] != y
-        ]
-        if chosen_weight + w + _max_matching_weight(rest) == target:
-            chosen.append((x, y))
-            chosen_weight += w
-            used_left.add(x)
-            used_right.add(y)
-    assert chosen_weight == target
-    return tuple(chosen)
+        if weight == target:
+            take = w == 0
+        elif i in current:
+            take = True
+        elif not tight[i]:
+            take = False
+        else:
+            later = slice(i + 1, None)
+            rest = i + 1 + np.flatnonzero(
+                tight[later]
+                & np.array(free_left)[ls_array[later]]
+                & np.array(free_right)[rs_array[later]]
+                & (ls_array[later] != x)
+                & (rs_array[later] != y)
+            )
+            best, completion = _assignment(
+                ls_array[rest], rs_array[rest], ws_array[rest], shape
+            )
+            take = weight + w + best == target
+            if take:
+                current = {*accepted, i, *rest[completion].tolist()}
+        if take:
+            accepted.append(i)
+            free_left[x] = free_right[y] = False
+            weight += w
+            if w and weight == target:
+                reached = i
+    assert weight == target
+    return accepted, reached
+
+
+def _assignment(
+    ls: np.ndarray, rs: np.ndarray, ws: np.ndarray, shape: tuple[int, int]
+) -> tuple[int, np.ndarray]:
+    """One maximum-weight matching of the edges ``(ls[k], rs[k], ws[k])``.
+
+    ``shape`` bounds the vertex ids. Returns the matching's weight and
+    the positions ``k`` of its positive-weight edges. The dense matrix
+    holds 0 at non-edges, so they never count.
+    """
+    if not len(ws):
+        return 0, np.zeros(0, dtype=np.intp)
+    weight = np.zeros(shape, dtype=np.int64)
+    weight[ls, rs] = ws
+    position = np.zeros(weight.shape, dtype=np.intp)
+    position[ls, rs] = np.arange(len(ws))
+    r, c = linear_sum_assignment(weight, maximize=True)
+    matched = weight[r, c]
+    return int(matched.sum()), position[r, c][matched > 0]
+
+
+def _duals(
+    ls: list[int],
+    rs: list[int],
+    ws: list[int],
+    matched: list[int],
+    n_left: int,
+    n_right: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer LP duals ``u, v >= 0`` of an optimal matching.
+
+    ``u[x] + v[y] >= w`` on every edge, with equality on the matched
+    edges, and ``u`` or ``v`` is 0 on every unmatched vertex, so
+    ``Σu + Σv`` is the matching's weight. With ``p = u`` and ``q = -v``
+    these are difference constraints, and shortest paths from a virtual
+    source solve them: arcs of length 0 to every right vertex and every
+    unmatched left vertex, ``-w`` along each edge ``x -> y`` and ``+w``
+    back along each matched edge ``y -> x``. An optimal matching leaves no
+    negative cycle, so the queue-based Bellman-Ford (SPFA) below ends.
+    """
+    mate = [-1] * n_right
+    mate_weight = [0] * n_right
+    p = [0] * n_left
+    for k in matched:
+        mate[rs[k]], mate_weight[rs[k]], p[ls[k]] = ls[k], ws[k], ws[k]
+    q = [0] * n_right
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_left)]
+    for x, y, w in zip(ls, rs, ws):
+        adjacency[x].append((y, w))
+    queue = deque(range(n_left))
+    queued = [True] * n_left
+    budget = n_left * (n_left + n_right + 1)
+    while queue:
+        budget -= 1
+        assert budget >= 0, "negative cycle: the matching is not optimal"
+        x = queue.popleft()
+        queued[x] = False
+        for y, w in adjacency[x]:
+            d = p[x] - w
+            if d < q[y]:
+                q[y] = d
+                m = mate[y]
+                if m >= 0 and d + mate_weight[y] < p[m]:
+                    p[m] = d + mate_weight[y]
+                    if not queued[m]:
+                        queued[m] = True
+                        queue.append(m)
+    return np.array(p), -np.array(q)

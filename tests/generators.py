@@ -171,6 +171,65 @@ def random_match_problem(
     return BipartiteMatchProblem(lefts, rights, edges)
 
 
+def disjoint_match_problems(
+    rng: random.Random, max_weight: int, max_edges: int = 4
+) -> BipartiteMatchProblem:
+    """The disjoint union of 2-4 :func:`random_match_problem` graphs.
+
+    Part ``k`` relabels ``L0`` as ``L0_k``, so the parts' edges interleave
+    in canonical order instead of following one another.
+    """
+    lefts, rights, edges = [], [], []
+    for k in range(rng.randint(2, 4)):
+        part = random_match_problem(
+            rng, max_side=4, max_edges=max_edges, max_weight=max_weight
+        )
+        lefts += [f"{x}_{k}" for x in part.left]
+        rights += [f"{y}_{k}" for y in part.right]
+        edges += [(f"{x}_{k}", f"{y}_{k}", w) for x, y, w in part.edges]
+    return BipartiteMatchProblem(lefts, rights, edges)
+
+
+A_B_B_A_SCHEMA = "relation R(A,B,C)\nfd R: A -> B\nfd R: B -> A\n"
+WORKED_EXAMPLE_SCHEMA = (
+    "relation R(A,B,C,D,E,F)\nfd R: -> A\nfd R: D,B -> A,C,E\n"
+    "fd R: D,C -> B\nfd R: D,B -> F\n"
+)
+
+
+def one_to_one_rows(rng: random.Random, keys: int, cluster: int) -> list[tuple]:
+    """Rows of R(A,B,C) for ``A -> B, B -> A``.
+
+    Key pairs (a_i, b_i) with 1-4 facts each, plus 25 % noise rows. A
+    noise row pairs a_i with some b_j of the same cluster of ``cluster``
+    keys, so each cluster holds its own S3 components.
+    """
+    rows = [(f"a{i}", f"b{i}", f"c{c}") for i in range(keys) for c in range(1 + i % 4)]
+    for _ in range(len(rows) // 4):
+        i = rng.randrange(keys)
+        j = i - i % cluster + rng.randrange(cluster)
+        rows.append((f"a{i}", f"b{j}", f"c{rng.randrange(9)}"))
+    return rows
+
+
+def worked_example_rows(rng: random.Random, d_values: int) -> list[tuple]:
+    """Rows of R(A..F) for the worked example.
+
+    Per D value a B-C pairing of 2-8 pairs; a fifth of the rows get a
+    noisy A, B, C or E value.
+    """
+    rows = []
+    for d in range(d_values):
+        k = 2 + d % 7
+        for b, c in zip(rng.sample(range(12), k), rng.sample(range(12), k)):
+            row = ["a0", f"b{b}", f"c{c}", f"d{d}", f"e{rng.randrange(3)}", "f0"]
+            if rng.random() < 0.2:
+                spot = rng.randrange(4)
+                row[(0, 1, 2, 4)[spot]] = f"{'abce'[spot]}{rng.randrange(12)}"
+            rows.append(tuple(row))
+    return rows
+
+
 def random_cnf(
     rng: random.Random,
     max_vars: int = 8,

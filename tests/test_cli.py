@@ -1,6 +1,14 @@
+import hashlib
 import json
+import random
 
 import pytest
+from generators import (
+    A_B_B_A_SCHEMA,
+    WORKED_EXAMPLE_SCHEMA,
+    one_to_one_rows,
+    worked_example_rows,
+)
 
 from fdrepair.cli import main
 from fdrepair.fds import is_consistent
@@ -91,6 +99,43 @@ def test_repair_round_trip(tmp_path, data_dir, capsys):
     repaired = read_instance_csv(str(out_dir / "R.csv"), schema.signature)
     assert is_consistent(schema, repaired.instance)
     assert is_s_repair(schema, original.instance, repaired.instance)
+
+
+# sha256 of the repaired CSV, pinned from the per-edge matcher the
+# component split and the LP duals replaced: same repair, same bytes
+@pytest.mark.parametrize(
+    "schema, attrs, rows, digest",
+    [
+        (
+            WORKED_EXAMPLE_SCHEMA,
+            "ABCDEF",
+            lambda: worked_example_rows(random.Random(7), 1000),
+            "55be6773e63c32e0763f671cd04429e34a57253abb31ee17c600e124203c6415",
+        ),
+        (
+            A_B_B_A_SCHEMA,
+            "ABC",
+            lambda: one_to_one_rows(random.Random(6), keys=4000, cluster=2),
+            "8df4c3cae71ebbc46e17038424e3e53c7a8c9c8e9f05ff87bd9dcd2f1e40f431",
+        ),
+    ],
+    ids=["worked-example", "a-b-b-a-small-components"],
+)
+def test_repair_output_is_pinned(tmp_path, capsys, schema, attrs, rows, digest):
+    schema_path = write(tmp_path, "s.fd", schema)
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "R.csv").write_text(
+        ",".join(attrs) + "\n" + "".join(",".join(r) + "\n" for r in rows()),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "o"
+    assert main([
+        "repair", "--schema", schema_path, "--data", str(data),
+        "--out", str(out_dir), "--stable",
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out_dir / "R.csv").read_bytes()).hexdigest() == digest
 
 
 def test_repair_intractable_without_fallback(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import random
+import time
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from conftest import inst_of, schema_of
 from generators import (
+    disjoint_match_problems,
+    one_to_one_rows,
     random_instance,
     random_match_problem,
     random_schema,
@@ -295,6 +300,29 @@ def test_plan_is_compiled_once(worked_example, monkeypatch):
     assert is_s_repair(worked_example, inst, result.repair)
 
 
+def test_many_small_s3_components_repair_fast():
+    # about 12k facts in 2000 clusters of two key pairs; one global greedy
+    # with a re-solve per edge took minutes here
+    schema = schema_of("ABC", "A->B", "B->A")
+    facts = set(one_to_one_rows(random.Random(6), keys=4000, cluster=2))
+    started = time.perf_counter()
+    result = find_crep(schema, Instance(schema.signature, facts))
+    elapsed = time.perf_counter() - started
+    # reference: one assignment solve per cluster on the fact counts
+    weight = np.zeros((2000, 2, 2), dtype=np.int64)
+    for a, b, _ in facts:
+        i, j = int(a[1:]), int(b[1:])
+        weight[i // 2, i % 2, j % 2] += 1
+    expected = sum(
+        int(block[linear_sum_assignment(block, maximize=True)].sum())
+        for block in weight
+    )
+    assert len(facts) > 12000
+    assert result.size == expected
+    assert is_consistent(schema, result.repair)
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
+
+
 # -- matching ----------------------------------------------------------------
 
 def test_matching_single_edge():
@@ -325,6 +353,57 @@ def test_matching_prefers_leaving_zero_weight_edges_out():
     problem = BipartiteMatchProblem(["x"], ["y"], [("x", "y", 0)])
     assert max_weight_matching(problem) == ()
     assert brute_force_matching(problem) == ()
+
+
+def test_zero_weight_edges_before_the_last_needed_edge_are_kept():
+    # the lex-first optimal list: a prefix beats its extensions, and a
+    # smaller first edge beats a larger one
+    before = BipartiteMatchProblem(
+        ["a", "c"], ["b", "d"], [("a", "b", 0), ("c", "d", 5)]
+    )
+    after = BipartiteMatchProblem(
+        ["a", "c"], ["b", "d"], [("a", "b", 5), ("c", "d", 0)]
+    )
+    for matcher in (max_weight_matching, brute_force_matching):
+        assert matcher(before) == (("a", "b"), ("c", "d"))
+        assert matcher(after) == (("a", "b"),)
+
+
+def _component_certificate(edges):
+    """Weight of one optimum of a component and its LP duals."""
+    lefts = {x: i for i, x in enumerate(dict.fromkeys(e[0] for e in edges))}
+    rights = {y: i for i, y in enumerate(dict.fromkeys(e[1] for e in edges))}
+    ls = [lefts[x] for x, _, _ in edges]
+    rs = [rights[y] for _, y, _ in edges]
+    ws = [w for _, _, w in edges]
+    shape = (len(lefts), len(rights))
+    target, optimum = fdrepair.repair._assignment(
+        np.array(ls), np.array(rs), np.array(ws), shape
+    )
+    u, v = fdrepair.repair._duals(ls, rs, ws, optimum.tolist(), *shape)
+    return target, u, v, list(zip(ls, rs, ws))
+
+
+def test_component_split_agrees_with_enumeration():
+    rng = random.Random(2026)
+    components = 0
+    for max_weight in (9, 1):
+        for _ in range(1000):
+            problem = disjoint_match_problems(rng, max_weight)
+            assert max_weight_matching(problem) == brute_force_matching(problem)
+            for positions in fdrepair.repair._components(problem.edges):
+                edges = [problem.edges[i] for i in positions]
+                target, u, v, local = _component_certificate(edges)
+                part = BipartiteMatchProblem(
+                    (x for x, _, _ in edges), (y for _, y, _ in edges), edges
+                )
+                weights = {(x, y): w for x, y, w in edges}
+                best = sum(weights[e] for e in brute_force_matching(part))
+                assert int(u.sum() + v.sum()) == target == best
+                assert (u >= 0).all() and (v >= 0).all()
+                assert all(u[x] + v[y] >= w for x, y, w in local)
+                components += 1
+    assert components > 4000
 
 
 def test_matching_agrees_with_enumeration():
