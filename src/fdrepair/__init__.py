@@ -19,13 +19,11 @@ from .fds import (
     closure,
     entails,
     equivalent,
-    is_chain,
     is_consistent,
     local_minima,
     normalize,
     pair_consistent,
     project,
-    project_instance,
     saturate,
     violating_pairs,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "equivalent",
     "find_crep",
     "hard_case_witness",
-    "is_chain",
     "is_consistent",
     "is_s_repair",
     "local_minima",
@@ -78,7 +75,6 @@ __all__ = [
     "normalize",
     "pair_consistent",
     "project",
-    "project_instance",
     "saturate",
     "verify_reduction",
     "violating_pairs",

@@ -131,12 +131,11 @@ class Signature:
         """Map a fact to its values on ``attrs``, in signature order."""
         attrs = self.check_attrs(attrs)
         positions = [i for i, a in enumerate(self.attributes) if a in attrs]
-        if not positions:
-            return lambda fact: ()
-        if len(positions) == 1:
-            (i,) = positions
-            return lambda fact: (fact[i],)
-        return itemgetter(*positions)
+        if len(positions) > 1:
+            return itemgetter(*positions)
+        # a slice of zero or one column keeps the value a tuple, in C
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,10 @@ class Instance:
 
     @classmethod
     def _of_checked(cls, signature: Signature, facts: Iterable[Fact]) -> "Instance":
-        """An instance of facts taken from an instance already checked."""
+        """An instance of facts known to fit: tuples of the signature's
+        arity whose cells are constants, such as facts taken from a
+        checked instance or rows of ``str`` cells of the right width.
+        """
         instance = object.__new__(cls)
         object.__setattr__(instance, "signature", signature)
         object.__setattr__(instance, "facts", frozenset(facts))
@@ -347,14 +349,6 @@ def minima_sites(schema: FdSchema) -> tuple[frozenset[str], ...]:
     return tuple(sites)
 
 
-def is_chain(schema: FdSchema) -> bool:
-    """Whether the lhs sets are totally ordered by inclusion."""
-    lhss = [fd.lhs for fd in schema.fds]
-    return all(
-        a <= b or b <= a for i, a in enumerate(lhss) for b in lhss[i + 1 :]
-    )
-
-
 def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
     """Remove the given attributes from the signature and from every FD.
 
@@ -366,15 +360,6 @@ def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
     new_sig = Signature(schema.signature.relation, attrs)
     fds = [Fd(fd.lhs - removed, fd.rhs - removed) for fd in schema.fds]
     return normalize(FdSchema(new_sig, fds))
-
-
-def project_instance(instance: Instance, removed: Iterable[str]) -> Instance:
-    """Drop the given columns from every fact; deduplicates the result."""
-    removed = instance.signature.check_attrs(removed)
-    sig = instance.signature
-    keep = [i for i, a in enumerate(sig.attributes) if a not in removed]
-    new_sig = Signature(sig.relation, tuple(sig.attributes[i] for i in keep))
-    return Instance(new_sig, (tuple(f[i] for i in keep) for f in instance.facts))
 
 
 def _conflicts(schema: FdSchema, facts: Sequence[Fact]) -> Iterator[tuple]:

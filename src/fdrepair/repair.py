@@ -12,7 +12,9 @@ sizes for S3.
 No fact is ever projected: inside a block all facts agree on the
 columns removed so far, so the remaining steps can read the original
 columns directly, and a block's repair is already a set of original
-facts.
+facts. A one-fact block conflicts with nothing, so it is its own repair
+and the rest of the plan never runs on it; most blocks of a wide table
+end there.
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -96,21 +98,6 @@ class BipartiteMatchProblem:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edges)
 
-    @classmethod
-    def _of_sorted_edges(cls, edges: tuple) -> "BipartiteMatchProblem":
-        """A problem over valid edges already in canonical order.
-
-        Its nodes are the edge endpoints. The S3 step sorts its block keys
-        once and builds its problem here, with no second sort or check.
-        """
-        problem = object.__new__(cls)
-        left = tuple(dict.fromkeys(e[0] for e in edges))
-        right = tuple(canonical_sorted({e[1] for e in edges}))
-        object.__setattr__(problem, "left", left)
-        object.__setattr__(problem, "right", right)
-        object.__setattr__(problem, "edges", edges)
-        return problem
-
 
 # One compiled rewrite: its kind and the block key of a fact. The key is
 # the tuple of the fact's values on the removed columns (S1, S2), or the
@@ -150,16 +137,16 @@ def _solve(
     blocks: dict[tuple, list[Fact]] = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
-    if len(blocks) == 1:
-        # a lone block is its own optimum under every recombination rule
-        ((key, block),) = blocks.items()
-        repair = _solve(plan, block, depth + 1)[0]
-        return repair, {key: len(repair)}
+    # a one-fact block conflicts with nothing: it is its own repair
     repairs = {
-        key: _solve(plan, block, depth + 1)[0] for key, block in blocks.items()
+        key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
+        for key, block in blocks.items()
     }
     sizes = {key: len(repair) for key, repair in repairs.items()}
-    if kind == "S1":
+    if len(repairs) == 1:
+        # a lone block is its own optimum under every recombination rule
+        (chosen,) = repairs.values()
+    elif kind == "S1":
         # every lhs holds the witness column: blocks never conflict
         chosen = [fact for repair in repairs.values() for fact in repair]
     elif kind == "S2":
@@ -170,12 +157,10 @@ def _solve(
         ]
     else:
         # a repair joins each X1 value and each X2 value at most once
-        problem = BipartiteMatchProblem._of_sorted_edges(
-            tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
-        )
+        edges = tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
         chosen = []
         total = 0
-        for edge in max_weight_matching(problem):
+        for edge in _matching(edges):
             chosen.extend(repairs[edge])
             total += sizes[edge]
         assert len(chosen) == total, "matching weight must equal repair size"
@@ -231,7 +216,15 @@ def max_weight_matching(
     merged list stops at the edge where the last component reached its
     optimum.
     """
-    edges = problem.edges
+    return _matching(problem.edges)
+
+
+def _matching(edges: tuple) -> tuple[tuple[Constant, Constant], ...]:
+    """:func:`max_weight_matching` of valid edges in canonical order."""
+    if len({x for x, _, _ in edges}) == len(edges) == len({y for _, y, _ in edges}):
+        # every component is one edge: all of them up to the last positive one
+        stop = max((i for i, (_, _, w) in enumerate(edges) if w), default=-1)
+        return tuple(edge[:2] for edge in edges[: stop + 1])
     accepted: list[int] = []
     stop = -1
     for component in _components(edges):
@@ -243,26 +236,32 @@ def max_weight_matching(
 
 
 def _components(edges: Sequence[tuple]) -> list[list[int]]:
-    """Positions of the edges of each connected component, in edge order."""
-    parent: dict = {}
+    """Positions of the edges of each connected component, in edge order.
 
-    def root(node):
-        path = []
-        while node in parent:
-            path.append(node)
-            node = parent[node]
-        for below in path:
-            parent[below] = node
-        return node
-
-    for x, y, _ in edges:
-        a, b = root((0, x)), root((1, y))
-        if a != b:
-            parent[a] = b
-    groups: dict = {}
-    for i, (x, _, _) in enumerate(edges):
-        groups.setdefault(root((0, x)), []).append(i)
-    return list(groups.values())
+    A breadth-first search over the edges at each endpoint; an endpoint's
+    edge list is popped when first reached, so each is read once.
+    """
+    at_left: dict = {}
+    at_right: dict = {}
+    for i, (x, y, _) in enumerate(edges):
+        at_left.setdefault(x, []).append(i)
+        at_right.setdefault(y, []).append(i)
+    seen = [False] * len(edges)
+    components = []
+    for start in range(len(edges)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for i in component:
+            x, y, _ = edges[i]
+            for j in (*at_left.pop(x, ()), *at_right.pop(y, ())):
+                if not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+        component.sort()
+        components.append(component)
+    return components
 
 
 def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:

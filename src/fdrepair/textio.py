@@ -30,6 +30,8 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .fds import Constant, DOT, Fd, FdSchema, Instance, Signature
 from .gadgets import CnfFormula, GadgetError, TripartiteGraph
@@ -202,15 +204,20 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
                 parts.append(f"unexpected columns {sorted(extra)}")
             raise DataError(f"{path}: {'; '.join(parts)}")
         positions = [got.index(attr) for attr in signature.attributes]
-        facts = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(got):
-                raise DataError(
-                    f"{path}: row {row_no} has {len(row)} cells, "
-                    f"expected {len(got)}"
-                )
-            facts.append(tuple(row[i] for i in positions))
-    instance = Instance(signature, facts)
+        rows = list(reader)
+    width = len(got)
+    if not set(map(len, rows)) <= {width}:
+        row_no, row = next(
+            (n, row) for n, row in enumerate(rows, start=2) if len(row) != width
+        )
+        raise DataError(
+            f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+        )
+    # a header of one column or none is already in signature order
+    realign = itemgetter(*positions) if len(positions) > 1 else tuple
+    # csv cells are str and every row has the signature's width
+    facts = list(map(realign, rows))
+    instance = Instance._of_checked(signature, facts)
     return IngestResult(
         instance=instance, dropped_duplicates=len(facts) - len(instance)
     )
@@ -225,8 +232,14 @@ def write_instance_csv(path: str, instance: Instance) -> None:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(sig.attributes)
-            for fact in instance.sorted_facts:
-                writer.writerow([render_constant(v) for v in fact])
+            rendered = {
+                value: render_constant(value)
+                for value in set(chain.from_iterable(instance.facts))
+            }
+            rows = instance.sorted_facts
+            if any(value != text for value, text in rendered.items()):
+                rows = (map(rendered.__getitem__, fact) for fact in rows)
+            writer.writerows(rows)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

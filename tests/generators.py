@@ -230,6 +230,27 @@ def worked_example_rows(rng: random.Random, d_values: int) -> list[tuple]:
     return rows
 
 
+def ab_c_a_d_rows(rng: random.Random, a_values: int) -> list[tuple]:
+    """Rows of R(A,B,C,D) for ``AB -> C, A -> D``.
+
+    Per A value one D value and 1-12 B values with one C each; a fifth
+    of the rows get a noisy copy with another C or D value. Most AB
+    blocks hold one fact, the rest two.
+    """
+    rows = []
+    for a in range(a_values):
+        d = f"d{rng.randrange(50)}"
+        for b in rng.sample(range(20), 1 + a % 12):
+            row = (f"a{a}", f"b{b}", f"c{rng.randrange(50)}", d)
+            rows.append(row)
+            if rng.random() < 0.2:
+                spot = rng.choice((2, 3))
+                noisy = list(row)
+                noisy[spot] = f"{'cd'[spot - 2]}{50 + rng.randrange(3)}"
+                rows.append(tuple(noisy))
+    return rows
+
+
 def random_cnf(
     rng: random.Random,
     max_vars: int = 8,

@@ -6,6 +6,7 @@ import pytest
 from generators import (
     A_B_B_A_SCHEMA,
     WORKED_EXAMPLE_SCHEMA,
+    ab_c_a_d_rows,
     one_to_one_rows,
     worked_example_rows,
 )
@@ -102,7 +103,9 @@ def test_repair_round_trip(tmp_path, data_dir, capsys):
 
 
 # sha256 of the repaired CSV, pinned from the per-edge matcher the
-# component split and the LP duals replaced: same repair, same bytes
+# component split and the LP duals replaced: same repair, same bytes.
+# The AB->C, A->D digest is from the engine that still recursed into
+# one-fact blocks.
 @pytest.mark.parametrize(
     "schema, attrs, rows, digest",
     [
@@ -118,8 +121,14 @@ def test_repair_round_trip(tmp_path, data_dir, capsys):
             lambda: one_to_one_rows(random.Random(6), keys=4000, cluster=2),
             "8df4c3cae71ebbc46e17038424e3e53c7a8c9c8e9f05ff87bd9dcd2f1e40f431",
         ),
+        (
+            "relation R(A,B,C,D)\nfd R: A,B -> C\nfd R: A -> D\n",
+            "ABCD",
+            lambda: ab_c_a_d_rows(random.Random(5), 500),
+            "6f788dd3c583668ab8d3dd275378cc8073f39bb27f07be55dab67f099080e6b2",
+        ),
     ],
-    ids=["worked-example", "a-b-b-a-small-components"],
+    ids=["worked-example", "a-b-b-a-small-components", "ab-c-a-d-s1-s2"],
 )
 def test_repair_output_is_pinned(tmp_path, capsys, schema, attrs, rows, digest):
     schema_path = write(tmp_path, "s.fd", schema)

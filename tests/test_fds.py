@@ -26,14 +26,12 @@ from fdrepair.fds import (
     entails,
     equivalent,
     fact_key,
-    is_chain,
     is_consistent,
     local_minima,
     minima_sites,
     normalize,
     pair_consistent,
     project,
-    project_instance,
     saturate,
     violating_pairs,
 )
@@ -286,12 +284,6 @@ def test_minima_sites_collapse_equal_lhs():
     assert minima_sites(schema) == (frozenset("A"), frozenset("BC"))
 
 
-def test_is_chain():
-    assert is_chain(schema_of("ABC", "->A", "B->C"))
-    assert not is_chain(schema_of("ABC", "AB->C", "C->B"))
-    assert is_chain(schema_of("AB"))
-
-
 # -- projection --------------------------------------------------------------
 
 def test_project_worked_example_first_step():
@@ -321,20 +313,6 @@ def test_project_composes_over_disjoint_sets():
         assert project(project(schema, first), second) == project(
             schema, first | second
         )
-
-
-def test_project_instance_drops_columns_and_dedupes():
-    sig = Signature("R", ("A", "B"))
-    inst = Instance(sig, [("v", "1"), ("v", "2")])
-    assert project_instance(inst, {"A"}).sorted_facts == (("1",), ("2",))
-    merged = Instance(sig, [("u", "1"), ("v", "1")])
-    assert len(project_instance(merged, {"A"})) == 1
-
-
-def test_project_instance_block_preserves_count():
-    sig = Signature("R", ("A", "B", "C"))
-    block = Instance(sig, [("v", "1", "x"), ("v", "2", "y")])
-    assert len(project_instance(block, {"A"})) == 2
 
 
 # -- consistency -------------------------------------------------------------

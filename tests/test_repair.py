@@ -369,6 +369,25 @@ def test_zero_weight_edges_before_the_last_needed_edge_are_kept():
         assert matcher(after) == (("a", "b"),)
 
 
+def test_matching_of_disjoint_edges_agrees_with_enumeration(monkeypatch):
+    # no two edges share an endpoint: every component is one edge, and
+    # the matcher takes the edges up to the last positive one unsplit
+    monkeypatch.setattr(fdrepair.repair, "_components", None)
+    rng = random.Random(7)
+    zero_tails = 0
+    for _ in range(2500):
+        count = rng.randint(0, 8)
+        ends = zip(rng.sample(range(20), count), rng.sample(range(20), count))
+        edges = [(f"x{x}", f"y{y}", rng.randint(0, 5)) for x, y in ends]
+        problem = BipartiteMatchProblem(
+            (x for x, _, _ in edges), (y for _, y, _ in edges), edges
+        )
+        matching = max_weight_matching(problem)
+        assert matching == brute_force_matching(problem)
+        zero_tails += len(matching) < count
+    assert zero_tails > 300
+
+
 def _component_certificate(edges):
     """Weight of one optimum of a component and its LP duals."""
     lefts = {x: i for i, x in enumerate(dict.fromkeys(e[0] for e in edges))}

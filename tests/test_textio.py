@@ -1,3 +1,7 @@
+import csv
+import io
+import random
+
 import pytest
 
 from fdrepair.fds import DOT, Instance, Signature
@@ -166,6 +170,50 @@ def test_csv_write_renders_structured_constants(tmp_path):
     # re-ingested cells are opaque strings, but distinctness is preserved
     assert len(back) == 2
     assert {fact[1] for fact in back.facts} == {"~t(x1,1)", "~o"}
+
+
+def test_csv_ragged_row_names_its_row(tmp_path):
+    sig = Signature("R", ("A", "B"))
+    short, long = "1,a\n2\n3,c\n", "1,a\n2,b\n3,c,x\n"
+    for body, message in ((short, "row 3 has 1 cells"), (long, "row 4 has 3 cells")):
+        path = tmp_path / "r.csv"
+        path.write_text("A,B\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=message + ", expected 2"):
+            read_instance_csv(str(path), sig)
+
+
+@pytest.mark.parametrize("attrs", ["BCA", "A"])
+def test_csv_read_equals_fully_checked_instance(tmp_path, attrs):
+    rng = random.Random(len(attrs))
+    sig = Signature("R", tuple(sorted(attrs)))
+    pool = ("1", "~1", "", " x", "a,b", '"q"')
+    rows = [tuple(rng.choice(pool) for _ in attrs) for _ in range(200)]
+    path = tmp_path / "R.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([tuple(attrs), *rows])
+    result = read_instance_csv(str(path), sig)
+    order = [attrs.index(a) for a in sig.attributes]
+    expected = Instance(sig, (tuple(row[i] for i in order) for row in rows))
+    assert result.instance == expected
+    assert result.dropped_duplicates == len(rows) - len(expected)
+    assert result.dropped_duplicates > 0
+
+
+def test_csv_write_equals_cell_by_cell_rendering(tmp_path):
+    sig = Signature("R", ("A", "B", "C"))
+    values = ["x", "~x", "~", "~~t(", DOT, ("a", DOT), ("~b", ("c,d", ")")), ""]
+    rng = random.Random(3)
+    inst = Instance(
+        sig, (tuple(rng.choice(values) for _ in range(3)) for _ in range(60))
+    )
+    path = tmp_path / "out.csv"
+    write_instance_csv(str(path), inst)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(sig.attributes)
+    for fact in inst.sorted_facts:
+        writer.writerow([render_constant(v) for v in fact])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 # -- DIMACS and triangles --------------------------------------------------------
