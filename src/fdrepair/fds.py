@@ -128,7 +128,12 @@ class Signature:
         return tuple(a for a in self.attributes if a in attrs)
 
     def getter(self, attrs: Iterable[str]) -> Callable[[Fact], tuple]:
-        """Map a fact to its values on ``attrs``, in signature order."""
+        """Map a fact to its values on ``attrs``, in signature order.
+
+        The fact must be a tuple (as every :class:`Instance` fact is): on
+        zero or one column the getter slices it, and a slice of a list
+        would be a list, which is no dict key.
+        """
         attrs = self.check_attrs(attrs)
         positions = [i for i, a in enumerate(self.attributes) if a in attrs]
         if len(positions) > 1:

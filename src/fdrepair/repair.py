@@ -98,6 +98,21 @@ class BipartiteMatchProblem:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edges)
 
+    @classmethod
+    def _of_sorted_edges(cls, edges: tuple) -> "BipartiteMatchProblem":
+        """A problem over valid edges already in canonical order.
+
+        Its nodes are the edge endpoints. The S3 step sorts its block keys
+        once and builds its problem here, with no second sort or check.
+        """
+        problem = object.__new__(cls)
+        left = tuple(dict.fromkeys(e[0] for e in edges))
+        right = tuple(canonical_sorted({e[1] for e in edges}))
+        object.__setattr__(problem, "left", left)
+        object.__setattr__(problem, "right", right)
+        object.__setattr__(problem, "edges", edges)
+        return problem
+
 
 # One compiled rewrite: its kind and the block key of a fact. The key is
 # the tuple of the fact's values on the removed columns (S1, S2), or the
@@ -157,10 +172,12 @@ def _solve(
         ]
     else:
         # a repair joins each X1 value and each X2 value at most once
-        edges = tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
+        problem = BipartiteMatchProblem._of_sorted_edges(
+            tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
+        )
         chosen = []
         total = 0
-        for edge in _matching(edges):
+        for edge in max_weight_matching(problem):
             chosen.extend(repairs[edge])
             total += sizes[edge]
         assert len(chosen) == total, "matching weight must equal repair size"
@@ -214,13 +231,10 @@ def max_weight_matching(
     Optimal weight adds up over the connected components, so each
     component runs its own greedy (:func:`_component_greedy`), and the
     merged list stops at the edge where the last component reached its
-    optimum.
+    optimum. When no two edges share an endpoint, every component is one
+    edge, and the answer is every edge up to the last positive one.
     """
-    return _matching(problem.edges)
-
-
-def _matching(edges: tuple) -> tuple[tuple[Constant, Constant], ...]:
-    """:func:`max_weight_matching` of valid edges in canonical order."""
+    edges = problem.edges
     if len({x for x, _, _ in edges}) == len(edges) == len({y for _, y, _ in edges}):
         # every component is one edge: all of them up to the last positive one
         stop = max((i for i, (_, _, w) in enumerate(edges) if w), default=-1)
