@@ -67,16 +67,17 @@ def _load_schema_file(path: str) -> SchemaDocument:
     return document
 
 
+def _removed(trace: SimplificationTrace) -> list[tuple[str, tuple[str, ...]]]:
+    """Each applied rewrite's kind and removed columns, in signature order."""
+    return [
+        (step.kind, step.schema_before.signature.sorted_attrs(step.removed_attributes))
+        for step in trace.steps
+    ]
+
+
 def _format_steps(trace: SimplificationTrace) -> str:
-    if not trace.steps:
-        return "(none)"
-    parts = []
-    for step in trace.steps:
-        attrs = step.schema_before.signature.sorted_attrs(
-            step.removed_attributes
-        )
-        parts.append(f"{step.kind}:{{{','.join(attrs)}}}")
-    return " ".join(parts)
+    parts = [f"{kind}:{{{','.join(attrs)}}}" for kind, attrs in _removed(trace)]
+    return " ".join(parts) or "(none)"
 
 
 def _emit(lines: list[str]) -> None:
@@ -117,15 +118,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "attributes": list(schema.signature.attributes),
                 "tractable": trace.tractable,
                 "steps": [
-                    {
-                        "kind": step.kind,
-                        "removed": list(
-                            step.schema_before.signature.sorted_attrs(
-                                step.removed_attributes
-                            )
-                        ),
-                    }
-                    for step in trace.steps
+                    {"kind": kind, "removed": list(attrs)}
+                    for kind, attrs in _removed(trace)
                 ],
                 "terminal_fds": trace.terminal.render_fds(),
             }
@@ -281,27 +275,25 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             except ReductionError as exc:
                 failures += 1
                 lines.append(f"  witness: error ({exc})")
-                if not args.stable:
-                    lines.append(_timing_line(started))
-                continue
-            report = verify_reduction(reduction, domain=domain)
-            lines.append(f"  witness: case {case_id}")
-            lines.append(
-                f"  source: {reduction.source.signature.relation}"
-                f" [{reduction.source.render_fds()}]"
-            )
-            lines.append(f"  pairs-checked: {report.pairs_checked}")
-            lines.append(
-                f"  exhaustive: {str(report.exhaustive).lower()}"
-            )
-            lines.append(f"  violations: {len(report.violations)}")
-            for violation in report.violations[:5]:
+            else:
+                report = verify_reduction(reduction, domain=domain)
+                lines.append(f"  witness: case {case_id}")
                 lines.append(
-                    f"    {violation.kind}: {violation.first!r} vs "
-                    f"{violation.second!r}"
+                    f"  source: {reduction.source.signature.relation}"
+                    f" [{reduction.source.render_fds()}]"
                 )
-            if report.violations:
-                failures += 1
+                lines.append(f"  pairs-checked: {report.pairs_checked}")
+                lines.append(
+                    f"  exhaustive: {str(report.exhaustive).lower()}"
+                )
+                lines.append(f"  violations: {len(report.violations)}")
+                for violation in report.violations[:5]:
+                    lines.append(
+                        f"    {violation.kind}: {violation.first!r} vs "
+                        f"{violation.second!r}"
+                    )
+                if report.violations:
+                    failures += 1
         if not args.stable:
             lines.append(_timing_line(started))
     _emit(lines)
@@ -384,10 +376,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, SchemaParseError, ValueError) as exc:
+    # DataError and SchemaParseError are ValueErrors; an OSError names the
+    # path it failed on (an unreadable input, an --out that is a file)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

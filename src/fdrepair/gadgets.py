@@ -8,11 +8,13 @@ conflict-preserving fact maps that transfer hardness into any schema the
 classifier rejects.
 
 The witness dispatcher (:func:`hard_case_witness`) analyses the closure
-structure of two (or three) minimal FDs of the stuck schema, picks one
-of five construction templates, and composes the result with a padding
-map per applied rewrite, yielding a fact map into the schema that was
-actually asked about. :func:`verify_reduction` checks any such map on
-every fact pair over a small value domain.
+structure of two (or three) minimal FDs of the stuck schema and picks
+one of five construction templates. Each applied rewrite reduces the
+schema after it to the schema before it by padding its removed columns
+with the reserved constant; composed, those reductions put that
+constant on every column the rewrites removed, so the witness is
+retargeted onto the input schema in one pass. :func:`verify_reduction`
+checks any such map on every fact pair over a small value domain.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .fds import (
     minima_sites,
 )
 from .oracle import CapExceededError
-from .simplify import SimplificationStep, classify
+from .simplify import classify
 
 
 class GadgetError(ValueError):
@@ -245,11 +247,7 @@ Rule = Union[_DotType, str, tuple]
 
 
 def _substitute(rule, mapping: Mapping[str, object]):
-    """The rule with each attribute name replaced by its mapped value.
-
-    Maps to source values to evaluate a rule on a fact, and to rules to
-    compose two maps.
-    """
+    """The rule evaluated on a fact, given as attribute name -> value."""
     if rule is DOT:
         return DOT
     if isinstance(rule, str):
@@ -297,42 +295,6 @@ class FactWiseReduction:
     def apply(self, fact: Fact) -> Fact:
         values = dict(zip(self.source.signature.attributes, fact))
         return tuple(_substitute(rule, values) for rule in self.rules)
-
-
-def compose(
-    outer: FactWiseReduction, inner: FactWiseReduction
-) -> FactWiseReduction:
-    """The map applying ``inner`` first, then ``outer``."""
-    if inner.target != outer.source:
-        raise ReductionError(
-            "inner reduction's target must be outer reduction's source"
-        )
-    replacements = dict(zip(outer.source.signature.attributes, inner.rules))
-    return FactWiseReduction(
-        source=inner.source,
-        target=outer.target,
-        rules=tuple(_substitute(rule, replacements) for rule in outer.rules),
-    )
-
-
-def lift_through_simplification(step: SimplificationStep) -> FactWiseReduction:
-    """Pad the removed columns with the reserved constant, copy the rest.
-
-    Maps facts over the simplified schema back into the schema the step
-    started from; only meaningful while the simplified schema still has
-    FDs.
-    """
-    if not step.schema_after.fds:
-        raise ReductionError(
-            "simplified schema has no FDs; nothing to lift"
-        )
-    rules = tuple(
-        DOT if attr in step.removed_attributes else attr
-        for attr in step.schema_before.signature.attributes
-    )
-    return FactWiseReduction(
-        source=step.schema_after, target=step.schema_before, rules=rules
-    )
 
 
 def _rules_from_2r(attrs, x1, x2, x1_star, x2_star) -> tuple[Rule, ...]:
@@ -449,10 +411,10 @@ def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
 def hard_case_witness(schema: FdSchema) -> tuple[int, FactWiseReduction]:
     """Case id (1..5) and a fact map from a hard core into the schema.
 
-    The schema must be one the classifier rejects. Rewrites that do apply
-    are run first; the witness is built against the stuck schema and then
-    lifted back through each applied rewrite, so the returned reduction
-    targets the (normalized) input schema itself.
+    The schema must be one the classifier rejects. The witness is built
+    against the stuck schema that the rewrites leave; the columns they
+    removed get the reserved constant, so the returned reduction targets
+    the (normalized) input schema itself.
     """
     trace = classify(schema)
     if trace.tractable:
@@ -460,9 +422,16 @@ def hard_case_witness(schema: FdSchema) -> tuple[int, FactWiseReduction]:
             "schema is tractable; there is no hardness witness"
         )
     case_id, reduction = _terminal_witness(trace.terminal)
-    for step in reversed(trace.steps):
-        reduction = compose(lift_through_simplification(step), reduction)
-    return case_id, reduction
+    # projection keeps names, so every input column is either removed by
+    # some step or a column of the terminal schema
+    removed = frozenset().union(*trace.removed_sets)
+    kept = dict(zip(trace.terminal.signature.attributes, reduction.rules))
+    # the normalized input, as classify already built it
+    target = trace.steps[0].schema_before if trace.steps else trace.terminal
+    padded = tuple(
+        DOT if a in removed else kept[a] for a in target.signature.attributes
+    )
+    return case_id, FactWiseReduction(reduction.source, target, padded)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +459,10 @@ class ReductionReport:
         return not self.violations
 
 
-# Domain 10 on the three-column cores. A rule-built map decides image
-# equality, and so conflict, from the set of columns two facts agree on,
-# and a 2-value domain already realizes every such set.
+# 10 domain values over the three-column cores make 10**3 = 1000 source
+# facts. A rule-built map decides image equality, and so conflict, from
+# the set of columns two facts agree on, and a 2-value domain already
+# realizes every such set.
 VERIFY_FACT_CAP = 1000
 
 

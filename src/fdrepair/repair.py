@@ -128,13 +128,12 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
     """
     plan: list[PlanStep] = []
     for step in trace.steps:
-        if step.kind == "S1":
-            plan.append(("S1", signature.getter([step.witness])))
-        elif step.kind == "S2":
-            plan.append(("S2", signature.getter(step.witness.rhs)))
-        else:
+        if step.kind == "S3":
+            # the witness is the lhs marriage (X1, X2)
             x1, x2 = map(signature.getter, step.witness)
             plan.append(("S3", lambda fact, x1=x1, x2=x2: (x1(fact), x2(fact))))
+        else:
+            plan.append((step.kind, signature.getter(step.removed_attributes)))
     return plan
 
 

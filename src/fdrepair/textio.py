@@ -184,27 +184,30 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     Column order is free (values are realigned by name); duplicate rows
     collapse and are counted.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: missing header row") from None
-        expected = set(signature.attributes)
-        got = [cell.strip() for cell in header]
-        if len(set(got)) != len(got):
-            raise DataError(f"{path}: duplicate column in header")
-        missing = expected - set(got)
-        extra = set(got) - expected
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing columns {sorted(missing)}")
-            if extra:
-                parts.append(f"unexpected columns {sorted(extra)}")
-            raise DataError(f"{path}: {'; '.join(parts)}")
-        positions = [got.index(attr) for attr in signature.attributes]
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            rows = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        # bad bytes, or a cell past the csv module's field size limit
+        raise DataError(f"{path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path}: missing header row")
+    expected = set(signature.attributes)
+    got = [cell.strip() for cell in header]
+    if len(set(got)) != len(got):
+        raise DataError(f"{path}: duplicate column in header")
+    missing = expected - set(got)
+    extra = set(got) - expected
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing columns {sorted(missing)}")
+        if extra:
+            parts.append(f"unexpected columns {sorted(extra)}")
+        raise DataError(f"{path}: {'; '.join(parts)}")
+    positions = [got.index(attr) for attr in signature.attributes]
     width = len(got)
     if not set(map(len, rows)) <= {width}:
         row_no, row = next(

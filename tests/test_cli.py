@@ -252,6 +252,63 @@ def test_repair_missing_data_file(tmp_path, capsys):
     assert "no data file" in capsys.readouterr().err
 
 
+def _fails_cleanly(capsys, argv, path):
+    """One ``error:`` line naming ``path`` on stderr, and exit code 1.
+
+    An exception escaping ``main`` fails the calling test outright.
+    """
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err and "Traceback" not in err
+    return err
+
+
+def _repair_argv(tmp_path, data, out=None):
+    schema_path = write(tmp_path, "s.fd", TRACTABLE_SCHEMA)
+    return [
+        "repair", "--schema", schema_path, "--data", str(data),
+        "--out", str(out or tmp_path / "o"),
+    ]
+
+
+def test_repair_data_file_is_a_directory(tmp_path, capsys):
+    data = tmp_path / "d"
+    (data / "R.csv").mkdir(parents=True)
+    _fails_cleanly(capsys, _repair_argv(tmp_path, data), data / "R.csv")
+
+
+def test_repair_cell_past_the_csv_field_limit(tmp_path, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "R.csv").write_text("A,B\n" + "x" * 131073 + ",1\n", encoding="utf-8")
+    err = _fails_cleanly(capsys, _repair_argv(tmp_path, data), data / "R.csv")
+    assert "field limit" in err
+
+
+def test_repair_non_utf8_csv_names_the_file(tmp_path, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "R.csv").write_bytes(b"A,B\n\xff,1\n")
+    _fails_cleanly(capsys, _repair_argv(tmp_path, data), data / "R.csv")
+
+
+@pytest.mark.parametrize("command", ["repair", "oracle", "gadget"])
+def test_out_names_an_existing_file(tmp_path, data_dir, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    if command == "repair":
+        argv = _repair_argv(tmp_path, data_dir, out)
+    elif command == "oracle":
+        schema_path = write(tmp_path, "s.fd", TRACTABLE_SCHEMA)
+        argv = ["oracle", "--schema", schema_path, "--data", str(data_dir),
+                "--out", str(out)]
+    else:
+        cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
+        argv = ["gadget", "--type", "rl", "--in", cnf, "--out", str(out)]
+    _fails_cleanly(capsys, argv, out)
+
+
 def test_repair_multi_relation_independence(tmp_path, capsys):
     both_path = write(tmp_path, "both.fd", TWO_RELATIONS)
     data = tmp_path / "d"

@@ -1,12 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import schema_of
-from generators import random_cnf, random_instance, random_intractable_schema
+from generators import (
+    random_cnf,
+    random_instance,
+    random_intractable_schema,
+    random_schema,
+)
 from oracles import reduction_violations_by_pairs
 
-from fdrepair.fds import DOT
+from fdrepair.fds import DOT, normalize
 from fdrepair.gadgets import (
     CnfFormula,
     FactWiseReduction,
@@ -14,20 +20,19 @@ from fdrepair.gadgets import (
     HARD_SCHEMAS,
     ReductionError,
     TripartiteGraph,
+    _terminal_witness,
     cnf_satisfiable,
-    compose,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
     hard_case_witness,
-    lift_through_simplification,
     max_edge_disjoint_triangles,
     verify_reduction,
 )
 from fdrepair.oracle import CapExceededError, brute_force_crep
 from fdrepair.repair import find_crep
-from fdrepair.simplify import apply_step, classify
+from fdrepair.simplify import classify
 
 
 # -- CNF basics ----------------------------------------------------------------
@@ -220,41 +225,60 @@ def test_witness_or_proven_gap_on_random_stuck_schemas():
     assert len(cases) >= 3
 
 
-# -- lifting and composition ------------------------------------------------------
+# -- padding through the applied rewrites ----------------------------------------
 
-def test_lift_pads_removed_columns():
-    step = apply_step(schema_of("ABC", "AB->C", "AC->B"), "S1")
-    lifted = lift_through_simplification(step)
-    assert lifted.rules == (DOT, "B", "C")
-    assert lifted.apply(("b", "c")) == (DOT, "b", "c")
-    assert verify_reduction(lifted).ok
-
-
-def test_lift_requires_surviving_fds():
-    step = apply_step(schema_of("AB", "A->B", "B->A"), "S3")
-    with pytest.raises(ReductionError):
-        lift_through_simplification(step)
-
-
-def test_composed_lifts_across_worked_example(worked_example):
-    steps = classify(worked_example).steps
-    reduction = None
-    for step in reversed(steps):
-        if not step.schema_after.fds:
+def test_witness_pads_every_removed_column():
+    """The witness is the stuck schema's map, DOT-padded onto the input."""
+    rng = random.Random(41)
+    checked = 0
+    while checked < 200:
+        schema = random_intractable_schema(rng, max_attrs=6, max_fds=5)
+        trace = classify(schema)
+        if not trace.steps:
             continue
-        lift = lift_through_simplification(step)
-        reduction = lift if reduction is None else compose(lift, reduction)
-    assert reduction is not None
-    assert reduction.target.signature.attributes == ("A", "B", "C", "D", "E", "F")
-    report = verify_reduction(reduction)
-    assert report.ok and report.exhaustive
+        case_id, reduction = hard_case_witness(schema)
+        terminal_case, terminal = _terminal_witness(trace.terminal)
+        assert case_id == terminal_case
+        assert reduction.source == terminal.source
+        assert reduction.target == normalize(schema)
+        removed = frozenset().union(*trace.removed_sets)
+        kept = dict(zip(trace.terminal.signature.attributes, terminal.rules))
+        assert removed.isdisjoint(kept)
+        attrs = reduction.target.signature.attributes
+        assert removed | kept.keys() == set(attrs)
+        for attr, rule in zip(attrs, reduction.rules):
+            if attr in removed:
+                assert rule is DOT, (schema, attr)
+            else:
+                assert rule == kept[attr], (schema, attr)
+        report = verify_reduction(reduction)
+        assert report.ok and report.exhaustive, (schema, report.violations[:2])
+        checked += 1
 
 
-def test_compose_requires_matching_schemas():
-    _, first = hard_case_witness(HARD_SCHEMAS["2fd"])
-    _, second = hard_case_witness(HARD_SCHEMAS["rl"])
-    with pytest.raises(ReductionError):
-        compose(first, second)
+def test_padding_map_reduces_each_step(worked_example):
+    """Each rewrite reduces the schema after it to the schema before it.
+
+    The paper's lemma: while FDs remain, copying the kept columns and
+    putting DOT on the removed ones is injective and preserves conflicts.
+    """
+    rng = random.Random(43)
+    schemas = [worked_example]
+    schemas += [random_schema(rng, max_attrs=6, max_fds=5) for _ in range(1000)]
+    kinds = Counter()
+    for schema in schemas:
+        for step in classify(schema).steps:
+            if not step.schema_after.fds:
+                continue
+            rules = tuple(
+                DOT if attr in step.removed_attributes else attr
+                for attr in step.schema_before.signature.attributes
+            )
+            padding = FactWiseReduction(step.schema_after, step.schema_before, rules)
+            report = verify_reduction(padding)
+            assert report.ok and report.exhaustive, (step, report.violations[:2])
+            kinds[step.kind] += 1
+    assert min(kinds[kind] for kind in ("S1", "S2", "S3")) >= 20, kinds
 
 
 # -- the empirical verifier --------------------------------------------------------
