@@ -16,6 +16,15 @@ facts. A one-fact block conflicts with nothing, so it is its own repair
 and the rest of the plan never runs on it; most blocks of a wide table
 end there.
 
+Each step keys a fact with one C ``itemgetter``. For S3 that key is
+flat, the X1 columns followed by the X2 columns; every X1 part has the
+same length, so the flat keys sort in the order of the ``(x, y)`` pairs.
+The S3 step sorts its block keys once and splits each into ``(x, y)``
+once. Small connected components of the S3 graph are matched in pure
+Python and larger ones with scipy's assignment solver (see
+:func:`max_weight_matching`). ``RepairResult.block_sizes`` is sorted
+only when first read.
+
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
 the same repair.
@@ -24,7 +33,9 @@ the same repair.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,18 +59,31 @@ class RepairResult:
     """A repair, its size, the schema trace, and per-block diagnostics.
 
     ``trace`` is the classify trace the repair followed; it is None from
-    the oracle, which does not classify. ``block_sizes`` pairs each block of the first rewrite step with the
-    size of its repair, in block-key order; it is empty when the schema
-    has no FDs.
+    the oracle, which does not classify. ``block_sizes`` pairs each block
+    of the first rewrite step with the size of its repair, in block-key
+    order (an S3 block key is the pair ``(x, y)`` of its X1 and X2
+    values); it is empty when the schema has no FDs. It is computed when
+    first read, from the sizes by flat block key that the repair kept
+    and the split point of that key, so a caller that never reads it
+    never sorts the blocks.
     """
 
     repair: Instance
     size: int
     trace: Optional[SimplificationTrace]
-    block_sizes: tuple[tuple[tuple[Constant, ...], int], ...] = ()
+    _sizes: dict[tuple, int] = field(default_factory=dict, repr=False, hash=False)
+    _split: int = field(default=0, repr=False)
+
+    @cached_property
+    def block_sizes(self) -> tuple[tuple[tuple, int], ...]:
+        sizes, split = self._sizes, self._split
+        keys = canonical_sorted(sizes)
+        if split:
+            return tuple(((k[:split], k[split:]), sizes[k]) for k in keys)
+        return tuple((k, sizes[k]) for k in keys)
 
     @property
-    def per_block_sizes(self) -> dict[tuple[Constant, ...], int]:
+    def per_block_sizes(self) -> dict[tuple, int]:
         return dict(self.block_sizes)
 
 
@@ -114,10 +138,11 @@ class BipartiteMatchProblem:
         return problem
 
 
-# One compiled rewrite: its kind and the block key of a fact. The key is
-# the tuple of the fact's values on the removed columns (S1, S2), or the
-# pair of such tuples on X1 and X2 (S3).
-PlanStep = tuple[str, Callable[[Fact], tuple]]
+# One compiled rewrite: its kind, the block key of a fact, and the split
+# point of that key. The key is the tuple of the fact's values on the
+# removed columns (S1, S2; split 0), or on the X1 columns followed by the
+# X2 columns (S3; split ``len(X1)``), one C ``itemgetter`` either way.
+PlanStep = tuple[str, Callable[[Fact], tuple], int]
 
 
 def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
@@ -129,11 +154,14 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
     plan: list[PlanStep] = []
     for step in trace.steps:
         if step.kind == "S3":
-            # the witness is the lhs marriage (X1, X2)
-            x1, x2 = map(signature.getter, step.witness)
-            plan.append(("S3", lambda fact, x1=x1, x2=x2: (x1(fact), x2(fact))))
+            # the witness is the lhs marriage (X1, X2); they may overlap
+            x1, x2 = (
+                [signature.position(a) for a in signature.sorted_attrs(lhs)]
+                for lhs in step.witness
+            )
+            plan.append(("S3", itemgetter(*x1, *x2), len(x1)))
         else:
-            plan.append((step.kind, signature.getter(step.removed_attributes)))
+            plan.append((step.kind, signature.getter(step.removed_attributes), 0))
     return plan
 
 
@@ -143,11 +171,12 @@ def _solve(
     """Repair ``facts`` under ``plan[depth:]``.
 
     Returns the repair and the repair size of every block of
-    ``plan[depth]`` (empty once the plan is used up).
+    ``plan[depth]``, keyed by its flat block key (empty once the plan is
+    used up).
     """
     if depth == len(plan) or not facts:
         return facts, {}
-    kind, key_of = plan[depth]
+    kind, key_of, split = plan[depth]
     blocks: dict[tuple, list[Fact]] = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
@@ -170,15 +199,20 @@ def _solve(
             min((k for k, size in sizes.items() if size == best), key=constant_key)
         ]
     else:
-        # a repair joins each X1 value and each X2 value at most once
+        # a repair joins each X1 value and each X2 value at most once.
+        # Every X1 part has the same length, so flat key order is (x, y)
+        # order, and one sort gives the edges in canonical order
         problem = BipartiteMatchProblem._of_sorted_edges(
-            tuple((x, y, sizes[x, y]) for x, y in canonical_sorted(sizes))
+            tuple(
+                (key[:split], key[split:], sizes[key])
+                for key in canonical_sorted(sizes)
+            )
         )
         chosen = []
         total = 0
-        for edge in max_weight_matching(problem):
-            chosen.extend(repairs[edge])
-            total += sizes[edge]
+        for x, y in max_weight_matching(problem):
+            chosen.extend(repairs[x + y])
+            total += sizes[x + y]
         assert len(chosen) == total, "matching weight must equal repair size"
     return chosen, sizes
 
@@ -198,17 +232,15 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     trace = classify(schema)
     if not trace.tractable:
         return None
-    chosen, sizes = _solve(
-        _compile(schema.signature, trace), list(instance.facts), 0
-    )
+    plan = _compile(schema.signature, trace)
+    chosen, sizes = _solve(plan, list(instance.facts), 0)
     repaired = Instance._of_checked(schema.signature, chosen)
     return RepairResult(
         repair=repaired,
         size=len(repaired),
         trace=trace,
-        block_sizes=tuple(
-            canonical_sorted(sizes.items(), key=lambda kv: constant_key(kv[0]))
-        ),
+        _sizes=sizes,
+        _split=plan[0][2] if plan else 0,
     )
 
 
@@ -232,6 +264,14 @@ def max_weight_matching(
     merged list stops at the edge where the last component reached its
     optimum. When no two edges share an endpoint, every component is one
     edge, and the answer is every edge up to the last positive one.
+
+    A component of at most :data:`SMALL_COMPONENT` edges needs no solver.
+    Its matchings, as increasing lists of edge positions, form a tree in
+    which a child adds one later edge, and pre-order visits that tree in
+    exactly the lex order above, a prefix first. So the first matching of
+    maximum weight a pre-order search meets is the greedy's list up to
+    its optimum (:func:`_first_optimum`). A larger component takes one
+    assignment solve and its LP duals.
     """
     edges = problem.edges
     if len({x for x, _, _ in edges}) == len(edges) == len({y for _, y, _ in edges}):
@@ -277,6 +317,19 @@ def _components(edges: Sequence[tuple]) -> list[list[int]]:
     return components
 
 
+# Components of at most this many edges are matched by a pre-order
+# search in pure Python (:func:`_first_optimum`), larger ones by the
+# LP-dual greedy. The search grows with the number of matchings; the
+# greedy pays numpy and scipy set-up on every component. Measured on one
+# CPython 3.11 process of a shared 2-core VM: on the one-to-one tables'
+# components of 3-10 edges the search took 9-25 us and the greedy
+# 34-50 us, and on a complete 2x5 graph, the 10-edge shape with the most
+# matchings, the two broke even. The benchmark has components on both
+# sides: the worked example and the sparse one-to-one tables have many
+# small ones, the dense 40x40 and 60x60 tables one large one each.
+SMALL_COMPONENT = 10
+
+
 def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:
     """The lex greedy on the edges of one connected component.
 
@@ -285,21 +338,22 @@ def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:
     After that point it still accepts every zero-weight edge with free
     endpoints; the caller keeps those that come before its stop.
 
-    One assignment solve gives the optimum and LP duals (:func:`_duals`).
-    By complementary slackness every optimum uses only tight edges, so an
-    edge that is not tight is rejected at once. ``current`` is an optimum
-    that holds the accepted edges and otherwise only later ones, so an
-    edge in it is accepted at once. Any other edge needs a solve over the
-    later tight edges with free endpoints, and refreshes ``current`` when
-    it is accepted.
+    A component of at most :data:`SMALL_COMPONENT` edges goes to
+    :func:`_first_optimum`. On a larger one, one assignment solve gives
+    the optimum and LP duals (:func:`_duals`). By complementary slackness
+    every optimum uses only tight edges, so an edge that is not tight is
+    rejected at once. ``current`` is an optimum that holds the accepted
+    edges and otherwise only later ones, so an edge in it is accepted at
+    once. Any other edge needs a solve over the later tight edges with
+    free endpoints, and refreshes ``current`` when it is accepted.
     """
     lefts: dict = {}
     rights: dict = {}
     ls = [lefts.setdefault(x, len(lefts)) for x, _, _ in edges]
     rs = [rights.setdefault(y, len(rights)) for _, y, _ in edges]
     ws = [w for _, _, w in edges]
-    if len(edges) == 1:
-        return [0], 0 if ws[0] else -1
+    if len(edges) <= SMALL_COMPONENT:
+        return _first_optimum(ls, rs, ws)
     ls_array, rs_array, ws_array = np.array(ls), np.array(rs), np.array(ws)
     shape = (len(lefts), len(rights))
     target, optimum = _assignment(ls_array, rs_array, ws_array, shape)
@@ -343,6 +397,53 @@ def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:
             if w and weight == target:
                 reached = i
     assert weight == target
+    return accepted, reached
+
+
+def _first_optimum(
+    ls: list[int], rs: list[int], ws: list[int]
+) -> tuple[list[int], int]:
+    """:func:`_component_greedy` on a small component, with no solver.
+
+    Visits the matchings of the edges ``(ls[k], rs[k], ws[k])`` in the
+    pre-order of :func:`max_weight_matching` and keeps the first one of
+    maximum weight. A branch is cut once even all of its later edges
+    could not beat the best so far. Vertex ids index bits of the ``used``
+    masks.
+    """
+    n = len(ws)
+    bound = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        bound[k] = bound[k + 1] + ws[k]
+    best: tuple = ()
+    best_weight = 0
+
+    def visit(chosen: tuple, start: int, weight: int, used_l: int, used_r: int):
+        nonlocal best, best_weight
+        if weight > best_weight:
+            best, best_weight = chosen, weight
+        for k in range(start, n):
+            if weight + bound[k] <= best_weight:
+                return
+            x, y = 1 << ls[k], 1 << rs[k]
+            if not (used_l & x or used_r & y):
+                visit((*chosen, k), k + 1, weight + ws[k], used_l | x, used_r | y)
+
+    visit((), 0, 0, 0, 0)
+    # a parent comes before its children, so the last edge of ``best`` is
+    # positive; past it only free zero-weight edges remain to take
+    reached = best[-1] if best else -1
+    accepted = list(best)
+    used_l = used_r = 0
+    for k in best:
+        used_l |= 1 << ls[k]
+        used_r |= 1 << rs[k]
+    for k in range(reached + 1, n):
+        x, y = 1 << ls[k], 1 << rs[k]
+        if not (used_l & x or used_r & y):
+            accepted.append(k)
+            used_l |= x
+            used_r |= y
     return accepted, reached
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .fds import Constant, DOT, Fd, FdSchema, Instance, Signature
+from .fds import Constant, DOT, Fd, FdSchema, Instance, SchemaError, Signature
 from .gadgets import CnfFormula, GadgetError, TripartiteGraph
 
 
@@ -95,18 +95,23 @@ _FD_RE = re.compile(
 
 
 def _split_attrs(
-    text: str, line_no: int, allow_empty: bool
+    text: str, line_no: int, allow_empty: bool, column: int
 ) -> tuple[str, ...]:
-    text = text.strip()
-    if not text:
+    """The attribute names in ``text``, which starts at ``column`` of its line."""
+    if not text.strip():
         if allow_empty:
             return ()
-        raise SchemaParseError("expected at least one attribute", line_no)
-    parts = [part.strip() for part in text.split(",")]
-    for part in parts:
+        raise SchemaParseError("expected at least one attribute", line_no, column)
+    parts = []
+    for piece in text.split(","):
+        part = piece.strip()
         if not re.fullmatch(_NAME, part):
-            column = text.find(part) + 1 if part else 1
-            raise SchemaParseError(f"bad attribute name {part!r}", line_no, column)
+            lead = len(piece) - len(piece.lstrip())
+            raise SchemaParseError(
+                f"bad attribute name {part!r}", line_no, column + lead
+            )
+        parts.append(part)
+        column += len(piece) + 1
     return tuple(parts)
 
 
@@ -117,6 +122,7 @@ def parse_schema(text: str) -> SchemaDocument:
     order: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
+        indent = len(raw) - len(raw.lstrip())
         if not line:
             continue
         if line.startswith("relation"):
@@ -126,7 +132,12 @@ def parse_schema(text: str) -> SchemaDocument:
             name = match.group("name")
             if name in signatures:
                 raise SchemaParseError(f"duplicate relation {name!r}", line_no)
-            attrs = _split_attrs(match.group("attrs"), line_no, allow_empty=True)
+            attrs = _split_attrs(
+                match.group("attrs"),
+                line_no,
+                allow_empty=True,
+                column=indent + match.start("attrs") + 1,
+            )
             if len(set(attrs)) != len(attrs):
                 raise SchemaParseError(f"duplicate attribute in {name!r}", line_no)
             signatures[name] = Signature(name, attrs)
@@ -139,8 +150,18 @@ def parse_schema(text: str) -> SchemaDocument:
             name = match.group("name")
             if name not in signatures:
                 raise SchemaParseError(f"unknown relation {name!r}", line_no)
-            lhs = _split_attrs(match.group("lhs"), line_no, allow_empty=True)
-            rhs = _split_attrs(match.group("rhs"), line_no, allow_empty=False)
+            lhs = _split_attrs(
+                match.group("lhs"),
+                line_no,
+                allow_empty=True,
+                column=indent + match.start("lhs") + 1,
+            )
+            rhs = _split_attrs(
+                match.group("rhs"),
+                line_no,
+                allow_empty=False,
+                column=indent + match.start("rhs") + 1,
+            )
             known = set(signatures[name].attributes)
             for attr in (*lhs, *rhs):
                 if attr not in known:
@@ -157,11 +178,21 @@ def parse_schema(text: str) -> SchemaDocument:
 
 
 def format_schema(document: SchemaDocument) -> str:
+    """The schema DSL text that :func:`parse_schema` reads back.
+
+    An FD with an empty rhs has no such text, so it raises
+    :class:`SchemaError`.
+    """
     lines = []
     for schema in document.relations:
         sig = schema.signature
         lines.append(f"relation {sig.relation}({','.join(sig.attributes)})")
         for fd in schema.fds:
+            if not fd.rhs:
+                raise SchemaError(
+                    f"fd {sig.relation}: {fd.render(sig).rstrip()} has an empty rhs,"
+                    " which a schema file cannot express"
+                )
             lhs = ",".join(sig.sorted_attrs(fd.lhs))
             rhs = ",".join(sig.sorted_attrs(fd.rhs))
             lines.append(f"fd {sig.relation}: {lhs} -> {rhs}")

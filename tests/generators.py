@@ -190,6 +190,34 @@ def disjoint_match_problems(
     return BipartiteMatchProblem(lefts, rights, edges)
 
 
+def connected_match_problem(
+    rng: random.Random, edge_count: int, max_weight: int
+) -> BipartiteMatchProblem:
+    """One connected bipartite graph of ``edge_count`` edges.
+
+    Each new edge touches a vertex already placed, with a new or an old
+    vertex at its other end, so the graph stays connected. Weights are
+    0 to ``max_weight``, so zero-weight edges occur.
+    """
+    lefts, rights, pairs = ["L0"], ["R0"], {("L0", "R0")}
+    while len(pairs) < edge_count:
+        if rng.random() < 0.5:
+            x = rng.choice(lefts)
+            y = rng.choice([*rights, f"R{len(rights)}"])
+        else:
+            y = rng.choice(rights)
+            x = rng.choice([*lefts, f"L{len(lefts)}"])
+        if (x, y) in pairs:
+            continue
+        pairs.add((x, y))
+        if x not in lefts:
+            lefts.append(x)
+        if y not in rights:
+            rights.append(y)
+    edges = [(x, y, rng.randint(0, max_weight)) for x, y in sorted(pairs)]
+    return BipartiteMatchProblem(lefts, rights, edges)
+
+
 A_B_B_A_SCHEMA = "relation R(A,B,C)\nfd R: A -> B\nfd R: B -> A\n"
 WORKED_EXAMPLE_SCHEMA = (
     "relation R(A,B,C,D,E,F)\nfd R: -> A\nfd R: D,B -> A,C,E\n"

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import inst_of, schema_of
 from generators import (
+    connected_match_problem,
     disjoint_match_problems,
     one_to_one_rows,
     random_instance,
@@ -18,15 +19,18 @@ from oracles import max_repair_size_by_subsets
 
 import fdrepair.repair
 from fdrepair.fds import (
+    DOT,
     FdSchema,
     Instance,
     SchemaError,
     Signature,
+    constant_key,
     is_consistent,
 )
 from fdrepair.gadgets import HARD_SCHEMAS
-from fdrepair.oracle import brute_force_matching, is_s_repair
+from fdrepair.oracle import brute_force_crep, brute_force_matching, is_s_repair
 from fdrepair.repair import (
+    SMALL_COMPONENT,
     BipartiteMatchProblem,
     find_crep,
     max_weight_matching,
@@ -270,6 +274,49 @@ def test_repair_s3_two_lefts_one_right():
     assert _matching_weight(result) == result.size
 
 
+def test_s3_flat_key_splits_into_x1_and_x2():
+    # X1 = AB and X2 = CD: the one flat key (a, b, c, d) splits at 2. DOT
+    # and tuple cells make the plain sort fail, so the keyed sort runs.
+    # Two X1 values share their A value, so a split at 1 would join them
+    # into one left node and lose the optimum
+    t1, t2 = ("0",), ("0", "1")
+    schema = schema_of("ABCDE", "AB->CD", "CD->AB")
+    inst = inst_of(
+        schema,
+        (DOT, "0", DOT, DOT, "e0"),
+        (DOT, "0", DOT, DOT, "e1"),
+        (DOT, "0", "1", t1, "e0"),
+        (DOT, t1, DOT, DOT, "e2"),
+        (DOT, t1, t2, "1", "e0"),
+        (DOT, t1, t2, "1", "e1"),
+        (DOT, t1, t2, "1", "e2"),
+        (t1, t2, "1", t1, "e0"),
+        (t1, t2, "1", t1, "e3"),
+        (t1, t2, DOT, DOT, "e1"),
+        (t1, t2, t2, "1", "e4"),
+    )
+    result = find_crep(schema, inst)
+    assert result.trace.kinds == ("S3",)
+    # block sizes are sorted on first read, not by find_crep
+    assert "block_sizes" not in vars(result)
+    keys = [key for key, _ in result.block_sizes]
+    assert all(len(x) == len(y) == 2 for x, y in keys)
+    assert keys == sorted(keys, key=constant_key)
+    assert {x + y for x, y in keys} == {f[:4] for f in inst.facts}
+    assert [size for _, size in result.block_sizes] == [2, 1, 1, 3, 1, 2, 1]
+    assert result.size == brute_force_crep(schema, inst).size == 7
+    # pinned: the output of the nested-key engine
+    assert result.repair.sorted_facts == (
+        (DOT, "0", DOT, DOT, "e0"),
+        (DOT, "0", DOT, DOT, "e1"),
+        (DOT, t1, t2, "1", "e0"),
+        (DOT, t1, t2, "1", "e1"),
+        (DOT, t1, t2, "1", "e2"),
+        (t1, t2, "1", t1, "e0"),
+        (t1, t2, "1", t1, "e3"),
+    )
+
+
 def test_plan_is_compiled_once(worked_example, monkeypatch):
     # steps: S2 on A, S1 on D, S3 on B/C, S2 on E, S2 on F; three
     # blocks at every level
@@ -403,13 +450,19 @@ def _component_certificate(edges):
     return target, u, v, list(zip(ls, rs, ws))
 
 
-def test_component_split_agrees_with_enumeration():
+def test_component_split_agrees_with_enumeration(monkeypatch):
+    # each problem is matched with the module's threshold, where these
+    # components take the pre-order search, and with threshold 0, where
+    # every component takes the LP-dual greedy
     rng = random.Random(2026)
     components = 0
     for max_weight in (9, 1):
         for _ in range(1000):
             problem = disjoint_match_problems(rng, max_weight)
-            assert max_weight_matching(problem) == brute_force_matching(problem)
+            expected = brute_force_matching(problem)
+            for threshold in (SMALL_COMPONENT, 0):
+                monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
+                assert max_weight_matching(problem) == expected
             for positions in fdrepair.repair._components(problem.edges):
                 edges = [problem.edges[i] for i in positions]
                 target, u, v, local = _component_certificate(edges)
@@ -425,11 +478,59 @@ def test_component_split_agrees_with_enumeration():
     assert components > 4000
 
 
-def test_matching_agrees_with_enumeration():
+def test_small_and_solver_paths_agree_at_the_threshold(monkeypatch):
+    # one connected component per problem, on both sides of the constant;
+    # each is matched by the module's choice of path and by the solver path
+    rng = random.Random(909)
+    problems = [
+        connected_match_problem(rng, edge_count, max_weight)
+        for edge_count in range(SMALL_COMPONENT - 1, SMALL_COMPONENT + 3)
+        for max_weight in (0, 1, 3)
+        for _ in range(12)
+    ]
+    expected = [brute_force_matching(problem) for problem in problems]
+    for threshold in (SMALL_COMPONENT, 0):
+        monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
+        for problem, matching in zip(problems, expected):
+            assert max_weight_matching(problem) == matching, problem.edges
+
+
+def test_small_components_need_no_solver(monkeypatch):
+    calls = []
+    solve = fdrepair.repair.linear_sum_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fdrepair.repair, "linear_sum_assignment", counting)
+    schema = schema_of("ABC", "A->B", "B->A")
+    facts = set(one_to_one_rows(random.Random(8), keys=400, cluster=2))
+    result = find_crep(schema, Instance(schema.signature, facts))
+    # clusters of two keys: at most four edges per component
+    assert result.size < len(facts)
+    assert calls == []
+    # one dense 10x10 component; cells with i + j odd hold two facts
+    dense = [
+        (f"a{i}", f"b{j}", c)
+        for i in range(10)
+        for j in range(10)
+        for c in "xy"[: 1 + (i + j) % 2]
+    ]
+    result = find_crep(schema, Instance(schema.signature, dense))
+    assert result.size == 20
+    assert len(calls) >= 1
+
+
+def test_matching_agrees_with_enumeration(monkeypatch):
+    # on both paths, as in test_component_split_agrees_with_enumeration
     rng = random.Random(6)
     for _ in range(40):
         problem = random_match_problem(rng, max_side=5, max_edges=10)
-        assert max_weight_matching(problem) == brute_force_matching(problem)
+        expected = brute_force_matching(problem)
+        for threshold in (SMALL_COMPONENT, 0):
+            monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
+            assert max_weight_matching(problem) == expected
 
 
 def test_match_problem_validation():

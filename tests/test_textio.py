@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from fdrepair.fds import DOT, Instance, Signature
+from fdrepair.fds import DOT, Fd, FdSchema, Instance, SchemaError, Signature
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.textio import (
     DataError,
+    SchemaDocument,
     SchemaParseError,
     format_dimacs,
     format_schema,
@@ -59,6 +60,33 @@ def test_parse_errors_carry_line_numbers():
         parse_schema("nonsense\n")
     with pytest.raises(SchemaParseError):
         parse_schema("relation R(A)\nfd R: A ->\n")  # empty rhs
+
+
+def test_attribute_list_errors_point_into_the_line():
+    # columns count on the raw line: an empty rhs at the place it should
+    # start, a bad name where it stands
+    cases = {
+        "relation R(A)\nfd R: A ->\n": (2, 11),
+        "relation R(A)\n  fd R: A ->   # no rhs\n": (2, 13),
+        "relation R(A,B)\nfd R: A -> B!\n": (2, 12),
+        "relation R(A,B)\nfd R: A, B! -> A\n": (2, 10),
+        "  relation R(A, B!)\n": (1, 17),
+        "relation R(A1, 1)\n": (1, 16),
+        "relation R(A,,B)\n": (1, 14),
+    }
+    for text, position in cases.items():
+        with pytest.raises(SchemaParseError) as caught:
+            parse_schema(text)
+        assert (caught.value.line, caught.value.column) == position, text
+
+
+def test_format_schema_rejects_an_empty_rhs():
+    sig = Signature("R", ("A", "B"))
+    document = SchemaDocument(
+        relations=(FdSchema(sig, [Fd({"A"}, {"B"}), Fd({"B"}, set())]),)
+    )
+    with pytest.raises(SchemaError, match=r"fd R: B -> has an empty rhs"):
+        format_schema(document)
 
 
 def test_schema_round_trip():
