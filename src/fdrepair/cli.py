@@ -54,7 +54,7 @@ class CliError(Exception):
 
 def _load_schema_file(path: str) -> SchemaDocument:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read schema file: {exc}") from exc
@@ -220,7 +220,7 @@ _GADGET_BUILDERS: dict[str, Callable] = {
 
 def cmd_gadget(args: argparse.Namespace) -> int:
     try:
-        with open(args.infile, encoding="utf-8") as handle:
+        with open(args.infile, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read input file: {exc}") from exc

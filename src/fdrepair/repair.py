@@ -20,10 +20,10 @@ Each step keys a fact with one C ``itemgetter``. For S3 that key is
 flat, the X1 columns followed by the X2 columns; every X1 part has the
 same length, so the flat keys sort in the order of the ``(x, y)`` pairs.
 The S3 step sorts its block keys once and splits each into ``(x, y)``
-once. Small connected components of the S3 graph are matched in pure
-Python and larger ones with scipy's assignment solver (see
-:func:`max_weight_matching`). ``RepairResult.block_sizes`` is sorted
-only when first read.
+once. The matching runs in pure Python: one optimum with its LP
+duals, then one lex greedy over the whole graph, with no solver and no
+split into components (see :func:`max_weight_matching`).
+``RepairResult.block_sizes`` is sorted only when first read.
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -32,13 +32,15 @@ the same repair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-import numpy as np
+# Unused by the matcher. The benchmark's tracer (perfbench/tracing.py)
+# wraps this name to count solver calls and fails without it; ROADMAP
+# item 1 drops that binding and then this import
 from scipy.optimize import linear_sum_assignment
 
 from .fds import (
@@ -259,258 +261,181 @@ def max_weight_matching(
     That list is the lex greedy: take the edges in canonical order, keep
     an edge when its endpoints are free and the edges after it can still
     complete an optimum with it, and stop once the optimum is reached.
-    Optimal weight adds up over the connected components, so each
-    component runs its own greedy (:func:`_component_greedy`), and the
-    merged list stops at the edge where the last component reached its
-    optimum. When no two edges share an endpoint, every component is one
-    edge, and the answer is every edge up to the last positive one.
+    When no two edges share an endpoint, that is every edge up to the
+    last positive one.
 
-    A component of at most :data:`SMALL_COMPONENT` edges needs no solver.
-    Its matchings, as increasing lists of edge positions, form a tree in
-    which a child adds one later edge, and pre-order visits that tree in
-    exactly the lex order above, a prefix first. So the first matching of
-    maximum weight a pre-order search meets is the greedy's list up to
-    its optimum (:func:`_first_optimum`). A larger component takes one
-    assignment solve and its LP duals.
+    Otherwise :func:`_optimum` gives one optimum ``mate`` and LP duals
+    ``y >= 0``. By complementary slackness the optima are exactly the
+    matchings of tight edges (``y[a] + y[b] == w``) that cover every
+    vertex of positive dual. So an edge that is not tight is rejected at
+    once. ``mate`` stays an optimum that holds the accepted edges and
+    otherwise only later ones, so an edge in it is accepted at once. Any
+    other tight edge ``(a, b)`` is matched in ``mate``, and the old mates
+    of ``a`` and ``b`` that have a positive dual are covered again by at
+    most two :func:`_augment` searches. The edge is accepted when they
+    succeed; otherwise ``mate`` is restored.
     """
     edges = problem.edges
     if len({x for x, _, _ in edges}) == len(edges) == len({y for _, y, _ in edges}):
         # every component is one edge: all of them up to the last positive one
         stop = max((i for i, (_, _, w) in enumerate(edges) if w), default=-1)
         return tuple(edge[:2] for edge in edges[: stop + 1])
-    accepted: list[int] = []
-    stop = -1
-    for component in _components(edges):
-        taken, reached = _component_greedy([edges[i] for i in component])
-        accepted.extend(component[k] for k in taken)
-        if reached >= 0:
-            stop = max(stop, component[reached])
-    return tuple(edges[i][:2] for i in sorted(accepted) if i <= stop)
-
-
-def _components(edges: Sequence[tuple]) -> list[list[int]]:
-    """Positions of the edges of each connected component, in edge order.
-
-    A breadth-first search over the edges at each endpoint; an endpoint's
-    edge list is popped when first reached, so each is read once.
-    """
-    at_left: dict = {}
-    at_right: dict = {}
-    for i, (x, y, _) in enumerate(edges):
-        at_left.setdefault(x, []).append(i)
-        at_right.setdefault(y, []).append(i)
-    seen = [False] * len(edges)
-    components = []
-    for start in range(len(edges)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for i in component:
-            x, y, _ = edges[i]
-            for j in (*at_left.pop(x, ()), *at_right.pop(y, ())):
-                if not seen[j]:
-                    seen[j] = True
-                    component.append(j)
-        component.sort()
-        components.append(component)
-    return components
-
-
-# Components of at most this many edges are matched by a pre-order
-# search in pure Python (:func:`_first_optimum`), larger ones by the
-# LP-dual greedy. The search grows with the number of matchings; the
-# greedy pays numpy and scipy set-up on every component. Measured on one
-# CPython 3.11 process of a shared 2-core VM: on the one-to-one tables'
-# components of 3-10 edges the search took 9-25 us and the greedy
-# 34-50 us, and on a complete 2x5 graph, the 10-edge shape with the most
-# matchings, the two broke even. The benchmark has components on both
-# sides: the worked example and the sparse one-to-one tables have many
-# small ones, the dense 40x40 and 60x60 tables one large one each.
-SMALL_COMPONENT = 10
-
-
-def _component_greedy(edges: Sequence[tuple]) -> tuple[list[int], int]:
-    """The lex greedy on the edges of one connected component.
-
-    Returns the positions of the accepted edges and the position at which
-    their weight reached the component's optimum (-1 when that is 0).
-    After that point it still accepts every zero-weight edge with free
-    endpoints; the caller keeps those that come before its stop.
-
-    A component of at most :data:`SMALL_COMPONENT` edges goes to
-    :func:`_first_optimum`. On a larger one, one assignment solve gives
-    the optimum and LP duals (:func:`_duals`). By complementary slackness
-    every optimum uses only tight edges, so an edge that is not tight is
-    rejected at once. ``current`` is an optimum that holds the accepted
-    edges and otherwise only later ones, so an edge in it is accepted at
-    once. Any other edge needs a solve over the later tight edges with
-    free endpoints, and refreshes ``current`` when it is accepted.
-    """
-    lefts: dict = {}
-    rights: dict = {}
-    ls = [lefts.setdefault(x, len(lefts)) for x, _, _ in edges]
-    rs = [rights.setdefault(y, len(rights)) for _, y, _ in edges]
-    ws = [w for _, _, w in edges]
-    if len(edges) <= SMALL_COMPONENT:
-        return _first_optimum(ls, rs, ws)
-    ls_array, rs_array, ws_array = np.array(ls), np.array(rs), np.array(ws)
-    shape = (len(lefts), len(rights))
-    target, optimum = _assignment(ls_array, rs_array, ws_array, shape)
-    u, v = _duals(ls, rs, ws, optimum.tolist(), *shape)
-    assert sum(u) + sum(v) == target, "the duals must certify the optimum"
-    tight = u[ls_array] + v[rs_array] == ws_array
-    current = set(optimum.tolist())
-    free_left = [True] * shape[0]
-    free_right = [True] * shape[1]
+    # left and right vertices are numbered in one range, lefts first
+    lefts = {x: k for k, x in enumerate(dict.fromkeys(x for x, _, _ in edges))}
+    rights = {
+        y: k for k, y in enumerate(dict.fromkeys(y for _, y, _ in edges), len(lefts))
+    }
+    ends = [(lefts[x], rights[y], w) for x, y, w in edges]
+    target, mate, duals = _optimum(ends, len(lefts), len(lefts) + len(rights))
+    tight: list[list[tuple[int, int]]] = [[] for _ in duals]
+    for i, (a, b, w) in enumerate(ends):
+        if duals[a] + duals[b] == w:
+            tight[a].append((i, b))
+            tight[b].append((i, a))
+    free = [True] * len(duals)
     accepted: list[int] = []
     weight = 0
-    reached = -1
-    for i, (x, y, w) in enumerate(zip(ls, rs, ws)):
-        if not (free_left[x] and free_right[y]):
-            continue
+    for i, (a, b, w) in enumerate(ends):
         if weight == target:
-            take = w == 0
-        elif i in current:
-            take = True
-        elif not tight[i]:
-            take = False
-        else:
-            later = slice(i + 1, None)
-            rest = i + 1 + np.flatnonzero(
-                tight[later]
-                & np.array(free_left)[ls_array[later]]
-                & np.array(free_right)[rs_array[later]]
-                & (ls_array[later] != x)
-                & (rs_array[later] != y)
-            )
-            best, completion = _assignment(
-                ls_array[rest], rs_array[rest], ws_array[rest], shape
-            )
-            take = weight + w + best == target
-            if take:
-                current = {*accepted, i, *rest[completion].tolist()}
-        if take:
-            accepted.append(i)
-            free_left[x] = free_right[y] = False
-            weight += w
-            if w and weight == target:
-                reached = i
+            break
+        if not (free[a] and free[b]) or duals[a] + duals[b] != w:
+            continue
+        free[a] = free[b] = False
+        if mate[a] != b:
+            lost = [v for v in (mate[a], mate[b]) if v >= 0]
+            changed = [(v, mate[v]) for v in (a, b, *lost)]
+            for v in lost:
+                mate[v] = -1
+            mate[a], mate[b] = b, a
+            if not all(
+                _augment(v, i, tight, mate, free, duals, changed)
+                for v in lost
+                if duals[v] and mate[v] < 0
+            ):
+                for v, m in reversed(changed):
+                    mate[v] = m
+                free[a] = free[b] = True
+                continue
+        accepted.append(i)
+        weight += w
     assert weight == target
-    return accepted, reached
+    return tuple(edges[i][:2] for i in accepted)
 
 
-def _first_optimum(
-    ls: list[int], rs: list[int], ws: list[int]
-) -> tuple[list[int], int]:
-    """:func:`_component_greedy` on a small component, with no solver.
+def _optimum(
+    ends: list[tuple[int, int, int]], n_left: int, n: int
+) -> tuple[int, list[int], list[int]]:
+    """One maximum-weight matching of ``ends`` and integer LP duals.
 
-    Visits the matchings of the edges ``(ls[k], rs[k], ws[k])`` in the
-    pre-order of :func:`max_weight_matching` and keeps the first one of
-    maximum weight. A branch is cut once even all of its later edges
-    could not beat the best so far. Vertex ids index bits of the ``used``
-    masks.
+    Vertices ``0 .. n_left - 1`` are the lefts and ``n_left .. n - 1``
+    the rights. Returns the optimum weight, ``mate`` (the matched vertex,
+    or -1) and duals ``y >= 0`` with ``y[a] + y[b] >= w`` on every edge,
+    equality on the matched edges and ``Σy`` equal to the optimum.
+
+    Every left starts at its largest weight and every right at 0, and
+    tight edges are matched greedily. From then on matched edges stay
+    tight and exposed rights keep dual 0, so the duals certify the
+    matching once every exposed left has dual 0 too. Each left still
+    exposed with a positive dual runs one Dijkstra phase over
+    alternating paths from it: an unmatched edge costs its slack, a
+    matched one nothing. The phase ends at distance ``delta`` at the
+    first of two events. A free right is reached, and the path to it
+    augments the matching. Or a reached left's dual, less ``delta`` minus
+    its distance, hits 0, and the path to that left shifts the matching
+    so that it is the exposed one. Then every reached vertex moves its
+    dual by ``delta`` minus its distance, lefts down and rights up. That
+    keeps every edge feasible and makes the path tight.
     """
-    n = len(ws)
-    bound = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        bound[k] = bound[k + 1] + ws[k]
-    best: tuple = ()
-    best_weight = 0
+    duals = [0] * n
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n_left)]
+    for a, b, w in ends:
+        out[a].append((b, w))
+        if w > duals[a]:
+            duals[a] = w
+    mate = [-1] * n
+    for a in range(n_left):
+        for b, w in out[a]:
+            if w == duals[a] and mate[b] < 0:
+                mate[a], mate[b] = b, a
+                break
+    for root in range(n_left):
+        if mate[root] >= 0 or not duals[root]:
+            continue
+        # distances of the reached lefts, and tentative ones of the rights;
+        # ``before`` maps each reached right to the left it came from
+        at_left: dict[int, int] = {}
+        reach: dict[int, int] = {}
+        before: dict[int, int] = {}
+        # (distance, vertex, -1) is the event that a left's dual hits 0
+        heap = [(duals[root], root, -1)]
+        x, d = root, 0
+        while True:
+            at_left[x] = d
+            base = d + duals[x]
+            for y, w in out[x]:
+                e = base + duals[y] - w
+                if e < reach.get(y, e + 1):  # the first or a shorter reach
+                    reach[y] = e
+                    heappush(heap, (e, y, x))
+            delta, end, via = heappop(heap)
+            while via >= 0 and end in before:
+                delta, end, via = heappop(heap)
+            if via < 0:
+                y = mate[end]
+                mate[end] = -1
+                break
+            before[end] = via
+            if mate[end] < 0:
+                y = end
+                break
+            x, d = mate[end], delta
+            heappush(heap, (d + duals[x], x, -1))
+        for x, d in at_left.items():
+            duals[x] -= delta - d
+        for z in before:
+            duals[z] += delta - reach[z]
+        while y >= 0:
+            x = before[y]
+            mate[x], mate[y], y = y, x, mate[x]
+    weight = sum(w for a, b, w in ends if mate[a] == b)
+    assert sum(duals) == weight, "the duals must certify the optimum"
+    return weight, mate, duals
 
-    def visit(chosen: tuple, start: int, weight: int, used_l: int, used_r: int):
-        nonlocal best, best_weight
-        if weight > best_weight:
-            best, best_weight = chosen, weight
-        for k in range(start, n):
-            if weight + bound[k] <= best_weight:
-                return
-            x, y = 1 << ls[k], 1 << rs[k]
-            if not (used_l & x or used_r & y):
-                visit((*chosen, k), k + 1, weight + ws[k], used_l | x, used_r | y)
 
-    visit((), 0, 0, 0, 0)
-    # a parent comes before its children, so the last edge of ``best`` is
-    # positive; past it only free zero-weight edges remain to take
-    reached = best[-1] if best else -1
-    accepted = list(best)
-    used_l = used_r = 0
-    for k in best:
-        used_l |= 1 << ls[k]
-        used_r |= 1 << rs[k]
-    for k in range(reached + 1, n):
-        x, y = 1 << ls[k], 1 << rs[k]
-        if not (used_l & x or used_r & y):
-            accepted.append(k)
-            used_l |= x
-            used_r |= y
-    return accepted, reached
+def _augment(
+    s: int,
+    i: int,
+    tight: list[list[tuple[int, int]]],
+    mate: list[int],
+    free: list[bool],
+    duals: list[int],
+    changed: list[tuple[int, int]],
+) -> bool:
+    """Cover the exposed vertex ``s`` by one alternating path in ``mate``.
 
-
-def _assignment(
-    ls: np.ndarray, rs: np.ndarray, ws: np.ndarray, shape: tuple[int, int]
-) -> tuple[int, np.ndarray]:
-    """One maximum-weight matching of the edges ``(ls[k], rs[k], ws[k])``.
-
-    ``shape`` bounds the vertex ids. Returns the matching's weight and
-    the positions ``k`` of its positive-weight edges. The dense matrix
-    holds 0 at non-edges, so they never count.
+    Breadth-first over the tight edges after edge ``i`` with free
+    endpoints. The path ends at an exposed vertex, or at a matched one
+    whose mate has dual 0 and may be left exposed. Lefts and rights share
+    one range of ids, so the search runs the same from either side. Every
+    overwritten ``mate`` entry is appended to ``changed``.
     """
-    if not len(ws):
-        return 0, np.zeros(0, dtype=np.intp)
-    weight = np.zeros(shape, dtype=np.int64)
-    weight[ls, rs] = ws
-    position = np.zeros(weight.shape, dtype=np.intp)
-    position[ls, rs] = np.arange(len(ws))
-    r, c = linear_sum_assignment(weight, maximize=True)
-    matched = weight[r, c]
-    return int(matched.sum()), position[r, c][matched > 0]
-
-
-def _duals(
-    ls: list[int],
-    rs: list[int],
-    ws: list[int],
-    matched: list[int],
-    n_left: int,
-    n_right: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integer LP duals ``u, v >= 0`` of an optimal matching.
-
-    ``u[x] + v[y] >= w`` on every edge, with equality on the matched
-    edges, and ``u`` or ``v`` is 0 on every unmatched vertex, so
-    ``Σu + Σv`` is the matching's weight. With ``p = u`` and ``q = -v``
-    these are difference constraints, and shortest paths from a virtual
-    source solve them: arcs of length 0 to every right vertex and every
-    unmatched left vertex, ``-w`` along each edge ``x -> y`` and ``+w``
-    back along each matched edge ``y -> x``. An optimal matching leaves no
-    negative cycle, so the queue-based Bellman-Ford (SPFA) below ends.
-    """
-    mate = [-1] * n_right
-    mate_weight = [0] * n_right
-    p = [0] * n_left
-    for k in matched:
-        mate[rs[k]], mate_weight[rs[k]], p[ls[k]] = ls[k], ws[k], ws[k]
-    q = [0] * n_right
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_left)]
-    for x, y, w in zip(ls, rs, ws):
-        adjacency[x].append((y, w))
-    queue = deque(range(n_left))
-    queued = [True] * n_left
-    budget = n_left * (n_left + n_right + 1)
-    while queue:
-        budget -= 1
-        assert budget >= 0, "negative cycle: the matching is not optimal"
-        x = queue.popleft()
-        queued[x] = False
-        for y, w in adjacency[x]:
-            d = p[x] - w
-            if d < q[y]:
-                q[y] = d
-                m = mate[y]
-                if m >= 0 and d + mate_weight[y] < p[m]:
-                    p[m] = d + mate_weight[y]
-                    if not queued[m]:
-                        queued[m] = True
-                        queue.append(m)
-    return np.array(p), -np.array(q)
+    via = {}
+    queue = [s]
+    for x in queue:
+        for k, z in tight[x]:
+            if k <= i or not free[z] or z in via:
+                continue
+            via[z] = x
+            m = mate[z]
+            if m >= 0 and duals[m]:
+                queue.append(m)
+                continue
+            if m >= 0:
+                changed.append((m, z))
+                mate[m] = -1
+            while z >= 0:
+                x = via[z]
+                changed += ((z, mate[z]), (x, mate[x]))
+                mate[z], mate[x], z = x, z, mate[x]
+            return True
+    return False

@@ -216,7 +216,7 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     collapse and are counted.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             rows = list(reader)

@@ -218,6 +218,25 @@ def connected_match_problem(
     return BipartiteMatchProblem(lefts, rights, edges)
 
 
+
+def large_match_problem(rng: random.Random, max_side: int) -> BipartiteMatchProblem:
+    """A bipartite graph of up to ``max_side`` lefts and rights.
+
+    Density is 0.05 to 1 and weights are 0-3 or 0-1000, so both many
+    ties with zero-weight edges and nearly distinct weights occur.
+    """
+    lefts = [f"L{i:02d}" for i in range(rng.randint(1, max_side))]
+    rights = [f"R{i:02d}" for i in range(rng.randint(1, max_side))]
+    density = rng.choice((0.05, 0.1, 0.25, 0.5, 1.0))
+    max_weight = rng.choice((3, 1000))
+    edges = [
+        (x, y, rng.randint(0, max_weight))
+        for x in lefts
+        for y in rights
+        if rng.random() < density
+    ]
+    return BipartiteMatchProblem(lefts, rights, edges)
+
 A_B_B_A_SCHEMA = "relation R(A,B,C)\nfd R: A -> B\nfd R: B -> A\n"
 WORKED_EXAMPLE_SCHEMA = (
     "relation R(A,B,C,D,E,F)\nfd R: -> A\nfd R: D,B -> A,C,E\n"

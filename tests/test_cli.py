@@ -102,6 +102,30 @@ def test_repair_round_trip(tmp_path, data_dir, capsys):
     assert is_s_repair(schema, original.instance, repaired.instance)
 
 
+
+def test_repair_reads_byte_order_marked_files(tmp_path, capsys):
+    # a schema file and a CSV saved with a leading UTF-8 BOM repair as
+    # their plain copies do
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        work = tmp_path / encoding
+        (work / "data").mkdir(parents=True)
+        schema_path = work / "s.fd"
+        schema_path.write_text(TRACTABLE_SCHEMA, encoding=encoding)
+        (work / "data" / "R.csv").write_text("A,B\n1,a\n1,b\n2,c\n", encoding=encoding)
+        assert main([
+            "repair", "--schema", str(schema_path), "--data", str(work / "data"),
+            "--out", str(work / "out"), "--stable",
+        ]) == 0
+        reports.append(capsys.readouterr().out.replace(str(work), ""))
+    assert "repair-size: 2" in reports[0]
+    assert reports[0] == reports[1]
+    plain, marked = (
+        (tmp_path / encoding / "out" / "R.csv").read_bytes()
+        for encoding in ("utf-8", "utf-8-sig")
+    )
+    assert plain == marked
+
 # sha256 of the repaired CSV, pinned from the per-edge matcher the
 # component split and the LP duals replaced: same repair, same bytes.
 # The AB->C, A->D digest is from the engine that still recursed into
@@ -383,6 +407,15 @@ def test_gadget_triangles(tmp_path, capsys):
     schema = parse_schema((out / "schema.fd").read_text()).relations[0]
     assert len(schema.fds) == 3
 
+
+
+def test_gadget_input_with_byte_order_mark(tmp_path, capsys):
+    # a BOM before "p cnf" would hide the problem line
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n", encoding="utf-8-sig")
+    out = tmp_path / "g"
+    assert main(["gadget", "--type", "2fd", "--in", str(cnf), "--out", str(out)]) == 0
+    assert "facts: 3" in capsys.readouterr().out
 
 # -- verify-reduction ---------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -9,6 +10,7 @@ from conftest import inst_of, schema_of
 from generators import (
     connected_match_problem,
     disjoint_match_problems,
+    large_match_problem,
     one_to_one_rows,
     random_instance,
     random_match_problem,
@@ -29,12 +31,7 @@ from fdrepair.fds import (
 )
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.oracle import brute_force_crep, brute_force_matching, is_s_repair
-from fdrepair.repair import (
-    SMALL_COMPONENT,
-    BipartiteMatchProblem,
-    find_crep,
-    max_weight_matching,
-)
+from fdrepair.repair import BipartiteMatchProblem, find_crep, max_weight_matching
 from fdrepair.simplify import classify
 
 
@@ -417,9 +414,9 @@ def test_zero_weight_edges_before_the_last_needed_edge_are_kept():
 
 
 def test_matching_of_disjoint_edges_agrees_with_enumeration(monkeypatch):
-    # no two edges share an endpoint: every component is one edge, and
-    # the matcher takes the edges up to the last positive one unsplit
-    monkeypatch.setattr(fdrepair.repair, "_components", None)
+    # no two edges share an endpoint: the matcher takes the edges up to
+    # the last positive one and never computes an optimum
+    monkeypatch.setattr(fdrepair.repair, "_optimum", None)
     rng = random.Random(7)
     zero_tails = 0
     for _ in range(2500):
@@ -435,81 +432,63 @@ def test_matching_of_disjoint_edges_agrees_with_enumeration(monkeypatch):
     assert zero_tails > 300
 
 
-def _component_certificate(edges):
-    """Weight of one optimum of a component and its LP duals."""
-    lefts = {x: i for i, x in enumerate(dict.fromkeys(e[0] for e in edges))}
-    rights = {y: i for i, y in enumerate(dict.fromkeys(e[1] for e in edges))}
-    ls = [lefts[x] for x, _, _ in edges]
-    rs = [rights[y] for _, y, _ in edges]
-    ws = [w for _, _, w in edges]
-    shape = (len(lefts), len(rights))
-    target, optimum = fdrepair.repair._assignment(
-        np.array(ls), np.array(rs), np.array(ws), shape
+def _certify(problem, best):
+    """Assert that the duals of ``_optimum`` certify the optimum ``best``.
+
+    ``u, v >= 0``, ``u + v >= w`` on every edge with equality on the
+    matched edges, and ``Σu + Σv`` equal to ``best``.
+    """
+    lefts = {x: k for k, x in enumerate(problem.left)}
+    rights = {y: k for k, y in enumerate(problem.right, len(lefts))}
+    ends = [(lefts[x], rights[y], w) for x, y, w in problem.edges]
+    target, mate, duals = fdrepair.repair._optimum(
+        ends, len(lefts), len(lefts) + len(rights)
     )
-    u, v = fdrepair.repair._duals(ls, rs, ws, optimum.tolist(), *shape)
-    return target, u, v, list(zip(ls, rs, ws))
+    assert target == best == sum(duals)
+    assert min(duals, default=0) >= 0
+    for a, b, w in ends:
+        assert duals[a] + duals[b] >= w
+        if mate[a] == b:
+            assert duals[a] + duals[b] == w
+    assert sum(w for a, b, w in ends if mate[a] == b) == best
 
 
-def test_component_split_agrees_with_enumeration(monkeypatch):
-    # each problem is matched with the module's threshold, where these
-    # components take the pre-order search, and with threshold 0, where
-    # every component takes the LP-dual greedy
+def test_component_split_agrees_with_enumeration():
+    # disjoint unions of small graphs, whose components' edges interleave
+    # in canonical order; one global greedy must stop where the last
+    # component reaches its optimum
     rng = random.Random(2026)
-    components = 0
     for max_weight in (9, 1):
         for _ in range(1000):
             problem = disjoint_match_problems(rng, max_weight)
             expected = brute_force_matching(problem)
-            for threshold in (SMALL_COMPONENT, 0):
-                monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
-                assert max_weight_matching(problem) == expected
-            for positions in fdrepair.repair._components(problem.edges):
-                edges = [problem.edges[i] for i in positions]
-                target, u, v, local = _component_certificate(edges)
-                part = BipartiteMatchProblem(
-                    (x for x, _, _ in edges), (y for _, y, _ in edges), edges
-                )
-                weights = {(x, y): w for x, y, w in edges}
-                best = sum(weights[e] for e in brute_force_matching(part))
-                assert int(u.sum() + v.sum()) == target == best
-                assert (u >= 0).all() and (v >= 0).all()
-                assert all(u[x] + v[y] >= w for x, y, w in local)
-                components += 1
-    assert components > 4000
+            assert max_weight_matching(problem) == expected
+            weights = {(x, y): w for x, y, w in problem.edges}
+            _certify(problem, sum(weights[e] for e in expected))
 
 
-def test_small_and_solver_paths_agree_at_the_threshold(monkeypatch):
-    # one connected component per problem, on both sides of the constant;
-    # each is matched by the module's choice of path and by the solver path
+def test_connected_problems_agree_with_enumeration():
+    # one connected component of 9 to 12 edges per problem
     rng = random.Random(909)
-    problems = [
-        connected_match_problem(rng, edge_count, max_weight)
-        for edge_count in range(SMALL_COMPONENT - 1, SMALL_COMPONENT + 3)
-        for max_weight in (0, 1, 3)
-        for _ in range(12)
-    ]
-    expected = [brute_force_matching(problem) for problem in problems]
-    for threshold in (SMALL_COMPONENT, 0):
-        monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
-        for problem, matching in zip(problems, expected):
-            assert max_weight_matching(problem) == matching, problem.edges
+    for edge_count in range(9, 13):
+        for max_weight in (0, 1, 3):
+            for _ in range(12):
+                problem = connected_match_problem(rng, edge_count, max_weight)
+                assert max_weight_matching(problem) == brute_force_matching(
+                    problem
+                ), problem.edges
 
 
-def test_small_components_need_no_solver(monkeypatch):
-    calls = []
-    solve = fdrepair.repair.linear_sum_assignment
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(fdrepair.repair, "linear_sum_assignment", counting)
+def test_matching_needs_no_solver(monkeypatch):
+    # many small components, then one dense one: the matcher never calls
+    # the assignment solver
+    monkeypatch.setattr(fdrepair.repair, "linear_sum_assignment", None)
     schema = schema_of("ABC", "A->B", "B->A")
     facts = set(one_to_one_rows(random.Random(8), keys=400, cluster=2))
     result = find_crep(schema, Instance(schema.signature, facts))
     # clusters of two keys: at most four edges per component
     assert result.size < len(facts)
-    assert calls == []
+    assert is_consistent(schema, result.repair)
     # one dense 10x10 component; cells with i + j odd hold two facts
     dense = [
         (f"a{i}", f"b{j}", c)
@@ -519,18 +498,48 @@ def test_small_components_need_no_solver(monkeypatch):
     ]
     result = find_crep(schema, Instance(schema.signature, dense))
     assert result.size == 20
-    assert len(calls) >= 1
 
 
-def test_matching_agrees_with_enumeration(monkeypatch):
-    # on both paths, as in test_component_split_agrees_with_enumeration
+def test_matching_agrees_with_enumeration():
     rng = random.Random(6)
     for _ in range(40):
         problem = random_match_problem(rng, max_side=5, max_edges=10)
-        expected = brute_force_matching(problem)
-        for threshold in (SMALL_COMPONENT, 0):
-            monkeypatch.setattr(fdrepair.repair, "SMALL_COMPONENT", threshold)
-            assert max_weight_matching(problem) == expected
+        assert max_weight_matching(problem) == brute_force_matching(problem)
+
+
+def _large_problems():
+    rng = random.Random(1010)
+    return [large_match_problem(rng, max_side=60) for _ in range(200)]
+
+
+def test_matching_past_the_enumeration_cap():
+    # graphs up to 60x60, far past what brute_force_matching enumerates:
+    # the output is a matching, its weight is the assignment solver's
+    # optimum, and the duals certify it
+    for problem in _large_problems():
+        matching = max_weight_matching(problem)
+        assert len({x for x, _ in matching}) == len(matching)
+        assert len({y for _, y in matching}) == len(matching)
+        weights = {(x, y): w for x, y, w in problem.edges}
+        index = {x: k for k, x in enumerate(problem.left)}
+        index_right = {y: k for k, y in enumerate(problem.right)}
+        matrix = np.zeros((len(index), len(index_right)), dtype=np.int64)
+        for x, y, w in problem.edges:
+            matrix[index[x], index_right[y]] = w
+        best = int(matrix[linear_sum_assignment(matrix, maximize=True)].sum())
+        assert sum(weights[e] for e in matching) == best
+        _certify(problem, best)
+
+
+def test_matching_tie_break_is_pinned():
+    # sha256 of the outputs on the same graphs, recorded with the
+    # per-component matcher this one replaced
+    digest = hashlib.sha256()
+    for problem in _large_problems():
+        digest.update(repr(max_weight_matching(problem)).encode())
+    assert digest.hexdigest() == (
+        "baa82f2ec684a39a6ea20d842093e0a89ffc6c1f200ec1dba0ba4fe06f186cda"
+    )
 
 
 def test_match_problem_validation():

@@ -153,6 +153,17 @@ def test_csv_header_realignment(tmp_path):
     assert result.instance.sorted_facts == (("1", "b"),)
 
 
+
+def test_csv_leading_byte_order_mark(tmp_path):
+    # spreadsheet exports start with a UTF-8 BOM; it is not part of the
+    # first column's name
+    sig = Signature("R", ("A", "B"))
+    path = tmp_path / "R.csv"
+    path.write_text("A,B\n1,a\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfA,B")
+    result = read_instance_csv(str(path), sig)
+    assert result.instance.sorted_facts == (("1", "a"),)
+
 def test_csv_header_only(tmp_path):
     sig = Signature("R", ("A", "B"))
     path = tmp_path / "R.csv"
