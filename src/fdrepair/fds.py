@@ -14,12 +14,19 @@ signature's attribute list.
 
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check in the package reads one hash index of that
-relation, :func:`_conflicts`, in O(facts x FDs + conflicts).
+relation, :func:`_lhs_groups`: per FD, the facts grouped by lhs values,
+through (lhs, rhs) getters compiled once per :class:`FdSchema`. The
+index has two views, which split each group by rhs values.
+:func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
+conflicts), for the checks that need pairs or coverage.
+:func:`_conflict_masks` gives each fact the bitmask of its conflicts,
+with no per-pair work, for the oracle's conflict graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -189,6 +196,17 @@ class FdSchema:
 
     def render_fds(self) -> str:
         return "; ".join(fd.render(self.signature) for fd in self.fds) or "(none)"
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[Fd, Callable, Callable], ...]:
+        """Each FD with its (lhs, rhs) getters, compiled on first use.
+
+        Lazy, because most schemas (such as the projections ``classify``
+        makes) are never asked about conflicts. Not a field: equality,
+        hashing and ``repr`` ignore it.
+        """
+        getter = self.signature.getter
+        return tuple((fd, getter(fd.lhs), getter(fd.rhs)) for fd in self.fds)
 
     def __repr__(self) -> str:
         return f"FdSchema({self.signature.relation}, [{self.render_fds()}])"
@@ -367,23 +385,61 @@ def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
     return normalize(FdSchema(new_sig, fds))
 
 
+def _lhs_groups(
+    schema: FdSchema, facts: Sequence[Fact]
+) -> Iterator[tuple[Fd, Callable[[Fact], tuple], list[int]]]:
+    """``(fd, rhs, members)`` for each FD, in canonical order, and lhs group.
+
+    ``members`` are the ascending indices of two or more facts that
+    agree on the FD's lhs, and ``rhs`` is the FD's compiled rhs getter.
+    Two facts conflict exactly when they are members of one group and
+    ``rhs`` tells them apart; a group of one fact conflicts with nothing
+    and is skipped.
+    """
+    for fd, lhs, rhs in schema._keys:
+        groups: dict[tuple, list[int]] = {}
+        for i, key in enumerate(map(lhs, facts)):
+            groups.setdefault(key, []).append(i)
+        for members in groups.values():
+            if len(members) > 1:
+                yield fd, rhs, members
+
+
 def _conflicts(schema: FdSchema, facts: Sequence[Fact]) -> Iterator[tuple]:
     """``(i, j, fd)`` for each FD, in canonical order, and pair it splits.
 
-    Per FD, facts are grouped by lhs values, then by rhs values; two
-    facts conflict exactly when they share an lhs group but not an rhs
-    group. Always ``i < j``.
+    The pair view of :func:`_lhs_groups`: each group is split by rhs
+    values, and every two of its parts give their cross pairs. Always
+    ``i < j``.
     """
-    for fd in schema.fds:
-        lhs = schema.signature.getter(fd.lhs)
-        rhs = schema.signature.getter(fd.rhs)
-        groups: dict[tuple, dict[tuple, list[int]]] = {}
-        for i, fact in enumerate(facts):
-            groups.setdefault(lhs(fact), {}).setdefault(rhs(fact), []).append(i)
-        for by_rhs in groups.values():
-            for first, second in combinations(by_rhs.values(), 2):
-                for i, j in product(first, second):
-                    yield (i, j, fd) if i < j else (j, i, fd)
+    for fd, rhs, members in _lhs_groups(schema, facts):
+        by_rhs: dict[tuple, list[int]] = {}
+        for i in members:
+            by_rhs.setdefault(rhs(facts[i]), []).append(i)
+        for first, second in combinations(by_rhs.values(), 2):
+            for i, j in product(first, second):
+                yield (i, j, fd) if i < j else (j, i, fd)
+
+
+def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
+    """Per fact, the bitmask of the facts it conflicts with (bit ``j`` for
+    ``facts[j]``): the mask view of :func:`_lhs_groups`.
+
+    Each group's members are ORed into one mask per rhs value; a member
+    conflicts with the group's total mask XOR its own rhs mask. Masks
+    grow with the instance, so this view is for small ones.
+    """
+    adjacency = [0] * len(facts)
+    for _, rhs, members in _lhs_groups(schema, facts):
+        by_rhs: dict[tuple, int] = {}
+        for i in members:
+            value = rhs(facts[i])
+            by_rhs[value] = by_rhs.get(value, 0) | 1 << i
+        if len(by_rhs) > 1:
+            group = sum(by_rhs.values())
+            for i in members:
+                adjacency[i] |= group ^ by_rhs[rhs(facts[i])]
+    return adjacency
 
 
 def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:

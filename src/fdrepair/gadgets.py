@@ -164,6 +164,10 @@ def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
 
 # ---------------------------------------------------------------------------
 # The four hard three-column schemas and their instance generators
+#
+# The CNF gadgets build every cell themselves, as a str or a pair of
+# strs, so they skip Instance's per-cell check. gadget_tr keeps it:
+# TripartiteGraph takes node names without checking their type.
 
 
 _ABC = Signature("R", ("A", "B", "C"))
@@ -202,7 +206,7 @@ def gadget_2fd(formula: CnfFormula) -> Instance:
         polarity = "1" if clause[0] > 0 else "0"
         for lit in clause:
             facts.append((_clause_id(j), polarity, _var_id(abs(lit))))
-    return Instance(_ABC, facts)
+    return Instance._of_checked(_ABC, facts)
 
 
 def gadget_rl(formula: CnfFormula) -> Instance:
@@ -213,7 +217,7 @@ def gadget_rl(formula: CnfFormula) -> Instance:
             facts.append(
                 (_clause_id(j), _var_id(abs(lit)), "1" if lit > 0 else "0")
             )
-    return Instance(_ABC, facts)
+    return Instance._of_checked(_ABC, facts)
 
 
 def gadget_2r(formula: CnfFormula) -> Instance:
@@ -229,7 +233,7 @@ def gadget_2r(formula: CnfFormula) -> Instance:
             facts.append(
                 (_clause_id(j), var, (var, "1" if lit > 0 else "0"))
             )
-    return Instance(_ABC, facts)
+    return Instance._of_checked(_ABC, facts)
 
 
 def gadget_tr(graph: TripartiteGraph) -> Instance:

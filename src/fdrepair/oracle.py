@@ -20,6 +20,7 @@ from .fds import (
     Instance,
     SchemaError,
     _check_same_signature,
+    _conflict_masks,
     _conflicts,
     constant_key,
     fact_key,
@@ -36,7 +37,13 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Facts as nodes, adjacency as bitmasks over the canonical order."""
+    """Facts as nodes, adjacency as bitmasks over the canonical order.
+
+    The adjacency is the mask view of the conflict index
+    (:func:`fdrepair.fds._conflict_masks`): per FD and lhs group, one OR
+    per member, with no per-pair work. Bit ``j`` of ``adjacency[i]`` is
+    set exactly when ``facts[i]`` and ``facts[j]`` conflict.
+    """
 
     facts: tuple[Fact, ...]
     adjacency: tuple[int, ...]
@@ -45,15 +52,11 @@ class ConflictGraph:
     def build(cls, schema: FdSchema, instance: Instance) -> "ConflictGraph":
         _check_same_signature(schema, instance)
         facts = instance.sorted_facts
-        adjacency = [0] * len(facts)
-        for i, j, _ in _conflicts(schema, facts):
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-        return cls(facts=facts, adjacency=tuple(adjacency))
+        return cls(facts=facts, adjacency=tuple(_conflict_masks(schema, facts)))
 
     @property
     def edge_count(self) -> int:
-        return sum(bin(mask).count("1") for mask in self.adjacency) // 2
+        return sum(mask.bit_count() for mask in self.adjacency) // 2
 
 
 def _clique_cover(adjacency: tuple[int, ...], mask: int) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import sys
 
@@ -15,12 +16,24 @@ from oracles import (
 )
 
 from fdrepair import simplify
-from fdrepair.fds import DOT, Instance, SchemaError, fact_key, normalize
+from fdrepair.fds import (
+    DOT,
+    Fd,
+    FdSchema,
+    Instance,
+    SchemaError,
+    Signature,
+    _conflicts,
+    _lhs_groups,
+    fact_key,
+    normalize,
+)
 from fdrepair.gadgets import (
     HARD_SCHEMAS,
     CnfFormula,
     TripartiteGraph,
     cnf_satisfiable,
+    gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
@@ -262,3 +275,72 @@ def test_conflict_graph_and_s_repair_match_the_definition():
             assert is_s_repair(schema, inst, candidate) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_conflict_masks_match_the_pairs_and_the_definition():
+    # up to 40 facts over 2-3 values, so lhs groups of 3+ facts meet 3+
+    # rhs values; every schema gains an empty-lhs FD and an FD whose rhs
+    # overlaps its lhs, which normalize would rewrite
+    rng = random.Random(47)
+    wide_groups = 0
+    for _ in range(100):
+        schema = random_schema(rng, max_attrs=4, max_fds=2)
+        attrs = schema.signature.attributes
+        overlap = frozenset(rng.sample(attrs, rng.randint(1, len(attrs))))
+        extra = (
+            Fd(frozenset(), frozenset(rng.sample(attrs, 1))),
+            Fd(overlap, overlap | {rng.choice(attrs)}),
+        )
+        schema = FdSchema(schema.signature, schema.fds + extra)
+        pool = rng.choice((("0", "1"), ("0", "1", "2")))
+        inst = random_instance(rng, schema.signature, max_facts=40, pool=pool)
+        facts = inst.sorted_facts
+        from_pairs = [0] * len(facts)
+        for i, j, _ in _conflicts(schema, facts):
+            from_pairs[i] |= 1 << j
+            from_pairs[j] |= 1 << i
+        by_definition = tuple(
+            sum(
+                1 << j
+                for j, g in enumerate(facts)
+                if conflict_by_definition(schema, f, g)
+            )
+            for f in facts
+        )
+        graph = ConflictGraph.build(schema, inst)
+        assert graph.adjacency == tuple(from_pairs) == by_definition
+        edges = {(i, j) for i, j, _ in _conflicts(schema, facts)}
+        assert graph.edge_count == len(edges)
+        wide_groups += sum(
+            len(members) >= 3 and len({rhs(facts[i]) for i in members}) >= 3
+            for _, rhs, members in _lhs_groups(schema, facts)
+        )
+    assert wide_groups >= 40
+
+
+def test_fd_keys_compile_once_per_schema(monkeypatch):
+    calls = []
+    getter = Signature.getter
+
+    def counting(self, attrs):
+        calls.append(attrs)
+        return getter(self, attrs)
+
+    monkeypatch.setattr(Signature, "getter", counting)
+    hard = HARD_SCHEMAS["2fd"]
+    schema = FdSchema(hard.signature, hard.fds)  # fresh, so not yet compiled
+    inst = gadget_2fd(CnfFormula(3, [[1, 2], [-1, -3], [2, 3], [-2]]))
+    first = brute_force_crep(schema, inst)
+    assert len(calls) == 2 * len(schema.fds)
+    assert brute_force_crep(schema, inst) == first
+    assert is_s_repair(schema, inst, first.repair)
+    assert is_s_repair(schema, inst, first.repair)
+    assert len(calls) == 2 * len(schema.fds)
+    # the compiled keys are no part of the value
+    fresh = FdSchema(hard.signature, hard.fds)
+    restored = pickle.loads(pickle.dumps(schema))
+    facts = inst.sorted_facts
+    for other in (fresh, restored):
+        assert other == schema and hash(other) == hash(schema)
+        assert repr(other) == repr(schema)
+        assert list(_conflicts(other, facts)) == list(_conflicts(schema, facts))
