@@ -20,7 +20,8 @@ index has two views, which split each group by rhs values.
 :func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
 conflicts), for the checks that need pairs or coverage.
 :func:`_conflict_masks` gives each fact the bitmask of its conflicts,
-with no per-pair work, for the oracle's conflict graph.
+with no per-pair work, for the oracle's conflict graph and the
+reduction verifier.
 """
 
 from __future__ import annotations
@@ -108,6 +109,16 @@ class Signature:
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(f"duplicate attributes in {self.relation}")
 
+    @classmethod
+    def _of_checked(cls, relation: str, attributes: tuple[str, ...]) -> "Signature":
+        """A signature of names known to be valid, such as a subsequence
+        of a checked signature's attributes under its relation name.
+        """
+        signature = object.__new__(cls)
+        object.__setattr__(signature, "relation", relation)
+        object.__setattr__(signature, "attributes", attributes)
+        return signature
+
     @property
     def arity(self) -> int:
         return len(self.attributes)
@@ -194,6 +205,16 @@ class FdSchema:
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "fds", _canonical_fds(signature, fds))
 
+    @classmethod
+    def _of_checked(cls, signature: Signature, fds: Iterable[Fd]) -> "FdSchema":
+        """A schema of FDs known to be over the signature's attributes,
+        such as FDs derived from a checked schema's, in canonical order.
+        """
+        schema = object.__new__(cls)
+        object.__setattr__(schema, "signature", signature)
+        object.__setattr__(schema, "fds", _canonical_fds(signature, fds))
+        return schema
+
     def render_fds(self) -> str:
         return "; ".join(fd.render(self.signature) for fd in self.fds) or "(none)"
 
@@ -212,13 +233,16 @@ class FdSchema:
         return f"FdSchema({self.signature.relation}, [{self.render_fds()}])"
 
 
-def _canonical_fds(signature: Signature, fds: tuple[Fd, ...]) -> tuple[Fd, ...]:
-    pos = signature.position
-    key = lambda fd: (
-        tuple(sorted(pos(a) for a in fd.lhs)),
-        tuple(sorted(pos(a) for a in fd.rhs)),
-    )
-    return tuple(sorted(set(fds), key=key))
+def _canonical_fds(signature: Signature, fds: Iterable[Fd]) -> tuple[Fd, ...]:
+    """The distinct FDs, sorted by the signature positions of the lhs,
+    then of the rhs. Every attribute must be in the signature.
+    """
+    fds = set(fds)
+    if len(fds) < 2:
+        return tuple(fds)
+    pos = {a: i for i, a in enumerate(signature.attributes)}.__getitem__
+    key = lambda fd: (sorted(map(pos, fd.lhs)), sorted(map(pos, fd.rhs)))
+    return tuple(sorted(fds, key=key))
 
 
 @dataclass(frozen=True)
@@ -329,7 +353,7 @@ def normalize(schema: FdSchema) -> FdSchema:
         rhs = fd.rhs - fd.lhs
         if rhs:
             kept.append(Fd(fd.lhs, rhs))
-    return FdSchema(schema.signature, kept)
+    return FdSchema._of_checked(schema.signature, kept)
 
 
 def saturate(schema: FdSchema) -> FdSchema:
@@ -380,9 +404,9 @@ def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
     """
     removed = schema.signature.check_attrs(removed)
     attrs = tuple(a for a in schema.signature.attributes if a not in removed)
-    new_sig = Signature(schema.signature.relation, attrs)
+    new_sig = Signature._of_checked(schema.signature.relation, attrs)
     fds = [Fd(fd.lhs - removed, fd.rhs - removed) for fd in schema.fds]
-    return normalize(FdSchema(new_sig, fds))
+    return normalize(FdSchema._of_checked(new_sig, fds))
 
 
 def _lhs_groups(

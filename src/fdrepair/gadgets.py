@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .fds import (
     DOT,
@@ -30,7 +32,7 @@ from .fds import (
     FdSchema,
     Instance,
     Signature,
-    _conflicts,
+    _conflict_masks,
     _DotType,
     closure,
     minima_sites,
@@ -250,15 +252,6 @@ def gadget_tr(graph: TripartiteGraph) -> Instance:
 Rule = Union[_DotType, str, tuple]
 
 
-def _substitute(rule, mapping: Mapping[str, object]):
-    """The rule evaluated on a fact, given as attribute name -> value."""
-    if rule is DOT:
-        return DOT
-    if isinstance(rule, str):
-        return mapping[rule]
-    return tuple(_substitute(part, mapping) for part in rule)
-
-
 def _check_rule(rule, source_attrs: frozenset[str]) -> None:
     if rule is DOT:
         return
@@ -271,6 +264,33 @@ def _check_rule(rule, source_attrs: frozenset[str]) -> None:
             _check_rule(part, source_attrs)
         return
     raise ReductionError(f"bad rule: {rule!r}")
+
+
+class _Parts:
+    """A getter of the tuple of its part getters' values."""
+
+    def __init__(self, parts: tuple[Callable, ...]):
+        self.parts = parts
+
+    def __call__(self, fact: Fact) -> tuple:
+        return tuple([part(fact) for part in self.parts])
+
+
+def _compile_rule(rule, positions: Mapping) -> Callable[[Fact], object]:
+    """A getter of the rule's value, ``positions`` giving each attribute's
+    (and DOT's) place in the fact. A tuple of attributes and DOTs is one
+    itemgetter; a tuple with a tuple inside takes one getter per part.
+    """
+    if rule is DOT or isinstance(rule, str):
+        return itemgetter(positions[rule])
+    if any(isinstance(part, tuple) for part in rule):
+        return _Parts(tuple(_compile_rule(part, positions) for part in rule))
+    places = [positions[part] for part in rule]
+    if len(places) > 1:
+        return itemgetter(*places)
+    # a slice of zero or one place keeps the value a tuple
+    start = places[0] if places else 0
+    return itemgetter(slice(start, start + len(places)))
 
 
 @dataclass(frozen=True)
@@ -296,9 +316,22 @@ class FactWiseReduction:
         for rule in self.rules:
             _check_rule(rule, source_attrs)
 
+    @cached_property
+    def _compiled(self) -> Callable[[Fact], Fact]:
+        """The rules as one getter over a source fact followed by DOT.
+
+        Compiled on first use. Not a field: equality, hashing and
+        ``repr`` ignore it. It pickles, being itemgetters and
+        :class:`_Parts`, not lambdas.
+        """
+        attrs = self.source.signature.attributes
+        positions = {a: i for i, a in enumerate(attrs)}
+        positions[DOT] = len(attrs)
+        return _compile_rule(self.rules, positions)
+
     def apply(self, fact: Fact) -> Fact:
-        values = dict(zip(self.source.signature.attributes, fact))
-        return tuple(_substitute(rule, values) for rule in self.rules)
+        """The image of a source fact: a tuple of the source's arity."""
+        return self._compiled(fact + (DOT,))
 
 
 def _rules_from_2r(attrs, x1, x2, x1_star, x2_star) -> tuple[Rule, ...]:
@@ -478,9 +511,10 @@ def verify_reduction(
     Every distinct fact pair must map to a distinct pair, and the images
     must conflict under the target FDs exactly when the originals conflict
     under the source FDs; violations are reported, not raised. Both
-    conflict sets come from the conflict index, so every pair is always
-    checked. A domain of fewer than two values raises ReductionError,
-    more than ``VERIFY_FACT_CAP`` source facts raise CapExceededError.
+    conflict sets come from the conflict index's mask view, so every pair
+    is always checked. A domain of fewer than two values raises
+    ReductionError, more than ``VERIFY_FACT_CAP`` source facts raise
+    CapExceededError.
     """
     values = tuple(sorted(set(domain)))
     if len(values) < 2:
@@ -497,20 +531,31 @@ def verify_reduction(
     # product order over sorted values is the canonical fact order
     facts = list(itertools.product(values, repeat=arity))
     images = [reduction.apply(fact) for fact in facts]
-    by_image: dict[Fact, list[int]] = {}
+    by_image: dict[Fact, int] = {}
     for i, image in enumerate(images):
-        by_image.setdefault(image, []).append(i)
-    same = {p for g in by_image.values() for p in itertools.combinations(g, 2)}
-    before = {(i, j) for i, j, _ in _conflicts(reduction.source, facts)}
-    after = {(i, j) for i, j, _ in _conflicts(reduction.target, images)}
-    found = sorted(
-        [("injectivity", i, j) for i, j in same]
-        + [("consistency", i, j) for i, j in after - before]
-        + [("inconsistency", i, j) for i, j in before - after - same]
-    )
+        by_image[image] = by_image.get(image, 0) | 1 << i
+    before = _conflict_masks(reduction.source, facts)
+    after = _conflict_masks(reduction.target, images)
+    # per kind, in report order, and per fact i: the mask of the facts
+    # j > i that the pair (i, j) fails with
+    failing = {"consistency": [], "inconsistency": [], "injectivity": []}
+    for i, image in enumerate(images):
+        later = -2 << i
+        same = by_image[image] & later
+        failing["consistency"].append(after[i] & ~before[i] & later)
+        failing["inconsistency"].append(before[i] & ~after[i] & ~same & later)
+        failing["injectivity"].append(same)
+    violations = []
+    for kind, masks in failing.items():
+        for i, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                j = low.bit_length() - 1
+                violations.append(Violation(kind, facts[i], facts[j]))
+                mask ^= low
     return ReductionReport(
         facts_checked=n,
         pairs_checked=n * (n - 1) // 2,
         exhaustive=True,
-        violations=tuple(Violation(k, facts[i], facts[j]) for k, i, j in found),
+        violations=tuple(violations),
     )

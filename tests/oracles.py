@@ -2,14 +2,15 @@
 
 These deliberately avoid the library's algorithms: closures come from
 intersecting closed supersets, entailment from quantifying over two-fact
-models, repair sizes from plain subset enumeration.
+models, repair sizes from plain subset enumeration, reduction images
+from evaluating each rule by attribute name.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from fdrepair.fds import Fd, FdSchema, Instance
+from fdrepair.fds import DOT, Fd, FdSchema, Instance
 
 
 def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
@@ -140,6 +141,21 @@ def s_repair_by_definition(schema: FdSchema, facts, kept) -> bool:
     )
 
 
+def rule_by_name(rule, values: dict):
+    """A reduction rule evaluated on a fact given as attribute -> value."""
+    if rule is DOT:
+        return DOT
+    if isinstance(rule, str):
+        return values[rule]
+    return tuple(rule_by_name(part, values) for part in rule)
+
+
+def image_by_name(reduction, fact) -> tuple:
+    """A fact's image under a fact-wise reduction, rule by rule."""
+    values = dict(zip(reduction.source.signature.attributes, fact))
+    return tuple(rule_by_name(rule, values) for rule in reduction.rules)
+
+
 def reduction_violations_by_pairs(reduction, domain) -> tuple:
     """``(kind, first, second)`` per failing source pair, pair by pair.
 
@@ -152,7 +168,7 @@ def reduction_violations_by_pairs(reduction, domain) -> tuple:
     facts = sorted(itertools.product(sorted(set(domain)), repeat=arity))
     found = []
     for f, g in itertools.combinations(facts, 2):
-        fi, gi = reduction.apply(f), reduction.apply(g)
+        fi, gi = image_by_name(reduction, f), image_by_name(reduction, g)
         before = conflict_by_definition(reduction.source, f, g)
         after = conflict_by_definition(reduction.target, fi, gi)
         if fi == gi:

@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -10,7 +12,7 @@ from generators import (
     random_intractable_schema,
     random_schema,
 )
-from oracles import reduction_violations_by_pairs
+from oracles import image_by_name, reduction_violations_by_pairs
 
 from fdrepair.fds import DOT, normalize
 from fdrepair.gadgets import (
@@ -330,6 +332,17 @@ def test_verify_needs_two_domain_values():
             verify_reduction(identity, domain=domain)
 
 
+def _corrupted(reduction, rng):
+    """The reduction with one rule replaced by DOT, a copied source
+    attribute or a tuple of two."""
+    source = reduction.source.signature.attributes
+    rules = list(reduction.rules)
+    rules[rng.randrange(len(rules))] = rng.choice(
+        [DOT, rng.choice(source), tuple(rng.sample(source, 2))]
+    )
+    return FactWiseReduction(reduction.source, reduction.target, tuple(rules))
+
+
 def test_verify_violations_equal_the_pairwise_reference():
     """Whole violation tuples of corrupted witnesses, pair by pair."""
     rng = random.Random(53)
@@ -338,20 +351,44 @@ def test_verify_violations_equal_the_pairwise_reference():
     kinds = set()
     for schema in schemas:
         _, reduction = hard_case_witness(schema)
-        source = reduction.source.signature.attributes
         for _ in range(3):
-            rules = list(reduction.rules)
-            rules[rng.randrange(len(rules))] = rng.choice(
-                [DOT, rng.choice(source), tuple(rng.sample(source, 2))]
-            )
-            broken = FactWiseReduction(
-                reduction.source, reduction.target, tuple(rules)
-            )
+            broken = _corrupted(reduction, rng)
             report = verify_reduction(broken, domain=_domain(3))
             got = tuple((v.kind, v.first, v.second) for v in report.violations)
             assert got == reduction_violations_by_pairs(broken, _domain(3))
             kinds |= {v.kind for v in report.violations}
     assert kinds == {"injectivity", "consistency", "inconsistency"}
+
+
+def test_compiled_rules_equal_the_by_name_reference():
+    """``apply`` evaluates the rules as the by-name reference does, on
+    witnesses, on the corrupted rules above and on deeper tuples; and
+    the compiled rules are no part of the reduction's value."""
+    rng = random.Random(59)
+    schemas = list(HARD_SCHEMAS.values())
+    schemas += [random_intractable_schema(rng, 6, 5) for _ in range(40)]
+    reductions = [hard_case_witness(schema)[1] for schema in schemas]
+    for reduction in list(reductions):
+        reductions += [_corrupted(reduction, rng) for _ in range(3)]
+        a, b, c = reduction.source.signature.attributes
+        deeper = ((a, (DOT, b)), (c,), (), ((a, b), (c, (b, DOT))))
+        rules = tuple(rng.choice(deeper) for _ in reduction.rules)
+        reductions.append(
+            FactWiseReduction(reduction.source, reduction.target, rules)
+        )
+    facts = list(itertools.product(_domain(3), repeat=3))
+    for reduction in reductions:
+        images = [reduction.apply(fact) for fact in facts]
+        assert images == [image_by_name(reduction, fact) for fact in facts]
+        assert "_compiled" in vars(reduction)
+        fresh = FactWiseReduction(
+            reduction.source, reduction.target, reduction.rules
+        )
+        restored = pickle.loads(pickle.dumps(reduction))
+        for other in (fresh, restored):
+            assert other == reduction and hash(other) == hash(reduction)
+            assert repr(other) == repr(reduction)
+            assert [other.apply(fact) for fact in facts] == images
 
 
 def test_rule_validation():

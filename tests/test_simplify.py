@@ -1,13 +1,21 @@
+import pickle
 import random
 
 import pytest
 
 from conftest import schema_of
-from generators import random_chain_schema, random_schema, random_tractable_schema
+from generators import (
+    random_chain_schema,
+    random_intractable_schema,
+    random_schema,
+    random_tractable_schema,
+)
 
 from fdrepair.fds import (
     Fd,
     FdSchema,
+    SchemaError,
+    Signature,
     closure,
     equivalent,
     normalize,
@@ -255,3 +263,37 @@ def test_alternative_rule_orders_agree():
             if (not current.fds) != fixed:
                 divergences += 1
     assert divergences == 0
+
+
+# -- the schemas classify derives ------------------------------------------------
+
+def test_trace_schemas_equal_the_checked_construction():
+    """Every schema of a trace is the value that the validating
+    constructors build from its attributes and FDs, down to its FD
+    order, hash, ``repr`` and pickle. The public constructors and
+    ``project`` still check what they are given."""
+    rng = random.Random(71)
+    schemas = [random_tractable_schema(rng, 6, 5) for _ in range(150)]
+    schemas += [random_intractable_schema(rng, 6, 5) for _ in range(150)]
+    seen = 0
+    for schema in schemas:
+        trace = classify(schema)
+        derived = [trace.terminal]
+        for step in trace.steps:
+            derived += [step.schema_before, step.schema_after]
+        for got in derived:
+            sig = got.signature
+            checked = FdSchema(Signature(sig.relation, sig.attributes), got.fds)
+            assert got == checked and hash(got) == hash(checked)
+            assert repr(got) == repr(checked)
+            assert pickle.dumps(got) == pickle.dumps(checked)
+            restored = pickle.loads(pickle.dumps(got))
+            assert restored == checked and hash(restored) == hash(checked)
+            seen += 1
+    assert seen > 900
+    with pytest.raises(SchemaError):
+        Signature("R", ("A", "B", "A"))
+    with pytest.raises(SchemaError):
+        FdSchema(Signature("R", ("A", "B")), [Fd({"A"}, {"C"})])
+    with pytest.raises(SchemaError):
+        project(schema_of("ABC", "A->B"), {"D"})
