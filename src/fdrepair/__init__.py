@@ -34,7 +34,7 @@ from .gadgets import (
     hard_case_witness,
     verify_reduction,
 )
-from .oracle import brute_force_crep, brute_force_matching, is_s_repair
+from .oracle import brute_force_crep, is_s_repair
 from .repair import (
     BipartiteMatchProblem,
     RepairResult,
@@ -61,7 +61,6 @@ __all__ = [
     "SimplificationTrace",
     "TripartiteGraph",
     "brute_force_crep",
-    "brute_force_matching",
     "classify",
     "closure",
     "entails",

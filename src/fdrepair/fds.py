@@ -400,13 +400,18 @@ def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
     """Remove the given attributes from the signature and from every FD.
 
     Surviving attributes keep their order; the resulting FD set is
-    normalized.
+    normalized, in the same pass.
     """
     removed = schema.signature.check_attrs(removed)
     attrs = tuple(a for a in schema.signature.attributes if a not in removed)
     new_sig = Signature._of_checked(schema.signature.relation, attrs)
-    fds = [Fd(fd.lhs - removed, fd.rhs - removed) for fd in schema.fds]
-    return normalize(FdSchema._of_checked(new_sig, fds))
+    fds = []
+    for fd in schema.fds:
+        lhs = fd.lhs - removed
+        rhs = fd.rhs - removed - lhs
+        if rhs:
+            fds.append(Fd(lhs, rhs))
+    return FdSchema._of_checked(new_sig, fds)
 
 
 def _lhs_groups(

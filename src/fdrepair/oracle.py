@@ -5,9 +5,8 @@ A cardinality repair is a maximum independent set of the conflict graph
 always pairwise. This module computes that set exactly, by one branch
 and bound search that returns the lexicographically first maximum set,
 without classifying the schema (its ``RepairResult.trace`` is None). It
-also enumerates maximum-weight matchings exhaustively and validates
-repair maximality. Inputs above the configured caps are refused rather
-than ground through slowly.
+also validates repair maximality. Inputs above the configured cap are
+refused rather than ground through slowly.
 """
 
 from __future__ import annotations
@@ -22,13 +21,10 @@ from .fds import (
     _check_same_signature,
     _conflict_masks,
     _conflicts,
-    constant_key,
-    fact_key,
 )
-from .repair import BipartiteMatchProblem, RepairResult
+from .repair import RepairResult
 
 DEFAULT_FACT_CAP = 20
-DEFAULT_EDGE_CAP = 16
 
 
 class CapExceededError(ValueError):
@@ -131,52 +127,6 @@ def brute_force_crep(
     return RepairResult(repair=repaired, size=len(repaired), trace=None)
 
 
-def brute_force_matching(
-    problem: BipartiteMatchProblem, cap: int = DEFAULT_EDGE_CAP
-) -> tuple:
-    """Maximum-weight matching by exhausting edge subsets.
-
-    Same tie-break as :func:`fdrepair.repair.max_weight_matching`:
-    among the maximum-weight matchings, the lexicographically smallest
-    canonically sorted edge list wins.
-    """
-    edges = problem.edges
-    if len(edges) > cap:
-        raise CapExceededError(
-            f"problem has {len(edges)} edges, enumeration cap is {cap}"
-        )
-    suffix_weight = [0] * (len(edges) + 1)
-    for i in range(len(edges) - 1, -1, -1):
-        suffix_weight[i] = suffix_weight[i + 1] + edges[i][2]
-
-    best_weight = -1
-    best_seq: tuple = ()
-    best_key: tuple = ()
-
-    def search(i: int, current: list, weight: int, used_l: set, used_r: set):
-        nonlocal best_weight, best_seq, best_key
-        if weight + suffix_weight[i] < best_weight:
-            return
-        if i == len(edges):
-            key = tuple(
-                (constant_key(x), constant_key(y)) for x, y in current
-            )
-            if weight > best_weight or (weight == best_weight and key < best_key):
-                best_weight = weight
-                best_seq = tuple(current)
-                best_key = key
-            return
-        x, y, w = edges[i]
-        if x not in used_l and y not in used_r:
-            current.append((x, y))
-            search(i + 1, current, weight + w, used_l | {x}, used_r | {y})
-            current.pop()
-        search(i + 1, current, weight, used_l, used_r)
-
-    search(0, [], 0, set(), set())
-    return best_seq
-
-
 def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bool:
     """Whether the candidate is a maximal consistent subinstance.
 
@@ -198,25 +148,3 @@ def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bo
             covered.update((i, j))
     return len(covered) == len(facts)
 
-
-def greedy_s_repair(
-    schema: FdSchema, instance: Instance, order: tuple[Fact, ...] | None = None
-) -> Instance:
-    """A maximal consistent subinstance grown greedily in the given order.
-
-    Not maximum in general; useful as a lower bound when sampling repair
-    sizes.
-    """
-    graph = ConflictGraph.build(schema, instance)
-    index = {fact: i for i, fact in enumerate(graph.facts)}
-    facts = graph.facts if order is None else tuple(order)
-    if sorted(facts, key=fact_key) != sorted(graph.facts, key=fact_key):
-        raise SchemaError("order must enumerate exactly the instance's facts")
-    chosen_mask = 0
-    chosen = []
-    for fact in facts:
-        i = index[fact]
-        if not graph.adjacency[i] & chosen_mask:
-            chosen_mask |= 1 << i
-            chosen.append(fact)
-    return Instance(schema.signature, chosen)

@@ -91,51 +91,39 @@ class RepairResult:
 
 @dataclass(frozen=True)
 class BipartiteMatchProblem:
-    """Weighted bipartite graph between realized left/right value tuples.
+    """Weighted bipartite graph, given as its edges ``(x, y, w)``.
 
-    Nodes and edges are stored canonically sorted; weights must be
-    non-negative and at most one edge may join a given node pair.
+    The nodes are the edge endpoints: ``x`` on the left, ``y`` on the
+    right. Edges are stored canonically sorted by ``(x, y)``; weights
+    must be non-negative ints and at most one edge may join a given pair.
     """
 
-    left: tuple
-    right: tuple
     edges: tuple[tuple[Constant, Constant, int], ...]
 
-    def __init__(self, left: Iterable, right: Iterable, edges: Iterable):
-        left = tuple(sorted(set(left), key=constant_key))
-        right = tuple(sorted(set(right), key=constant_key))
+    def __init__(self, edges: Iterable):
         edges = tuple(
             sorted(
                 (tuple(e) for e in edges),
                 key=lambda e: (constant_key(e[0]), constant_key(e[1])),
             )
         )
-        left_set, right_set = set(left), set(right)
         seen = set()
         for x, y, w in edges:
-            if x not in left_set or y not in right_set:
-                raise SchemaError(f"edge ({x!r}, {y!r}) endpoint unknown")
             if not isinstance(w, int) or w < 0:
                 raise SchemaError(f"edge weight must be a non-negative int: {w!r}")
             if (x, y) in seen:
                 raise SchemaError(f"duplicate edge ({x!r}, {y!r})")
             seen.add((x, y))
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _of_sorted_edges(cls, edges: tuple) -> "BipartiteMatchProblem":
         """A problem over valid edges already in canonical order.
 
-        Its nodes are the edge endpoints. The S3 step sorts its block keys
-        once and builds its problem here, with no second sort or check.
+        The S3 step sorts its block keys once and builds its problem here,
+        with no second sort or check.
         """
         problem = object.__new__(cls)
-        left = tuple(dict.fromkeys(e[0] for e in edges))
-        right = tuple(canonical_sorted({e[1] for e in edges}))
-        object.__setattr__(problem, "left", left)
-        object.__setattr__(problem, "right", right)
         object.__setattr__(problem, "edges", edges)
         return problem
 

@@ -168,7 +168,7 @@ def random_match_problem(
         (x, y, rng.randint(0, max_weight))
         for x, y in pairs[: rng.randint(0, min(max_edges, len(pairs)))]
     ]
-    return BipartiteMatchProblem(lefts, rights, edges)
+    return BipartiteMatchProblem(edges)
 
 
 def disjoint_match_problems(
@@ -179,15 +179,13 @@ def disjoint_match_problems(
     Part ``k`` relabels ``L0`` as ``L0_k``, so the parts' edges interleave
     in canonical order instead of following one another.
     """
-    lefts, rights, edges = [], [], []
+    edges = []
     for k in range(rng.randint(2, 4)):
         part = random_match_problem(
             rng, max_side=4, max_edges=max_edges, max_weight=max_weight
         )
-        lefts += [f"{x}_{k}" for x in part.left]
-        rights += [f"{y}_{k}" for y in part.right]
         edges += [(f"{x}_{k}", f"{y}_{k}", w) for x, y, w in part.edges]
-    return BipartiteMatchProblem(lefts, rights, edges)
+    return BipartiteMatchProblem(edges)
 
 
 def connected_match_problem(
@@ -215,8 +213,7 @@ def connected_match_problem(
         if y not in rights:
             rights.append(y)
     edges = [(x, y, rng.randint(0, max_weight)) for x, y in sorted(pairs)]
-    return BipartiteMatchProblem(lefts, rights, edges)
-
+    return BipartiteMatchProblem(edges)
 
 
 def large_match_problem(rng: random.Random, max_side: int) -> BipartiteMatchProblem:
@@ -235,7 +232,7 @@ def large_match_problem(rng: random.Random, max_side: int) -> BipartiteMatchProb
         for y in rights
         if rng.random() < density
     ]
-    return BipartiteMatchProblem(lefts, rights, edges)
+    return BipartiteMatchProblem(edges)
 
 A_B_B_A_SCHEMA = "relation R(A,B,C)\nfd R: A -> B\nfd R: B -> A\n"
 WORKED_EXAMPLE_SCHEMA = (

@@ -3,14 +3,17 @@
 These deliberately avoid the library's algorithms: closures come from
 intersecting closed supersets, entailment from quantifying over two-fact
 models, repair sizes from plain subset enumeration, reduction images
-from evaluating each rule by attribute name.
+from evaluating each rule by attribute name. Maximum-weight matchings
+come from exhausting edge subsets (:func:`brute_force_matching`), and
+maximal but not maximum repairs from a greedy pass over the pairwise
+conflict definition (:func:`greedy_s_repair`).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from fdrepair.fds import DOT, Fd, FdSchema, Instance
+from fdrepair.fds import DOT, Fd, FdSchema, Instance, constant_key
 
 
 def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
@@ -131,6 +134,19 @@ def conflict_by_definition(schema: FdSchema, f, g) -> bool:
     return first_violated_fd(schema, f, g) is not None
 
 
+def greedy_s_repair(schema: FdSchema, facts) -> tuple:
+    """A maximal consistent subset of ``facts``, grown in their order.
+
+    Each fact is kept when it conflicts with no fact kept before it. Not
+    maximum in general; a lower bound on the repair size.
+    """
+    kept = []
+    for f in facts:
+        if not any(conflict_by_definition(schema, f, g) for g in kept):
+            kept.append(f)
+    return tuple(kept)
+
+
 def s_repair_by_definition(schema: FdSchema, facts, kept) -> bool:
     """Kept facts are consistent and every other fact conflicts with one."""
     kept = set(kept)
@@ -178,3 +194,48 @@ def reduction_violations_by_pairs(reduction, domain) -> tuple:
         elif before and not after:
             found.append(("inconsistency", f, g))
     return tuple(sorted(found))
+
+
+def brute_force_matching(problem) -> tuple:
+    """Maximum-weight matching by exhausting edge subsets.
+
+    ``problem`` is a ``BipartiteMatchProblem`` or its ``(x, y, w)`` edge
+    list. Same tie-break as ``fdrepair.repair.max_weight_matching``:
+    among the maximum-weight matchings, the lexicographically smallest
+    canonically sorted edge list wins.
+    """
+    edges = sorted(
+        getattr(problem, "edges", problem),
+        key=lambda e: (constant_key(e[0]), constant_key(e[1])),
+    )
+    assert len(edges) <= 16, "edge subset enumeration oracle capped at 16 edges"
+    suffix_weight = [0] * (len(edges) + 1)
+    for i in range(len(edges) - 1, -1, -1):
+        suffix_weight[i] = suffix_weight[i + 1] + edges[i][2]
+
+    best_weight = -1
+    best_seq: tuple = ()
+    best_key: tuple = ()
+
+    def search(i: int, current: list, weight: int, used_l: set, used_r: set):
+        nonlocal best_weight, best_seq, best_key
+        if weight + suffix_weight[i] < best_weight:
+            return
+        if i == len(edges):
+            key = tuple(
+                (constant_key(x), constant_key(y)) for x, y in current
+            )
+            if weight > best_weight or (weight == best_weight and key < best_key):
+                best_weight = weight
+                best_seq = tuple(current)
+                best_key = key
+            return
+        x, y, w = edges[i]
+        if x not in used_l and y not in used_r:
+            current.append((x, y))
+            search(i + 1, current, weight + w, used_l | {x}, used_r | {y})
+            current.pop()
+        search(i + 1, current, weight, used_l, used_r)
+
+    search(0, [], 0, set(), set())
+    return best_seq

@@ -16,6 +16,7 @@ from generators import (
     random_schema,
     random_tractable_schema,
 )
+from oracles import brute_force_matching
 
 from fdrepair.cli import main
 from fdrepair.fds import equivalent, is_consistent
@@ -32,7 +33,7 @@ from fdrepair.gadgets import (
     max_edge_disjoint_triangles,
     verify_reduction,
 )
-from fdrepair.oracle import brute_force_crep, brute_force_matching, is_s_repair
+from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import find_crep, max_weight_matching
 from fdrepair.simplify import classify
 from fdrepair.textio import parse_schema, read_instance_csv

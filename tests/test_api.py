@@ -30,3 +30,8 @@ def test_benchmark_contract_names():
     assert callable(repair.linear_sum_assignment)
     # the tracer wraps exactly the module-level names that pass this test
     assert inspect.isfunction(oracle.brute_force_crep)
+    # it also counts matchings and ``len(problem.edges)`` per matching
+    matcher = repair.max_weight_matching
+    assert inspect.isfunction(matcher) and matcher.__module__ == repair.__name__
+    fields = {f.name for f in dataclasses.fields(repair.BipartiteMatchProblem)}
+    assert "edges" in fields

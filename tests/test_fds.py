@@ -315,6 +315,29 @@ def test_project_composes_over_disjoint_sets():
         )
 
 
+def test_project_equals_the_checked_construction():
+    # every removed subset of seeded schemas: the one-pass projection
+    # equals, hashes and reprs like the projected signature and FDs built
+    # through the public constructors and then normalized
+    rng = random.Random(22)
+    projections = 0
+    for _ in range(500):
+        schema = random_schema(rng, max_attrs=6, max_fds=5)
+        sig = schema.signature
+        for r in range(sig.arity + 1):
+            for removed in itertools.combinations(sig.attributes, r):
+                gone = frozenset(removed)
+                kept = tuple(a for a in sig.attributes if a not in gone)
+                fds = [Fd(fd.lhs - gone, fd.rhs - gone) for fd in schema.fds]
+                expected = normalize(FdSchema(Signature(sig.relation, kept), fds))
+                projected = project(schema, removed)
+                assert projected == expected
+                assert hash(projected) == hash(expected)
+                assert repr(projected) == repr(expected)
+                projections += 1
+    assert projections > 10000
+
+
 # -- consistency -------------------------------------------------------------
 
 def test_consistency_no_fds():

@@ -16,8 +16,9 @@ from generators import (
     random_match_problem,
     random_schema,
     random_tractable_schema,
+    worked_example_rows,
 )
-from oracles import max_repair_size_by_subsets
+from oracles import brute_force_matching, max_repair_size_by_subsets
 
 import fdrepair.repair
 from fdrepair.fds import (
@@ -30,7 +31,7 @@ from fdrepair.fds import (
     is_consistent,
 )
 from fdrepair.gadgets import HARD_SCHEMAS
-from fdrepair.oracle import brute_force_crep, brute_force_matching, is_s_repair
+from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import BipartiteMatchProblem, find_crep, max_weight_matching
 from fdrepair.simplify import classify
 
@@ -85,12 +86,8 @@ def test_empty_instance_tractable_schema():
 def _matching_weight(result):
     """Weight of the brute-force matching over the top-level S3 blocks."""
     weights = result.per_block_sizes
-    problem = BipartiteMatchProblem(
-        left=(x for x, _ in weights),
-        right=(y for _, y in weights),
-        edges=((x, y, w) for (x, y), w in weights.items()),
-    )
-    return sum(weights[edge] for edge in brute_force_matching(problem))
+    edges = [(x, y, w) for (x, y), w in weights.items()]
+    return sum(weights[edge] for edge in brute_force_matching(edges))
 
 
 def test_split_s1_grouping():
@@ -370,15 +367,13 @@ def test_many_small_s3_components_repair_fast():
 # -- matching ----------------------------------------------------------------
 
 def test_matching_single_edge():
-    problem = BipartiteMatchProblem(["x"], ["y"], [("x", "y", 5)])
+    problem = BipartiteMatchProblem([("x", "y", 5)])
     assert max_weight_matching(problem) == (("x", "y"),)
 
 
 def test_matching_crossing_weights():
     problem = BipartiteMatchProblem(
-        ["x1", "x2"],
-        ["y1", "y2"],
-        [("x1", "y1", 3), ("x1", "y2", 1), ("x2", "y1", 1), ("x2", "y2", 3)],
+        [("x1", "y1", 3), ("x1", "y2", 1), ("x2", "y1", 1), ("x2", "y2", 3)]
     )
     matching = max_weight_matching(problem)
     assert matching == (("x1", "y1"), ("x2", "y2"))
@@ -386,15 +381,13 @@ def test_matching_crossing_weights():
 
 def test_matching_path_weights():
     problem = BipartiteMatchProblem(
-        ["x1", "x2"],
-        ["y1", "y2"],
-        [("x1", "y1", 4), ("x2", "y1", 3), ("x2", "y2", 2)],
+        [("x1", "y1", 4), ("x2", "y1", 3), ("x2", "y2", 2)]
     )
     assert max_weight_matching(problem) == (("x1", "y1"), ("x2", "y2"))
 
 
 def test_matching_prefers_leaving_zero_weight_edges_out():
-    problem = BipartiteMatchProblem(["x"], ["y"], [("x", "y", 0)])
+    problem = BipartiteMatchProblem([("x", "y", 0)])
     assert max_weight_matching(problem) == ()
     assert brute_force_matching(problem) == ()
 
@@ -402,12 +395,8 @@ def test_matching_prefers_leaving_zero_weight_edges_out():
 def test_zero_weight_edges_before_the_last_needed_edge_are_kept():
     # the lex-first optimal list: a prefix beats its extensions, and a
     # smaller first edge beats a larger one
-    before = BipartiteMatchProblem(
-        ["a", "c"], ["b", "d"], [("a", "b", 0), ("c", "d", 5)]
-    )
-    after = BipartiteMatchProblem(
-        ["a", "c"], ["b", "d"], [("a", "b", 5), ("c", "d", 0)]
-    )
+    before = BipartiteMatchProblem([("a", "b", 0), ("c", "d", 5)])
+    after = BipartiteMatchProblem([("a", "b", 5), ("c", "d", 0)])
     for matcher in (max_weight_matching, brute_force_matching):
         assert matcher(before) == (("a", "b"), ("c", "d"))
         assert matcher(after) == (("a", "b"),)
@@ -423,13 +412,19 @@ def test_matching_of_disjoint_edges_agrees_with_enumeration(monkeypatch):
         count = rng.randint(0, 8)
         ends = zip(rng.sample(range(20), count), rng.sample(range(20), count))
         edges = [(f"x{x}", f"y{y}", rng.randint(0, 5)) for x, y in ends]
-        problem = BipartiteMatchProblem(
-            (x for x, _, _ in edges), (y for _, y, _ in edges), edges
-        )
+        problem = BipartiteMatchProblem(edges)
         matching = max_weight_matching(problem)
         assert matching == brute_force_matching(problem)
         zero_tails += len(matching) < count
     assert zero_tails > 300
+
+
+def _nodes(problem):
+    """The left and the right endpoints of the edges, canonically sorted."""
+    return tuple(
+        sorted({edge[side] for edge in problem.edges}, key=constant_key)
+        for side in (0, 1)
+    )
 
 
 def _certify(problem, best):
@@ -438,8 +433,9 @@ def _certify(problem, best):
     ``u, v >= 0``, ``u + v >= w`` on every edge with equality on the
     matched edges, and ``Σu + Σv`` equal to ``best``.
     """
-    lefts = {x: k for k, x in enumerate(problem.left)}
-    rights = {y: k for k, y in enumerate(problem.right, len(lefts))}
+    left, right = _nodes(problem)
+    lefts = {x: k for k, x in enumerate(left)}
+    rights = {y: k for k, y in enumerate(right, len(lefts))}
     ends = [(lefts[x], rights[y], w) for x, y, w in problem.edges]
     target, mate, duals = fdrepair.repair._optimum(
         ends, len(lefts), len(lefts) + len(rights)
@@ -521,8 +517,9 @@ def test_matching_past_the_enumeration_cap():
         assert len({x for x, _ in matching}) == len(matching)
         assert len({y for _, y in matching}) == len(matching)
         weights = {(x, y): w for x, y, w in problem.edges}
-        index = {x: k for k, x in enumerate(problem.left)}
-        index_right = {y: k for k, y in enumerate(problem.right)}
+        left, right = _nodes(problem)
+        index = {x: k for k, x in enumerate(left)}
+        index_right = {y: k for k, y in enumerate(right)}
         matrix = np.zeros((len(index), len(index_right)), dtype=np.int64)
         for x, y, w in problem.edges:
             matrix[index[x], index_right[y]] = w
@@ -544,11 +541,51 @@ def test_matching_tie_break_is_pinned():
 
 def test_match_problem_validation():
     with pytest.raises(SchemaError):
-        BipartiteMatchProblem(["x"], ["y"], [("x", "z", 1)])
+        BipartiteMatchProblem([("x", "y", -1)])
+    for weight in (1.0, "1", None):
+        with pytest.raises(SchemaError):
+            BipartiteMatchProblem([("x", "y", weight)])
     with pytest.raises(SchemaError):
-        BipartiteMatchProblem(["x"], ["y"], [("x", "y", -1)])
-    with pytest.raises(SchemaError):
-        BipartiteMatchProblem(["x"], ["y"], [("x", "y", 1), ("x", "y", 2)])
+        BipartiteMatchProblem([("x", "y", 1), ("x", "y", 2)])
+
+
+def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
+    # the S3 step builds its problems without the public constructor's
+    # sort and checks; each must equal the checked problem on its edges
+    seen = []
+    original = fdrepair.repair.max_weight_matching
+
+    def recording(problem):
+        seen.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(fdrepair.repair, "max_weight_matching", recording)
+    rng = random.Random(31)
+    a_b_b_a = schema_of("ABC", "A->B", "B->A")
+    # DOT and tuple cells make the plain sort fail, so the keyed sort runs
+    cells = (DOT, "0", "1", ("0",), ("0", "1"))
+    cases = [
+        (worked_example, worked_example_rows(rng, 300)),
+        (a_b_b_a, one_to_one_rows(rng, keys=400, cluster=3)),
+        (a_b_b_a, one_to_one_rows(rng, keys=60, cluster=60)),
+        (
+            a_b_b_a,
+            [
+                (f"a{i}", f"b{j}", c)
+                for i in range(15)
+                for j in range(15)
+                for c in "xyz"[: 1 + (i * j) % 3]
+            ],
+        ),
+        (a_b_b_a, [tuple(rng.choice(cells) for _ in "ABC") for _ in range(80)]),
+    ]
+    for schema, rows in cases:
+        before = len(seen)
+        find_crep(schema, Instance(schema.signature, rows))
+        assert len(seen) > before
+    assert sum(len(problem.edges) > 1 for problem in seen) > 100
+    for problem in seen:
+        assert problem == BipartiteMatchProblem(problem.edges)
 
 
 # -- cross-cutting invariants --------------------------------------------------
