@@ -153,12 +153,16 @@ class Signature:
         would be a list, which is no dict key.
         """
         attrs = self.check_attrs(attrs)
-        positions = [i for i, a in enumerate(self.attributes) if a in attrs]
-        if len(positions) > 1:
-            return itemgetter(*positions)
-        # a slice of zero or one column keeps the value a tuple, in C
-        start = positions[0] if positions else 0
-        return itemgetter(slice(start, start + len(positions)))
+        return _getter_at([i for i, a in enumerate(self.attributes) if a in attrs])
+
+
+def _getter_at(positions: list[int]) -> Callable[[Fact], tuple]:
+    """Map a fact tuple to its values at the ascending ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # a slice of zero or one column keeps the value a tuple, in C
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,15 @@ class FdSchema:
 
         Lazy, because most schemas (such as the projections ``classify``
         makes) are never asked about conflicts. Not a field: equality,
-        hashing and ``repr`` ignore it.
+        hashing and ``repr`` ignore it. The FDs were checked against the
+        signature when the schema was built, so their attributes are read
+        straight off a position map.
         """
-        getter = self.signature.getter
+        position = {a: i for i, a in enumerate(self.signature.attributes)}.__getitem__
+
+        def getter(attrs: frozenset[str]) -> Callable[[Fact], tuple]:
+            return _getter_at(sorted(map(position, attrs)))
+
         return tuple((fd, getter(fd.lhs), getter(fd.rhs)) for fd in self.fds)
 
     def __repr__(self) -> str:

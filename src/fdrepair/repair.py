@@ -14,15 +14,17 @@ columns removed so far, so the remaining steps can read the original
 columns directly, and a block's repair is already a set of original
 facts. A one-fact block conflicts with nothing, so it is its own repair
 and the rest of the plan never runs on it; most blocks of a wide table
-end there.
+end there. No FD is left below the last step, so each of its blocks is
+its own repair too, with no call at all.
 
 Each step keys a fact with one C ``itemgetter``. For S3 that key is
 flat, the X1 columns followed by the X2 columns; every X1 part has the
 same length, so the flat keys sort in the order of the ``(x, y)`` pairs.
-The S3 step sorts its block keys once and splits each into ``(x, y)``
-once. The matching runs in pure Python: one optimum with its LP
-duals, then one lex greedy over the whole graph, with no solver and no
-split into components (see :func:`max_weight_matching`).
+The S3 step sorts its block keys once and splits them into ``(x, y)``
+with two slice getters compiled with the plan, in C-level ``zip`` and
+``map`` calls. The matching runs in pure Python: one optimum with its
+LP duals, then one lex greedy over the whole graph, with no solver and
+no split into components (see :func:`max_weight_matching`).
 ``RepairResult.block_sizes`` is sorted only when first read.
 
 Every tie is broken canonically (block-key order, or the
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -128,11 +131,15 @@ class BipartiteMatchProblem:
         return problem
 
 
-# One compiled rewrite: its kind, the block key of a fact, and the split
-# point of that key. The key is the tuple of the fact's values on the
-# removed columns (S1, S2; split 0), or on the X1 columns followed by the
-# X2 columns (S3; split ``len(X1)``), one C ``itemgetter`` either way.
-PlanStep = tuple[str, Callable[[Fact], tuple], int]
+# One compiled rewrite: its kind, the block key of a fact, the split
+# point of that key, and the getters of its two parts. The key is the
+# tuple of the fact's values on the removed columns (S1, S2; split 0, no
+# parts), or on the X1 columns followed by the X2 columns (S3; split
+# ``len(X1)``, parts ``key[:split]`` and ``key[split:]``). Every getter
+# is a C ``itemgetter``.
+PlanStep = tuple[
+    str, Callable[[Fact], tuple], int, Optional[Callable], Optional[Callable]
+]
 
 
 def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
@@ -149,9 +156,19 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
                 [signature.position(a) for a in signature.sorted_attrs(lhs)]
                 for lhs in step.witness
             )
-            plan.append(("S3", itemgetter(*x1, *x2), len(x1)))
+            split = len(x1)
+            plan.append(
+                (
+                    "S3",
+                    itemgetter(*x1, *x2),
+                    split,
+                    itemgetter(slice(split)),
+                    itemgetter(slice(split, None)),
+                )
+            )
         else:
-            plan.append((step.kind, signature.getter(step.removed_attributes), 0))
+            key_of = signature.getter(step.removed_attributes)
+            plan.append((step.kind, key_of, 0, None, None))
     return plan
 
 
@@ -166,15 +183,19 @@ def _solve(
     """
     if depth == len(plan) or not facts:
         return facts, {}
-    kind, key_of, split = plan[depth]
+    kind, key_of, _, x_of, y_of = plan[depth]
     blocks: dict[tuple, list[Fact]] = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
-    # a one-fact block conflicts with nothing: it is its own repair
-    repairs = {
-        key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
-        for key, block in blocks.items()
-    }
+    if depth + 1 == len(plan):
+        # no FD is left below the last step: every block is its own repair
+        repairs = blocks
+    else:
+        # a one-fact block conflicts with nothing: it is its own repair
+        repairs = {
+            key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
+            for key, block in blocks.items()
+        }
     sizes = {key: len(repair) for key, repair in repairs.items()}
     if len(repairs) == 1:
         # a lone block is its own optimum under every recombination rule
@@ -192,11 +213,9 @@ def _solve(
         # a repair joins each X1 value and each X2 value at most once.
         # Every X1 part has the same length, so flat key order is (x, y)
         # order, and one sort gives the edges in canonical order
+        keys = canonical_sorted(sizes)
         problem = BipartiteMatchProblem._of_sorted_edges(
-            tuple(
-                (key[:split], key[split:], sizes[key])
-                for key in canonical_sorted(sizes)
-            )
+            tuple(zip(map(x_of, keys), map(y_of, keys), map(sizes.__getitem__, keys)))
         )
         chosen = []
         total = 0
@@ -264,16 +283,20 @@ def max_weight_matching(
     succeed; otherwise ``mate`` is restored.
     """
     edges = problem.edges
-    if len({x for x, _, _ in edges}) == len(edges) == len({y for _, y, _ in edges}):
+    if not edges:
+        return ()
+    xs, ys, weights = zip(*edges)
+    lefts, rights = dict.fromkeys(xs), dict.fromkeys(ys)
+    if len(lefts) == len(edges) == len(rights):
         # every component is one edge: all of them up to the last positive one
-        stop = max((i for i, (_, _, w) in enumerate(edges) if w), default=-1)
-        return tuple(edge[:2] for edge in edges[: stop + 1])
+        stop = len(edges)
+        while stop and not weights[stop - 1]:
+            stop -= 1
+        return tuple(zip(xs[:stop], ys[:stop]))
     # left and right vertices are numbered in one range, lefts first
-    lefts = {x: k for k, x in enumerate(dict.fromkeys(x for x, _, _ in edges))}
-    rights = {
-        y: k for k, y in enumerate(dict.fromkeys(y for _, y, _ in edges), len(lefts))
-    }
-    ends = [(lefts[x], rights[y], w) for x, y, w in edges]
+    lefts = dict(zip(lefts, count()))
+    rights = dict(zip(rights, count(len(lefts))))
+    ends = list(zip(map(lefts.__getitem__, xs), map(rights.__getitem__, ys), weights))
     target, mate, duals = _optimum(ends, len(lefts), len(lefts) + len(rights))
     tight: list[list[tuple[int, int]]] = [[] for _ in duals]
     for i, (a, b, w) in enumerate(ends):

@@ -21,6 +21,14 @@ written strings stay pairwise distinct from every user string:
 
 Re-ingesting rendered output treats the cells as opaque strings again,
 which preserves all equalities and therefore all conflicts.
+
+The CSV writer puts the facts in canonical (column-wise) order. When
+every cell is a str with no NUL and no leading ``~``, which is what the
+CSV reader gives on most input, each cell is written as it is and the
+facts sort by one str key each, their cells joined with NUL. NUL sorts
+below every other character, so that key orders the facts column-wise
+too. Any other instance renders each distinct value once and sorts by
+the per-column tuple order of :attr:`Instance.sorted_facts`.
 """
 
 from __future__ import annotations
@@ -257,6 +265,24 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     )
 
 
+def _renders_as_itself(values: set) -> bool:
+    """Whether every value is a str with no NUL and no leading ``~``.
+
+    One C-level pass over the values' NUL-join: ``join`` raises on DOT
+    and tuples, a NUL inside a value adds to the separators' count, and a
+    leading ``~`` sits at the start or after a separator.
+    """
+    try:
+        joined = "\x00".join(values)
+    except TypeError:
+        return False
+    return (
+        joined.count("\x00") == len(values) - 1
+        and not joined.startswith("~")
+        and "\x00~" not in joined
+    )
+
+
 def write_instance_csv(path: str, instance: Instance) -> None:
     """Write header plus facts in canonical order; the write is atomic."""
     sig = instance.signature
@@ -266,13 +292,16 @@ def write_instance_csv(path: str, instance: Instance) -> None:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(sig.attributes)
-            rendered = {
-                value: render_constant(value)
-                for value in set(chain.from_iterable(instance.facts))
-            }
-            rows = instance.sorted_facts
-            if any(value != text for value, text in rendered.items()):
-                rows = (map(rendered.__getitem__, fact) for fact in rows)
+            values = set(chain.from_iterable(instance.facts))
+            if _renders_as_itself(values):
+                # NUL sorts below every other character and is in no value,
+                # so the NUL-joined facts sort in column-wise order
+                rows = sorted(instance.facts, key="\x00".join)
+            else:
+                rendered = {value: render_constant(value) for value in values}
+                rows = instance.sorted_facts
+                if any(value != text for value, text in rendered.items()):
+                    rows = (map(rendered.__getitem__, fact) for fact in rows)
             writer.writerows(rows)
         os.replace(tmp_path, path)
     except BaseException:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import shutil
 
 import pytest
 from generators import (
@@ -11,6 +12,7 @@ from generators import (
     worked_example_rows,
 )
 
+from fdrepair import cli
 from fdrepair.cli import main
 from fdrepair.fds import is_consistent
 from fdrepair.oracle import is_s_repair
@@ -353,6 +355,45 @@ def test_repair_multi_relation_independence(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert (out_both / "R.csv").read_text() == (out_r / "R.csv").read_text()
+
+
+# -- one parser per process -------------------------------------------------------
+
+def test_main_builds_its_parser_once(tmp_path, data_dir, capsys):
+    # a bad-argument exit, a repair and a classify, called over and over
+    # in one process, print what each prints with a freshly built parser
+    schema_path = write(tmp_path, "s.fd", TRACTABLE_SCHEMA)
+    out_dir = tmp_path / "out"
+    calls = [
+        ["repair", "--schema", schema_path, "--bogus"],
+        ["repair", "--schema", schema_path, "--data", str(data_dir),
+         "--out", str(out_dir), "--stable"],
+        ["classify", "--schema", schema_path, "--stable"],
+    ]
+
+    def run(argv):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        printed = capsys.readouterr()
+        written = out_dir / "R.csv"
+        csv = written.read_bytes() if written.exists() else None
+        return code, printed.out, printed.err, csv
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert fresh[0][0] == ("exit", 2) and "usage: fdrepair repair" in fresh[0][2]
+    assert fresh[1][0] == 0 and fresh[1][3] == b"A,B\n1,a\n2,c\n"
+    assert fresh[2][0] == 0 and "tractable: true" in fresh[2][1]
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert [run(argv) for argv in calls] == fresh
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3 * len(calls) - 1)
 
 
 # -- oracle ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from oracles import (
     s_repair_by_definition,
 )
 
+import fdrepair.fds
 from fdrepair import simplify
 from fdrepair.fds import (
     DOT,
@@ -308,14 +309,22 @@ def test_conflict_masks_match_the_pairs_and_the_definition():
 
 
 def test_fd_keys_compile_once_per_schema(monkeypatch):
+    # every getter is compiled by fds._getter_at; the FDs' own getters
+    # skip the attribute check of the public Signature.getter, because
+    # the FDs were checked when the schema was built
     calls = []
+    compile_getter = fdrepair.fds._getter_at
     getter = Signature.getter
 
-    def counting(self, attrs):
-        calls.append(attrs)
-        return getter(self, attrs)
+    def counting(positions):
+        calls.append(positions)
+        return compile_getter(positions)
 
-    monkeypatch.setattr(Signature, "getter", counting)
+    def refuse(self, attrs):
+        raise AssertionError("FD getters must not re-check their attributes")
+
+    monkeypatch.setattr(fdrepair.fds, "_getter_at", counting)
+    monkeypatch.setattr(Signature, "getter", refuse)
     hard = HARD_SCHEMAS["2fd"]
     schema = FdSchema(hard.signature, hard.fds)  # fresh, so not yet compiled
     inst = gadget_2fd(CnfFormula(3, [[1, 2], [-1, -3], [2, 3], [-2]]))
@@ -325,6 +334,11 @@ def test_fd_keys_compile_once_per_schema(monkeypatch):
     assert is_s_repair(schema, inst, first.repair)
     assert is_s_repair(schema, inst, first.repair)
     assert len(calls) == 2 * len(schema.fds)
+    # the compiled getters read what the checked public getter reads
+    for fd, lhs, rhs in schema._keys:
+        for attrs, compiled in ((fd.lhs, lhs), (fd.rhs, rhs)):
+            public = getter(schema.signature, attrs)
+            assert [compiled(f) for f in inst.facts] == [public(f) for f in inst.facts]
     # the compiled keys are no part of the value
     fresh = FdSchema(hard.signature, hard.fds)
     restored = pickle.loads(pickle.dumps(schema))

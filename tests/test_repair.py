@@ -341,6 +341,40 @@ def test_plan_is_compiled_once(worked_example, monkeypatch):
     assert is_s_repair(worked_example, inst, result.repair)
 
 
+def test_no_solve_call_below_the_last_step(monkeypatch):
+    # no FD is left below the plan's last step, so its blocks are their
+    # own repairs: _solve runs at depth 0 and then only on multi-fact
+    # blocks of the steps before the last
+    depths = []
+    solve = fdrepair.repair._solve
+
+    def recording(plan, facts, depth):
+        depths.append(depth)
+        return solve(plan, facts, depth)
+
+    monkeypatch.setattr(fdrepair.repair, "_solve", recording)
+    # A -> B: S1 on A, then S2 on B. The A blocks 1 and 3 hold B blocks of
+    # two and three facts, which used to get a call each; A block 2 is one
+    # fact and gets none
+    schema = schema_of("ABC", "A->B")
+    inst = inst_of(schema, "1x1", "1x2", "1y1", "2x1", "3z1", "3z2", "3z3")
+    result = find_crep(schema, inst)
+    assert depths == [0, 1, 1]
+    assert result.repair == inst_of(schema, "1x1", "1x2", "2x1", "3z1", "3z2", "3z3")
+    rng = random.Random(41)
+    recursed = 0
+    for _ in range(80):
+        schema = random_tractable_schema(rng)
+        inst = random_instance(rng, schema.signature, max_facts=10)
+        depths.clear()
+        result = find_crep(schema, inst)
+        steps = len(result.trace.steps)
+        assert depths[0] == 0 and all(0 < d < steps for d in depths[1:])
+        assert result.size == brute_force_crep(schema, inst).size
+        recursed += len(depths) > 1
+    assert recursed > 10
+
+
 def test_many_small_s3_components_repair_fast():
     # about 12k facts in 2000 clusters of two key pairs; one global greedy
     # with a re-solve per edge took minutes here

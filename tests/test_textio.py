@@ -1,9 +1,14 @@
 import csv
 import io
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fdrepair.textio
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, SchemaError, Signature
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.textio import (
@@ -238,21 +243,83 @@ def test_csv_read_equals_fully_checked_instance(tmp_path, attrs):
     assert result.dropped_duplicates > 0
 
 
-def test_csv_write_equals_cell_by_cell_rendering(tmp_path):
+def _reference_csv(inst):
+    """The writer's contract cell by cell: the header, then the facts in
+    canonical order with every value rendered."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(inst.signature.attributes)
+    for fact in inst.sorted_facts:
+        writer.writerow([render_constant(v) for v in fact])
+    return expected.getvalue().encode("utf-8")
+
+
+def _written_csv(directory, inst):
+    path = os.path.join(directory, "out.csv")
+    write_instance_csv(path, inst)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _outcome(write, *args):
+    """The bytes written, or the csv error: the Python 3.10 writer refuses
+    a NUL in a cell, and later ones write it."""
+    try:
+        return write(*args)
+    except csv.Error as exc:
+        return type(exc)
+
+
+# awkward str cells: the empty str, prefixes, the lowest characters after
+# NUL, and what csv must quote
+PLAIN_CELLS = ["", "a", "ab", "b", "\x01", "a\x01", "a,b", 'q"t', "l\nm", "z"]
+
+
+def test_csv_write_equals_cell_by_cell_rendering(tmp_path, monkeypatch):
     sig = Signature("R", ("A", "B", "C"))
     values = ["x", "~x", "~", "~~t(", DOT, ("a", DOT), ("~b", ("c,d", ")")), ""]
     rng = random.Random(3)
     inst = Instance(
         sig, (tuple(rng.choice(values) for _ in range(3)) for _ in range(60))
     )
-    path = tmp_path / "out.csv"
-    write_instance_csv(str(path), inst)
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(sig.attributes)
-    for fact in inst.sorted_facts:
-        writer.writerow([render_constant(v) for v in fact])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert _written_csv(tmp_path, inst) == _reference_csv(inst)
+    # a NUL or a leading ``~`` in any one str cell sends the whole instance
+    # down the rendering path; the NUL pair sorts apart under a NUL-joined
+    # key ("a" before "a\x00b" column-wise, after it joined)
+    plain = [tuple(rng.choice(PLAIN_CELLS) for _ in range(3)) for _ in range(80)]
+    for odd in (
+        [("a", "z", "c"), ("a\x00b", "c", "c")],
+        [("~x", "a", "b"), ("a", "~", "~~")],
+    ):
+        inst = Instance(sig, plain + odd)
+        assert _outcome(_written_csv, tmp_path, inst) == _outcome(
+            _reference_csv, inst
+        )
+    # str cells with no NUL and no leading ``~`` are written as they are,
+    # with no per-value rendering
+    inst = Instance(sig, plain)
+    expected = _reference_csv(inst)
+
+    def refuse(value):
+        pytest.fail(f"rendered {value!r}")
+
+    monkeypatch.setattr(fdrepair.textio, "render_constant", refuse)
+    assert _written_csv(tmp_path, inst) == expected
+
+
+CELLS = st.sampled_from(PLAIN_CELLS + ["a\x00b", "~a"]) | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=12))
+def test_csv_write_of_str_cells_equals_the_reference(facts):
+    # arbitrary Unicode str cells, NUL and a leading ``~`` included: the
+    # bytes are the reference's, so the NUL-joined sort key gives the
+    # canonical order whenever the writer uses it
+    inst = Instance(Signature("R", ("A", "B", "C")), facts)
+    with tempfile.TemporaryDirectory() as directory:
+        written = _outcome(_written_csv, directory, inst)
+    assert written == _outcome(_reference_csv, inst)
 
 
 # -- DIMACS and triangles --------------------------------------------------------
