@@ -17,15 +17,23 @@ and the rest of the plan never runs on it; most blocks of a wide table
 end there. No FD is left below the last step, so each of its blocks is
 its own repair too, with no call at all.
 
-Each step keys a fact with one C ``itemgetter``. For S3 that key is
-flat, the X1 columns followed by the X2 columns; every X1 part has the
-same length, so the flat keys sort in the order of the ``(x, y)`` pairs.
-The S3 step sorts its block keys once and splits them into ``(x, y)``
-with two slice getters compiled with the plan, in C-level ``zip`` and
-``map`` calls. The matching runs in pure Python: one optimum with its
-LP duals, then one lex greedy over the whole graph, with no solver and
-no split into components (see :func:`max_weight_matching`).
-``RepairResult.block_sizes`` is sorted only when first read.
+Each step keys a fact with one C ``itemgetter``. An S1 or S2 step that
+removes one column keys a block by the bare value, not a 1-tuple;
+``RepairResult.block_sizes`` wraps the first step's keys when it is
+read. For S3 that key is flat, the X1 columns followed by the X2
+columns; every X1 part has the same length, so the flat keys sort in
+the order of the ``(x, y)`` pairs. The S3 step sorts its block keys
+once and splits them into ``(x, y)`` with two slice getters compiled
+with the plan, in C-level ``zip`` and ``map`` calls. The matching runs
+in pure Python: one optimum with its LP duals, then one lex greedy over
+the whole graph, with no solver and no split into components (see
+:func:`max_weight_matching`).
+
+Block sizes are kept only where they are read: at the first step, for
+``block_sizes`` (sorted only when first read), and where S2 or S3
+recombines several blocks. Below the first step an S1 step returns the
+union of its block repairs and nothing else, and when all its blocks
+hold one fact, that union is its input list as it stands.
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -66,26 +74,24 @@ class RepairResult:
     ``trace`` is the classify trace the repair followed; it is None from
     the oracle, which does not classify. ``block_sizes`` pairs each block
     of the first rewrite step with the size of its repair, in block-key
-    order (an S3 block key is the pair ``(x, y)`` of its X1 and X2
-    values); it is empty when the schema has no FDs. It is computed when
-    first read, from the sizes by flat block key that the repair kept
-    and the split point of that key, so a caller that never reads it
-    never sorts the blocks.
+    order: an S1 or S2 block key is the tuple of the block's values on
+    the removed columns, and an S3 block key is the pair ``(x, y)`` of
+    its X1 and X2 values. It is empty when the schema has no FDs. It is
+    computed when first read, from the sizes by flat block key that the
+    repair kept and the step's map from a flat key to its block key, so
+    a caller that never reads it never sorts the blocks.
     """
 
     repair: Instance
     size: int
     trace: Optional[SimplificationTrace]
-    _sizes: dict[tuple, int] = field(default_factory=dict, repr=False, hash=False)
-    _split: int = field(default=0, repr=False)
+    _sizes: dict = field(default_factory=dict, repr=False, hash=False)
+    _block_key: Callable = field(default=tuple, repr=False, compare=False)
 
     @cached_property
     def block_sizes(self) -> tuple[tuple[tuple, int], ...]:
-        sizes, split = self._sizes, self._split
-        keys = canonical_sorted(sizes)
-        if split:
-            return tuple(((k[:split], k[split:]), sizes[k]) for k in keys)
-        return tuple((k, sizes[k]) for k in keys)
+        sizes, block_key = self._sizes, self._block_key
+        return tuple((block_key(k), sizes[k]) for k in canonical_sorted(sizes))
 
     @property
     def per_block_sizes(self) -> dict[tuple, int]:
@@ -131,15 +137,25 @@ class BipartiteMatchProblem:
         return problem
 
 
-# One compiled rewrite: its kind, the block key of a fact, the split
-# point of that key, and the getters of its two parts. The key is the
-# tuple of the fact's values on the removed columns (S1, S2; split 0, no
-# parts), or on the X1 columns followed by the X2 columns (S3; split
-# ``len(X1)``, parts ``key[:split]`` and ``key[split:]``). Every getter
-# is a C ``itemgetter``.
+# One compiled rewrite: its kind, the flat block key of a fact, the map
+# from a flat key to the block key that ``block_sizes`` reports, and the
+# getters of the key's two parts. The flat key is the fact's value on
+# the one removed column, or the tuple of its values on several (S1, S2;
+# block key ``(value,)`` or the tuple itself, no parts), or on the X1
+# columns followed by the X2 columns (S3; block key ``(x, y)``, parts
+# ``x = key[:len(X1)]`` and ``y = key[len(X1):]``). Every key getter is
+# a C ``itemgetter``.
 PlanStep = tuple[
-    str, Callable[[Fact], tuple], int, Optional[Callable], Optional[Callable]
+    str, Callable[[Fact], object], Callable, Optional[Callable], Optional[Callable]
 ]
+
+
+def _one_tuple(value: Constant) -> tuple:
+    return (value,)
+
+
+def _pair(x_of: Callable, y_of: Callable) -> Callable[[tuple], tuple]:
+    return lambda key: (x_of(key), y_of(key))
 
 
 def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
@@ -156,37 +172,48 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
                 [signature.position(a) for a in signature.sorted_attrs(lhs)]
                 for lhs in step.witness
             )
-            split = len(x1)
-            plan.append(
-                (
-                    "S3",
-                    itemgetter(*x1, *x2),
-                    split,
-                    itemgetter(slice(split)),
-                    itemgetter(slice(split, None)),
-                )
-            )
+            x_of = itemgetter(slice(len(x1)))
+            y_of = itemgetter(slice(len(x1), None))
+            plan.append(("S3", itemgetter(*x1, *x2), _pair(x_of, y_of), x_of, y_of))
+        elif len(step.removed_attributes) == 1:
+            # a bare value groups faster than a 1-tuple, and sorts (by
+            # constant_key) in the same order
+            (attr,) = step.removed_attributes
+            key_of = itemgetter(signature.position(attr))
+            plan.append((step.kind, key_of, _one_tuple, None, None))
         else:
             key_of = signature.getter(step.removed_attributes)
-            plan.append((step.kind, key_of, 0, None, None))
+            plan.append((step.kind, key_of, tuple, None, None))
     return plan
 
 
 def _solve(
     plan: list[PlanStep], facts: list[Fact], depth: int
-) -> tuple[list[Fact], dict[tuple, int]]:
+) -> tuple[list[Fact], dict]:
     """Repair ``facts`` under ``plan[depth:]``.
 
     Returns the repair and the repair size of every block of
-    ``plan[depth]``, keyed by its flat block key (empty once the plan is
-    used up).
+    ``plan[depth]``, keyed by its flat block key. The sizes are built
+    only where they are read, at depth 0 and where S2 or S3 recombines
+    several blocks; elsewhere they are empty.
     """
     if depth == len(plan) or not facts:
         return facts, {}
     kind, key_of, _, x_of, y_of = plan[depth]
-    blocks: dict[tuple, list[Fact]] = {}
+    blocks: dict = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
+    if kind == "S1" and depth:
+        # every lhs holds the witness column: blocks never conflict, and
+        # the repair is the union of the block repairs. S1 is never the
+        # last step: each FD keeps its rhs when a lhs column goes
+        if len(blocks) == len(facts):
+            # one fact per block, each its own repair: the union is facts
+            return facts, {}
+        chosen = []
+        for block in blocks.values():
+            chosen += block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
+        return chosen, {}
     if depth + 1 == len(plan):
         # no FD is left below the last step: every block is its own repair
         repairs = blocks
@@ -196,13 +223,17 @@ def _solve(
             key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
             for key, block in blocks.items()
         }
-    sizes = {key: len(repair) for key, repair in repairs.items()}
     if len(repairs) == 1:
         # a lone block is its own optimum under every recombination rule
         (chosen,) = repairs.values()
-    elif kind == "S1":
-        # every lhs holds the witness column: blocks never conflict
-        chosen = [fact for repair in repairs.values() for fact in repair]
+        return chosen, {} if depth else dict.fromkeys(repairs, len(chosen))
+    sizes = {key: len(repair) for key, repair in repairs.items()}
+    if kind == "S1":
+        # the first step: an S1 step below it has returned above
+        if len(sizes) == len(facts):
+            chosen = facts
+        else:
+            chosen = [fact for repair in repairs.values() for fact in repair]
     elif kind == "S2":
         # facts differing on an empty lhs's rhs conflict: one block survives
         best = max(sizes.values())
@@ -249,7 +280,7 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
         size=len(repaired),
         trace=trace,
         _sizes=sizes,
-        _split=plan[0][2] if plan else 0,
+        _block_key=plan[0][2] if plan else tuple,
     )
 
 

@@ -24,11 +24,15 @@ which preserves all equalities and therefore all conflicts.
 
 The CSV writer puts the facts in canonical (column-wise) order. When
 every cell is a str with no NUL and no leading ``~``, which is what the
-CSV reader gives on most input, each cell is written as it is and the
-facts sort by one str key each, their cells joined with NUL. NUL sorts
-below every other character, so that key orders the facts column-wise
-too. Any other instance renders each distinct value once and sorts by
-the per-column tuple order of :attr:`Instance.sorted_facts`.
+CSV reader gives on most input, each fact becomes one line, its cells
+joined with NUL, and the lines are sorted. NUL sorts below every other
+character, so that orders the facts column-wise too. When no cell holds
+a character that csv quotes (``,`` ``"`` ``\\r`` ``\\n``) and no row is
+a single empty cell, which csv writes as ``""``, the lines are written
+as one text with each NUL turned into a comma; otherwise ``csv.writer``
+writes the split lines. Any other instance renders each distinct value
+once and sorts by the per-column tuple order of
+:attr:`Instance.sorted_facts`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import Optional
 
 from .fds import Constant, DOT, Fd, FdSchema, Instance, SchemaError, Signature
 from .gadgets import CnfFormula, GadgetError, TripartiteGraph
@@ -265,22 +270,31 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     )
 
 
-def _renders_as_itself(values: set) -> bool:
-    """Whether every value is a str with no NUL and no leading ``~``.
+def _plain_lines(instance: Instance) -> Optional[tuple[list[str], str]]:
+    """The facts as lines of NUL-joined cells in canonical order, and the
+    lines joined with ``"\\n"``; None unless every cell is a str with no
+    NUL and no leading ``~``.
 
-    One C-level pass over the values' NUL-join: ``join`` raises on DOT
-    and tuples, a NUL inside a value adds to the separators' count, and a
-    leading ``~`` sits at the start or after a separator.
+    NUL sorts below every other character and is in no cell, so the
+    lines sort in column-wise order. The check runs on the joined text
+    with C-level string operations: ``join`` raises on DOT and tuples, a
+    NUL inside a cell adds to the separators' count, and a leading ``~``
+    sits at the start, after a NUL or after a line break. A cell holding
+    ``"\\n~"`` is refused too, and the rendering path writes it the same.
     """
     try:
-        joined = "\x00".join(values)
+        lines = sorted(map("\x00".join, instance.facts))
     except TypeError:
-        return False
-    return (
-        joined.count("\x00") == len(values) - 1
-        and not joined.startswith("~")
-        and "\x00~" not in joined
-    )
+        return None
+    text = "\n".join(lines)
+    if (
+        text.count("\x00") != (instance.signature.arity - 1) * len(lines)
+        or text.startswith("~")
+        or "\x00~" in text
+        or "\n~" in text
+    ):
+        return None
+    return lines, text
 
 
 def write_instance_csv(path: str, instance: Instance) -> None:
@@ -292,17 +306,31 @@ def write_instance_csv(path: str, instance: Instance) -> None:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(sig.attributes)
-            values = set(chain.from_iterable(instance.facts))
-            if _renders_as_itself(values):
-                # NUL sorts below every other character and is in no value,
-                # so the NUL-joined facts sort in column-wise order
-                rows = sorted(instance.facts, key="\x00".join)
-            else:
+            plain = _plain_lines(instance)
+            if plain is None:
+                values = set(chain.from_iterable(instance.facts))
                 rendered = {value: render_constant(value) for value in values}
                 rows = instance.sorted_facts
                 if any(value != text for value, text in rendered.items()):
                     rows = (map(rendered.__getitem__, fact) for fact in rows)
-            writer.writerows(rows)
+                writer.writerows(rows)
+            else:
+                lines, text = plain
+                if (
+                    "," in text
+                    or '"' in text
+                    # Python 3.13 quotes a cell holding "\r", and 3.10-3.12
+                    # do not: the csv module decides
+                    or "\r" in text
+                    # a "\n" inside a cell, or no lines at all
+                    or text.count("\n") >= len(lines)
+                    # a row of one empty cell is written as ""
+                    or lines[0] == ""
+                ):
+                    writer.writerows(line.split("\x00") for line in lines)
+                else:
+                    handle.write(text.replace("\x00", ","))
+                    handle.write("\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

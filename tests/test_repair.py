@@ -375,6 +375,75 @@ def test_no_solve_call_below_the_last_step(monkeypatch):
     assert recursed > 10
 
 
+def test_block_sizes_keys_stay_tuples_for_one_column_steps(worked_example):
+    # a step that removes one column groups by the bare value; the keys
+    # block_sizes reports are still 1-tuples, DOT and tuple values too
+    t = ("x", DOT)
+    schema = schema_of("AB", "A->B")
+    inst = inst_of(schema, (DOT, "a"), (DOT, "b"), ("1", "a"), (t, "a"), (t, "c"))
+    result = find_crep(schema, inst)
+    assert result.trace.kinds == ("S1", "S2")
+    assert result.block_sizes == (((DOT,), 1), (("1",), 1), ((t,), 1))
+    rows = [("0", "b0", "c0", "d0", "e0", "f0"), ("1", "b0", "c0", "d1", "e0", "f0"),
+            ("1", "b1", "c1", "d0", "e0", "f0"), (t, "b0", "c0", "d0", "e0", "f0")]
+    result = find_crep(worked_example, Instance(worked_example.signature, rows))
+    assert result.trace.kinds[0] == "S2"
+    assert result.block_sizes == ((("0",), 1), (("1",), 2), ((t,), 1))
+    assert result.repair.sorted_facts == tuple(sorted(rows[1:3]))
+
+
+def test_s2_tie_among_dot_str_and_tuple_blocks_is_pinned():
+    # S2 keeps the first of the largest blocks in constant_key order, DOT
+    # before str before tuple; a bare value orders as its 1-tuple did
+    schema = schema_of("AB", "->A")
+    t, u = ("a",), ("a", "b")
+    blocks = {
+        DOT: ["1", "2"],
+        "a": ["1", "2"],
+        "b": ["1", "2", "3"],
+        t: ["1", "2", "3"],
+        u: ["1", "2", "3"],
+    }
+
+    def repair_of(*values):
+        rows = [(v, b) for v in values for b in blocks[v]]
+        return find_crep(schema, inst_of(schema, *rows)).repair.sorted_facts
+
+    assert repair_of(DOT, "a") == ((DOT, "1"), (DOT, "2"))
+    assert repair_of("a", DOT, t) == ((t, "1"), (t, "2"), (t, "3"))
+    assert repair_of(u, t, "b") == (("b", "1"), ("b", "2"), ("b", "3"))
+    assert repair_of(u, t) == ((t, "1"), (t, "2"), (t, "3"))
+
+
+def test_s1_below_the_top_returns_the_union(monkeypatch):
+    # below the first step an S1 repair is the union of its blocks'
+    # repairs; when each block is one fact that union is the input list
+    # itself. No plan ends in S1: an FD keeps its rhs when S1 removes a
+    # column of its lhs
+    calls = []
+    solve = fdrepair.repair._solve
+
+    def recording(plan, facts, depth):
+        chosen, sizes = solve(plan, facts, depth)
+        if depth and plan[depth][0] == "S1":
+            singles = len(set(map(plan[depth][1], facts))) == len(facts)
+            calls.append((singles, chosen is facts, sizes))
+        return chosen, sizes
+
+    monkeypatch.setattr(fdrepair.repair, "_solve", recording)
+    rng = random.Random(43)
+    for _ in range(150):
+        schema = random_tractable_schema(rng)
+        inst = random_instance(rng, schema.signature, max_facts=10)
+        result = find_crep(schema, inst)
+        assert result.trace.kinds[-1:] != ("S1",)
+        assert result.size == brute_force_crep(schema, inst).size
+        assert is_s_repair(schema, inst, result.repair)
+    assert all(singles == same and sizes == {} for singles, same, sizes in calls)
+    assert sum(singles for singles, _, _ in calls) > 10
+    assert sum(not singles for singles, _, _ in calls) > 10
+
+
 def test_many_small_s3_components_repair_fast():
     # about 12k facts in 2000 clusters of two key pairs; one global greedy
     # with a re-solve per edge took minutes here

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -320,6 +321,143 @@ def test_csv_write_of_str_cells_equals_the_reference(facts):
     with tempfile.TemporaryDirectory() as directory:
         written = _outcome(_written_csv, directory, inst)
     assert written == _outcome(_reference_csv, inst)
+
+
+def _csv_writer_bytes(inst):
+    """The header and the canonically sorted facts through ``csv.writer``
+    as they are, with no rendering: the writer's bytes whenever no cell
+    needs a ``~`` escape."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(inst.signature.attributes)
+    writer.writerows(inst.sorted_facts)
+    return expected.getvalue().encode("utf-8")
+
+
+def _written_and_routed(directory, inst):
+    """The writer's outcome, and whether its rows went through
+    ``csv.writer`` rather than out as one text."""
+    routed = []
+
+    def writer(handle, **options):
+        real = csv.writer(handle, **options)
+
+        def writerows(rows):
+            routed.append(True)
+            real.writerows(rows)
+
+        return SimpleNamespace(writerow=real.writerow, writerows=writerows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fdrepair.textio, "csv", SimpleNamespace(writer=writer))
+        written = _outcome(_written_csv, directory, inst)
+    return written, bool(routed)
+
+
+def _one_text(inst):
+    """Whether the facts may be written as one text: some fact, every
+    cell a str with no NUL, no leading ``~`` and nothing csv quotes
+    (``,`` ``"`` ``\\r`` ``\\n``), and no row of one empty cell."""
+    cells = [cell for fact in inst.facts for cell in fact]
+    return (
+        bool(cells)
+        and all(
+            isinstance(cell, str)
+            and not cell.startswith("~")
+            and not any(c in cell for c in ',"\r\n\x00')
+            for cell in cells
+        )
+        and not (inst.signature.arity == 1 and "" in cells)
+    )
+
+
+# cells that csv quotes, or that must leave the one-text path for another
+# reason; each may sit anywhere in a row
+ODD_CELLS = [",", '"', "\r", "\n", "a,b", 'q"t', "x\ry", "l\nm", "\n~", "\r\n"]
+
+
+def test_csv_write_quoting_and_fallbacks(tmp_path):
+    # no row of a plain instance is rendered, so csv.writer on the sorted
+    # facts gives the same bytes as the cell-by-cell reference
+    rng = random.Random(5)
+    plain = [tuple(rng.choice(["", "a", "b", "ab", "k1", "k10"]) for _ in "ABC")
+             for _ in range(40)]
+    sig = Signature("R", ("A", "B", "C"))
+    one = Signature("R", ("A",))
+    cases = [
+        (Instance(sig, plain), True),
+        (Instance(sig, []), False),
+        (Instance(one, []), False),
+        (Instance(one, [("b",), ("a",), ("c",)]), True),
+        # a row of one empty cell is written as "", which csv does
+        (Instance(one, [("",), ("a",)]), False),
+        (Instance(Signature("R", ()), [()]), False),
+    ]
+    for cell in ODD_CELLS:
+        cases.append((Instance(sig, plain + [("k2", cell, "c")]), False))
+        cases.append((Instance(one, [("a",), (cell,)]), False))
+    for odd in ("~x", "a\x00b", DOT, ("t", "u")):
+        cases.append((Instance(sig, plain + [(odd, "b", "c")]), False))
+    for inst, one_text in cases:
+        written, routed = _written_and_routed(tmp_path, inst)
+        assert written == _outcome(_reference_csv, inst), inst
+        assert _one_text(inst) == one_text and routed == (not one_text), inst
+        if all(isinstance(c, str) and c[:1] != "~" for f in inst.facts for c in f):
+            assert written == _outcome(_csv_writer_bytes, inst), inst
+
+
+def test_csv_write_of_plain_cells_is_one_text(tmp_path, monkeypatch):
+    # str cells that csv writes as they are leave the writer as one text:
+    # csv.writer sees the header and no row, and nothing is rendered
+    sig = Signature("R", ("A", "B", "C"))
+    facts = [("k2", "b", "c3"), ("k10", "a", "c5"), ("k1", "x", ""),
+             ("k1", "y", "c2"), ("k2", "b", "c4")]
+    inst = Instance(sig, facts)
+
+    def refuse(value):
+        pytest.fail(f"rendered {value!r}")
+
+    monkeypatch.setattr(fdrepair.textio, "render_constant", refuse)
+    written, routed = _written_and_routed(tmp_path, inst)
+    assert not routed
+    assert written == (
+        b"A,B,C\nk1,x,\nk1,y,c2\nk10,a,c5\nk2,b,c3\nk2,b,c4\n"
+    ) == _csv_writer_bytes(inst)
+    # one cell that csv may quote sends every row through csv.writer
+    monkeypatch.undo()
+    for cell in ODD_CELLS:
+        inst = Instance(sig, facts + [("k3", cell, "c6")])
+        written, routed = _written_and_routed(tmp_path, inst)
+        assert routed and written == _csv_writer_bytes(inst), repr(cell)
+
+
+ROUTED_CELLS = st.sampled_from(
+    ["", "a", "ab", "b", "~a", "a\x00b"] + ODD_CELLS
+) | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda arity: st.tuples(
+            st.just(arity),
+            st.lists(st.lists(ROUTED_CELLS, min_size=arity, max_size=arity),
+                     max_size=10),
+        )
+    )
+)
+def test_csv_write_routes_and_bytes_equal_the_references(case):
+    # arities 1-3, cells that csv quotes, empty cells and the fallbacks:
+    # the bytes are the references', and the rows go through csv.writer
+    # exactly when they cannot leave as one text
+    arity, rows = case
+    inst = Instance(Signature("R", ("A", "B", "C")[:arity]), map(tuple, rows))
+    with tempfile.TemporaryDirectory() as directory:
+        written, routed = _written_and_routed(directory, inst)
+    assert written == _outcome(_reference_csv, inst)
+    assert routed == (not _one_text(inst))
+    if not any(c.startswith("~") for fact in inst.facts for c in fact):
+        assert written == _outcome(_csv_writer_bytes, inst)
 
 
 # -- DIMACS and triangles --------------------------------------------------------
