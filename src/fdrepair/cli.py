@@ -29,11 +29,11 @@ from .fds import FdSchema
 from .gadgets import (
     HARD_SCHEMAS,
     ReductionError,
+    _witness,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
-    hard_case_witness,
     verify_reduction,
 )
 from .oracle import DEFAULT_FACT_CAP, CapExceededError, brute_force_crep
@@ -275,7 +275,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
             lines.append("  witness: none (tractable schema)")
         else:
             try:
-                case_id, reduction = hard_case_witness(schema)
+                case_id, reduction = _witness(trace)
             except ReductionError as exc:
                 failures += 1
                 lines.append(f"  witness: error ({exc})")

@@ -157,7 +157,7 @@ class Signature:
 
 
 def _getter_at(positions: list[int]) -> Callable[[Fact], tuple]:
-    """Map a fact tuple to its values at the ascending ``positions``."""
+    """Map a fact tuple to its values at ``positions``."""
     if len(positions) > 1:
         return itemgetter(*positions)
     # a slice of zero or one column keeps the value a tuple, in C

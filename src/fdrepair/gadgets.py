@@ -34,11 +34,12 @@ from .fds import (
     Signature,
     _conflict_masks,
     _DotType,
+    _getter_at,
     closure,
     minima_sites,
 )
 from .oracle import CapExceededError
-from .simplify import classify
+from .simplify import SimplificationTrace, classify
 
 
 class GadgetError(ValueError):
@@ -84,24 +85,6 @@ class CnfFormula:
         )
 
 
-def cnf_satisfiable(formula: CnfFormula, cap: int = 22) -> bool:
-    """Truth-table satisfiability check; refuses beyond ``cap`` variables."""
-    if formula.num_vars > cap:
-        raise CapExceededError(
-            f"{formula.num_vars} variables exceeds truth-table cap {cap}"
-        )
-    for bits in range(1 << formula.num_vars):
-        if all(
-            any(
-                (bits >> (abs(l) - 1)) & 1 == (1 if l > 0 else 0)
-                for l in clause
-            )
-            for clause in formula.clauses
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class TripartiteGraph:
     """Node names on three sides, plus triangles drawn one node per side."""
@@ -116,11 +99,12 @@ class TripartiteGraph:
         for side in (a_nodes, b_nodes, c_nodes):
             if len(set(side)) != len(side):
                 raise GadgetError("duplicate node names within one side")
+        a_set, b_set, c_set = set(a_nodes), set(b_nodes), set(c_nodes)
         seen = set()
         cleaned = []
         for tri in triangles:
             a, b, c = tri
-            if a not in a_nodes or b not in b_nodes or c not in c_nodes:
+            if a not in a_set or b not in b_set or c not in c_set:
                 raise GadgetError(f"triangle {tri!r} uses unknown nodes")
             if (a, b, c) not in seen:
                 seen.add((a, b, c))
@@ -129,39 +113,6 @@ class TripartiteGraph:
         object.__setattr__(self, "b_nodes", b_nodes)
         object.__setattr__(self, "c_nodes", c_nodes)
         object.__setattr__(self, "triangles", tuple(sorted(cleaned)))
-
-
-def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
-    """Largest pairwise edge-disjoint triangle subset, by exhaustion."""
-    triangles = graph.triangles
-    n = len(triangles)
-    if n > cap:
-        raise CapExceededError(f"{n} triangles exceeds enumeration cap {cap}")
-    # clash[i]: the earlier triangles sharing an edge with triangle i,
-    # found by indexing each triangle under its three side-tagged edges
-    clash = []
-    by_edge: dict[tuple, int] = {}
-    for i, (a, b, c) in enumerate(triangles):
-        mask = 0
-        for edge in (("AB", a, b), ("AC", a, c), ("BC", b, c)):
-            mask |= by_edge.get(edge, 0)
-            by_edge[edge] = by_edge.get(edge, 0) | 1 << i
-        clash.append(mask)
-    best = 0
-
-    def grow(i: int, picked: int, count: int) -> None:
-        nonlocal best
-        if count + (n - i) <= best:
-            return
-        if i == n:
-            best = max(best, count)
-            return
-        if not clash[i] & picked:
-            grow(i + 1, picked | 1 << i, count + 1)
-        grow(i + 1, picked, count)
-
-    grow(0, 0, 0)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +236,7 @@ def _compile_rule(rule, positions: Mapping) -> Callable[[Fact], object]:
         return itemgetter(positions[rule])
     if any(isinstance(part, tuple) for part in rule):
         return _Parts(tuple(_compile_rule(part, positions) for part in rule))
-    places = [positions[part] for part in rule]
-    if len(places) > 1:
-        return itemgetter(*places)
-    # a slice of zero or one place keeps the value a tuple
-    start = places[0] if places else 0
-    return itemgetter(slice(start, start + len(places)))
+    return _getter_at([positions[part] for part in rule])
 
 
 @dataclass(frozen=True)
@@ -453,7 +399,11 @@ def hard_case_witness(schema: FdSchema) -> tuple[int, FactWiseReduction]:
     removed get the reserved constant, so the returned reduction targets
     the (normalized) input schema itself.
     """
-    trace = classify(schema)
+    return _witness(classify(schema))
+
+
+def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
+    """:func:`hard_case_witness` of the schema that ``trace`` classified."""
     if trace.tractable:
         raise ReductionError(
             "schema is tractable; there is no hardness witness"

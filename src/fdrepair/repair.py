@@ -93,10 +93,6 @@ class RepairResult:
         sizes, block_key = self._sizes, self._block_key
         return tuple((block_key(k), sizes[k]) for k in canonical_sorted(sizes))
 
-    @property
-    def per_block_sizes(self) -> dict[tuple, int]:
-        return dict(self.block_sizes)
-
 
 @dataclass(frozen=True)
 class BipartiteMatchProblem:

@@ -27,10 +27,6 @@ from .fds import Fd, FdSchema, closure, normalize, project
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
 
-class NotApplicableError(ValueError):
-    """Raised when a rewrite is requested but its precondition fails."""
-
-
 @dataclass(frozen=True)
 class SimplificationStep:
     """One applied rewrite: what was removed, and the schemas around it."""
@@ -127,21 +123,6 @@ def _step(before: FdSchema, kind: str, witness: Witness) -> SimplificationStep:
         schema_before=before,
         schema_after=project(before, removed),
     )
-
-
-def apply_step(schema: FdSchema, kind: str) -> SimplificationStep:
-    """Apply one rewrite of the given kind to the (normalized) schema.
-
-    Raises :class:`NotApplicableError` when the kind's precondition does
-    not hold.
-    """
-    if kind not in _RULES:
-        raise NotApplicableError(f"unknown simplification kind {kind!r}")
-    before = normalize(schema)
-    witness = _RULES[kind][0](before)
-    if witness is None:
-        raise NotApplicableError(f"no {kind} witness in {before.render_fds()}")
-    return _step(before, kind, witness)
 
 
 def classify(schema: FdSchema) -> SimplificationTrace:

@@ -206,9 +206,7 @@ def format_schema(document: SchemaDocument) -> str:
                     f"fd {sig.relation}: {fd.render(sig).rstrip()} has an empty rhs,"
                     " which a schema file cannot express"
                 )
-            lhs = ",".join(sig.sorted_attrs(fd.lhs))
-            rhs = ",".join(sig.sorted_attrs(fd.rhs))
-            lines.append(f"fd {sig.relation}: {lhs} -> {rhs}")
+            lines.append(f"fd {sig.relation}: {fd.render(sig)}")
     return "\n".join(lines) + "\n"
 
 
@@ -398,9 +396,6 @@ def format_dimacs(formula: CnfFormula) -> str:
 
 def parse_triangles(text: str) -> TripartiteGraph:
     """Parse one triangle per line: three node names, whitespace separated."""
-    a_nodes: list[str] = []
-    b_nodes: list[str] = []
-    c_nodes: list[str] = []
     triangles = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,12 +406,9 @@ def parse_triangles(text: str) -> TripartiteGraph:
             raise DataError(
                 f"line {line_no}: expected three node names, got {len(parts)}"
             )
-        a, b, c = parts
-        if a not in a_nodes:
-            a_nodes.append(a)
-        if b not in b_nodes:
-            b_nodes.append(b)
-        if c not in c_nodes:
-            c_nodes.append(c)
-        triangles.append((a, b, c))
+        triangles.append(tuple(parts))
+    # each side's nodes in order of first appearance
+    a_nodes, b_nodes, c_nodes = (
+        dict.fromkeys(tri[side] for tri in triangles) for side in range(3)
+    )
     return TripartiteGraph(a_nodes, b_nodes, c_nodes, triangles)

@@ -6,7 +6,9 @@ models, repair sizes from plain subset enumeration, reduction images
 from evaluating each rule by attribute name. Maximum-weight matchings
 come from exhausting edge subsets (:func:`brute_force_matching`), and
 maximal but not maximum repairs from a greedy pass over the pairwise
-conflict definition (:func:`greedy_s_repair`).
+conflict definition (:func:`greedy_s_repair`). The hardness gadgets'
+ground truths come from a truth table (:func:`cnf_satisfiable`) and
+from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, constant_key
+from fdrepair.gadgets import CnfFormula, TripartiteGraph
 
 
 def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
@@ -239,3 +242,50 @@ def brute_force_matching(problem) -> tuple:
 
     search(0, [], 0, set(), set())
     return best_seq
+
+
+def cnf_satisfiable(formula: CnfFormula, cap: int = 22) -> bool:
+    """Truth-table satisfiability check, capped at ``cap`` variables."""
+    assert formula.num_vars <= cap, f"truth-table oracle capped at {cap} variables"
+    for bits in range(1 << formula.num_vars):
+        if all(
+            any(
+                (bits >> (abs(l) - 1)) & 1 == (1 if l > 0 else 0)
+                for l in clause
+            )
+            for clause in formula.clauses
+        ):
+            return True
+    return False
+
+
+def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
+    """Largest pairwise edge-disjoint triangle subset, by exhaustion."""
+    triangles = graph.triangles
+    n = len(triangles)
+    assert n <= cap, f"triangle enumeration oracle capped at {cap} triangles"
+    # clash[i]: the earlier triangles sharing an edge with triangle i,
+    # found by indexing each triangle under its three side-tagged edges
+    clash = []
+    by_edge: dict[tuple, int] = {}
+    for i, (a, b, c) in enumerate(triangles):
+        mask = 0
+        for edge in (("AB", a, b), ("AC", a, c), ("BC", b, c)):
+            mask |= by_edge.get(edge, 0)
+            by_edge[edge] = by_edge.get(edge, 0) | 1 << i
+        clash.append(mask)
+    best = 0
+
+    def grow(i: int, picked: int, count: int) -> None:
+        nonlocal best
+        if count + (n - i) <= best:
+            return
+        if i == n:
+            best = max(best, count)
+            return
+        if not clash[i] & picked:
+            grow(i + 1, picked | 1 << i, count + 1)
+        grow(i + 1, picked, count)
+
+    grow(0, 0, 0)
+    return best

@@ -16,7 +16,11 @@ from generators import (
     random_schema,
     random_tractable_schema,
 )
-from oracles import brute_force_matching
+from oracles import (
+    brute_force_matching,
+    cnf_satisfiable,
+    max_edge_disjoint_triangles,
+)
 
 from fdrepair.cli import main
 from fdrepair.fds import equivalent, is_consistent
@@ -24,13 +28,11 @@ from fdrepair.gadgets import (
     CnfFormula,
     HARD_SCHEMAS,
     TripartiteGraph,
-    cnf_satisfiable,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
     hard_case_witness,
-    max_edge_disjoint_triangles,
     verify_reduction,
 )
 from fdrepair.oracle import brute_force_crep, is_s_repair

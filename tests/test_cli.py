@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import shutil
+import sys
+from collections import Counter
 
 import pytest
 from generators import (
@@ -12,7 +14,7 @@ from generators import (
     worked_example_rows,
 )
 
-from fdrepair import cli
+from fdrepair import cli, simplify
 from fdrepair.cli import main
 from fdrepair.fds import is_consistent
 from fdrepair.oracle import is_s_repair
@@ -512,3 +514,47 @@ def test_verify_reduction_refuses_vacuous_and_oversized_domains(tmp_path, capsys
     assert "1331 source facts" in captured.err
     assert "cap is 1000" in captured.err
     assert "pairs-checked" not in captured.out
+
+
+# -- classify calls per relation ------------------------------------------------
+
+def test_each_command_classifies_each_relation_once(
+    tmp_path, data_dir, capsys, monkeypatch
+):
+    calls = []
+    classify = simplify.classify
+
+    def counted(schema):
+        calls.append(schema.signature.relation)
+        return classify(schema)
+
+    # every package module that binds classify calls the counted one
+    bound = set()
+    for name, module in list(sys.modules.items()):
+        if name == "fdrepair" or name.startswith("fdrepair."):
+            for attr, value in list(vars(module).items()):
+                if value is classify:
+                    monkeypatch.setattr(module, attr, counted)
+                    bound.add(name)
+    assert {"fdrepair.cli", "fdrepair.repair", "fdrepair.gadgets"} <= bound
+
+    # R is tractable, H is not
+    both = write(tmp_path, "both.fd", TRACTABLE_SCHEMA + HARD_SCHEMA.replace("R", "H"))
+    tractable = write(tmp_path, "tractable.fd", TRACTABLE_SCHEMA)
+    runs = {
+        "classify": ["classify", "--schema", both],
+        "verify-reduction": ["verify-reduction", "--schema", both],
+        "repair": ["repair", "--schema", tractable, "--data", str(data_dir),
+                   "--out", str(tmp_path / "out")],
+    }
+    counts = {}
+    for command, argv in runs.items():
+        calls.clear()
+        main(argv)
+        counts[command] = Counter(calls)
+    capsys.readouterr()
+    assert counts == {
+        "classify": {"R": 1, "H": 1},
+        "verify-reduction": {"R": 1, "H": 1},
+        "repair": {"R": 1},
+    }

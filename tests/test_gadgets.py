@@ -12,7 +12,12 @@ from generators import (
     random_intractable_schema,
     random_schema,
 )
-from oracles import image_by_name, reduction_violations_by_pairs
+from oracles import (
+    cnf_satisfiable,
+    image_by_name,
+    max_edge_disjoint_triangles,
+    reduction_violations_by_pairs,
+)
 
 from fdrepair.fds import DOT, normalize
 from fdrepair.gadgets import (
@@ -23,13 +28,11 @@ from fdrepair.gadgets import (
     ReductionError,
     TripartiteGraph,
     _terminal_witness,
-    cnf_satisfiable,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
     hard_case_witness,
-    max_edge_disjoint_triangles,
     verify_reduction,
 )
 from fdrepair.oracle import CapExceededError, brute_force_crep
@@ -49,12 +52,6 @@ def test_cnf_validation():
     formula = CnfFormula(3, [[1, 2], [-1, -3]])
     assert formula.non_mixed
     assert not CnfFormula(2, [[1, -2]]).non_mixed
-
-
-def test_cnf_satisfiable_truth_table():
-    assert cnf_satisfiable(CnfFormula(2, [[1, 2], [-1]]))
-    assert not cnf_satisfiable(CnfFormula(1, [[1], [-1]]))
-    assert cnf_satisfiable(CnfFormula(0, []))
 
 
 # -- SAT gadgets -----------------------------------------------------------------

@@ -9,9 +9,11 @@ from conftest import inst_of, schema_of
 from generators import random_instance, random_schema
 from oracles import (
     brute_force_matching,
+    cnf_satisfiable,
     conflict_by_definition,
     greedy_s_repair,
     lex_first_max_repair_by_subsets,
+    max_edge_disjoint_triangles,
     max_repair_size_by_subsets,
     max_triangle_packing_by_subsets,
     s_repair_by_definition,
@@ -35,12 +37,10 @@ from fdrepair.gadgets import (
     HARD_SCHEMAS,
     CnfFormula,
     TripartiteGraph,
-    cnf_satisfiable,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
     gadget_tr,
-    max_edge_disjoint_triangles,
 )
 from fdrepair.oracle import (
     CapExceededError,
@@ -146,6 +146,12 @@ def test_search_scales_past_the_default_cap():
             result = brute_force_crep(schema, inst, cap=48)
             assert (result.size == 16) == cnf_satisfiable(formula)
             assert is_s_repair(schema, inst, result.repair)
+
+
+def test_cnf_satisfiable_truth_table():
+    assert cnf_satisfiable(CnfFormula(2, [[1, 2], [-1]]))
+    assert not cnf_satisfiable(CnfFormula(1, [[1], [-1]]))
+    assert cnf_satisfiable(CnfFormula(0, []))
 
 
 def test_triangle_packing_matches_subset_enumeration():

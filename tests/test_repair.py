@@ -85,7 +85,7 @@ def test_empty_instance_tractable_schema():
 
 def _matching_weight(result):
     """Weight of the brute-force matching over the top-level S3 blocks."""
-    weights = result.per_block_sizes
+    weights = dict(result.block_sizes)
     edges = [(x, y, w) for (x, y), w in weights.items()]
     return sum(weights[edge] for edge in brute_force_matching(edges))
 
@@ -96,7 +96,7 @@ def test_split_s1_grouping():
     result = find_crep(schema, inst)
     assert result.trace.kinds[0] == "S1"
     assert result.block_sizes == ((("1",), 1), (("2",), 1))
-    assert sum(result.per_block_sizes.values()) == result.size
+    assert sum(dict(result.block_sizes).values()) == result.size
 
 
 def test_split_s1_empty_and_single_block():
@@ -133,9 +133,9 @@ def test_blocks_partition_instance():
         else:
             key = inst.signature.getter(step.removed_attributes)
             keys = {key(f) for f in inst.facts}
-        assert set(result.per_block_sizes) == keys
+        assert set(dict(result.block_sizes)) == keys
         assert len(result.block_sizes) == len(keys)
-        sizes = result.per_block_sizes.values()
+        sizes = dict(result.block_sizes).values()
         if step.kind == "S1":
             assert sum(sizes) == result.size
         elif step.kind == "S2":
@@ -153,8 +153,8 @@ def test_repair_s1_union_of_blocks():
     result = find_crep(schema, inst)
     assert result.size == 2
     assert result.repair.sorted_facts == (("1", "a"), ("2", "c"))
-    assert result.per_block_sizes == {("1",): 1, ("2",): 1}
-    assert sum(result.per_block_sizes.values()) == result.size
+    assert dict(result.block_sizes) == {("1",): 1, ("2",): 1}
+    assert sum(dict(result.block_sizes).values()) == result.size
 
 
 def test_repair_s1_consistent_instance_unchanged():
@@ -177,8 +177,8 @@ def test_repair_s2_single_column():
     assert max_repair_size_by_subsets(schema, inst) == 1
     assert result.size == 1
     assert result.repair.sorted_facts == (("1",),)
-    assert result.per_block_sizes == {("1",): 1, ("2",): 1}
-    assert result.size == max(result.per_block_sizes.values())
+    assert dict(result.block_sizes) == {("1",): 1, ("2",): 1}
+    assert result.size == max(dict(result.block_sizes).values())
 
 
 def test_repair_s2_largest_block_wins():
@@ -187,8 +187,8 @@ def test_repair_s2_largest_block_wins():
     result = find_crep(schema, inst)
     assert result.size == 2
     assert result.repair.sorted_facts == (("1", "a"), ("1", "b"))
-    assert result.per_block_sizes == {("1",): 2, ("2",): 1}
-    assert result.size == max(result.per_block_sizes.values())
+    assert dict(result.block_sizes) == {("1",): 2, ("2",): 1}
+    assert result.size == max(dict(result.block_sizes).values())
 
 
 def test_repair_s2_single_block_is_its_repair():
@@ -196,7 +196,7 @@ def test_repair_s2_single_block_is_its_repair():
     inst = inst_of(schema, "1a", "1b")
     result = find_crep(schema, inst)
     assert result.repair == inst
-    assert result.per_block_sizes == {("1",): 2}
+    assert dict(result.block_sizes) == {("1",): 2}
 
 
 def test_build_match_problem_weights():
@@ -204,7 +204,7 @@ def test_build_match_problem_weights():
     inst = inst_of(schema, "1ax", "1ay", "1bz", "2bw")
     # blocks: (1,a) has two consistent facts after projection, others one
     result = find_crep(schema, inst)
-    assert result.per_block_sizes == {
+    assert dict(result.block_sizes) == {
         (("1",), ("a",)): 2,
         (("1",), ("b",)): 1,
         (("2",), ("b",)): 1,
@@ -246,7 +246,7 @@ def test_repair_s3_path_plus_isolated_fact():
         ("2", "b"),
         ("3", "c"),
     )
-    assert len(result.per_block_sizes) == 4
+    assert len(dict(result.block_sizes)) == 4
     assert _matching_weight(result) == result.size
 
 
@@ -264,7 +264,7 @@ def test_repair_s3_two_lefts_one_right():
     result = find_crep(schema, inst)
     assert result.size == 1
     assert result.repair.sorted_facts == (("1", "a"),)
-    assert result.per_block_sizes == {(("1",), ("a",)): 1, (("2",), ("a",)): 1}
+    assert dict(result.block_sizes) == {(("1",), ("a",)): 1, (("2",), ("a",)): 1}
     assert _matching_weight(result) == result.size
 
 
@@ -336,7 +336,7 @@ def test_plan_is_compiled_once(worked_example, monkeypatch):
     assert len(calls) == 1
     assert result.trace.kinds == ("S2", "S1", "S3", "S2", "S2")
     # per A block: three D blocks, each a two-edge matching of one fact
-    assert result.per_block_sizes == {("0",): 6, ("1",): 6, ("2",): 6}
+    assert dict(result.block_sizes) == {("0",): 6, ("1",): 6, ("2",): 6}
     assert result.size == 6
     assert is_s_repair(worked_example, inst, result.repair)
 

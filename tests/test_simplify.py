@@ -24,8 +24,6 @@ from fdrepair.fds import (
 )
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.simplify import (
-    NotApplicableError,
-    apply_step,
     classify,
     find_s1,
     find_s2,
@@ -110,31 +108,45 @@ def test_find_s3_is_the_lhs_marriage_definition():
 
 
 # -- applying steps ----------------------------------------------------------
+# A step is its finder's witness and the projection that removes the
+# witness's attributes, as classify records it.
 
-def test_apply_step_s1_removes_the_attribute():
-    step = apply_step(schema_of("ABC", "AB->C"), "S1")
-    assert step.removed_attributes == {"A"}
+def test_s1_step_removes_the_attribute():
+    schema = schema_of("ABC", "AB->C")
+    assert find_s1(schema) == "A"
+    assert project(schema, {"A"}) == schema_of("BC", "B->C")
+    step = classify(schema).steps[0]
+    assert (step.kind, step.witness, step.removed_attributes) == ("S1", "A", {"A"})
     assert step.schema_after == schema_of("BC", "B->C")
 
 
-def test_apply_step_s3_can_empty_the_schema():
-    step = apply_step(schema_of("AB", "A->B", "B->A"), "S3")
-    assert step.removed_attributes == {"A", "B"}
-    assert step.schema_after.fds == ()
-    assert step.schema_after.signature.arity == 0
+def test_s3_step_can_empty_the_schema():
+    schema = schema_of("AB", "A->B", "B->A")
+    x1, x2 = find_s3(schema)
+    assert x1 | x2 == {"A", "B"}
+    after = project(schema, x1 | x2)
+    assert after.fds == ()
+    assert after.signature.arity == 0
+    (step,) = classify(schema).steps
+    assert (step.kind, step.removed_attributes) == ("S3", {"A", "B"})
+    assert step.schema_after == after
 
 
-def test_apply_step_not_applicable():
-    with pytest.raises(NotApplicableError):
-        apply_step(schema_of("AB", "A->B"), "S2")
-    with pytest.raises(NotApplicableError):
-        apply_step(schema_of("AB", "A->B"), "S3")
+def test_no_rule_applies_where_its_precondition_fails():
+    schema = normalize(schema_of("AB", "A->B"))
+    assert find_s2(schema) is None
+    assert find_s3(schema) is None
 
 
-def test_apply_step_normalizes_before_matching():
+def test_s2_matches_after_normalizing():
     # the trivial FD must not block S2
-    step = apply_step(schema_of("AB", "->A", "B->B"), "S2")
+    schema = normalize(schema_of("AB", "->A", "B->B"))
+    assert schema == schema_of("AB", "->A")
+    assert find_s2(schema) == Fd(set(), {"A"})
+    step = classify(schema_of("AB", "->A", "B->B")).steps[0]
+    assert (step.kind, step.witness) == ("S2", Fd(set(), {"A"}))
     assert step.schema_before == schema_of("AB", "->A")
+    assert step.schema_after == project(schema, {"A"})
 
 
 # -- classification ----------------------------------------------------------
@@ -185,9 +197,10 @@ def test_classify_progress_and_replay():
             current = step.schema_after
         assert current == trace.terminal
         assert trace.tractable == (not trace.terminal.fds)
-        for kind in ("S1", "S2", "S3"):
-            with pytest.raises(NotApplicableError):
-                apply_step(trace.terminal, kind)
+        # the terminal schema is normalized, and no rule applies to it
+        assert normalize(trace.terminal) == trace.terminal
+        for find in (find_s1, find_s2, find_s3):
+            assert find(trace.terminal) is None
 
 
 def test_classify_step_witnesses_recheck():
@@ -232,6 +245,12 @@ def test_classifier_is_invariant_under_equivalence(gap_schema):
 def test_alternative_rule_orders_agree():
     """Any order of the three rules reaches the same verdict."""
     rng = random.Random(4)
+    # each rule's finder, and the attributes its witness removes
+    rules = {
+        "S1": (find_s1, lambda attr: {attr}),
+        "S2": (find_s2, lambda fd: fd.rhs),
+        "S3": (find_s3, lambda pair: pair[0] | pair[1]),
+    }
     orders = [("S3", "S2", "S1"), ("S2", "S3", "S1")]
     divergences = 0
     for _ in range(80):
@@ -242,24 +261,20 @@ def test_alternative_rule_orders_agree():
             for _ in range(current.signature.arity + 1):
                 if not current.fds:
                     break
-                kind = next(
+                found = next(
                     (
-                        k
+                        (witness, rules[k][1])
                         for k in order
-                        if (
-                            k == "S1"
-                            and find_s1(current) is not None
-                            or k == "S2"
-                            and find_s2(current) is not None
-                            or k == "S3"
-                            and find_s3(current) is not None
-                        )
+                        if (witness := rules[k][0](current)) is not None
                     ),
                     None,
                 )
-                if kind is None:
+                if found is None:
                     break
-                current = apply_step(current, kind).schema_after
+                witness, removes = found
+                after = project(current, removes(witness))
+                assert after.signature.arity < current.signature.arity
+                current = after
             if (not current.fds) != fixed:
                 divergences += 1
     assert divergences == 0

@@ -3,6 +3,7 @@ import io
 import os
 import random
 import tempfile
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import fdrepair.textio
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, SchemaError, Signature
-from fdrepair.gadgets import HARD_SCHEMAS
+from fdrepair.gadgets import HARD_SCHEMAS, TripartiteGraph, gadget_tr
 from fdrepair.textio import (
     DataError,
     SchemaDocument,
@@ -100,7 +101,12 @@ def test_schema_round_trip():
         "relation R(A,B,C)\nfd R: A,B -> C\nfd R: C -> B\n"
         "relation S(X,Y)\nfd S: -> X\n"
     )
-    assert parse_schema(format_schema(document)) == document
+    text = format_schema(document)
+    assert text == (
+        "relation R(A,B,C)\nfd R: A,B -> C\nfd R: C -> B\n"
+        "relation S(X,Y)\nfd S:  -> X\n"
+    )
+    assert parse_schema(text) == document
 
 
 # -- constant rendering ---------------------------------------------------------
@@ -498,5 +504,25 @@ def test_parse_triangles():
     graph = parse_triangles("# comment\na1 b1 c1\na1 b1 c1\na2 b1 c2\n")
     assert graph.triangles == (("a1", "b1", "c1"), ("a2", "b1", "c2"))
     assert graph.a_nodes == ("a1", "a2")
+    # each side keeps its nodes in order of first appearance
+    graph = parse_triangles("a2 b2 c1\na1 b1 c2\na2 b1 c1\n")
+    assert (graph.a_nodes, graph.b_nodes, graph.c_nodes) == (
+        ("a2", "a1"), ("b2", "b1"), ("c1", "c2"),
+    )
+    assert parse_triangles("# no triangles\n") == TripartiteGraph((), (), (), [])
     with pytest.raises(DataError):
         parse_triangles("a b\n")
+
+
+def test_triangle_parsing_scales_with_the_file():
+    # every node is new, so a membership test over the nodes seen so
+    # far, or over one side's node tuple, would make this quadratic
+    n = 40_000
+    text = "".join(f"a{i} b{i} c{i}\n" for i in range(n))
+    started = time.perf_counter()
+    graph = parse_triangles(text)
+    instance = gadget_tr(graph)
+    elapsed = time.perf_counter() - started
+    assert len(graph.a_nodes) == len(graph.c_nodes) == len(instance) == n
+    assert graph.b_nodes[:3] == ("b0", "b1", "b2")
+    assert elapsed < 5.0, f"{n} triangles took {elapsed:.2f} s"
