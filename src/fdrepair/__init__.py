@@ -24,7 +24,6 @@ from .fds import (
     normalize,
     pair_consistent,
     project,
-    saturate,
     violating_pairs,
 )
 from .gadgets import (
@@ -74,7 +73,6 @@ __all__ = [
     "normalize",
     "pair_consistent",
     "project",
-    "saturate",
     "verify_reduction",
     "violating_pairs",
     "__version__",

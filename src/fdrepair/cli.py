@@ -36,8 +36,8 @@ from .gadgets import (
     gadget_tr,
     verify_reduction,
 )
-from .oracle import DEFAULT_FACT_CAP, CapExceededError, brute_force_crep
-from .repair import find_crep
+from .oracle import DEFAULT_FACT_CAP, brute_force_crep
+from .repair import _find_crep
 from .simplify import SimplificationTrace, classify
 from .textio import (
     DataError,
@@ -152,9 +152,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
     for schema in document.relations:
         started = time.perf_counter()
         ingest = _load_relation_csv(args.data, schema)
-        result = find_crep(schema, ingest.instance)
-        if result is not None:
-            method, trace = "exact", result.trace
+        trace = classify(schema)
+        if trace.tractable:
+            method = "exact"
+            result = _find_crep(schema, trace, ingest.instance)
         elif args.fallback_oracle is not None:
             if len(ingest.instance) > args.fallback_oracle:
                 raise CliError(
@@ -162,10 +163,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
                     f"has {len(ingest.instance)} facts, above the oracle cap "
                     f"{args.fallback_oracle}"
                 )
+            method = "oracle"
             result = brute_force_crep(
                 schema, ingest.instance, cap=args.fallback_oracle
             )
-            method, trace = "oracle", classify(schema)
         else:
             raise CliError(
                 f"relation {schema.signature.relation} is intractable; "
@@ -196,10 +197,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for schema in document.relations:
         started = time.perf_counter()
         ingest = _load_relation_csv(args.data, schema)
-        try:
-            result = brute_force_crep(schema, ingest.instance, cap=args.cap)
-        except CapExceededError as exc:
-            raise CliError(str(exc)) from exc
+        result = brute_force_crep(schema, ingest.instance, cap=args.cap)
         lines.extend(_relation_header(schema))
         lines.append(f"  input-facts: {len(ingest.instance)}")
         lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")
@@ -263,7 +261,6 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 
 def cmd_verify_reduction(args: argparse.Namespace) -> int:
     document = _load_schema_file(args.schema)
-    domain = tuple(str(i) for i in range(args.domain))
     lines: list[str] = []
     failures = 0
     for schema in document.relations:
@@ -280,7 +277,7 @@ def cmd_verify_reduction(args: argparse.Namespace) -> int:
                 failures += 1
                 lines.append(f"  witness: error ({exc})")
             else:
-                report = verify_reduction(reduction, domain=domain)
+                report = verify_reduction(reduction)
                 lines.append(f"  witness: case {case_id}")
                 lines.append(
                     f"  source: {reduction.source.signature.relation}"
@@ -366,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build and empirically check a hardness witness per relation",
     )
     p_verify.add_argument("--schema", required=True)
-    p_verify.add_argument(
-        "--domain", type=int, default=3, help="value domain size, 2-10 (default 3)"
-    )
     p_verify.add_argument("--stable", action="store_true")
     p_verify.set_defaults(func=cmd_verify_reduction)
 

@@ -20,8 +20,7 @@ index has two views, which split each group by rhs values.
 :func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
 conflicts), for the checks that need pairs or coverage.
 :func:`_conflict_masks` gives each fact the bitmask of its conflicts,
-with no per-pair work, for the oracle's conflict graph and the
-reduction verifier.
+with no per-pair work, for the oracle's conflict graph.
 """
 
 from __future__ import annotations
@@ -364,24 +363,6 @@ def normalize(schema: FdSchema) -> FdSchema:
         if rhs:
             kept.append(Fd(fd.lhs, rhs))
     return FdSchema._of_checked(schema.signature, kept)
-
-
-def saturate(schema: FdSchema) -> FdSchema:
-    """Replace the FDs on each left-hand side with one FD to its closure.
-
-    The result is always equivalent to the input, and so gets the same
-    classifier verdict.
-    """
-    sites = []
-    for fd in schema.fds:
-        if fd.lhs not in sites:
-            sites.append(fd.lhs)
-    fds = []
-    for lhs in sites:
-        proper = closure(schema, lhs).proper
-        if proper:
-            fds.append(Fd(lhs, proper))
-    return FdSchema(schema.signature, fds)
 
 
 def local_minima(schema: FdSchema) -> tuple[Fd, ...]:

@@ -263,9 +263,15 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     module docstring). ``block_sizes`` describes the blocks of the first
     step only.
     """
+    return _find_crep(schema, classify(schema), instance)
+
+
+def _find_crep(
+    schema: FdSchema, trace: SimplificationTrace, instance: Instance
+) -> Optional[RepairResult]:
+    """:func:`find_crep` of the schema that ``trace`` classified."""
     if schema.signature != instance.signature:
         raise SchemaError("instance signature does not match schema")
-    trace = classify(schema)
     if not trace.tractable:
         return None
     plan = _compile(schema.signature, trace)

@@ -9,13 +9,16 @@ maximal but not maximum repairs from a greedy pass over the pairwise
 conflict definition (:func:`greedy_s_repair`). The hardness gadgets'
 ground truths come from a truth table (:func:`cnf_satisfiable`) and
 from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
+:func:`saturate` is one more spelling of an FD set, for checking that
+equivalent spellings get one verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from fdrepair.fds import DOT, Fd, FdSchema, Instance, constant_key
+from fdrepair.fds import DOT, Fd, FdSchema, Instance, closure, constant_key
 from fdrepair.gadgets import CnfFormula, TripartiteGraph
 
 
@@ -38,36 +41,50 @@ def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
     return result
 
 
-def _two_fact_satisfies(sig_arity: int, f, g, fd: Fd, attrs) -> bool:
-    pos = {a: i for i, a in enumerate(attrs)}
-    if all(f[pos[a]] == g[pos[a]] for a in fd.lhs):
-        return all(f[pos[a]] == g[pos[a]] for a in fd.rhs)
-    return True
+def saturate(schema: FdSchema) -> FdSchema:
+    """Replace the FDs on each left-hand side with one FD to its closure.
+
+    The result is always equivalent to the input, and so gets the same
+    classifier verdict.
+    """
+    sites = []
+    for fd in schema.fds:
+        if fd.lhs not in sites:
+            sites.append(fd.lhs)
+    fds = []
+    for lhs in sites:
+        proper = closure(schema, lhs).proper
+        if proper:
+            fds.append(Fd(lhs, proper))
+    return FdSchema(schema.signature, fds)
+
+
+def _agreement(schema: FdSchema, f, g) -> set:
+    """The attributes on which two facts have equal values."""
+    return {a for a, u, v in zip(schema.signature.attributes, f, g) if u == v}
+
+
+def _violates(fd: Fd, agreement: set) -> bool:
+    """Whether two facts agreeing exactly on ``agreement`` violate ``fd``."""
+    return fd.lhs <= agreement and not fd.rhs <= agreement
 
 
 def entails_by_two_fact_models(schema: FdSchema, fd: Fd) -> bool:
     """FD entailment by exhausting all two-fact 0/1 instances."""
-    attrs = schema.signature.attributes
-    arity = len(attrs)
-    facts = list(itertools.product("01", repeat=arity))
+    facts = list(itertools.product("01", repeat=schema.signature.arity))
     for f, g in itertools.combinations_with_replacement(facts, 2):
-        if all(
-            _two_fact_satisfies(arity, f, g, known, attrs)
-            for known in schema.fds
+        agreement = _agreement(schema, f, g)
+        if _violates(fd, agreement) and not any(
+            _violates(known, agreement) for known in schema.fds
         ):
-            if not _two_fact_satisfies(arity, f, g, fd, attrs):
-                return False
+            return False
     return True
 
 
 def consistent_by_definition(schema: FdSchema, facts) -> bool:
-    attrs = schema.signature.attributes
-    arity = len(attrs)
-    facts = list(facts)
-    return all(
-        _two_fact_satisfies(arity, f, g, fd, attrs)
+    return not any(
+        conflict_by_definition(schema, f, g)
         for f, g in itertools.combinations(facts, 2)
-        for fd in schema.fds
     )
 
 
@@ -126,11 +143,8 @@ def max_triangle_packing_by_subsets(triangles) -> int:
 
 def first_violated_fd(schema: FdSchema, f, g):
     """The first FD of ``schema.fds`` that the two facts violate, or None."""
-    attrs = schema.signature.attributes
-    for fd in schema.fds:
-        if not _two_fact_satisfies(len(attrs), f, g, fd, attrs):
-            return fd
-    return None
+    agreement = _agreement(schema, f, g)
+    return next((fd for fd in schema.fds if _violates(fd, agreement)), None)
 
 
 def conflict_by_definition(schema: FdSchema, f, g) -> bool:
@@ -175,6 +189,20 @@ def image_by_name(reduction, fact) -> tuple:
     return tuple(rule_by_name(rule, values) for rule in reduction.rules)
 
 
+@functools.lru_cache(maxsize=16)
+def _conflicting_pairs(schema: FdSchema, facts: tuple) -> frozenset:
+    """The pairs of ``facts``, in their order, that conflict.
+
+    Cached: the maps checked against one hard core over one domain share
+    its pairs, and four cores over a few domains fit the cache.
+    """
+    return frozenset(
+        (f, g)
+        for f, g in itertools.combinations(facts, 2)
+        if conflict_by_definition(schema, f, g)
+    )
+
+
 def reduction_violations_by_pairs(reduction, domain) -> tuple:
     """``(kind, first, second)`` per failing source pair, pair by pair.
 
@@ -185,10 +213,12 @@ def reduction_violations_by_pairs(reduction, domain) -> tuple:
     """
     arity = reduction.source.signature.arity
     facts = sorted(itertools.product(sorted(set(domain)), repeat=arity))
+    images = {fact: image_by_name(reduction, fact) for fact in facts}
+    conflicting = _conflicting_pairs(reduction.source, tuple(facts))
     found = []
     for f, g in itertools.combinations(facts, 2):
-        fi, gi = image_by_name(reduction, f), image_by_name(reduction, g)
-        before = conflict_by_definition(reduction.source, f, g)
+        fi, gi = images[f], images[g]
+        before = (f, g) in conflicting
         after = conflict_by_definition(reduction.target, fi, gi)
         if fi == gi:
             found.append(("injectivity", f, g))

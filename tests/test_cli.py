@@ -415,7 +415,10 @@ def test_oracle_cap_error(tmp_path, data_dir, capsys):
         "oracle", "--schema", schema_path, "--data", str(data_dir),
         "--cap", "2",
     ]) == 1
-    assert "cap" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    # main prints the oracle's own error as one line, with no traceback
+    assert captured.err == "error: instance has 3 facts, brute-force cap is 2\n"
+    assert captured.out == ""
 
 
 # -- gadget ----------------------------------------------------------------------
@@ -489,31 +492,19 @@ def test_verify_reduction_surfaces_gap(tmp_path, capsys):
     assert "witness: error" not in out
 
 
-def test_verify_reduction_domain_flag(tmp_path, capsys):
+def test_verify_reduction_checks_one_pair_per_agreement_pattern(tmp_path, capsys):
     schema_path = write(tmp_path, "s.fd", HARD_SCHEMA)
     assert main([
-        "verify-reduction", "--schema", schema_path, "--domain", "2",
+        "verify-reduction", "--schema", schema_path, "--stable",
     ]) == 0
     out = capsys.readouterr().out
-    assert "pairs-checked: 28" in out  # 8 facts over a 2-symbol domain
-
-
-def test_verify_reduction_refuses_vacuous_and_oversized_domains(tmp_path, capsys):
-    schema_path = write(tmp_path, "s.fd", HARD_SCHEMA)
-    for size in ("0", "1", "-3"):
-        assert main([
-            "verify-reduction", "--schema", schema_path, "--domain", size,
-        ]) == 1
-        captured = capsys.readouterr()
-        assert "need at least 2" in captured.err
-        assert "pairs-checked" not in captured.out
-    assert main([
-        "verify-reduction", "--schema", schema_path, "--domain", "11",
-    ]) == 1
-    captured = capsys.readouterr()
-    assert "1331 source facts" in captured.err
-    assert "cap is 1000" in captured.err
-    assert "pairs-checked" not in captured.out
+    # the core's 3 columns agree on 2**3 - 1 proper subsets
+    assert "\n  pairs-checked: 7\n" in out
+    # the value domain is no option
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-reduction", "--schema", schema_path, "--domain", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --domain 2" in capsys.readouterr().err
 
 
 # -- classify calls per relation ------------------------------------------------
@@ -541,20 +532,27 @@ def test_each_command_classifies_each_relation_once(
     # R is tractable, H is not
     both = write(tmp_path, "both.fd", TRACTABLE_SCHEMA + HARD_SCHEMA.replace("R", "H"))
     tractable = write(tmp_path, "tractable.fd", TRACTABLE_SCHEMA)
+    (data_dir / "H.csv").write_text("A,B,C\n1,1,1\n1,1,2\n2,1,1\n", encoding="utf-8")
+    out = str(tmp_path / "out")
     runs = {
         "classify": ["classify", "--schema", both],
         "verify-reduction": ["verify-reduction", "--schema", both],
         "repair": ["repair", "--schema", tractable, "--data", str(data_dir),
-                   "--out", str(tmp_path / "out")],
+                   "--out", out],
+        "repair --fallback-oracle": [
+            "repair", "--schema", both, "--data", str(data_dir), "--out", out,
+            "--fallback-oracle", "10",
+        ],
     }
     counts = {}
     for command, argv in runs.items():
         calls.clear()
-        main(argv)
+        assert main(argv) in (0, 2), command
         counts[command] = Counter(calls)
-    capsys.readouterr()
+    assert "method: oracle" in capsys.readouterr().out
     assert counts == {
         "classify": {"R": 1, "H": 1},
         "verify-reduction": {"R": 1, "H": 1},
         "repair": {"R": 1},
+        "repair --fallback-oracle": {"R": 1, "H": 1},
     }

@@ -32,7 +32,6 @@ from fdrepair.fds import (
     normalize,
     pair_consistent,
     project,
-    saturate,
     violating_pairs,
 )
 
@@ -253,13 +252,6 @@ def test_normalize_idempotent_and_equivalence_preserving():
         norm = normalize(schema)
         assert normalize(norm) == norm
         assert equivalent(schema, norm)
-
-
-def test_saturate_is_equivalent():
-    rng = random.Random(13)
-    for _ in range(30):
-        schema = random_schema(rng)
-        assert equivalent(schema, saturate(schema))
 
 
 # -- minima and chains -------------------------------------------------------

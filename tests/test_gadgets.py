@@ -285,8 +285,8 @@ def test_padding_map_reduces_each_step(worked_example):
 def test_verify_identity_map_clean():
     schema = HARD_SCHEMAS["rl"]
     identity = FactWiseReduction(schema, schema, ("A", "B", "C"))
-    report = verify_reduction(identity, domain=("0", "1"))
-    assert report.ok and report.facts_checked == 8
+    report = verify_reduction(identity)
+    assert report.ok and report.exhaustive and report.pairs_checked == 7
 
 
 def _corrupted_2fd_witness():
@@ -309,51 +309,71 @@ def _domain(size):
     return tuple(str(i) for i in range(size))
 
 
+def _chain_identity(width):
+    """The identity map of A->B, B->C, ... over ``width`` columns."""
+    attrs = "ABCDEFGHIJ"[:width]
+    chain = schema_of(attrs, *(f"{a}->{b}" for a, b in zip(attrs, attrs[1:])))
+    return FactWiseReduction(chain, chain, tuple(attrs))
+
+
 def test_verify_is_exhaustive_up_to_the_cap():
-    schema = HARD_SCHEMAS["rl"]
-    identity = FactWiseReduction(schema, schema, ("A", "B", "C"))
-    report = verify_reduction(identity, domain=_domain(6))  # 216 facts
-    assert report.exhaustive and report.ok
-    assert report.facts_checked == 216 and report.pairs_checked == 23220
-    assert not verify_reduction(_corrupted_2fd_witness(), domain=_domain(6)).ok
-    report = verify_reduction(identity, domain=_domain(10))  # at the cap
-    assert report.exhaustive and report.ok and report.pairs_checked == 499500
-    with pytest.raises(CapExceededError):
-        verify_reduction(identity, domain=_domain(11))
-
-
-def test_verify_needs_two_domain_values():
-    identity = FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B", "C"))
-    for domain in ((), ("0",), ("1", "1")):
-        with pytest.raises(ReductionError):
-            verify_reduction(identity, domain=domain)
+    """Sources up to 9 columns are checked on every agreement pattern;
+    a 10-column source, 1024 facts over two values, is refused."""
+    report = verify_reduction(_chain_identity(9))
+    assert report.exhaustive and report.ok and report.pairs_checked == 511
+    with pytest.raises(CapExceededError, match="1024 source facts"):
+        verify_reduction(_chain_identity(10))
 
 
 def _corrupted(reduction, rng):
     """The reduction with one rule replaced by DOT, a copied source
-    attribute or a tuple of two."""
+    attribute, a tuple of two, the empty tuple or a nested tuple."""
     source = reduction.source.signature.attributes
+    a, b = rng.sample(source, 2)
     rules = list(reduction.rules)
     rules[rng.randrange(len(rules))] = rng.choice(
-        [DOT, rng.choice(source), tuple(rng.sample(source, 2))]
+        [DOT, rng.choice(source), (a, b), (), (a, (DOT, b))]
     )
     return FactWiseReduction(reduction.source, reduction.target, tuple(rules))
 
 
+def _patterns(violations) -> set:
+    """Each violation's kind and the columns its pair agrees on."""
+    return {
+        (kind, tuple(u == v for u, v in zip(first, second)))
+        for kind, first, second in violations
+    }
+
+
 def test_verify_violations_equal_the_pairwise_reference():
-    """Whole violation tuples of corrupted witnesses, pair by pair."""
+    """One pair per agreement pattern finds what every pair finds.
+
+    On the witnesses of the four cores and of 150 random rejected
+    schemas, and on four corrupted copies of each (770 maps), the kinds
+    and agreement patterns that fail are those of every pair over 2, 3
+    and 4 values. Over two values, the violations are the reference's
+    pairs whose first fact is all "0", in the same order.
+    """
     rng = random.Random(53)
     schemas = list(HARD_SCHEMAS.values())
-    schemas += [random_intractable_schema(rng) for _ in range(20)]
+    schemas += [random_intractable_schema(rng, 6, 5) for _ in range(150)]
+    maps = 0
     kinds = set()
     for schema in schemas:
         _, reduction = hard_case_witness(schema)
-        for _ in range(3):
-            broken = _corrupted(reduction, rng)
-            report = verify_reduction(broken, domain=_domain(3))
+        for fact_map in [reduction] + [_corrupted(reduction, rng) for _ in range(4)]:
+            report = verify_reduction(fact_map)
             got = tuple((v.kind, v.first, v.second) for v in report.violations)
-            assert got == reduction_violations_by_pairs(broken, _domain(3))
-            kinds |= {v.kind for v in report.violations}
+            zero = ("0",) * fact_map.source.signature.arity
+            by_pairs = reduction_violations_by_pairs(fact_map, _domain(2))
+            assert got == tuple(v for v in by_pairs if v[1] == zero)
+            assert _patterns(got) == _patterns(by_pairs)
+            for size in (3, 4):
+                expected = reduction_violations_by_pairs(fact_map, _domain(size))
+                assert _patterns(got) == _patterns(expected), (fact_map, size)
+            kinds |= {kind for kind, _, _ in got}
+            maps += 1
+    assert maps == 770
     assert kinds == {"injectivity", "consistency", "inconsistency"}
 
 

@@ -10,6 +10,7 @@ from generators import (
     random_schema,
     random_tractable_schema,
 )
+from oracles import saturate
 
 from fdrepair.fds import (
     Fd,
@@ -20,7 +21,6 @@ from fdrepair.fds import (
     equivalent,
     normalize,
     project,
-    saturate,
 )
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.simplify import (
