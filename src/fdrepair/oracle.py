@@ -79,30 +79,33 @@ def _first_maximum_independent_set(adjacency: tuple[int, ...]) -> list[int]:
     vertices, and then a clique cover of them, cannot beat the best set.
     Leaving out a vertex with no neighbour left cannot lead to a maximum
     set, so that branch is cut too.
+
+    The search runs with an explicit stack, not one call per vertex, so
+    its depth is not bounded by Python's recursion limit. A branch is
+    the remaining vertices and the chosen ones, both as bitmasks, and
+    the chosen count. The loop follows the take branch at once and
+    stacks the leave-out branch, so branches are met in the same order
+    as by recursion, deepest leave-out first.
     """
-    best: list[int] = []
-    chosen: list[int] = []
-
-    def search(mask: int) -> None:
-        nonlocal best
-        if len(chosen) + mask.bit_count() <= len(best):
-            return
-        if not mask:
-            best = chosen.copy()
-            return
-        if len(chosen) + _clique_cover(adjacency, mask) <= len(best):
-            return
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        chosen.append(i)
-        search(rest & ~adjacency[i])
-        chosen.pop()
-        if adjacency[i] & rest:
-            search(rest)
-
-    search((1 << len(adjacency)) - 1)
-    return best
+    best = best_count = 0
+    stack = [((1 << len(adjacency)) - 1, 0, 0)]
+    while stack:
+        mask, chosen, count = stack.pop()
+        while count + mask.bit_count() > best_count:
+            if not mask:
+                best, best_count = chosen, count
+                break
+            if count + _clique_cover(adjacency, mask) <= best_count:
+                break
+            low = mask & -mask
+            neighbours = adjacency[low.bit_length() - 1]
+            mask ^= low
+            if neighbours & mask:
+                stack.append((mask, chosen, count))
+                mask &= ~neighbours
+            chosen |= low
+            count += 1
+    return [i for i in range(best.bit_length()) if best >> i & 1]
 
 
 def brute_force_crep(

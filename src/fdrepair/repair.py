@@ -22,18 +22,23 @@ removes one column keys a block by the bare value, not a 1-tuple;
 ``RepairResult.block_sizes`` wraps the first step's keys when it is
 read. For S3 that key is flat, the X1 columns followed by the X2
 columns; every X1 part has the same length, so the flat keys sort in
-the order of the ``(x, y)`` pairs. The S3 step sorts its block keys
-once and splits them into ``(x, y)`` with two slice getters compiled
-with the plan, in C-level ``zip`` and ``map`` calls. The matching runs
-in pure Python: one optimum with its LP duals, then one lex greedy over
-the whole graph, with no solver and no split into components (see
-:func:`max_weight_matching`).
+the order of the ``(x, y)`` pairs. When no two block keys share an X1
+or an X2 value, every block is an edge of its own, and the matching
+takes them all, since a non-empty block repairs to at least one fact;
+such a step returns the union of its block repairs, as S1 does, with
+no sort, no problem and no matcher call. Otherwise the S3 step sorts
+its block keys once and splits them into ``(x, y)`` with two slice
+getters compiled with the plan, in C-level ``zip`` and ``map`` calls.
+The matching runs in pure Python: one optimum with its LP duals, then
+one lex greedy over the whole graph, with no solver and no split into
+components (see :func:`max_weight_matching`).
 
 Block sizes are kept only where they are read: at the first step, for
-``block_sizes`` (sorted only when first read), and where S2 or S3
-recombines several blocks. Below the first step an S1 step returns the
-union of its block repairs and nothing else, and when all its blocks
-hold one fact, that union is its input list as it stands.
+``block_sizes`` (sorted only when first read), and where S2 chooses a
+block or S3 matches blocks. Below the first step an S1 step, and an S3
+step whose blocks share no endpoint, returns the union of its block
+repairs and nothing else, and when all its blocks hold one fact, that
+union is its input list as it stands.
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -183,6 +188,11 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
     return plan
 
 
+def _shares_no_endpoint(keys: dict, x_of: Callable, y_of: Callable) -> bool:
+    """Whether no two flat S3 block keys share an X1 or an X2 value."""
+    return len(set(map(x_of, keys))) == len(keys) == len(set(map(y_of, keys)))
+
+
 def _solve(
     plan: list[PlanStep], facts: list[Fact], depth: int
 ) -> tuple[list[Fact], dict]:
@@ -190,8 +200,8 @@ def _solve(
 
     Returns the repair and the repair size of every block of
     ``plan[depth]``, keyed by its flat block key. The sizes are built
-    only where they are read, at depth 0 and where S2 or S3 recombines
-    several blocks; elsewhere they are empty.
+    only where they are read, at depth 0 and where S2 chooses a block or
+    S3 matches blocks; elsewhere they are empty.
     """
     if depth == len(plan) or not facts:
         return facts, {}
@@ -223,14 +233,20 @@ def _solve(
         # a lone block is its own optimum under every recombination rule
         (chosen,) = repairs.values()
         return chosen, {} if depth else dict.fromkeys(repairs, len(chosen))
-    sizes = {key: len(repair) for key, repair in repairs.items()}
-    if kind == "S1":
-        # the first step: an S1 step below it has returned above
-        if len(sizes) == len(facts):
+    if kind == "S1" or (kind == "S3" and _shares_no_endpoint(repairs, x_of, y_of)):
+        # the union of the block repairs. S1 blocks never conflict (an S1
+        # step gets here only as the first step), and S3 blocks that share
+        # no X1 or X2 value are edges of their own, each taken by the
+        # matching, as each block's repair holds a fact
+        if len(repairs) == len(facts):
             chosen = facts
         else:
             chosen = [fact for repair in repairs.values() for fact in repair]
-    elif kind == "S2":
+        if depth:
+            return chosen, {}
+        return chosen, {key: len(repair) for key, repair in repairs.items()}
+    sizes = {key: len(repair) for key, repair in repairs.items()}
+    if kind == "S2":
         # facts differing on an empty lhs's rhs conflict: one block survives
         best = max(sizes.values())
         chosen = repairs[

@@ -9,7 +9,9 @@ Schema files look like::
 
 CSV files carry a header row naming the relation's attributes in any
 order; cells are opaque strings and equality is the only operation ever
-applied to them.
+applied to them. The reader splits plain text at line breaks and commas
+with C string methods and hands any other text to ``csv.reader``; both
+give the same rows (see :func:`read_instance_csv`).
 
 On output, structured constants are rendered with a tilde escape so the
 written strings stay pairwise distinct from every user string:
@@ -20,7 +22,10 @@ written strings stay pairwise distinct from every user string:
 * a user string starting with ``~`` gets an ``~s`` prefix.
 
 Re-ingesting rendered output treats the cells as opaque strings again,
-which preserves all equalities and therefore all conflicts.
+which preserves all equalities and therefore all conflicts. A second
+write escapes each leading ``~`` again (``~o`` becomes ``~s~o``), so
+write, read, write gives the same bytes only when no written cell
+starts with ``~``.
 
 The CSV writer puts the facts in canonical (column-wise) order. When
 every cell is a str with no NUL and no leading ``~``, which is what the
@@ -30,20 +35,23 @@ character, so that orders the facts column-wise too. When no cell holds
 a character that csv quotes (``,`` ``"`` ``\\r`` ``\\n``) and no row is
 a single empty cell, which csv writes as ``""``, the lines are written
 as one text with each NUL turned into a comma; otherwise ``csv.writer``
-writes the split lines. Any other instance renders each distinct value
-once and sorts by the per-column tuple order of
+writes the split lines, and quotes a cell holding ``\\r`` on every
+Python version, as 3.13 does. Any other instance renders each distinct
+value once and sorts by the per-column tuple order of
 :attr:`Instance.sorted_facts`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Optional
 
 from .fds import Constant, DOT, Fd, FdSchema, Instance, SchemaError, Signature
@@ -220,22 +228,64 @@ class IngestResult:
     dropped_duplicates: int
 
 
+def _split_lines(text: str) -> Optional[list[str]]:
+    """The lines of ``text`` when splitting each at ``,`` gives exactly
+    the csv module's rows; otherwise None.
+
+    That holds when the text holds no ``"``, ``\\r`` or ``\\x00`` (NUL is
+    an error to Python 3.10's csv and a plain character to 3.11's), no
+    blank line (csv reads one as a row of no cells) and no line longer
+    than ``csv.field_size_limit()`` (csv raises on a longer cell). An
+    empty text has no header row, and csv reports that.
+    """
+    if (
+        not text
+        or text.startswith("\n")
+        or "\n\n" in text
+        or '"' in text
+        or "\r" in text
+        or "\x00" in text
+    ):
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    return lines
+
+
 def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     """Load a CSV with a header matching the signature's attributes.
 
     Column order is free (values are realigned by name); duplicate rows
     collapse and are counted.
+
+    The file is read as one text. Plain text (see :func:`_split_lines`)
+    is split at line breaks and commas with C string methods; any other
+    text goes through ``csv.reader``. Both give the same rows, so the
+    same facts and the same errors.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    lines = _split_lines(text)
+    rows: Optional[list[list[str]]] = None
+    if lines is None:
+        try:
+            reader = csv.reader(io.StringIO(text, newline=""))
             header = next(reader, None)
             rows = list(reader)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        # bad bytes, or a cell past the csv module's field size limit
-        raise DataError(f"{path}: {exc}") from exc
-    if header is None:
-        raise DataError(f"{path}: missing header row")
+        except csv.Error as exc:
+            # a cell past the csv module's field size limit, or a NUL
+            raise DataError(f"{path}: {exc}") from exc
+        if header is None:
+            raise DataError(f"{path}: missing header row")
+    else:
+        header = lines[0].split(",")
     expected = set(signature.attributes)
     got = [cell.strip() for cell in header]
     if len(set(got)) != len(got):
@@ -251,17 +301,29 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
         raise DataError(f"{path}: {'; '.join(parts)}")
     positions = [got.index(attr) for attr in signature.attributes]
     width = len(got)
-    if not set(map(len, rows)) <= {width}:
-        row_no, row = next(
-            (n, row) for n, row in enumerate(rows, start=2) if len(row) != width
-        )
-        raise DataError(
-            f"{path}: row {row_no} has {len(row)} cells, expected {width}"
-        )
     # a header of one column or none is already in signature order
     realign = itemgetter(*positions) if len(positions) > 1 else tuple
-    # csv cells are str and every row has the signature's width
-    facts = list(map(realign, rows))
+    if rows is None:
+        # realign reads every column, so it raises on a row of fewer than
+        # width cells; then a row has more only if the commas add up to more
+        try:
+            facts = list(
+                map(realign, map(str.split, islice(lines, 1, None), repeat(",")))
+            )
+        except IndexError:
+            facts = None
+        if facts is None or text.count(",") != (width - 1) * len(lines):
+            rows = [line.split(",") for line in islice(lines, 1, None)]
+    if rows is not None:
+        if not set(map(len, rows)) <= {width}:
+            row_no, row = next(
+                (n, row) for n, row in enumerate(rows, start=2) if len(row) != width
+            )
+            raise DataError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+            )
+        # csv cells are str and every row has the signature's width
+        facts = list(map(realign, rows))
     instance = Instance._of_checked(signature, facts)
     return IngestResult(
         instance=instance, dropped_duplicates=len(facts) - len(instance)
@@ -295,6 +357,23 @@ def _plain_lines(instance: Instance) -> Optional[tuple[list[str], str]]:
     return lines, text
 
 
+def _csv_writer(handle, carriage_return: bool):
+    """A ``csv.writer`` that ends each row with ``"\\n"`` and quotes every
+    cell holding ``,`` ``"`` ``\\r`` or ``\\n``.
+
+    csv quotes a cell that holds a character of its line terminator, and
+    Python 3.13 quotes a ``"\\r"`` too. So when some cell holds
+    ``"\\r"``, the rows are written with ``"\\r\\n"`` ends, one per
+    ``write`` call, and each end is written as ``"\\n"``; unquoted, the
+    ``"\\r"`` would end the row for every CSV reader.
+    """
+    if not carriage_return:
+        return csv.writer(handle, lineterminator="\n")
+    write = handle.write
+    lines = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+    return csv.writer(lines, lineterminator="\r\n")
+
+
 def write_instance_csv(path: str, instance: Instance) -> None:
     """Write header plus facts in canonical order; the write is atomic."""
     sig = instance.signature
@@ -302,8 +381,6 @@ def write_instance_csv(path: str, instance: Instance) -> None:
     descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(sig.attributes)
             plain = _plain_lines(instance)
             if plain is None:
                 values = set(chain.from_iterable(instance.facts))
@@ -311,24 +388,28 @@ def write_instance_csv(path: str, instance: Instance) -> None:
                 rows = instance.sorted_facts
                 if any(value != text for value, text in rendered.items()):
                     rows = (map(rendered.__getitem__, fact) for fact in rows)
-                writer.writerows(rows)
+                carriage_return = any("\r" in text for text in rendered.values())
             else:
                 lines, text = plain
+                carriage_return = "\r" in text
+                rows = None
                 if (
                     "," in text
                     or '"' in text
-                    # Python 3.13 quotes a cell holding "\r", and 3.10-3.12
-                    # do not: the csv module decides
-                    or "\r" in text
+                    or carriage_return
                     # a "\n" inside a cell, or no lines at all
                     or text.count("\n") >= len(lines)
                     # a row of one empty cell is written as ""
                     or lines[0] == ""
                 ):
-                    writer.writerows(line.split("\x00") for line in lines)
-                else:
-                    handle.write(text.replace("\x00", ","))
-                    handle.write("\n")
+                    rows = (line.split("\x00") for line in lines)
+            writer = _csv_writer(handle, carriage_return)
+            writer.writerow(sig.attributes)
+            if rows is None:
+                handle.write(text.replace("\x00", ","))
+                handle.write("\n")
+            else:
+                writer.writerows(rows)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -10,16 +10,19 @@ conflict definition (:func:`greedy_s_repair`). The hardness gadgets'
 ground truths come from a truth table (:func:`cnf_satisfiable`) and
 from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
-equivalent spellings get one verdict.
+equivalent spellings get one verdict. CSV files are read row by row with
+the csv module (:func:`read_csv_by_csv_module`).
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import itertools
 
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, closure, constant_key
 from fdrepair.gadgets import CnfFormula, TripartiteGraph
+from fdrepair.textio import DataError
 
 
 def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
@@ -319,3 +322,41 @@ def max_edge_disjoint_triangles(graph: TripartiteGraph, cap: int = 14) -> int:
 
     grow(0, 0, 0)
     return best
+
+
+def read_csv_by_csv_module(path: str, signature) -> tuple[Instance, int]:
+    """The instance in a CSV file and its count of duplicate rows.
+
+    Every row comes from ``csv.reader`` over the file handle, and the
+    header and each row are checked cell by cell; a file that does not
+    fit raises :class:`DataError` with the reader's message.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: missing header row")
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column in header")
+    missing = set(signature.attributes) - set(header)
+    extra = set(header) - set(signature.attributes)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append(f"missing columns {sorted(missing)}")
+        if extra:
+            parts.append(f"unexpected columns {sorted(extra)}")
+        raise DataError(f"{path}: {'; '.join(parts)}")
+    facts = []
+    for row_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        by_name = dict(zip(header, row))
+        facts.append(tuple(by_name[attr] for attr in signature.attributes))
+    instance = Instance(signature, facts)
+    return instance, len(facts) - len(instance)

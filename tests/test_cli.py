@@ -421,6 +421,32 @@ def test_oracle_cap_error(tmp_path, data_dir, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["oracle", "repair"])
+def test_oracle_search_deeper_than_the_recursion_limit(tmp_path, capsys, command):
+    # A -> B, B -> C on 1,000 independent rows and one row in conflict
+    # with two of them: the search takes one fact per level, 1,000 deep
+    chain = "relation R(A,B,C)\nfd R: A -> B\nfd R: B -> C\n"
+    schema_path = write(tmp_path, "s.fd", chain)
+    data = tmp_path / "d"
+    data.mkdir()
+    rows = [f"a{i},b{i},c{i}" for i in range(1000)]
+    (data / "R.csv").write_text(
+        "A,B,C\n" + "\n".join(rows) + "\na0,b1,c5\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    argv = [command, "--schema", schema_path, "--data", str(data), "--out", str(out)]
+    argv += ["--cap", "5000"] if command == "oracle" else ["--fallback-oracle", "5000"]
+    code = main([*argv, "--stable"])
+    captured = capsys.readouterr()
+    # a repair, or one error line and no traceback: here the repair
+    assert (code, captured.err) == (0, "")
+    assert "input-facts: 1001" in captured.out
+    assert "repair-size: 1000" in captured.out
+    assert (out / "R.csv").read_text(encoding="utf-8") == "A,B,C\n" + "\n".join(
+        sorted(rows)
+    ) + "\n"
+
+
 # -- gadget ----------------------------------------------------------------------
 
 def test_gadget_cnf_to_instance(tmp_path, capsys):

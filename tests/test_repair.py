@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,12 @@ from fdrepair.fds import (
 )
 from fdrepair.gadgets import HARD_SCHEMAS
 from fdrepair.oracle import brute_force_crep, is_s_repair
-from fdrepair.repair import BipartiteMatchProblem, find_crep, max_weight_matching
+from fdrepair.repair import (
+    BipartiteMatchProblem,
+    _find_crep,
+    find_crep,
+    max_weight_matching,
+)
 from fdrepair.simplify import classify
 
 
@@ -681,6 +687,16 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
             ],
         ),
         (a_b_b_a, [tuple(rng.choice(cells) for _ in "ABC") for _ in range(80)]),
+        # four rows per D value over three B and three C values: the S3
+        # blocks of most D values share an endpoint, so the matching runs
+        (
+            worked_example,
+            [
+                ("a0", f"b{rng.randrange(3)}", f"c{rng.randrange(3)}", f"d{d}", "e", "f")
+                for d in range(100)
+                for _ in range(4)
+            ],
+        ),
     ]
     for schema, rows in cases:
         before = len(seen)
@@ -689,6 +705,41 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
     assert sum(len(problem.edges) > 1 for problem in seen) > 100
     for problem in seen:
         assert problem == BipartiteMatchProblem(problem.edges)
+
+
+def test_s3_union_equals_the_matching(worked_example):
+    # an S3 level whose blocks share no X1 and no X2 value is recombined
+    # as a union; forced through max_weight_matching instead, it must give
+    # the same repair, size and block_sizes
+    gate = fdrepair.repair._shares_no_endpoint
+    levels = Counter()
+
+    def counted(*args):
+        shares_none = gate(*args)
+        levels[shares_none] += 1
+        return shares_none
+
+    rng = random.Random(47)
+    schemas = [worked_example, schema_of("ABC", "A->B", "B->A"),
+               schema_of("ABCD", "A->B", "B->A", "AC->D")]
+    while len(schemas) < 12:
+        schema = random_tractable_schema(rng)
+        if "S3" in classify(schema).kinds:
+            schemas.append(schema)
+    traces = [classify(schema) for schema in schemas]
+    cells = ("0", "1", "2", DOT, ("0",), ("0", DOT))
+    for n in range(5000):
+        schema, trace = schemas[n % len(schemas)], traces[n % len(schemas)]
+        inst = random_instance(rng, schema.signature, max_facts=12, pool=cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fdrepair.repair, "_shares_no_endpoint", counted)
+            union = _find_crep(schema, trace, inst)
+            patch.setattr(fdrepair.repair, "_shares_no_endpoint", lambda *args: False)
+            matched = _find_crep(schema, trace, inst)
+        assert union.repair == matched.repair
+        assert union.size == matched.size
+        assert union.block_sizes == matched.block_sizes
+    assert levels[True] > 1000 and levels[False] > 1000
 
 
 # -- cross-cutting invariants --------------------------------------------------

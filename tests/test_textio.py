@@ -10,9 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import read_csv_by_csv_module
+
 import fdrepair.textio
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, SchemaError, Signature
-from fdrepair.gadgets import HARD_SCHEMAS, TripartiteGraph, gadget_tr
+from fdrepair.gadgets import (
+    HARD_SCHEMAS,
+    CnfFormula,
+    TripartiteGraph,
+    gadget_2r,
+    gadget_tr,
+)
 from fdrepair.textio import (
     DataError,
     SchemaDocument,
@@ -250,15 +258,30 @@ def test_csv_read_equals_fully_checked_instance(tmp_path, attrs):
     assert result.dropped_duplicates > 0
 
 
+def _csv_bytes(rows):
+    """The rows as csv writes them, one row at a time, each ended by
+    ``"\\n"``, with a cell holding ``"\\r"`` quoted. csv quotes a cell
+    that holds a character of its line terminator (and Python 3.13 a
+    ``"\\r"`` with any terminator), so each row is written with
+    ``"\\r\\n"`` and that end is cut back."""
+    row_text = io.StringIO(newline="")
+    writer = csv.writer(row_text, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        row_text.seek(0)
+        row_text.truncate()
+        writer.writerow(row)
+        lines.append(row_text.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 def _reference_csv(inst):
     """The writer's contract cell by cell: the header, then the facts in
     canonical order with every value rendered."""
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(inst.signature.attributes)
-    for fact in inst.sorted_facts:
-        writer.writerow([render_constant(v) for v in fact])
-    return expected.getvalue().encode("utf-8")
+    return _csv_bytes(
+        [inst.signature.attributes]
+        + [[render_constant(v) for v in fact] for fact in inst.sorted_facts]
+    )
 
 
 def _written_csv(directory, inst):
@@ -333,11 +356,7 @@ def _csv_writer_bytes(inst):
     """The header and the canonically sorted facts through ``csv.writer``
     as they are, with no rendering: the writer's bytes whenever no cell
     needs a ``~`` escape."""
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(inst.signature.attributes)
-    writer.writerows(inst.sorted_facts)
-    return expected.getvalue().encode("utf-8")
+    return _csv_bytes([inst.signature.attributes, *inst.sorted_facts])
 
 
 def _written_and_routed(directory, inst):
@@ -464,6 +483,211 @@ def test_csv_write_routes_and_bytes_equal_the_references(case):
     assert routed == (not _one_text(inst))
     if not any(c.startswith("~") for fact in inst.facts for c in fact):
         assert written == _outcome(_csv_writer_bytes, inst)
+
+
+# -- CSV reading against the csv module ------------------------------------------
+
+FIELD_LIMIT = csv.field_size_limit()
+# cells the csv module reads as a split at commas does
+SPLIT_CELLS = st.sampled_from(["", "a", "b", " a", "a b", "~x", "é", "\ufeff"])
+# and cells it reads differently, or that send the text to it: quotes,
+# line breaks and NUL
+READ_CELLS = SPLIT_CELLS | st.sampled_from(
+    [",", '"', '"a"', '"a,b"', 'a"b', "\r", "\n", "\r\n", "\x00"]
+) | st.text(max_size=3)
+
+
+@st.composite
+def csv_texts(draw):
+    """The text of a CSV file for R(A..C)[:arity], and the arity.
+
+    The header names the columns in any order, or is broken. Each row
+    has about the header's width of cells: exactly, one less or more, or
+    a pair of one less and one more, whose commas add up to the header's
+    count. Lines end in ``\n``, ``\r\n`` or ``\r``, with or without a
+    final one; there may be a leading BOM, blank lines, or a cell one
+    past the csv module's field size limit. Some texts are arbitrary.
+    (Hypothesis draws the bounds of a range often, so a rare case is
+    one inner value of it.)
+    """
+    arity = draw(st.integers(1, 3))
+    if draw(st.integers(0, 9)) == 7:
+        return draw(st.text(st.sampled_from("AB,\"\r\n\x00a\ufeff"))), arity
+    header = list(draw(st.permutations("ABC"[:arity])))
+    if draw(st.integers(0, 9)) == 7:
+        header = draw(st.lists(st.sampled_from(["A", "B", "C", " A", "D"]), max_size=4))
+    width = len(header)
+    cell = READ_CELLS if draw(st.integers(0, 3)) == 2 else SPLIT_CELLS
+    shapes = {"width": [width], "less": [width - 1], "more": [width + 1],
+              "pair": [width - 1, width + 1], "blank": [0]}
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["width"] * 4 + ["less", "more", "pair", "blank"]))
+        for size in shapes[shape]:
+            rows.append(draw(st.lists(cell, min_size=max(size, 0),
+                                      max_size=max(size, 0))))
+    cells = [(row, i) for row in rows for i in range(len(row))]
+    if cells and draw(st.integers(0, 19)) == 7:
+        row, i = draw(st.sampled_from(cells))
+        row[i] = "x" * (FIELD_LIMIT + 1)
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = end.join(map(",".join, [header, *rows]))
+    if draw(st.booleans()):
+        text += end
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, arity
+
+
+def _read_outcome(read, path, signature):
+    """The instance and its dropped duplicates, or the error message."""
+    try:
+        return read(path, signature)
+    except DataError as exc:
+        return str(exc)
+
+
+def _read(path, signature):
+    result = read_instance_csv(path, signature)
+    return result.instance, result.dropped_duplicates
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts())
+def test_csv_read_equals_the_csv_module(case):
+    # plain texts are split at commas and others go to the csv module:
+    # either way the facts, the duplicate count and every error are those
+    # of the csv module read row by row
+    text, arity = case
+    signature = Signature("R", ("A", "B", "C")[:arity])
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "R.csv")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        got = _read_outcome(_read, path, signature)
+        assert got == _read_outcome(read_csv_by_csv_module, path, signature)
+
+
+def test_csv_read_of_awkward_texts_equals_the_csv_module(tmp_path):
+    # each reason to leave the split path, the width checks on it, and a
+    # pair of rows whose commas add up to the header's count
+    signature = Signature("R", ("A", "B"))
+    big = "x" * (FIELD_LIMIT + 1)
+    texts = [
+        "", "\n", "A,B", "A,B\n", "B,A\n1,a", "A,B\n1,a\n\n2,b\n", "\nA,B\n1,a\n",
+        "A,B\r\n1,a\r\n", "A,B\r1,a\r", "A,B\n1,\"a\"\n", "A,B\n1,\"a\nb\"\n",
+        "A,B\n1,a\x00\n", "A,B\n1\n2,b,c\n", "A,B\n1,a,b\n2\n", "A,B\n1,a,b\n",
+        "A,B\n1\n", "A,B\n,\n", "A,B,\n1,a,\n", "A,A\n1,2\n", "A\n1\n",
+        f"A,B\n{big},1\n", f"A,B\n{big[1:]},1\n", f"A,B\n{big[1:]},1\n2,\"q\"\n",
+    ]
+    for text in texts:
+        path = tmp_path / "R.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = _read_outcome(_read, str(path), signature)
+        assert got == _read_outcome(read_csv_by_csv_module, str(path), signature), text
+
+
+def test_csv_read_splits_plain_texts_only(tmp_path, monkeypatch):
+    # LF, a leading BOM (which the decoder drops) and no final newline
+    # are split at commas; CRLF and the other awkward texts go to csv
+    routes = []
+    split_lines = fdrepair.textio._split_lines
+
+    def recorded(text):
+        lines = split_lines(text)
+        routes.append(lines)
+        return lines
+
+    monkeypatch.setattr(fdrepair.textio, "_split_lines", recorded)
+    signature = Signature("R", ("A", "B"))
+    path = tmp_path / "R.csv"
+    big = "x" * (FIELD_LIMIT + 1)
+    for text, lines in [
+        ("A,B\n1,a\n", ["A,B", "1,a"]),
+        ("\ufeffA,B\n1,a\n", ["A,B", "1,a"]),
+        ("A,B\n1,a", ["A,B", "1,a"]),
+        # a line of the limit's length, and one longer
+        (f"A,B\n{big[3:]},a\n", ["A,B", f"{big[3:]},a"]),
+        (f"A,B\n{big[2:]},a\n", None),
+        ("A,B\r\n1,a\r\n", None),
+        ("A,B\n\n1,a\n", None),
+        ('A,B\n1,"a"\n', None),
+        (f"A,B\n{big},a\n", None),
+    ]:
+        path.write_text(text, encoding="utf-8", newline="")
+        _read_outcome(_read, str(path), signature)
+        assert routes.pop() == lines, text
+
+
+# -- CSV write, read, write --------------------------------------------------------
+
+VALUES = st.recursive(
+    st.text(max_size=3) | st.sampled_from(["", "~", "~o", "a,b", 'q"t', "\r\n"])
+    | st.just(DOT),
+    lambda parts: st.lists(parts, min_size=1, max_size=3).map(tuple),
+    max_leaves=4,
+)
+
+
+def _check_write_read_write(inst):
+    """Write, read and write ``inst``. The reader returns each written
+    cell as its rendered str, so the second write gives the first one's
+    bytes exactly when no rendered cell starts with ``~``; otherwise the
+    writer escapes that ``~`` again (DOT's ``~o`` is written back as
+    ``~s~o``). Returns whether the bytes were the same."""
+    signature = inst.signature
+    rendered = Instance(
+        signature, (tuple(map(render_constant, fact)) for fact in inst.facts)
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        first = _outcome(_written_csv, directory, inst)
+        if first is csv.Error:
+            # Python 3.10's csv writer refuses a NUL in a cell
+            return None
+        back = read_instance_csv(os.path.join(directory, "out.csv"), signature)
+        second = _written_csv(directory, back.instance)
+    assert back.instance == rendered and back.dropped_duplicates == 0
+    assert second == _reference_csv(rendered)
+    plain = all(cell[:1] != "~" for fact in rendered.facts for cell in fact)
+    assert (second == first) == plain
+    if plain:
+        # every cell is a str that the writer leaves as it is
+        assert back.instance == inst
+    return plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda arity: st.tuples(
+            st.just(arity),
+            st.lists(st.lists(VALUES, min_size=arity, max_size=arity), max_size=8),
+        )
+    )
+)
+def test_csv_write_read_write(case):
+    # arbitrary str cells, DOT and nested tuples, quoted cells and "\r"
+    arity, rows = case
+    _check_write_read_write(
+        Instance(Signature("R", ("A", "B", "C")[:arity]), map(tuple, rows))
+    )
+
+
+def test_csv_write_read_write_of_gadgets_and_str_cells():
+    # the 2r gadget holds tuple constants; a str cell of "\r" alone was
+    # once written unquoted, and read back as a line break
+    formula = CnfFormula(3, [(1, 2), (-1, -3), (2, 3)])
+    gadget = gadget_2r(formula)
+    plain = Instance(gadget.signature, [("a", "\r", "b,c"), ("", 'q"t', "x\ny")])
+    outcomes = [
+        _check_write_read_write(inst)
+        for inst in (
+            gadget,
+            Instance(gadget.signature, [*gadget.facts, (DOT, "d", "e")]),
+            plain,
+        )
+    ]
+    assert outcomes == [False, False, True]
 
 
 # -- DIMACS and triangles --------------------------------------------------------
