@@ -13,10 +13,12 @@ Facts are plain tuples of constants, positionally aligned with the
 signature's attribute list.
 
 Two facts conflict when they agree on an FD's lhs and differ on its
-rhs. Every conflict check in the package reads one hash index of that
-relation, :func:`_lhs_groups`: per FD, the facts grouped by lhs values,
-through (lhs, rhs) getters compiled once per :class:`FdSchema`. The
-index has two views, which split each group by rhs values.
+rhs. Every conflict check reads each FD through (lhs, rhs) getters
+compiled once per :class:`FdSchema`. :func:`pair_consistent` applies
+them to its two facts directly. The checks over many facts read one
+hash index of that relation, :func:`_lhs_groups`: per FD, the facts
+grouped by lhs values. The index has two views, which split each group
+by rhs values.
 :func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
 conflicts), for the checks that need pairs or coverage.
 :func:`_conflict_masks` gives each fact the bitmask of its conflicts,
@@ -463,8 +465,15 @@ def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
 
 
 def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:
-    """Whether the two facts jointly satisfy every FD of the schema."""
-    return next(_conflicts(schema, (f, g)), None) is None
+    """Whether the two facts jointly satisfy every FD of the schema.
+
+    Reads each FD's compiled getters on the pair directly: the facts
+    conflict when they agree on some lhs and differ on its rhs.
+    """
+    for _, lhs, rhs in schema._keys:
+        if lhs(f) == lhs(g) and rhs(f) != rhs(g):
+            return False
+    return True
 
 
 def is_consistent(schema: FdSchema, instance: Instance) -> bool:

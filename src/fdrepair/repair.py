@@ -15,30 +15,38 @@ columns directly, and a block's repair is already a set of original
 facts. A one-fact block conflicts with nothing, so it is its own repair
 and the rest of the plan never runs on it; most blocks of a wide table
 end there. No FD is left below the last step, so each of its blocks is
-its own repair too, with no call at all.
+its own repair too, and only its size matters. The last step therefore
+collects no blocks: it counts the facts per flat block key in a plain
+dict and recombines from the counts. A lone block, or S3 blocks that
+share no endpoint, keep the input list as it stands; otherwise the
+kept facts come out of one C-level filter over the facts' keys.
 
 Each step keys a fact with one C ``itemgetter``. An S1 or S2 step that
 removes one column keys a block by the bare value, not a 1-tuple;
 ``RepairResult.block_sizes`` wraps the first step's keys when it is
 read. For S3 that key is flat, the X1 columns followed by the X2
 columns; every X1 part has the same length, so the flat keys sort in
-the order of the ``(x, y)`` pairs. When no two block keys share an X1
-or an X2 value, every block is an edge of its own, and the matching
-takes them all, since a non-empty block repairs to at least one fact;
-such a step returns the union of its block repairs, as S1 does, with
-no sort, no problem and no matcher call. Otherwise the S3 step sorts
-its block keys once and splits them into ``(x, y)`` with two slice
-getters compiled with the plan, in C-level ``zip`` and ``map`` calls.
-The matching runs in pure Python: one optimum with its LP duals, then
-one lex greedy over the whole graph, with no solver and no split into
+the order of the ``(x, y)`` pairs. When X1 and X2 are one column each,
+the endpoints are the key's two bare values, and a matched edge is its
+own flat key; otherwise they are the key's two slices, and a matched
+edge joins back into its key. When no two block keys share an X1 or an
+X2 value, every block is an edge of its own, and the matching takes
+them all, since a non-empty block repairs to at least one fact; such a
+step returns the union of its block repairs, as S1 does, with no sort,
+no problem and no matcher call. Otherwise the S3 step sorts its block
+keys once and splits them into ``(x, y)`` with the two endpoint getters
+compiled with the plan, in C-level ``zip`` and ``map`` calls. The
+matching runs in pure Python: one optimum with its LP duals, then one
+lex greedy over the whole graph, with no solver and no split into
 components (see :func:`max_weight_matching`).
 
 Block sizes are kept only where they are read: at the first step, for
 ``block_sizes`` (sorted only when first read), and where S2 chooses a
-block or S3 matches blocks. Below the first step an S1 step, and an S3
-step whose blocks share no endpoint, returns the union of its block
-repairs and nothing else, and when all its blocks hold one fact, that
-union is its input list as it stands.
+block or S3 matches blocks. The last step's counts are its sizes. Below
+the first step and above the last, an S1 step, and an S3 step whose
+blocks share no endpoint, returns the union of its block repairs and
+nothing else, and when all its blocks hold one fact, that union is its
+input list as it stands.
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -50,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import count
+from itertools import compress, count
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -139,15 +147,22 @@ class BipartiteMatchProblem:
 
 
 # One compiled rewrite: its kind, the flat block key of a fact, the map
-# from a flat key to the block key that ``block_sizes`` reports, and the
-# getters of the key's two parts. The flat key is the fact's value on
-# the one removed column, or the tuple of its values on several (S1, S2;
-# block key ``(value,)`` or the tuple itself, no parts), or on the X1
-# columns followed by the X2 columns (S3; block key ``(x, y)``, parts
-# ``x = key[:len(X1)]`` and ``y = key[len(X1):]``). Every key getter is
-# a C ``itemgetter``.
+# from a flat key to the block key that ``block_sizes`` reports, and, for
+# S3, the getters of the key's two endpoints and the map from a matched
+# edge back to its flat key. The flat key is the fact's value on the one
+# removed column, or the tuple of its values on several (S1, S2; block
+# key ``(value,)`` or the tuple itself), or on the X1 columns followed
+# by the X2 columns (S3; block key ``(x, y)``). An S3 endpoint is the
+# bare value when its lhs is one column, and otherwise the key's slice
+# ``x = key[:len(X1)]`` or ``y = key[len(X1):]``. Every key getter is a
+# C ``itemgetter``.
 PlanStep = tuple[
-    str, Callable[[Fact], object], Callable, Optional[Callable], Optional[Callable]
+    str,
+    Callable[[Fact], object],
+    Callable,
+    Optional[Callable],
+    Optional[Callable],
+    Optional[Callable],
 ]
 
 
@@ -155,8 +170,16 @@ def _one_tuple(value: Constant) -> tuple:
     return (value,)
 
 
+def _one_tuple_pair(key: tuple) -> tuple:
+    return ((key[0],), (key[1],))
+
+
 def _pair(x_of: Callable, y_of: Callable) -> Callable[[tuple], tuple]:
     return lambda key: (x_of(key), y_of(key))
+
+
+def _joined(edge: tuple) -> tuple:
+    return edge[0] + edge[1]
 
 
 def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
@@ -173,18 +196,27 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
                 [signature.position(a) for a in signature.sorted_attrs(lhs)]
                 for lhs in step.witness
             )
-            x_of = itemgetter(slice(len(x1)))
-            y_of = itemgetter(slice(len(x1), None))
-            plan.append(("S3", itemgetter(*x1, *x2), _pair(x_of, y_of), x_of, y_of))
+            key_of = itemgetter(*x1, *x2)
+            if len(x1) == len(x2) == 1:
+                # bare endpoints, as for one-column S1/S2 keys: the flat
+                # key is the edge (x, y), so a matched edge is its own key,
+                # which ``tuple`` returns as it is
+                plan.append(
+                    ("S3", key_of, _one_tuple_pair, itemgetter(0), itemgetter(1), tuple)
+                )
+            else:
+                x_of = itemgetter(slice(len(x1)))
+                y_of = itemgetter(slice(len(x1), None))
+                plan.append(("S3", key_of, _pair(x_of, y_of), x_of, y_of, _joined))
         elif len(step.removed_attributes) == 1:
             # a bare value groups faster than a 1-tuple, and sorts (by
             # constant_key) in the same order
             (attr,) = step.removed_attributes
             key_of = itemgetter(signature.position(attr))
-            plan.append((step.kind, key_of, _one_tuple, None, None))
+            plan.append((step.kind, key_of, _one_tuple, None, None, None))
         else:
             key_of = signature.getter(step.removed_attributes)
-            plan.append((step.kind, key_of, tuple, None, None))
+            plan.append((step.kind, key_of, tuple, None, None, None))
     return plan
 
 
@@ -193,19 +225,62 @@ def _shares_no_endpoint(keys: dict, x_of: Callable, y_of: Callable) -> bool:
     return len(set(map(x_of, keys))) == len(keys) == len(set(map(y_of, keys)))
 
 
+def _kept(step: PlanStep, sizes: dict) -> set:
+    """The flat keys of the blocks an S2 or S3 step keeps, given the
+    repair size of each of its blocks."""
+    kind, _, _, x_of, y_of, edge_key = step
+    if kind == "S2":
+        # facts differing on an empty lhs's rhs conflict: one block survives
+        best = max(sizes.values())
+        largest = (key for key, size in sizes.items() if size == best)
+        return {min(largest, key=constant_key)}
+    # a repair joins each X1 value and each X2 value at most once. Every
+    # X1 part has the same length, so flat key order is (x, y) order, and
+    # one sort gives the edges in canonical order
+    keys = canonical_sorted(sizes)
+    problem = BipartiteMatchProblem._of_sorted_edges(
+        tuple(zip(map(x_of, keys), map(y_of, keys), map(sizes.__getitem__, keys)))
+    )
+    return set(map(edge_key, max_weight_matching(problem)))
+
+
 def _solve(
     plan: list[PlanStep], facts: list[Fact], depth: int
 ) -> tuple[list[Fact], dict]:
     """Repair ``facts`` under ``plan[depth:]``.
 
     Returns the repair and the repair size of every block of
-    ``plan[depth]``, keyed by its flat block key. The sizes are built
-    only where they are read, at depth 0 and where S2 chooses a block or
-    S3 matches blocks; elsewhere they are empty.
+    ``plan[depth]``, keyed by its flat block key. Only the sizes at
+    depth 0 are read. The last step returns the fact counts it
+    recombines from; a step above it builds sizes only at depth 0 and
+    where S2 chooses a block or S3 matches blocks, and elsewhere they
+    are empty.
     """
     if depth == len(plan) or not facts:
         return facts, {}
-    kind, key_of, _, x_of, y_of = plan[depth]
+    step = plan[depth]
+    kind, key_of, _, x_of, y_of, _ = step
+    if depth + 1 == len(plan):
+        # no FD is left below the last step, an S2 or S3 step (S1 never
+        # is): every block is its own repair, so its fact count is all
+        # the recombination reads
+        sizes: dict = {}
+        get = sizes.get
+        for key in map(key_of, facts):
+            sizes[key] = get(key, 0) + 1
+        if len(sizes) == 1 or (
+            kind == "S3" and _shares_no_endpoint(sizes, x_of, y_of)
+        ):
+            # a lone block is its own optimum under every recombination
+            # rule, and S3 blocks that share no X1 or X2 value are edges
+            # of their own, each taken by the matching
+            return facts, sizes
+        keep = _kept(step, sizes)
+        chosen = list(compress(facts, map(keep.__contains__, map(key_of, facts))))
+        assert kind == "S2" or len(chosen) == sum(
+            map(sizes.__getitem__, keep)
+        ), "matching weight must equal repair size"
+        return chosen, sizes
     blocks: dict = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
@@ -220,15 +295,11 @@ def _solve(
         for block in blocks.values():
             chosen += block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
         return chosen, {}
-    if depth + 1 == len(plan):
-        # no FD is left below the last step: every block is its own repair
-        repairs = blocks
-    else:
-        # a one-fact block conflicts with nothing: it is its own repair
-        repairs = {
-            key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
-            for key, block in blocks.items()
-        }
+    # a one-fact block conflicts with nothing: it is its own repair
+    repairs = {
+        key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
+        for key, block in blocks.items()
+    }
     if len(repairs) == 1:
         # a lone block is its own optimum under every recombination rule
         (chosen,) = repairs.values()
@@ -246,26 +317,9 @@ def _solve(
             return chosen, {}
         return chosen, {key: len(repair) for key, repair in repairs.items()}
     sizes = {key: len(repair) for key, repair in repairs.items()}
-    if kind == "S2":
-        # facts differing on an empty lhs's rhs conflict: one block survives
-        best = max(sizes.values())
-        chosen = repairs[
-            min((k for k, size in sizes.items() if size == best), key=constant_key)
-        ]
-    else:
-        # a repair joins each X1 value and each X2 value at most once.
-        # Every X1 part has the same length, so flat key order is (x, y)
-        # order, and one sort gives the edges in canonical order
-        keys = canonical_sorted(sizes)
-        problem = BipartiteMatchProblem._of_sorted_edges(
-            tuple(zip(map(x_of, keys), map(y_of, keys), map(sizes.__getitem__, keys)))
-        )
-        chosen = []
-        total = 0
-        for x, y in max_weight_matching(problem):
-            chosen.extend(repairs[x + y])
-            total += sizes[x + y]
-        assert len(chosen) == total, "matching weight must equal repair size"
+    chosen = []
+    for key in _kept(step, sizes):
+        chosen += repairs[key]
     return chosen, sizes
 
 

@@ -6,7 +6,10 @@ models, repair sizes from plain subset enumeration, reduction images
 from evaluating each rule by attribute name. Maximum-weight matchings
 come from exhausting edge subsets (:func:`brute_force_matching`), and
 maximal but not maximum repairs from a greedy pass over the pairwise
-conflict definition (:func:`greedy_s_repair`). The hardness gadgets'
+conflict definition (:func:`greedy_s_repair`). A repair plan's last
+step is recombined from one list per block
+(:func:`collecting_last_step`): it calls the library's matcher, but
+not its counting. The hardness gadgets'
 ground truths come from a truth table (:func:`cnf_satisfiable`) and
 from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
@@ -22,6 +25,7 @@ import itertools
 
 from fdrepair.fds import DOT, Fd, FdSchema, Instance, closure, constant_key
 from fdrepair.gadgets import CnfFormula, TripartiteGraph
+from fdrepair.repair import BipartiteMatchProblem, max_weight_matching
 from fdrepair.textio import DataError
 
 
@@ -275,6 +279,39 @@ def brute_force_matching(problem) -> tuple:
 
     search(0, [], 0, set(), set())
     return best_seq
+
+
+def collecting_last_step(plan, facts, depth) -> tuple:
+    """``fdrepair.repair._solve`` at the plan's last step, by block lists.
+
+    Collects one list per block, then recombines the lists by their
+    lengths: a lone block is kept whole, S2 keeps the first of the
+    largest blocks in ``constant_key`` order, and S3 keeps the blocks
+    that ``max_weight_matching`` takes, built through the checked
+    ``BipartiteMatchProblem`` constructor, and with no shortcut for
+    blocks that share no endpoint. Returns the repair and every block's
+    size by flat block key, as ``_solve`` does.
+    """
+    kind, key_of, _, x_of, y_of, _ = plan[depth]
+    assert depth + 1 == len(plan) and kind != "S1"
+    blocks: dict = {}
+    for fact in facts:
+        blocks.setdefault(key_of(fact), []).append(fact)
+    sizes = {key: len(block) for key, block in blocks.items()}
+    if len(blocks) == 1:
+        return list(facts), sizes
+    if kind == "S2":
+        best = max(sizes.values())
+        pick = min((k for k, size in sizes.items() if size == best), key=constant_key)
+        return blocks[pick], sizes
+    by_edge = {(x_of(key), y_of(key)): key for key in blocks}
+    problem = BipartiteMatchProblem(
+        (x, y, sizes[key]) for (x, y), key in by_edge.items()
+    )
+    chosen = []
+    for edge in max_weight_matching(problem):
+        chosen += blocks[by_edge[edge]]
+    return chosen, sizes
 
 
 def cnf_satisfiable(formula: CnfFormula, cap: int = 22) -> bool:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from conftest import inst_of, schema_of
 from generators import random_instance, random_schema
 from oracles import (
     closure_by_closed_sets,
+    conflict_by_definition,
     consistent_by_definition,
     entails_by_two_fact_models,
     first_violated_fd,
@@ -398,6 +400,34 @@ def test_conflict_index_matches_the_definition():
         assert is_consistent(schema, inst) == (not expected)
         conflicts += len(expected)
     assert conflicts > 300 and multi > 20
+
+
+def test_pair_consistent_matches_the_definition():
+    # seeded pairs over DOT, str and tuple cells (a tuple holding DOT
+    # too), few enough values that pairs often agree; every schema gains
+    # an empty-lhs FD and an FD whose rhs overlaps its lhs
+    rng = random.Random(59)
+    pool = ("0", "1", DOT, ("0",), ("0", DOT))
+    outcomes = collections.Counter()
+    for _ in range(400):
+        schema = random_schema(rng, max_attrs=5, max_fds=3)
+        attrs = schema.signature.attributes
+        overlap = frozenset(rng.sample(attrs, rng.randint(1, len(attrs))))
+        empty_lhs = Fd(frozenset(), frozenset(rng.sample(attrs, 1)))
+        overlapping = Fd(overlap, overlap | {rng.choice(attrs)})
+        added = FdSchema(schema.signature, (empty_lhs, overlapping))
+        schema = FdSchema(schema.signature, schema.fds + added.fds)
+        for _ in range(10):
+            f, g = (tuple(rng.choice(pool) for _ in attrs) for _ in "fg")
+            if rng.random() < 0.2:
+                g = f
+            expected = not conflict_by_definition(schema, f, g)
+            assert pair_consistent(schema, f, g) == expected
+            assert pair_consistent(schema, g, f) == expected
+            outcomes[expected, conflict_by_definition(added, f, g)] += 1
+    # consistent pairs, and conflicts with and without the added FDs
+    assert outcomes[True, False] > 300
+    assert outcomes[False, False] > 60 and outcomes[False, True] > 300
 
 
 def test_consistent_iff_no_violating_pairs_random():

@@ -19,7 +19,11 @@ from generators import (
     random_tractable_schema,
     worked_example_rows,
 )
-from oracles import brute_force_matching, max_repair_size_by_subsets
+from oracles import (
+    brute_force_matching,
+    collecting_last_step,
+    max_repair_size_by_subsets,
+)
 
 import fdrepair.repair
 from fdrepair.fds import (
@@ -740,6 +744,73 @@ def test_s3_union_equals_the_matching(worked_example):
         assert union.size == matched.size
         assert union.block_sizes == matched.block_sizes
     assert levels[True] > 1000 and levels[False] > 1000
+
+
+def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatch):
+    # the last step recombines from fact counts and keeps facts by their
+    # block keys; forced through one list per block instead, every
+    # repair, size, block_sizes and trace must be the same. DOT, str and
+    # tuple cells tie S2 blocks across types, where a filter on the
+    # chosen key's own __eq__ would keep every fact of another type
+    shipped, matcher = fdrepair.repair._solve, fdrepair.repair.max_weight_matching
+    forced = Counter()
+    steps = ()
+
+    def matching(problem):
+        forced["matchings"] += 1
+        return matcher(problem)
+
+    def collecting(plan, facts, depth):
+        if facts and depth + 1 == len(plan):
+            step = steps[depth]
+            bare = step.kind == "S3" and all(len(lhs) == 1 for lhs in step.witness)
+            forced[step.kind, bare, depth > 0] += 1
+            return collecting_last_step(plan, facts, depth)
+        return shipped(plan, facts, depth)
+
+    monkeypatch.setattr(fdrepair.repair, "max_weight_matching", matching)
+    rng = random.Random(53)
+    schemas = [
+        worked_example,
+        schema_of("AB", "->A"),
+        schema_of("ABC", "->AB"),
+        schema_of("ABC", "A->B"),
+        schema_of("ABC", "A->B", "B->A"),
+        schema_of("ABCD", "A->B", "B->A"),
+        schema_of("ABC", "AB->C", "AC->B"),
+        schema_of("ABCD", "->A", "B->C", "C->B"),
+        schema_of("ABCD", "A->BC", "BC->A"),
+        schema_of("ABCD", "AB->C", "C->AB"),
+        schema_of("ABCDE", "AB->CD", "CD->AB"),
+        schema_of("ABCD", "ABC->D", "AD->BC"),
+        schema_of("ABCDE", "->A", "BC->DE", "DE->BC"),
+    ]
+    while len(schemas) < 24:
+        schema = random_tractable_schema(rng)
+        if classify(schema).steps:
+            schemas.append(schema)
+    traces = [classify(schema) for schema in schemas]
+    cells = ("0", "1", "2", DOT, ("0",), ("0", DOT))
+    for n in range(6000):
+        schema, trace = schemas[n % len(schemas)], traces[n % len(schemas)]
+        inst = random_instance(rng, schema.signature, max_facts=14, pool=cells)
+        counted = _find_crep(schema, trace, inst)
+        steps = trace.steps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fdrepair.repair, "_solve", collecting)
+            collected = _find_crep(schema, trace, inst)
+        assert counted.repair == collected.repair
+        assert counted.size == collected.size
+        assert counted.block_sizes == collected.block_sizes
+        assert counted.trace == collected.trace
+    # S2 and S3 last steps, at the top and below it; S3 with one-column
+    # (bare) endpoints and with multi-column ones
+    assert all(
+        forced[kind, bare, below] > 300
+        for kind, bare in (("S2", False), ("S3", True), ("S3", False))
+        for below in (False, True)
+    )
+    assert forced["matchings"] > 1000
 
 
 # -- cross-cutting invariants --------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import random
+import string
 import tempfile
 import time
 from types import SimpleNamespace
@@ -115,6 +116,57 @@ def test_schema_round_trip():
         "relation S(X,Y)\nfd S:  -> X\n"
     )
     assert parse_schema(text) == document
+
+
+# the DSL's names, keywords among them
+_NAME_HEAD = string.ascii_letters + "_"
+DSL_NAMES = st.one_of(
+    st.sampled_from(("relation", "fd", "fdR", "relation_1")),
+    st.builds(
+        str.__add__,
+        st.sampled_from(_NAME_HEAD),
+        st.text(alphabet=_NAME_HEAD + string.digits, max_size=4),
+    ),
+)
+
+
+@st.composite
+def schema_documents(draw):
+    """Documents of up to four relations over DSL names; an FD's lhs may
+    be empty, and its rhs may overlap it but is never empty."""
+    relations = []
+    for name in draw(st.lists(DSL_NAMES, max_size=4, unique=True)):
+        attrs = draw(st.lists(DSL_NAMES, max_size=5, unique=True))
+        fds = []
+        if attrs:
+            subsets = st.frozensets(st.sampled_from(attrs))
+            lhs_sets = st.one_of(st.just(frozenset()), subsets)
+            rhs_sets = st.frozensets(st.sampled_from(attrs), min_size=1)
+            fds = draw(st.lists(st.builds(Fd, lhs_sets, rhs_sets), max_size=4))
+        relations.append(FdSchema(Signature(name, tuple(attrs)), fds))
+    return SchemaDocument(tuple(relations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema_documents())
+def test_schema_round_trip_property(document):
+    assert parse_schema(format_schema(document)) == document
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema_documents(), st.data())
+def test_format_schema_rejects_an_empty_rhs_property(document, data):
+    # one FD with an empty rhs, anywhere in any relation with attributes
+    relations = document.relations
+    targets = [i for i, schema in enumerate(relations) if schema.signature.arity]
+    if not targets:
+        return
+    i = data.draw(st.sampled_from(targets))
+    schema = relations[i]
+    lhs = data.draw(st.frozensets(st.sampled_from(schema.signature.attributes)))
+    broken = FdSchema(schema.signature, schema.fds + (Fd(lhs, frozenset()),))
+    with pytest.raises(SchemaError, match="has an empty rhs"):
+        format_schema(SchemaDocument(relations[:i] + (broken,) + relations[i + 1:]))
 
 
 # -- constant rendering ---------------------------------------------------------
@@ -708,6 +760,22 @@ def test_parse_dimacs_multiline_clauses():
 
 def test_parse_dimacs_round_trip():
     formula = parse_dimacs(DIMACS)
+    assert parse_dimacs(format_dimacs(formula)) == formula
+
+
+@st.composite
+def cnf_formulas(draw):
+    num_vars = draw(st.integers(0, 12))
+    clauses = []
+    if num_vars:
+        literals = st.integers(-num_vars, num_vars).filter(bool)
+        clauses = draw(st.lists(st.lists(literals, min_size=1, max_size=6), max_size=8))
+    return CnfFormula(num_vars, clauses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnf_formulas())
+def test_parse_dimacs_round_trip_property(formula):
     assert parse_dimacs(format_dimacs(formula)) == formula
 
 
