@@ -38,7 +38,7 @@ from .gadgets import (
 )
 from .oracle import DEFAULT_FACT_CAP, brute_force_crep
 from .repair import _find_crep
-from .simplify import SimplificationTrace, classify
+from .simplify import SimplificationTrace, _positions, classify
 from .textio import (
     DataError,
     SchemaDocument,
@@ -62,6 +62,8 @@ def _load_schema_file(path: str) -> SchemaDocument:
             text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read schema file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     try:
         document = parse_schema(text)
     except SchemaParseError as exc:
@@ -73,9 +75,10 @@ def _load_schema_file(path: str) -> SchemaDocument:
 
 def _removed(trace: SimplificationTrace) -> list[tuple[str, tuple[str, ...]]]:
     """Each applied rewrite's kind and removed columns, in signature order."""
+    attrs = trace._schema.signature.attributes
     return [
-        (step.kind, step.schema_before.signature.sorted_attrs(step.removed_attributes))
-        for step in trace.steps
+        (kind, tuple(attrs[i] for i in _positions(removed)))
+        for kind, _, removed in trace._plan
     ]
 
 
@@ -226,6 +229,8 @@ def cmd_gadget(args: argparse.Namespace) -> int:
             text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read input file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.infile}: {exc}") from exc
     schema = HARD_SCHEMAS[args.type]
     try:
         if args.type == "tr":
@@ -240,7 +245,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
                 f"  clauses: {len(formula.clauses)}"
             )
     except (DataError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{args.infile}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{schema.signature.relation}.csv")
     schema_path = os.path.join(args.out, "schema.fd")

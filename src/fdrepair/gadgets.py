@@ -409,15 +409,11 @@ def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
             "schema is tractable; there is no hardness witness"
         )
     case_id, reduction = _terminal_witness(trace.terminal)
-    # projection keeps names, so every input column is either removed by
-    # some step or a column of the terminal schema
-    removed = frozenset().union(*trace.removed_sets)
+    # projection keeps names, so an input column that is not a column of
+    # the terminal schema was removed by some step, and is padded
     kept = dict(zip(trace.terminal.signature.attributes, reduction.rules))
-    # the normalized input, as classify already built it
-    target = trace.steps[0].schema_before if trace.steps else trace.terminal
-    padded = tuple(
-        DOT if a in removed else kept[a] for a in target.signature.attributes
-    )
+    target = trace.normalized
+    padded = tuple(kept.get(a, DOT) for a in target.signature.attributes)
     return case_id, FactWiseReduction(reduction.source, target, padded)
 
 

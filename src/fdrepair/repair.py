@@ -1,8 +1,9 @@
 """Exact cardinality repair for tractable FD schemas.
 
 :func:`find_crep` runs :func:`fdrepair.simplify.classify` once and
-compiles its trace into a *plan*: one step per applied rewrite, each
-naming the columns of the original signature that the rewrite removes.
+compiles its trace's mask plan into a *plan*: one step per applied
+rewrite, each naming the columns of the original signature that the
+rewrite removes, read straight off the plan's position masks.
 The plan then runs on the raw fact tuples. Each step splits the facts
 into blocks that agree on its columns, repairs every block with the
 rest of the plan, and recombines: a plain union for S1, a best-block
@@ -73,11 +74,10 @@ from .fds import (
     FdSchema,
     Instance,
     SchemaError,
-    Signature,
     canonical_sorted,
     constant_key,
 )
-from .simplify import SimplificationTrace, classify
+from .simplify import SimplificationTrace, _positions, classify
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,14 @@ def _joined(edge: tuple) -> tuple:
     return edge[0] + edge[1]
 
 
-def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]:
-    """Turn the trace into steps over columns of the original signature.
-
-    Projection keeps the surviving attributes in signature order, so
-    "signature order" means the same thing at every step.
-    """
+def _compile(trace: SimplificationTrace) -> list[PlanStep]:
+    """Turn the trace's mask plan into steps over columns of the original
+    signature: its masks are over the input signature's positions."""
     plan: list[PlanStep] = []
-    for step in trace.steps:
-        if step.kind == "S3":
+    for kind, witness, removed in trace._plan:
+        if kind == "S3":
             # the witness is the lhs marriage (X1, X2); they may overlap
-            x1, x2 = (
-                [signature.position(a) for a in signature.sorted_attrs(lhs)]
-                for lhs in step.witness
-            )
+            x1, x2 = map(_positions, witness)
             key_of = itemgetter(*x1, *x2)
             if len(x1) == len(x2) == 1:
                 # bare endpoints, as for one-column S1/S2 keys: the flat
@@ -208,15 +202,12 @@ def _compile(signature: Signature, trace: SimplificationTrace) -> list[PlanStep]
                 x_of = itemgetter(slice(len(x1)))
                 y_of = itemgetter(slice(len(x1), None))
                 plan.append(("S3", key_of, _pair(x_of, y_of), x_of, y_of, _joined))
-        elif len(step.removed_attributes) == 1:
-            # a bare value groups faster than a 1-tuple, and sorts (by
-            # constant_key) in the same order
-            (attr,) = step.removed_attributes
-            key_of = itemgetter(signature.position(attr))
-            plan.append((step.kind, key_of, _one_tuple, None, None, None))
         else:
-            key_of = signature.getter(step.removed_attributes)
-            plan.append((step.kind, key_of, tuple, None, None, None))
+            # on one column the key is the bare value, which groups faster
+            # than a 1-tuple, and sorts (by constant_key) in the same order
+            columns = _positions(removed)
+            block_key = _one_tuple if len(columns) == 1 else tuple
+            plan.append((kind, itemgetter(*columns), block_key, None, None, None))
     return plan
 
 
@@ -344,7 +335,7 @@ def _find_crep(
         raise SchemaError("instance signature does not match schema")
     if not trace.tractable:
         return None
-    plan = _compile(schema.signature, trace)
+    plan = _compile(trace)
     chosen, sizes = _solve(plan, list(instance.facts), 0)
     repaired = Instance._of_checked(schema.signature, chosen)
     return RepairResult(

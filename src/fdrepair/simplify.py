@@ -15,16 +15,48 @@ polynomial-time cardinality repair exactly when the surviving FD set is
 empty; the returned trace is the witness either way. Equivalent FD sets
 get the same verdict, as the dichotomy requires: S3 compares closures,
 not the FDs' right-hand sides.
+
+The rules are set tests on attributes, so they run on int bitmasks over
+the input signature's positions (bit ``i`` for attribute ``i``). An FD
+is a ``(lhs, rhs)`` mask pair; normalizing drops the lhs bits from the
+rhs and discards an empty rhs, and projecting clears the removed bits.
+Projection keeps the surviving attributes in signature order, so sorted
+position lists order attribute sets the same way at every step, and
+canonical FD order matters only where a rule picks "first":
+
+* S1 takes the lowest set bit of the AND of the lhs masks;
+* S2 takes, among the empty-lhs FDs, the rhs whose sorted position list
+  is smallest;
+* S3 orders the distinct lhs masks by their sorted position lists, and
+  computes each closure as a mask fixpoint, at most once per call.
+
+No step builds a schema or sorts the whole FD set. The trace keeps the
+*mask plan*, each step's kind, witness and removed positions over the
+input signature, and the verdict; the repair engine and the CLI read
+column positions straight off it. ``steps``, ``terminal`` and
+``normalized`` (the normalized input, step 0's ``schema_before``) are
+built the first time they are read, as cached properties: the plan is
+replayed with :func:`~fdrepair.fds.normalize` and
+:func:`~fdrepair.fds.project`, each witness taken from the FDs of the
+schema before its step. So they are the objects a step-by-step
+projection builds, equal, with the same hash, ``repr`` and pickle, and a
+caller that reads only the verdict or the plan builds none of them.
+:func:`find_s1`, :func:`find_s2` and :func:`find_s3` apply the same mask
+rules to one schema. Nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Collection, Optional, Union
 
-from .fds import Fd, FdSchema, closure, normalize, project
+from .fds import Fd, FdSchema, normalize, project
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
+
+# An FD as the bitmasks of its lhs and rhs over a signature's positions
+MaskFd = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -38,13 +70,61 @@ class SimplificationStep:
     schema_after: FdSchema
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SimplificationTrace:
-    """The full rewrite run: applied steps, final schema, and the verdict."""
+    """The full rewrite run: applied steps, final schema, and the verdict.
 
-    steps: tuple[SimplificationStep, ...]
-    terminal: FdSchema
+    ``_plan`` holds one ``(kind, witness, removed)`` per step, as masks
+    over the input signature's positions: the witness is the S1
+    attribute's bit, the S2 rhs or the S3 pair ``(X1, X2)``, and
+    ``removed`` the positions the step removes. ``steps``, ``terminal``
+    and ``normalized`` are built from it on first read. Equality,
+    hashing and ``repr`` read ``(steps, terminal, tractable)``, as those
+    of a dataclass of these three fields would.
+    """
+
     tractable: bool
+    _schema: FdSchema
+    _plan: tuple[tuple[str, Union[int, tuple[int, int]], int], ...]
+
+    @cached_property
+    def normalized(self) -> FdSchema:
+        """The normalized input: step 0's ``schema_before``, or the
+        terminal schema when no step applies."""
+        return normalize(self._schema)
+
+    @cached_property
+    def terminal(self) -> FdSchema:
+        return self.steps[-1].schema_after if self._plan else self.normalized
+
+    @cached_property
+    def steps(self) -> tuple[SimplificationStep, ...]:
+        """The plan replayed on schemas, ``project`` removing each step's
+        witness. A witness is read off the schema before its step: the S2
+        FD and the S3 lhs are that schema's own objects (the first FD in
+        canonical order that holds them), so every set iterates, prints
+        and pickles as a step-by-step projection's does."""
+        attrs = self._schema.signature.attributes
+        steps = []
+        before = self.normalized
+        for kind, witness, _ in self._plan:
+            if kind == "S1":
+                witness = attrs[witness.bit_length() - 1]
+                removed = frozenset([witness])
+            elif kind == "S2":
+                rhs = _attr_set(attrs, witness)
+                witness = next(fd for fd in before.fds if not fd.lhs and fd.rhs == rhs)
+                removed = witness.rhs
+            else:
+                sites: dict = {}
+                for fd in before.fds:
+                    sites.setdefault(fd.lhs, fd.lhs)
+                witness = tuple(sites[_attr_set(attrs, lhs)] for lhs in witness)
+                removed = witness[0] | witness[1]
+            after = project(before, removed)
+            steps.append(SimplificationStep(kind, removed, witness, before, after))
+            before = after
+        return tuple(steps)
 
     @property
     def removed_sets(self) -> tuple[frozenset[str], ...]:
@@ -52,32 +132,75 @@ class SimplificationTrace:
 
     @property
     def kinds(self) -> tuple[str, ...]:
-        return tuple(step.kind for step in self.steps)
+        return tuple(kind for kind, _, _ in self._plan)
+
+    def _fields(self) -> tuple:
+        return (self.steps, self.terminal, self.tractable)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"SimplificationTrace(steps={self.steps!r}, "
+            f"terminal={self.terminal!r}, tractable={self.tractable!r})"
+        )
 
 
-def find_s1(schema: FdSchema) -> Optional[str]:
-    """Attribute on every FD's lhs, lowest signature position first."""
-    if not schema.fds:
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: an attribute set's sort key in
+    canonical FD order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _attr_set(attrs: tuple[str, ...], mask: int) -> frozenset[str]:
+    return frozenset(a for i, a in enumerate(attrs) if mask >> i & 1)
+
+
+def _mask_fds(schema: FdSchema) -> list[MaskFd]:
+    """The schema's FDs as ``(lhs, rhs)`` masks over its signature."""
+    bit = {a: 1 << i for i, a in enumerate(schema.signature.attributes)}.__getitem__
+    return [(sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in schema.fds]
+
+
+def _s1(fds: Collection[MaskFd]) -> Optional[int]:
+    """S1's witness: the lowest position on every lhs, as its bit."""
+    if not fds:
         return None
-    shared = frozenset.intersection(*(fd.lhs for fd in schema.fds))
-    for attr in schema.signature.attributes:
-        if attr in shared:
-            return attr
-    return None
+    shared = -1
+    for lhs, _ in fds:
+        shared &= lhs
+    return shared & -shared or None
 
 
-def find_s2(schema: FdSchema) -> Optional[Fd]:
-    """First FD (canonical order) with an empty lhs, if any."""
-    for fd in schema.fds:
-        if not fd.lhs:
-            return fd
-    return None
+def _s2(fds: Collection[MaskFd]) -> Optional[int]:
+    """S2's witness: the rhs of the first empty-lhs FD in canonical order."""
+    found = [rhs for lhs, rhs in fds if not lhs]
+    if len(found) > 1:
+        return min(found, key=_positions)
+    return found[0] if found else None
 
 
-def find_s3(
-    schema: FdSchema,
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-    """First lhs marriage (X1, X2), distinct lhs in canonical FD order.
+def _closure(fds: Collection[MaskFd], closed: int) -> int:
+    """Least fixpoint of ``closed`` under the FDs."""
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in fds:
+            if not lhs & ~closed and rhs & ~closed:
+                closed |= rhs
+                changed = True
+    return closed
+
+
+def _s3(fds: Collection[MaskFd]) -> Optional[tuple[int, int]]:
+    """S3's witness: the first lhs marriage (X1, X2), distinct lhs in
+    canonical order.
 
     X1 and X2 marry when every FD's lhs contains X1 or X2 and
     cl(X1) = cl(X2), that is X2 is in cl(X1) and X1 in cl(X2). Cheap
@@ -85,67 +208,82 @@ def find_s3(
     lhs but not the other is on some rhs (a closure adds nothing else).
     Each closure is computed at most once.
     """
-    sites = list(dict.fromkeys([fd.lhs for fd in schema.fds]))
-    determined = frozenset().union(*[fd.rhs for fd in schema.fds])
-    closures: dict[frozenset[str], frozenset[str]] = {}
+    sites = {lhs for lhs, _ in fds}
+    if len(sites) < 2:
+        return None
+    sites = sorted(sites, key=_positions)
+    determined = 0
+    for _, rhs in fds:
+        determined |= rhs
+    closures: dict[int, int] = {}
 
-    def cl(lhs: frozenset[str]) -> frozenset[str]:
+    def cl(lhs: int) -> int:
         if lhs not in closures:
-            closures[lhs] = closure(schema, lhs).closure
+            closures[lhs] = _closure(fds, lhs)
         return closures[lhs]
 
     for i, x1 in enumerate(sites):
         for x2 in sites[i + 1 :]:
             for lhs in sites:
-                if not (x1 <= lhs or x2 <= lhs):
+                if x1 & ~lhs and x2 & ~lhs:
                     break
             else:
-                if x1 ^ x2 <= determined and x2 <= cl(x1) and x1 <= cl(x2):
+                if (
+                    not (x1 ^ x2) & ~determined
+                    and not x2 & ~cl(x1)
+                    and not x1 & ~cl(x2)
+                ):
                     return (x1, x2)
     return None
 
 
-# kind -> (finder, attributes its witness removes), in the order that
-# classify tries them
-_RULES = {
-    "S1": (find_s1, lambda attr: frozenset([attr])),
-    "S2": (find_s2, lambda fd: fd.rhs),
-    "S3": (find_s3, lambda pair: pair[0] | pair[1]),
-}
+def find_s1(schema: FdSchema) -> Optional[str]:
+    """Attribute on every FD's lhs, lowest signature position first."""
+    bit = _s1(_mask_fds(schema))
+    return None if bit is None else schema.signature.attributes[bit.bit_length() - 1]
 
 
-def _step(before: FdSchema, kind: str, witness: Witness) -> SimplificationStep:
-    removed = _RULES[kind][1](witness)
-    return SimplificationStep(
-        kind=kind,
-        removed_attributes=removed,
-        witness=witness,
-        schema_before=before,
-        schema_after=project(before, removed),
-    )
+def find_s2(schema: FdSchema) -> Optional[Fd]:
+    """First FD (canonical order) with an empty lhs, if any."""
+    rhs = _s2(_mask_fds(schema))
+    if rhs is None:
+        return None
+    return Fd(frozenset(), _attr_set(schema.signature.attributes, rhs))
+
+
+def find_s3(
+    schema: FdSchema,
+) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+    """First lhs marriage (X1, X2), distinct lhs in canonical FD order."""
+    pair = _s3(_mask_fds(schema))
+    if pair is None:
+        return None
+    attrs = schema.signature.attributes
+    return (_attr_set(attrs, pair[0]), _attr_set(attrs, pair[1]))
 
 
 def classify(schema: FdSchema) -> SimplificationTrace:
     """Run the rewrite loop to completion and report tractability.
 
-    Each step applies the first rule in ``_RULES`` order that has a
-    witness, and strictly removes at least one attribute, so the loop
-    ends within arity steps. The schema is tractable exactly when the
-    terminal FD set is empty.
+    Each step applies the first of S1, S2 and S3 that has a witness,
+    and strictly removes at least one attribute, so the loop ends within
+    arity steps. The schema is tractable exactly when the terminal FD
+    set is empty.
     """
-    current = normalize(schema)
-    steps: list[SimplificationStep] = []
-    while current.fds:
-        for kind, (find, _) in _RULES.items():
-            witness = find(current)
-            if witness is not None:
-                break
+    fds = {(lhs, rhs & ~lhs) for lhs, rhs in _mask_fds(schema) if rhs & ~lhs}
+    plan = []
+    while fds:
+        witness = _s1(fds)
+        if witness is not None:
+            kind, removed = "S1", witness
+        elif (witness := _s2(fds)) is not None:
+            kind, removed = "S2", witness
+        elif (witness := _s3(fds)) is not None:
+            kind, removed = "S3", witness[0] | witness[1]
         else:
             break
-        step = _step(current, kind, witness)
-        assert step.schema_after.signature.arity < current.signature.arity
-        steps.append(step)
-        current = step.schema_after
-    return SimplificationTrace(
-        steps=tuple(steps), terminal=current, tractable=not current.fds
-    )
+        assert removed, "a rewrite removes at least one attribute"
+        plan.append((kind, witness, removed))
+        kept = ~removed
+        fds = {(lhs & kept, rhs & kept) for lhs, rhs in fds if rhs & kept}
+    return SimplificationTrace(tractable=not fds, _schema=schema, _plan=tuple(plan))

@@ -13,8 +13,11 @@ not its counting. The hardness gadgets'
 ground truths come from a truth table (:func:`cnf_satisfiable`) and
 from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
-equivalent spellings get one verdict. CSV files are read row by row with
-the csv module (:func:`read_csv_by_csv_module`).
+equivalent spellings get one verdict. :func:`classify_by_projection`
+runs the rewrite loop on ``FdSchema`` values, each rule by its set
+definition and each step by ``project``, not on attribute bitmasks.
+CSV files are read row by row with the csv module
+(:func:`read_csv_by_csv_module`).
 """
 
 from __future__ import annotations
@@ -23,9 +26,19 @@ import csv
 import functools
 import itertools
 
-from fdrepair.fds import DOT, Fd, FdSchema, Instance, closure, constant_key
+from fdrepair.fds import (
+    DOT,
+    Fd,
+    FdSchema,
+    Instance,
+    closure,
+    constant_key,
+    normalize,
+    project,
+)
 from fdrepair.gadgets import CnfFormula, TripartiteGraph
 from fdrepair.repair import BipartiteMatchProblem, max_weight_matching
+from fdrepair.simplify import SimplificationStep
 from fdrepair.textio import DataError
 
 
@@ -64,6 +77,71 @@ def saturate(schema: FdSchema) -> FdSchema:
         if proper:
             fds.append(Fd(lhs, proper))
     return FdSchema(schema.signature, fds)
+
+
+def _s1_by_sets(schema: FdSchema):
+    """The attribute on every FD's lhs, lowest signature position first."""
+    shared = frozenset.intersection(*(fd.lhs for fd in schema.fds))
+    return next((a for a in schema.signature.attributes if a in shared), None)
+
+
+def _s2_by_sets(schema: FdSchema):
+    """The first FD, in canonical order, with an empty lhs."""
+    return next((fd for fd in schema.fds if not fd.lhs), None)
+
+
+def _s3_by_sets(schema: FdSchema):
+    """The first lhs marriage: distinct lhs X1, X2 in canonical FD order,
+    one of them inside every lhs, with equal closures."""
+    sites = list(dict.fromkeys(fd.lhs for fd in schema.fds))
+    for i, x1 in enumerate(sites):
+        for x2 in sites[i + 1 :]:
+            if all(x1 <= lhs or x2 <= lhs for lhs in sites) and (
+                closure(schema, x1).closure == closure(schema, x2).closure
+            ):
+                return (x1, x2)
+    return None
+
+
+# kind -> (finder, attributes its witness removes), in the order that
+# the rules are tried
+_RULES = {
+    "S1": (_s1_by_sets, lambda attr: frozenset([attr])),
+    "S2": (_s2_by_sets, lambda fd: fd.rhs),
+    "S3": (_s3_by_sets, lambda pair: pair[0] | pair[1]),
+}
+
+
+def _step(before: FdSchema, kind: str, witness) -> SimplificationStep:
+    removed = _RULES[kind][1](witness)
+    return SimplificationStep(
+        kind=kind,
+        removed_attributes=removed,
+        witness=witness,
+        schema_before=before,
+        schema_after=project(before, removed),
+    )
+
+
+def classify_by_projection(schema: FdSchema) -> tuple:
+    """``(steps, terminal, tractable)`` of ``fdrepair.simplify.classify``,
+    by its rules read on ``FdSchema`` values: each step tries S1, S2 and
+    S3 in that order on the current schema, by their set definitions,
+    and ``project`` removes the first witness found."""
+    current = normalize(schema)
+    steps = []
+    while current.fds:
+        for kind, (find, _) in _RULES.items():
+            witness = find(current)
+            if witness is not None:
+                break
+        else:
+            break
+        step = _step(current, kind, witness)
+        assert step.schema_after.signature.arity < current.signature.arity
+        steps.append(step)
+        current = step.schema_after
+    return tuple(steps), current, not current.fds
 
 
 def _agreement(schema: FdSchema, f, g) -> set:

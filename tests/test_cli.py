@@ -321,6 +321,38 @@ def test_repair_non_utf8_csv_names_the_file(tmp_path, capsys):
     _fails_cleanly(capsys, _repair_argv(tmp_path, data), data / "R.csv")
 
 
+@pytest.mark.parametrize(
+    "command", ["classify", "repair", "oracle", "verify-reduction"]
+)
+def test_non_utf8_schema_names_the_file(tmp_path, data_dir, capsys, command):
+    schema_path = tmp_path / "s.fd"
+    schema_path.write_bytes(b"relation R(A,B)\nfd R: A -> B  # \xff\n")
+    argv = [command, "--schema", str(schema_path)]
+    if command in ("repair", "oracle"):
+        argv += ["--data", str(data_dir), "--out", str(tmp_path / "o")]
+    _fails_cleanly(capsys, argv, schema_path)
+    assert not (tmp_path / "o").exists()
+
+
+BAD_GADGET_INPUTS = {
+    "2fd-non-utf8": b"p cnf 2 1\n1 2 0 c \xff\n",
+    "tr-non-utf8": b"a1 b1 c\xff\n",
+    "2fd-problem-line": b"p cnf 2\n1 2 0\n",
+    "2r-out-of-range": b"p cnf 2 1\n1 -3 0\n",
+    "tr-two-names": b"a1 b1 c1\na2 b2\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GADGET_INPUTS))
+def test_bad_gadget_input_names_the_file(tmp_path, capsys, case):
+    kind = case.split("-")[0]
+    source = tmp_path / "in.txt"
+    source.write_bytes(BAD_GADGET_INPUTS[case])
+    argv = ["gadget", "--type", kind, "--in", str(source), "--out", str(tmp_path / "o")]
+    _fails_cleanly(capsys, argv, source)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["repair", "oracle", "gadget"])
 def test_out_names_an_existing_file(tmp_path, data_dir, capsys, command):
     out = tmp_path / "taken"

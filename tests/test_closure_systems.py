@@ -3,15 +3,18 @@
 A verdict depends only on the closure system of the FD set, and there
 are 61 closure systems (Moore families) on three attributes and 2,480
 on four. So the whole space fits in the suite: each family is built as
-an FD basis, classified under three equivalent spellings, and then
-checked against ground truth, a verified hardness witness when it is
-hard and the brute-force oracle when it is tractable.
+an FD basis, classified under three equivalent spellings (each trace
+equal to the projection loop's) and under one seeded renaming of its
+attributes, and then checked against ground truth, a verified hardness
+witness when it is hard and the brute-force oracle when it is
+tractable.
 """
 
 import random
 from collections import Counter
 
 from generators import random_instance
+from oracles import classify_by_projection
 
 from fdrepair.fds import Fd, FdSchema, Signature, equivalent, normalize
 from fdrepair.gadgets import hard_case_witness, verify_reduction
@@ -50,6 +53,16 @@ def basis(signature: Signature, family: tuple[int, ...]) -> FdSchema:
     return FdSchema(signature, fds)
 
 
+def permute(family: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """The family with attribute ``i`` renamed to attribute ``order[i]``."""
+    return tuple(
+        sorted(
+            sum(1 << order[i] for i in range(len(order)) if member >> i & 1)
+            for member in family
+        )
+    )
+
+
 def redundant_basis(rng: random.Random, schema: FdSchema) -> FdSchema:
     """An equivalent spelling: the basis split into one-attribute rhs,
     widened lhs and rhs that repeat lhs attributes, plus implied FDs."""
@@ -67,20 +80,31 @@ def redundant_basis(rng: random.Random, schema: FdSchema) -> FdSchema:
 
 def test_every_closure_system_on_up_to_four_attributes():
     rng = random.Random(61)
+    renamings = random.Random(24)
     verdicts = {}
     cases = Counter()
     for n in (3, 4):
         signature = Signature("R", tuple("ABCD"[:n]))
         families = closure_systems(n)
         assert len(families) == {3: 61, 4: 2480}[n]
+        enumerated = set(families)
         tally = Counter()
         for family in families:
             schema = basis(signature, family)
             redundant = redundant_basis(rng, schema)
             assert equivalent(redundant, schema)
             trace = classify(schema)
-            assert classify(normalize(schema)).tractable == trace.tractable
-            assert classify(redundant).tractable == trace.tractable
+            for spelling in (schema, normalize(schema), redundant):
+                # the mask classifier's trace is the projection loop's
+                expected = classify_by_projection(spelling)
+                assert expected[2] == trace.tractable, family
+                spelled = trace if spelling is schema else classify(spelling)
+                assert (spelled.steps, spelled.terminal, spelled.tractable) == expected
+            if n == 4:
+                # renaming the attributes keeps the verdict
+                permuted = permute(family, renamings.sample(range(n), n))
+                assert permuted in enumerated
+                assert classify(basis(signature, permuted)).tractable == trace.tractable
             tally[trace.tractable] += 1
             if not trace.tractable:
                 case_id, reduction = hard_case_witness(schema)

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,13 @@ from generators import (
     random_schema,
     random_tractable_schema,
 )
-from oracles import saturate
+from oracles import classify_by_projection, saturate
 
+from fdrepair import fds, simplify
 from fdrepair.fds import (
     Fd,
     FdSchema,
+    Instance,
     SchemaError,
     Signature,
     closure,
@@ -23,6 +26,7 @@ from fdrepair.fds import (
     project,
 )
 from fdrepair.gadgets import HARD_SCHEMAS
+from fdrepair.repair import find_crep
 from fdrepair.simplify import (
     classify,
     find_s1,
@@ -312,3 +316,104 @@ def test_trace_schemas_equal_the_checked_construction():
         FdSchema(Signature("R", ("A", "B")), [Fd({"A"}, {"C"})])
     with pytest.raises(SchemaError):
         project(schema_of("ABC", "A->B"), {"D"})
+
+
+# -- the mask plan and its lazy views --------------------------------------------
+
+def assert_same_trace(trace, schema):
+    """The trace's fields are the values, hashes, ``repr`` and pickle
+    bytes that the step-by-step projection gives."""
+    expected = classify_by_projection(schema)
+    fields = (trace.steps, trace.terminal, trace.tractable)
+    assert fields == expected, schema
+    assert hash(trace) == hash(expected)
+    assert repr(trace) == (
+        "SimplificationTrace(steps=%r, terminal=%r, tractable=%r)" % expected
+    )
+    assert pickle.dumps(fields) == pickle.dumps(expected)
+    assert trace.normalized == normalize(schema)
+    assert trace.kinds == tuple(step.kind for step in expected[0])
+    return expected
+
+
+def test_classify_equals_the_projection_loop():
+    rng = random.Random(73)
+    kinds = Counter()
+    for _ in range(3000):
+        schema = random_schema(rng, max_attrs=7, max_fds=6)
+        steps, _, tractable = assert_same_trace(classify(schema), schema)
+        kinds.update(step.kind for step in steps)
+        kinds[tractable] += 1
+    # every rule and both verdicts are exercised
+    assert min(kinds[k] for k in ("S1", "S2", "S3", True, False)) >= 100, kinds
+
+
+def test_trace_round_trips_through_pickle(worked_example, gap_schema):
+    for schema in (worked_example, gap_schema, HARD_SCHEMAS["tr"]):
+        trace = classify(schema)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored == trace and hash(restored) == hash(trace)
+        assert restored._plan == trace._plan
+
+
+@pytest.fixture
+def schema_builds(monkeypatch):
+    """Counts the ``normalize``, ``project`` and ``FdSchema._of_checked``
+    calls, wherever the library calls them from."""
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("normalize", "project"):
+        wrapper = counted(name, getattr(fds, name))
+        for module in (fds, simplify):
+            monkeypatch.setattr(module, name, wrapper)
+    of_checked = FdSchema._of_checked.__func__
+    monkeypatch.setattr(
+        FdSchema, "_of_checked", classmethod(counted("_of_checked", of_checked))
+    )
+    return counts
+
+
+def test_find_crep_builds_no_schema(worked_example, schema_builds):
+    rows = [tuple(f"{a}{i % 3}" for a in "ABCDEF") for i in range(9)]
+    instance = Instance(worked_example.signature, rows)
+    result = find_crep(worked_example, instance)
+    assert result.trace.kinds == ("S2", "S1", "S3", "S2", "S2")
+    assert result.size > 0
+    assert schema_builds == {}
+    # the counters see the views when they are read
+    assert len(result.trace.steps) == 5
+    assert schema_builds["project"] == 5 and schema_builds["normalize"] == 1
+
+
+def test_trace_views_are_built_once(worked_example, schema_builds):
+    trace = classify(worked_example)
+    assert schema_builds == {}
+    steps = trace.steps
+    built = dict(schema_builds)
+    assert built["project"] == 5
+    assert trace.steps is steps and trace.terminal is steps[-1].schema_after
+    assert trace.normalized is steps[0].schema_before
+    assert dict(schema_builds) == built
+    # the terminal of a hard schema with no step is the normalized input
+    hard = classify(HARD_SCHEMAS["2fd"])
+    assert hard.terminal is hard.normalized
+    assert schema_builds["project"] == 5
+
+
+def test_traces_of_different_inputs_differ_on_one_plan():
+    # both remove B by S2, then C by S1 and D by S2: only their inputs,
+    # and so the first step's schema before it, differ
+    first = classify(schema_of("BCD", "->B", "C->B", "C->D"))
+    second = classify(schema_of("BCD", "->B", "C->D"))
+    assert first._plan == second._plan and first.kinds == ("S2", "S1", "S2")
+    assert first.tractable and second.tractable
+    assert first.steps[0].schema_before != second.steps[0].schema_before
+    assert first != second
+    assert first == classify(schema_of("BCD", "C->B", "->B", "C->D"))
