@@ -15,12 +15,15 @@ signature's attribute list.
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check reads each FD through (lhs, rhs) getters
 compiled once per :class:`FdSchema`. :func:`pair_consistent` applies
-them to its two facts directly. The checks over many facts read one
-hash index of that relation, :func:`_lhs_groups`: per FD, the facts
+them to its two facts directly. Consistency, and the oracle's
+maximality check, read one lhs -> rhs map per FD, :func:`_rhs_by_lhs`,
+in O(facts x FDs): facts are consistent exactly when each FD's map
+meets one rhs value per lhs value. The checks that need the conflicts
+themselves read one hash index, :func:`_lhs_groups`: per FD, the facts
 grouped by lhs values. The index has two views, which split each group
 by rhs values.
 :func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
-conflicts), for the checks that need pairs or coverage.
+conflicts), for :func:`violating_pairs`.
 :func:`_conflict_masks` gives each fact the bitmask of its conflicts,
 with no per-pair work, for the oracle's conflict graph.
 """
@@ -464,6 +467,24 @@ def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
     return adjacency
 
 
+def _rhs_by_lhs(
+    lhs: Callable[[Fact], tuple], rhs: Callable[[Fact], tuple], facts: Iterable[Fact]
+) -> dict[tuple, tuple] | None:
+    """The facts' map from lhs values to rhs values under one FD's getters,
+    or None as soon as two of them agree on the lhs and differ on the rhs.
+
+    One pass, with no pair and no group built. (A plain loop: building
+    the map and the set of (lhs, rhs) pairs from zipped getters in C, and
+    comparing their sizes, measured slower on small and large inputs.)
+    """
+    mapped: dict[tuple, tuple] = {}
+    for fact in facts:
+        value = rhs(fact)
+        if mapped.setdefault(lhs(fact), value) != value:
+            return None
+    return mapped
+
+
 def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:
     """Whether the two facts jointly satisfy every FD of the schema.
 
@@ -477,9 +498,16 @@ def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:
 
 
 def is_consistent(schema: FdSchema, instance: Instance) -> bool:
-    """Whether no two facts agree on some FD's lhs but differ on its rhs."""
+    """Whether no two facts agree on some FD's lhs but differ on its rhs.
+
+    Reads one lhs -> rhs map per FD (:func:`_rhs_by_lhs`), in
+    O(facts x FDs); no conflicting pair is built.
+    """
     _check_same_signature(schema, instance)
-    return next(_conflicts(schema, tuple(instance.facts)), None) is None
+    facts = instance.facts
+    return all(
+        _rhs_by_lhs(lhs, rhs, facts) is not None for _, lhs, rhs in schema._keys
+    )
 
 
 def violating_pairs(

@@ -20,7 +20,7 @@ from .fds import (
     SchemaError,
     _check_same_signature,
     _conflict_masks,
-    _conflicts,
+    _rhs_by_lhs,
 )
 from .repair import RepairResult
 
@@ -133,21 +133,25 @@ def brute_force_crep(
 def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bool:
     """Whether the candidate is a maximal consistent subinstance.
 
-    True exactly when no conflict pair of the instance lies inside the
-    candidate and every excluded fact conflicts with some kept one.
+    True exactly when no two kept facts conflict and every dropped fact
+    conflicts with some kept one. Reads one lhs -> rhs map of the kept
+    facts per FD (:func:`fdrepair.fds._rhs_by_lhs`), in O(facts x FDs),
+    and builds no conflicting pair: a map that meets two rhs values for
+    one lhs value makes the candidate inconsistent, and a dropped fact is
+    covered when its lhs value maps to another rhs value.
     """
     if candidate.signature != instance.signature:
         raise SchemaError("candidate signature does not match instance")
-    if not candidate.facts <= instance.facts:
+    kept = candidate.facts
+    uncovered = instance.facts - kept
+    # a subinstance takes len(kept) facts out of the instance, any other set fewer
+    if len(uncovered) != len(instance.facts) - len(kept):
         raise SchemaError("candidate is not a subinstance")
     _check_same_signature(schema, instance)
-    facts = tuple(instance.facts)
-    kept = [fact in candidate.facts for fact in facts]
-    covered = {i for i, keep in enumerate(kept) if keep}
-    for i, j, _ in _conflicts(schema, facts):
-        if kept[i] and kept[j]:
+    for _, lhs, rhs in schema._keys:
+        mapped = _rhs_by_lhs(lhs, rhs, kept)
+        if mapped is None:
             return False
-        if kept[i] or kept[j]:
-            covered.update((i, j))
-    return len(covered) == len(facts)
-
+        # still uncovered: no kept fact has its lhs value, or one has its rhs
+        uncovered = [f for f in uncovered if mapped.get(lhs(f), rhs(f)) == rhs(f)]
+    return not uncovered

@@ -256,6 +256,21 @@ def one_to_one_rows(rng: random.Random, keys: int, cluster: int) -> list[tuple]:
     return rows
 
 
+def dense_rows(rng: random.Random, keys: int) -> list[tuple]:
+    """Rows of R(A,B,C) for ``A -> B, B -> A``: one dense S3 component.
+
+    Every (a_i, b_j) cell holds 1-3 facts, so each a_i and each b_j meets
+    about ``2 * keys`` facts over ``keys`` partners.
+    """
+    counts = [1 + cell % 3 for cell in range(keys * keys)]
+    rng.shuffle(counts)
+    return [
+        (f"a{cell // keys}", f"b{cell % keys}", f"c{c}")
+        for cell, count in enumerate(counts)
+        for c in range(count)
+    ]
+
+
 def worked_example_rows(rng: random.Random, d_values: int) -> list[tuple]:
     """Rows of R(A..F) for the worked example.
 

@@ -6,12 +6,14 @@ models, repair sizes from plain subset enumeration, reduction images
 from evaluating each rule by attribute name. Maximum-weight matchings
 come from exhausting edge subsets (:func:`brute_force_matching`), and
 maximal but not maximum repairs from a greedy pass over the pairwise
-conflict definition (:func:`greedy_s_repair`). A repair plan's last
-step is recombined from one list per block
+conflict definition (:func:`greedy_s_repair`). Repair maximality is
+also read off the library's conflict pairs (:func:`s_repair_by_pairs`):
+it calls the library's pair view, but not its per-FD maps. A repair
+plan's last step is recombined from one list per block
 (:func:`collecting_last_step`): it calls the library's matcher, but
-not its counting. The hardness gadgets'
-ground truths come from a truth table (:func:`cnf_satisfiable`) and
-from exhausting triangle subsets (:func:`max_edge_disjoint_triangles`).
+not its counting. The hardness gadgets' ground truths come from a
+truth table (:func:`cnf_satisfiable`) and from exhausting triangle
+subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
 equivalent spellings get one verdict. :func:`classify_by_projection`
 runs the rewrite loop on ``FdSchema`` values, each rule by its set
@@ -31,6 +33,7 @@ from fdrepair.fds import (
     Fd,
     FdSchema,
     Instance,
+    _conflicts,
     closure,
     constant_key,
     normalize,
@@ -257,6 +260,26 @@ def s_repair_by_definition(schema: FdSchema, facts, kept) -> bool:
         for f in facts
         if f not in kept
     )
+
+
+def s_repair_by_pairs(
+    schema: FdSchema, instance: Instance, candidate: Instance
+) -> bool:
+    """Maximality and consistency over the conflict index's pair view.
+
+    No yielded pair may lie inside the candidate, and each fact outside
+    it must be in a yielded pair with a kept fact. The package checks
+    the same with one lhs -> rhs map per FD and no pair.
+    """
+    facts = tuple(instance.facts)
+    kept = [fact in candidate.facts for fact in facts]
+    covered = {i for i, keep in enumerate(kept) if keep}
+    for i, j, _ in _conflicts(schema, facts):
+        if kept[i] and kept[j]:
+            return False
+        if kept[i] or kept[j]:
+            covered.update((i, j))
+    return len(covered) == len(facts)
 
 
 def rule_by_name(rule, values: dict):

@@ -6,8 +6,8 @@ on four. So the whole space fits in the suite: each family is built as
 an FD basis, classified under three equivalent spellings (each trace
 equal to the projection loop's) and under one seeded renaming of its
 attributes, and then checked against ground truth, a verified hardness
-witness when it is hard and the brute-force oracle when it is
-tractable.
+witness when it is hard and, when it is tractable, the brute-force
+oracle's repair size and the maximality of ``find_crep``'s repair.
 """
 
 import random
@@ -18,7 +18,7 @@ from oracles import classify_by_projection
 
 from fdrepair.fds import Fd, FdSchema, Signature, equivalent, normalize
 from fdrepair.gadgets import hard_case_witness, verify_reduction
-from fdrepair.oracle import brute_force_crep
+from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import find_crep
 from fdrepair.simplify import classify
 
@@ -115,6 +115,7 @@ def test_every_closure_system_on_up_to_four_attributes():
                 inst = random_instance(rng, signature, max_facts=10)
                 result = find_crep(schema, inst)
                 assert result.size == brute_force_crep(schema, inst).size, family
+                assert is_s_repair(schema, inst, result.repair), family
         verdicts[n] = (tally[True], tally[False])
     # pinned: a change that moves a count must say why
     assert verdicts == {3: (41, 20), 4: (331, 2149)}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 import random
@@ -6,17 +7,19 @@ import sys
 import pytest
 
 from conftest import inst_of, schema_of
-from generators import random_instance, random_schema
+from generators import dense_rows, random_instance, random_schema
 from oracles import (
     brute_force_matching,
     cnf_satisfiable,
     conflict_by_definition,
+    consistent_by_definition,
     greedy_s_repair,
     lex_first_max_repair_by_subsets,
     max_edge_disjoint_triangles,
     max_repair_size_by_subsets,
     max_triangle_packing_by_subsets,
     s_repair_by_definition,
+    s_repair_by_pairs,
 )
 
 import fdrepair.fds
@@ -31,6 +34,7 @@ from fdrepair.fds import (
     _conflicts,
     _lhs_groups,
     fact_key,
+    is_consistent,
     normalize,
 )
 from fdrepair.gadgets import (
@@ -48,7 +52,7 @@ from fdrepair.oracle import (
     brute_force_crep,
     is_s_repair,
 )
-from fdrepair.repair import BipartiteMatchProblem
+from fdrepair.repair import BipartiteMatchProblem, find_crep
 
 
 def test_consistent_instance_returned_whole():
@@ -205,8 +209,9 @@ def test_is_s_repair():
     # missing a conflict-free fact breaks maximality
     partial = Instance(schema.signature, [("1", "a")])
     assert not is_s_repair(schema, inst, partial)
-    with pytest.raises(SchemaError):
-        is_s_repair(schema, inst, inst_of(schema, "9z"))
+    for outside in (inst_of(schema, "9z"), inst_of(schema, "1a", "9z")):
+        with pytest.raises(SchemaError):
+            is_s_repair(schema, inst, outside)
 
 
 def test_greedy_s_repairs_never_beat_the_maximum():
@@ -312,6 +317,94 @@ def test_conflict_masks_match_the_pairs_and_the_definition():
             for _, rhs, members in _lhs_groups(schema, facts)
         )
     assert wide_groups >= 40
+
+
+def test_s_repair_and_consistency_match_the_pairs_and_the_definition():
+    # up to 16 facts over DOT, str and tuple cells of 3-4 values, so lhs
+    # groups of 3+ facts meet 3+ rhs values; every schema gains an
+    # empty-lhs FD and an FD whose rhs overlaps its lhs
+    rng = random.Random(53)
+    pools = (("0", DOT, ("0", DOT)), ("0", "1", DOT, ("0", "1")))
+    verdicts = collections.Counter()
+    wide_groups = 0
+    for _ in range(150):
+        schema = random_schema(rng, max_attrs=4, max_fds=2)
+        attrs = schema.signature.attributes
+        overlap = frozenset(rng.sample(attrs, rng.randint(1, len(attrs))))
+        extra = (
+            Fd(frozenset(), frozenset(rng.sample(attrs, 1))),
+            Fd(overlap, overlap | {rng.choice(attrs)}),
+        )
+        schema = FdSchema(schema.signature, schema.fds + extra)
+        pool = rng.choice(pools)
+        inst = random_instance(rng, schema.signature, max_facts=16, pool=pool)
+        facts = inst.sorted_facts
+        # the oracle's repair, it less one fact and plus one dropped
+        # fact, random subsets and the empty set
+        repair = list(brute_force_crep(schema, inst).repair.sorted_facts)
+        dropped = [f for f in facts if f not in repair]
+        candidates = [repair, []]
+        candidates += [[f for f in facts if rng.random() < 0.5] for _ in range(3)]
+        if repair:
+            candidates.append(rng.sample(repair, len(repair) - 1))
+        if dropped:
+            candidates.append(repair + [rng.choice(dropped)])
+        for kept in candidates:
+            candidate = Instance(schema.signature, kept)
+            expected = s_repair_by_definition(schema, facts, kept)
+            assert s_repair_by_pairs(schema, inst, candidate) == expected
+            assert is_s_repair(schema, inst, candidate) == expected
+            consistent = consistent_by_definition(schema, kept)
+            assert is_consistent(schema, candidate) == consistent
+            verdicts[expected, consistent] += 1
+        assert is_consistent(schema, inst) == consistent_by_definition(schema, facts)
+        wide_groups += sum(
+            len(members) >= 3 and len({rhs(facts[i]) for i in members}) >= 3
+            for _, rhs, members in _lhs_groups(schema, facts)
+        )
+    # S-repairs, consistent but not maximal, and inconsistent candidates
+    assert min(verdicts[True, True], verdicts[False, True]) >= 100
+    assert verdicts[False, False] >= 100 and len(verdicts) == 3
+    assert wide_groups >= 100
+
+
+def test_s_repair_and_consistency_build_no_pair(monkeypatch):
+    # A -> B, B -> A over 80 x 80 cells of 1-3 facts: 12,800 facts in one
+    # dense component, so millions of conflicting pairs
+    schema = FdSchema(
+        Signature("R", ("A", "B", "C")),
+        [Fd({"A"}, {"B"}), Fd({"B"}, {"A"})],
+    )
+    inst = Instance(schema.signature, dense_rows(random.Random(3), 80))
+    # per FD, the pairs that share its lhs value less those sharing a cell
+    per_cell = collections.Counter(f[:2] for f in inst.facts).values()
+    pairs = 0
+    for side in (0, 1):
+        per_key = collections.Counter(f[side] for f in inst.facts).values()
+        pairs += sum(n * (n - 1) // 2 for n in per_key)
+        pairs -= sum(n * (n - 1) // 2 for n in per_cell)
+    assert len(inst) >= 5000 and pairs >= 2_000_000
+    repair = find_crep(schema, inst).repair
+
+    def refuse(*args):
+        raise AssertionError("consistency and maximality must build no pair")
+
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "fdrepair" or name.startswith("fdrepair."):
+            for attr, value in list(vars(module).items()):
+                if value is _conflicts or value is _lhs_groups:
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound += 1
+    assert bound >= 2  # at least fds's own two
+    kept = repair.sorted_facts
+    dropped = sorted(inst.facts - repair.facts, key=fact_key)
+    less = Instance(schema.signature, kept[1:])
+    more = Instance(schema.signature, kept + (dropped[0],))
+    assert is_s_repair(schema, inst, repair) and is_consistent(schema, repair)
+    assert not is_s_repair(schema, inst, less) and is_consistent(schema, less)
+    assert not is_s_repair(schema, inst, more) and not is_consistent(schema, more)
+    assert not is_consistent(schema, inst)
 
 
 def test_fd_keys_compile_once_per_schema(monkeypatch):
