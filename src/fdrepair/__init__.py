@@ -20,7 +20,6 @@ from .fds import (
     entails,
     equivalent,
     is_consistent,
-    local_minima,
     normalize,
     pair_consistent,
     project,
@@ -68,7 +67,6 @@ __all__ = [
     "hard_case_witness",
     "is_consistent",
     "is_s_repair",
-    "local_minima",
     "max_weight_matching",
     "normalize",
     "pair_consistent",

@@ -12,6 +12,9 @@ A *constant* (cell value) is one of:
 Facts are plain tuples of constants, positionally aligned with the
 signature's attribute list.
 
+The one closure fixpoint in the package, :func:`_closure`, runs on FDs
+as ``(lhs, rhs)`` bitmask pairs over a signature's positions.
+
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check reads each FD through (lhs, rhs) getters
 compiled once per :class:`FdSchema`. :func:`pair_consistent` applies
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 
 class SchemaError(ValueError):
@@ -319,22 +322,39 @@ class ClosureResult:
         object.__setattr__(self, "proper", self.closure - self.base)
 
 
+# An FD as the bitmasks of its lhs and rhs over a signature's positions
+MaskFd = tuple[int, int]
+
+
+def _mask_fds(schema: FdSchema) -> list[MaskFd]:
+    """The schema's FDs as ``(lhs, rhs)`` masks over its signature."""
+    bit = {a: 1 << i for i, a in enumerate(schema.signature.attributes)}.__getitem__
+    return [(sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in schema.fds]
+
+
+def _closure(fds: Collection[MaskFd], closed: int) -> int:
+    """Least fixpoint of ``closed`` under the FDs."""
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in fds:
+            if not lhs & ~closed and rhs & ~closed:
+                closed |= rhs
+                changed = True
+    return closed
+
+
 def closure(schema: FdSchema, attrs: Iterable[str]) -> ClosureResult:
     """Least fixpoint of ``attrs`` under the schema's FDs.
 
     Repeatedly adds the rhs of every FD whose lhs is already contained,
-    until nothing changes.
+    until nothing changes: :func:`_closure` on the FDs' masks.
     """
     base = schema.signature.check_attrs(attrs)
-    current = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for fd in schema.fds:
-            if fd.lhs <= current and not fd.rhs <= current:
-                current |= fd.rhs
-                changed = True
-    return ClosureResult(base=base, closure=frozenset(current))
+    names = schema.signature.attributes
+    closed = _closure(_mask_fds(schema), sum(1 << names.index(a) for a in base))
+    found = frozenset(a for i, a in enumerate(names) if closed >> i & 1)
+    return ClosureResult(base, found)
 
 
 def entails(schema: FdSchema, fd: Fd) -> bool:
@@ -345,11 +365,13 @@ def entails(schema: FdSchema, fd: Fd) -> bool:
 
 
 def equivalent(first: FdSchema, second: FdSchema) -> bool:
-    """Whether two FD sets over the same signature entail each other."""
+    """Whether two FD sets over the same signature entail each other: each
+    FD's rhs lies in the closure of its lhs under the other set."""
     if first.signature != second.signature:
         raise SchemaError("cannot compare FD sets over different signatures")
-    return all(entails(second, fd) for fd in first.fds) and all(
-        entails(first, fd) for fd in second.fds
+    one, two = _mask_fds(first), _mask_fds(second)
+    return all(not rhs & ~_closure(two, lhs) for lhs, rhs in one) and all(
+        not rhs & ~_closure(one, lhs) for lhs, rhs in two
     )
 
 
@@ -368,28 +390,6 @@ def normalize(schema: FdSchema) -> FdSchema:
         if rhs:
             kept.append(Fd(fd.lhs, rhs))
     return FdSchema._of_checked(schema.signature, kept)
-
-
-def local_minima(schema: FdSchema) -> tuple[Fd, ...]:
-    """The FDs whose lhs strictly contains no other FD's lhs.
-
-    FDs sharing the same lhs count as one minimal "site"; callers that
-    need sites should deduplicate on lhs.
-    """
-    minima = []
-    for fd in schema.fds:
-        if not any(other.lhs < fd.lhs for other in schema.fds):
-            minima.append(fd)
-    return tuple(minima)
-
-
-def minima_sites(schema: FdSchema) -> tuple[frozenset[str], ...]:
-    """Distinct lhs sets of the local minima, in canonical order."""
-    sites: list[frozenset[str]] = []
-    for fd in local_minima(schema):
-        if fd.lhs not in sites:
-            sites.append(fd.lhs)
-    return tuple(sites)
 
 
 def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:

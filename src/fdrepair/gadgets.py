@@ -7,14 +7,16 @@ and to edge-disjoint triangle packing, and constructs the injective,
 conflict-preserving fact maps that transfer hardness into any schema the
 classifier rejects.
 
-The witness dispatcher (:func:`hard_case_witness`) analyses the closure
-structure of two (or three) minimal FDs of the stuck schema and picks
-one of five construction templates. Each applied rewrite reduces the
-schema after it to the schema before it by padding its removed columns
-with the reserved constant; composed, those reductions put that
-constant on every column the rewrites removed, so the witness is
-retargeted onto the input schema in one pass. :func:`verify_reduction`
-checks any such map on one source fact pair per agreement pattern.
+The witness dispatcher (:func:`hard_case_witness`) reads the FD set the
+classifier got stuck on, as attribute bitmasks, and picks one of five
+construction templates from the mask closures of two (or three) of its
+minimal lhs sites. Each applied rewrite reduces the schema after it to
+the schema before it by padding its removed columns with the reserved
+constant; composed, those reductions put that constant on every column
+the rewrites removed, so the rules are built once over the input
+columns, for one reduction onto the normalized input schema.
+:func:`verify_reduction` checks any such map on one source fact pair
+per agreement pattern.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from .fds import (
     Instance,
     Signature,
     _DotType,
+    _closure,
     _getter_at,
-    closure,
-    minima_sites,
     pair_consistent,
 )
 from .oracle import CapExceededError
-from .simplify import SimplificationTrace, classify
+from .simplify import SimplificationTrace, _positions, classify
 
 
 class GadgetError(ValueError):
@@ -280,46 +281,46 @@ class FactWiseReduction:
         return self._compiled(fact + (DOT,))
 
 
-def _rules_from_2r(attrs, x1, x2, x1_star, x2_star) -> tuple[Rule, ...]:
+def _rules_from_2r(columns, x1, x2, x1_star, x2_star) -> list[Rule]:
     rules = []
-    for a in attrs:
-        if a in x1 and a in x2:
+    for a in columns:
+        if a & x1 and a & x2:
             rules.append(DOT)
-        elif a in x1:
+        elif a & x1:
             rules.append("A")
-        elif a in x2:
+        elif a & x2:
             rules.append("B")
-        elif a in x1_star:
+        elif a & x1_star:
             rules.append(("A", "C"))
-        elif a in x2_star:
+        elif a & x2_star:
             rules.append(("B", "C"))
         else:
             rules.append(("A", "B"))
-    return tuple(rules)
+    return rules
 
 
-def _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star) -> tuple[Rule, ...]:
+def _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star) -> list[Rule]:
     rules = []
-    for a in attrs:
-        if a in x1 and a in x2:
+    for a in columns:
+        if a & x1 and a & x2:
             rules.append(DOT)
-        elif a in x1:
+        elif a & x1:
             rules.append("A")
-        elif a in x2:
+        elif a & x2:
             rules.append("B")
-        elif a in x1_star and a not in x2_plus:
+        elif a & x1_star and not a & x2_plus:
             rules.append(("A", "C"))
-        elif a in x2_star:
+        elif a & x2_star:
             rules.append(("B", "C"))
         else:
             rules.append("A")
-    return tuple(rules)
+    return rules
 
 
-def _rules_from_tr(attrs, x1, x2, x3) -> tuple[Rule, ...]:
+def _rules_from_tr(columns, x1, x2, x3) -> list[Rule]:
     rules = []
-    for a in attrs:
-        inside = (a in x1, a in x2, a in x3)
+    for a in columns:
+        inside = (bool(a & x1), bool(a & x2), bool(a & x3))
         if inside == (True, True, True):
             rules.append(DOT)
         elif inside == (True, True, False):
@@ -336,55 +337,67 @@ def _rules_from_tr(attrs, x1, x2, x3) -> tuple[Rule, ...]:
             rules.append(("B", "C"))
         else:
             rules.append(("A", "B", "C"))
-    return tuple(rules)
+    return rules
 
 
-def _rules_from_2fd(attrs, x1, x2, x1_star) -> tuple[Rule, ...]:
+def _rules_from_2fd(columns, x1, x2, x1_star) -> list[Rule]:
     rules = []
-    for a in attrs:
-        if a in x1 and a in x2:
+    for a in columns:
+        if a & x1 and a & x2:
             rules.append(DOT)
-        elif a in x1:
+        elif a & x1:
             rules.append("C")
-        elif a in x2 and a in x1_star:
+        elif a & x2 and a & x1_star:
             rules.append("B")
-        elif a in x2:
+        elif a & x2:
             rules.append(("A", "B"))
-        elif a in x1_star:
+        elif a & x1_star:
             rules.append(("B", "C"))
         else:
             rules.append(("A", "B", "C"))
-    return tuple(rules)
+    return rules
 
 
-def _terminal_witness(terminal: FdSchema) -> tuple[int, FactWiseReduction]:
-    """Pick the first matching closure-structure case over minima pairs."""
-    attrs = terminal.signature.attributes
-    sites = minima_sites(terminal)
-    closures = {site: closure(terminal, site) for site in sites}
+def _terminal_witness(fds, columns) -> tuple[int, str, list[Rule]]:
+    """Case id, hard core and one rule per column (a bit), by the first
+    closure-structure case that matches a pair of minimal sites of the
+    stuck FD set ``fds`` (masks), the sites in canonical order.
+
+    In ascending mask order, which puts every subset of an lhs before it,
+    an lhs is a minimal site exactly when no site kept before it lies
+    inside it. Each closure is computed at most once, when a pair first
+    needs it.
+    """
+    sites: list[int] = []
+    for lhs in sorted({lhs for lhs, _ in fds}):
+        if all(site & ~lhs for site in sites):
+            sites.append(lhs)
+    sites.sort(key=_positions)
+    closures: dict[int, int] = {}
+
+    def cl(site: int) -> int:
+        if site not in closures:
+            closures[site] = _closure(fds, site)
+        return closures[site]
+
     for x1, x2 in itertools.permutations(sites, 2):
-        x1_plus, x1_star = closures[x1].closure, closures[x1].proper
-        x2_plus, x2_star = closures[x2].closure, closures[x2].proper
-        if not (x1_star & x2_plus) and not (x2_star & x1_plus):
-            rules = _rules_from_2r(attrs, x1, x2, x1_star, x2_star)
-            return 1, FactWiseReduction(HARD_SCHEMAS["2r"], terminal, rules)
-        if (x1_star & x2_star) and not (x1_star & x2) and not (x2_star & x1):
-            rules = _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
-            return 2, FactWiseReduction(HARD_SCHEMAS["rl"], terminal, rules)
-        if (x1_star & x2) and not (x2_star & x1):
-            rules = _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
-            return 3, FactWiseReduction(HARD_SCHEMAS["rl"], terminal, rules)
-        if (x1_star & x2) and (x2_star & x1):
-            if (x1 - x2) <= x2_star and (x2 - x1) <= x1_star:
+        x1_plus, x2_plus = cl(x1), cl(x2)
+        x1_star, x2_star = x1_plus & ~x1, x2_plus & ~x2
+        if not x1_star & x2_plus and not x2_star & x1_plus:
+            return 1, "2r", _rules_from_2r(columns, x1, x2, x1_star, x2_star)
+        if x1_star & x2_star and not x1_star & x2 and not x2_star & x1:
+            return 2, "rl", _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star)
+        if x1_star & x2 and not x2_star & x1:
+            return 3, "rl", _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star)
+        if x1_star & x2 and x2_star & x1:
+            if not x1 & ~x2 & ~x2_star and not x2 & ~x1 & ~x1_star:
                 # a stuck schema has a third minimum here: were x1 and x2
                 # the only minima, they would be an lhs marriage for S3
                 third = next((s for s in sites if s not in (x1, x2)), None)
                 if third is not None:
-                    rules = _rules_from_tr(attrs, x1, x2, third)
-                    return 4, FactWiseReduction(HARD_SCHEMAS["tr"], terminal, rules)
-            elif not (x2 - x1) <= x1_star:
-                rules = _rules_from_2fd(attrs, x1, x2, x1_star)
-                return 5, FactWiseReduction(HARD_SCHEMAS["2fd"], terminal, rules)
+                    return 4, "tr", _rules_from_tr(columns, x1, x2, third)
+            elif x2 & ~x1 & ~x1_star:
+                return 5, "2fd", _rules_from_2fd(columns, x1, x2, x1_star)
     raise ReductionError(
         "no closure-structure case matched; this should be unreachable "
         "for a stuck schema with FDs left"
@@ -403,18 +416,18 @@ def hard_case_witness(schema: FdSchema) -> tuple[int, FactWiseReduction]:
 
 
 def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
-    """:func:`hard_case_witness` of the schema that ``trace`` classified."""
+    """:func:`hard_case_witness` of the schema that ``trace`` classified:
+    the case of the FD set it stopped on, with DOT on the removed columns."""
     if trace.tractable:
         raise ReductionError(
             "schema is tractable; there is no hardness witness"
         )
-    case_id, reduction = _terminal_witness(trace.terminal)
-    # projection keeps names, so an input column that is not a column of
-    # the terminal schema was removed by some step, and is padded
-    kept = dict(zip(trace.terminal.signature.attributes, reduction.rules))
     target = trace.normalized
-    padded = tuple(kept.get(a, DOT) for a in target.signature.attributes)
-    return case_id, FactWiseReduction(reduction.source, target, padded)
+    columns = [1 << i for i in range(target.signature.arity)]
+    case_id, core, rules = _terminal_witness(trace._fds, columns)
+    removed = sum(removed for _, _, removed in trace._plan)  # disjoint masks
+    padded = tuple(DOT if a & removed else rule for a, rule in zip(columns, rules))
+    return case_id, FactWiseReduction(HARD_SCHEMAS[core], target, padded)
 
 
 # ---------------------------------------------------------------------------

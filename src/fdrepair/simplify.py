@@ -28,12 +28,13 @@ canonical FD order matters only where a rule picks "first":
 * S2 takes, among the empty-lhs FDs, the rhs whose sorted position list
   is smallest;
 * S3 orders the distinct lhs masks by their sorted position lists, and
-  computes each closure as a mask fixpoint, at most once per call.
+  computes each closure by :func:`~fdrepair.fds._closure`, at most once.
 
 No step builds a schema or sorts the whole FD set. The trace keeps the
 *mask plan*, each step's kind, witness and removed positions over the
-input signature, and the verdict; the repair engine and the CLI read
-column positions straight off it. ``steps``, ``terminal`` and
+input signature, the verdict and the FD set it stopped on, as masks;
+the repair engine and the CLI read column positions off the plan, and
+the hardness witness reads the stopped FD set. ``steps``, ``terminal`` and
 ``normalized`` (the normalized input, step 0's ``schema_before``) are
 built the first time they are read, as cached properties: the plan is
 replayed with :func:`~fdrepair.fds.normalize` and
@@ -51,12 +52,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Optional, Union
 
-from .fds import Fd, FdSchema, normalize, project
+from .fds import Fd, FdSchema, MaskFd, _closure, _mask_fds, normalize, project
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
-
-# An FD as the bitmasks of its lhs and rhs over a signature's positions
-MaskFd = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,10 @@ class SimplificationTrace:
     ``_plan`` holds one ``(kind, witness, removed)`` per step, as masks
     over the input signature's positions: the witness is the S1
     attribute's bit, the S2 rhs or the S3 pair ``(X1, X2)``, and
-    ``removed`` the positions the step removes. ``steps``, ``terminal``
-    and ``normalized`` are built from it on first read. Equality,
+    ``removed`` the positions the step removes. ``_fds`` is the FD set
+    the rewrites stopped on, as masks over the same positions: empty
+    exactly when the schema is tractable. ``steps``, ``terminal`` and
+    ``normalized`` are built from the plan on first read. Equality,
     hashing and ``repr`` read ``(steps, terminal, tractable)``, as those
     of a dataclass of these three fields would.
     """
@@ -86,6 +86,7 @@ class SimplificationTrace:
     tractable: bool
     _schema: FdSchema
     _plan: tuple[tuple[str, Union[int, tuple[int, int]], int], ...]
+    _fds: frozenset[MaskFd]
 
     @cached_property
     def normalized(self) -> FdSchema:
@@ -162,12 +163,6 @@ def _attr_set(attrs: tuple[str, ...], mask: int) -> frozenset[str]:
     return frozenset(a for i, a in enumerate(attrs) if mask >> i & 1)
 
 
-def _mask_fds(schema: FdSchema) -> list[MaskFd]:
-    """The schema's FDs as ``(lhs, rhs)`` masks over its signature."""
-    bit = {a: 1 << i for i, a in enumerate(schema.signature.attributes)}.__getitem__
-    return [(sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in schema.fds]
-
-
 def _s1(fds: Collection[MaskFd]) -> Optional[int]:
     """S1's witness: the lowest position on every lhs, as its bit."""
     if not fds:
@@ -184,18 +179,6 @@ def _s2(fds: Collection[MaskFd]) -> Optional[int]:
     if len(found) > 1:
         return min(found, key=_positions)
     return found[0] if found else None
-
-
-def _closure(fds: Collection[MaskFd], closed: int) -> int:
-    """Least fixpoint of ``closed`` under the FDs."""
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in fds:
-            if not lhs & ~closed and rhs & ~closed:
-                closed |= rhs
-                changed = True
-    return closed
 
 
 def _s3(fds: Collection[MaskFd]) -> Optional[tuple[int, int]]:
@@ -286,4 +269,6 @@ def classify(schema: FdSchema) -> SimplificationTrace:
         plan.append((kind, witness, removed))
         kept = ~removed
         fds = {(lhs & kept, rhs & kept) for lhs, rhs in fds if rhs & kept}
-    return SimplificationTrace(tractable=not fds, _schema=schema, _plan=tuple(plan))
+    return SimplificationTrace(
+        tractable=not fds, _schema=schema, _plan=tuple(plan), _fds=frozenset(fds)
+    )

@@ -17,7 +17,12 @@ subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
 equivalent spellings get one verdict. :func:`classify_by_projection`
 runs the rewrite loop on ``FdSchema`` values, each rule by its set
-definition and each step by ``project``, not on attribute bitmasks.
+definition and each step by ``project``, not on attribute bitmasks, and
+:func:`witness_by_closures` picks the hardness witness on its terminal
+schema: minimal sites by comparing every pair of FDs
+(:func:`local_minima`), closures on attribute names
+(:func:`closure_by_fixpoint`, the classifier's fixpoint without masks),
+rules by attribute name.
 CSV files are read row by row with the csv module
 (:func:`read_csv_by_csv_module`).
 """
@@ -34,12 +39,16 @@ from fdrepair.fds import (
     FdSchema,
     Instance,
     _conflicts,
-    closure,
     constant_key,
     normalize,
     project,
 )
-from fdrepair.gadgets import CnfFormula, TripartiteGraph
+from fdrepair.gadgets import (
+    HARD_SCHEMAS,
+    CnfFormula,
+    FactWiseReduction,
+    TripartiteGraph,
+)
 from fdrepair.repair import BipartiteMatchProblem, max_weight_matching
 from fdrepair.simplify import SimplificationStep
 from fdrepair.textio import DataError
@@ -64,6 +73,20 @@ def closure_by_closed_sets(schema: FdSchema, base: frozenset) -> frozenset:
     return result
 
 
+def closure_by_fixpoint(schema: FdSchema, base) -> frozenset:
+    """The closure of ``base`` by adding, until nothing changes, the rhs of
+    every FD whose lhs is already inside: on attribute names, not masks."""
+    current = set(base)
+    changed = True
+    while changed:
+        changed = False
+        for fd in schema.fds:
+            if fd.lhs <= current and not fd.rhs <= current:
+                current |= fd.rhs
+                changed = True
+    return frozenset(current)
+
+
 def saturate(schema: FdSchema) -> FdSchema:
     """Replace the FDs on each left-hand side with one FD to its closure.
 
@@ -76,7 +99,7 @@ def saturate(schema: FdSchema) -> FdSchema:
             sites.append(fd.lhs)
     fds = []
     for lhs in sites:
-        proper = closure(schema, lhs).proper
+        proper = closure_by_fixpoint(schema, lhs) - lhs
         if proper:
             fds.append(Fd(lhs, proper))
     return FdSchema(schema.signature, fds)
@@ -100,7 +123,7 @@ def _s3_by_sets(schema: FdSchema):
     for i, x1 in enumerate(sites):
         for x2 in sites[i + 1 :]:
             if all(x1 <= lhs or x2 <= lhs for lhs in sites) and (
-                closure(schema, x1).closure == closure(schema, x2).closure
+                closure_by_fixpoint(schema, x1) == closure_by_fixpoint(schema, x2)
             ):
                 return (x1, x2)
     return None
@@ -145,6 +168,147 @@ def classify_by_projection(schema: FdSchema) -> tuple:
         steps.append(step)
         current = step.schema_after
     return tuple(steps), current, not current.fds
+
+
+def local_minima(schema: FdSchema) -> tuple[Fd, ...]:
+    """The FDs whose lhs strictly contains no other FD's lhs.
+
+    FDs sharing the same lhs count as one minimal "site"; callers that
+    need sites should deduplicate on lhs.
+    """
+    minima = []
+    for fd in schema.fds:
+        if not any(other.lhs < fd.lhs for other in schema.fds):
+            minima.append(fd)
+    return tuple(minima)
+
+
+def minima_sites(schema: FdSchema) -> tuple[frozenset[str], ...]:
+    """Distinct lhs sets of the local minima, in canonical order."""
+    sites: list[frozenset[str]] = []
+    for fd in local_minima(schema):
+        if fd.lhs not in sites:
+            sites.append(fd.lhs)
+    return tuple(sites)
+
+
+def _rules_from_2r(attrs, x1, x2, x1_star, x2_star) -> tuple:
+    rules = []
+    for a in attrs:
+        if a in x1 and a in x2:
+            rules.append(DOT)
+        elif a in x1:
+            rules.append("A")
+        elif a in x2:
+            rules.append("B")
+        elif a in x1_star:
+            rules.append(("A", "C"))
+        elif a in x2_star:
+            rules.append(("B", "C"))
+        else:
+            rules.append(("A", "B"))
+    return tuple(rules)
+
+
+def _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star) -> tuple:
+    rules = []
+    for a in attrs:
+        if a in x1 and a in x2:
+            rules.append(DOT)
+        elif a in x1:
+            rules.append("A")
+        elif a in x2:
+            rules.append("B")
+        elif a in x1_star and a not in x2_plus:
+            rules.append(("A", "C"))
+        elif a in x2_star:
+            rules.append(("B", "C"))
+        else:
+            rules.append("A")
+    return tuple(rules)
+
+
+def _rules_from_tr(attrs, x1, x2, x3) -> tuple:
+    rules = []
+    for a in attrs:
+        inside = (a in x1, a in x2, a in x3)
+        if inside == (True, True, True):
+            rules.append(DOT)
+        elif inside == (True, True, False):
+            rules.append("A")
+        elif inside == (True, False, True):
+            rules.append("B")
+        elif inside == (False, True, True):
+            rules.append("C")
+        elif inside == (True, False, False):
+            rules.append(("A", "B"))
+        elif inside == (False, True, False):
+            rules.append(("A", "C"))
+        elif inside == (False, False, True):
+            rules.append(("B", "C"))
+        else:
+            rules.append(("A", "B", "C"))
+    return tuple(rules)
+
+
+def _rules_from_2fd(attrs, x1, x2, x1_star) -> tuple:
+    rules = []
+    for a in attrs:
+        if a in x1 and a in x2:
+            rules.append(DOT)
+        elif a in x1:
+            rules.append("C")
+        elif a in x2 and a in x1_star:
+            rules.append("B")
+        elif a in x2:
+            rules.append(("A", "B"))
+        elif a in x1_star:
+            rules.append(("B", "C"))
+        else:
+            rules.append(("A", "B", "C"))
+    return tuple(rules)
+
+
+def terminal_witness_by_closures(terminal: FdSchema) -> tuple:
+    """``(case id, core, rules)`` by the first matching closure-structure
+    case over ordered pairs of the terminal schema's minimal sites."""
+    attrs = terminal.signature.attributes
+    sites = minima_sites(terminal)
+    closures = {site: closure_by_fixpoint(terminal, site) for site in sites}
+    for x1, x2 in itertools.permutations(sites, 2):
+        x1_plus, x1_star = closures[x1], closures[x1] - x1
+        x2_plus, x2_star = closures[x2], closures[x2] - x2
+        if not (x1_star & x2_plus) and not (x2_star & x1_plus):
+            return 1, "2r", _rules_from_2r(attrs, x1, x2, x1_star, x2_star)
+        if (x1_star & x2_star) and not (x1_star & x2) and not (x2_star & x1):
+            return 2, "rl", _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
+        if (x1_star & x2) and not (x2_star & x1):
+            return 3, "rl", _rules_from_rl(attrs, x1, x2, x1_star, x2_plus, x2_star)
+        if (x1_star & x2) and (x2_star & x1):
+            if (x1 - x2) <= x2_star and (x2 - x1) <= x1_star:
+                third = next((s for s in sites if s not in (x1, x2)), None)
+                if third is not None:
+                    return 4, "tr", _rules_from_tr(attrs, x1, x2, third)
+            elif not (x2 - x1) <= x1_star:
+                return 5, "2fd", _rules_from_2fd(attrs, x1, x2, x1_star)
+    raise AssertionError(f"no closure-structure case matched on {terminal}")
+
+
+def witness_by_closures(schema: FdSchema, terminal: FdSchema = None) -> tuple:
+    """``(case id, reduction)`` of ``fdrepair.gadgets.hard_case_witness``,
+    on ``FdSchema`` values: the terminal schema of the projection loop
+    (or ``terminal``, when the caller has it), its minimal sites by
+    comparing every pair of FDs, their closures on attribute names, the
+    five cases' rules by attribute name, and DOT on every input column
+    that the terminal schema lost."""
+    if terminal is None:
+        terminal = classify_by_projection(schema)[1]
+    assert terminal.fds, schema
+    case_id, core, rules = terminal_witness_by_closures(terminal)
+    kept = dict(zip(terminal.signature.attributes, rules))
+    target = normalize(schema)
+    padded = tuple(kept.get(a, DOT) for a in target.signature.attributes)
+    return case_id, FactWiseReduction(HARD_SCHEMAS[core], target, padded)
 
 
 def _agreement(schema: FdSchema, f, g) -> set:

@@ -4,20 +4,21 @@ A verdict depends only on the closure system of the FD set, and there
 are 61 closure systems (Moore families) on three attributes and 2,480
 on four. So the whole space fits in the suite: each family is built as
 an FD basis, classified under three equivalent spellings (each trace
-equal to the projection loop's) and under one seeded renaming of its
-attributes, and then checked against ground truth, a verified hardness
-witness when it is hard and, when it is tractable, the brute-force
-oracle's repair size and the maximality of ``find_crep``'s repair.
+equal to the projection loop's, and each hard spelling's witness to the
+closure loop's) and under one seeded renaming of its attributes, and
+then checked against ground truth, a verified hardness witness when it
+is hard and, when it is tractable, the brute-force oracle's repair size
+and the maximality of ``find_crep``'s repair.
 """
 
 import random
 from collections import Counter
 
 from generators import random_instance
-from oracles import classify_by_projection
+from oracles import classify_by_projection, witness_by_closures
 
 from fdrepair.fds import Fd, FdSchema, Signature, equivalent, normalize
-from fdrepair.gadgets import hard_case_witness, verify_reduction
+from fdrepair.gadgets import _witness, verify_reduction
 from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import find_crep
 from fdrepair.simplify import classify
@@ -94,12 +95,18 @@ def test_every_closure_system_on_up_to_four_attributes():
             redundant = redundant_basis(rng, schema)
             assert equivalent(redundant, schema)
             trace = classify(schema)
+            witnesses = []
             for spelling in (schema, normalize(schema), redundant):
                 # the mask classifier's trace is the projection loop's
                 expected = classify_by_projection(spelling)
                 assert expected[2] == trace.tractable, family
                 spelled = trace if spelling is schema else classify(spelling)
                 assert (spelled.steps, spelled.terminal, spelled.tractable) == expected
+                if not trace.tractable:
+                    # and so is the witness: case id, source, target and rules
+                    witness = _witness(spelled)
+                    assert witness == witness_by_closures(spelling, expected[1]), family
+                    witnesses.append(witness)
             if n == 4:
                 # renaming the attributes keeps the verdict
                 permuted = permute(family, renamings.sample(range(n), n))
@@ -107,7 +114,7 @@ def test_every_closure_system_on_up_to_four_attributes():
                 assert classify(basis(signature, permuted)).tractable == trace.tractable
             tally[trace.tractable] += 1
             if not trace.tractable:
-                case_id, reduction = hard_case_witness(schema)
+                case_id, reduction = witnesses[0]
                 assert verify_reduction(reduction).ok, (family, case_id)
                 cases[n, case_id] += 1
                 continue

@@ -14,6 +14,8 @@ from oracles import (
     consistent_by_definition,
     entails_by_two_fact_models,
     first_violated_fd,
+    local_minima,
+    minima_sites,
 )
 
 from fdrepair.fds import (
@@ -29,8 +31,6 @@ from fdrepair.fds import (
     equivalent,
     fact_key,
     is_consistent,
-    local_minima,
-    minima_sites,
     normalize,
     pair_consistent,
     project,

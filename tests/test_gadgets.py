@@ -17,9 +17,11 @@ from oracles import (
     image_by_name,
     max_edge_disjoint_triangles,
     reduction_violations_by_pairs,
+    terminal_witness_by_closures,
+    witness_by_closures,
 )
 
-from fdrepair.fds import DOT, normalize
+from fdrepair.fds import DOT, Fd, FdSchema, Signature, normalize
 from fdrepair.gadgets import (
     CnfFormula,
     FactWiseReduction,
@@ -27,7 +29,6 @@ from fdrepair.gadgets import (
     HARD_SCHEMAS,
     ReductionError,
     TripartiteGraph,
-    _terminal_witness,
     gadget_2fd,
     gadget_2r,
     gadget_rl,
@@ -227,7 +228,9 @@ def test_witness_or_proven_gap_on_random_stuck_schemas():
 # -- padding through the applied rewrites ----------------------------------------
 
 def test_witness_pads_every_removed_column():
-    """The witness is the stuck schema's map, DOT-padded onto the input."""
+    """The witness is the stuck schema's map, DOT-padded onto the input:
+    the reference's case and rules on the terminal schema, and the
+    reference's whole reduction."""
     rng = random.Random(41)
     checked = 0
     while checked < 200:
@@ -235,13 +238,15 @@ def test_witness_pads_every_removed_column():
         trace = classify(schema)
         if not trace.steps:
             continue
-        case_id, reduction = hard_case_witness(schema)
-        terminal_case, terminal = _terminal_witness(trace.terminal)
+        witness = hard_case_witness(schema)
+        assert witness == witness_by_closures(schema), schema
+        case_id, reduction = witness
+        terminal_case, core, rules = terminal_witness_by_closures(trace.terminal)
         assert case_id == terminal_case
-        assert reduction.source == terminal.source
+        assert reduction.source == HARD_SCHEMAS[core]
         assert reduction.target == normalize(schema)
         removed = frozenset().union(*trace.removed_sets)
-        kept = dict(zip(trace.terminal.signature.attributes, terminal.rules))
+        kept = dict(zip(trace.terminal.signature.attributes, rules))
         assert removed.isdisjoint(kept)
         attrs = reduction.target.signature.attributes
         assert removed | kept.keys() == set(attrs)
@@ -253,6 +258,48 @@ def test_witness_pads_every_removed_column():
         report = verify_reduction(reduction)
         assert report.ok and report.exhaustive, (schema, report.violations[:2])
         checked += 1
+
+
+def test_witness_equals_the_closure_loop():
+    """On seeded random hard schemas of up to 7 attributes, the witness is
+    the reference's: case id, source, target and rules."""
+    rng = random.Random(97)
+    cases = Counter()
+    stepped = 0
+    for _ in range(1500):
+        schema = random_intractable_schema(rng, max_attrs=7, max_fds=6)
+        witness = hard_case_witness(schema)
+        assert witness == witness_by_closures(schema), schema
+        cases[witness[0]] += 1
+        stepped += bool(classify(schema).kinds)
+    assert set(cases) == {1, 2, 3, 4, 5}, cases
+    # some schemas lose columns to the rewrites before they get stuck
+    assert min(cases.values()) >= 20 and stepped >= 100, (cases, stepped)
+
+
+def _wide_hard_schema(rng: random.Random, arity: int, count: int):
+    """A schema over ``arity`` attributes that S2 and then S1 shrink before
+    the rewrites get stuck: ``count`` random FDs, each with a shared
+    attribute added to its lhs, and one FD with an empty lhs."""
+    attrs = [f"A{i}" for i in range(arity)]
+    rng.shuffle(attrs)
+    shared, constant, *rest = attrs
+    fds = [Fd(frozenset(), {constant})]
+    for _ in range(count):
+        lhs = set(rng.sample(rest, rng.randint(1, 3))) | {shared}
+        fds.append(Fd(lhs, rng.sample(rest, rng.randint(1, 3))))
+    return FdSchema(Signature("R", tuple(attrs)), fds)
+
+
+def test_witness_on_a_wide_schema_equals_the_closure_loop():
+    schema = _wide_hard_schema(random.Random(7), arity=64, count=300)
+    trace = classify(schema)
+    assert not trace.tractable and trace.kinds == ("S2", "S1")
+    case_id, reduction = hard_case_witness(schema)
+    assert (case_id, reduction) == witness_by_closures(schema)
+    assert sum(rule is DOT for rule in reduction.rules) >= 2
+    report = verify_reduction(reduction)
+    assert report.ok, report.violations[:2]
 
 
 def test_padding_map_reduces_each_step(worked_example):

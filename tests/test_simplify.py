@@ -25,7 +25,7 @@ from fdrepair.fds import (
     normalize,
     project,
 )
-from fdrepair.gadgets import HARD_SCHEMAS
+from fdrepair.gadgets import HARD_SCHEMAS, hard_case_witness
 from fdrepair.repair import find_crep
 from fdrepair.simplify import (
     classify,
@@ -405,6 +405,17 @@ def test_trace_views_are_built_once(worked_example, schema_builds):
     hard = classify(HARD_SCHEMAS["2fd"])
     assert hard.terminal is hard.normalized
     assert schema_builds["project"] == 5
+
+
+def test_hard_case_witness_builds_only_the_normalized_input(schema_builds):
+    # S1 removes D before the rewrites get stuck on the two-fd core; the
+    # witness reads the stuck FD set's masks, not the terminal schema
+    schema = schema_of("DABC", "DAB->C", "DC->B")
+    case_id, reduction = hard_case_witness(schema)
+    assert case_id == 5 and reduction.rules[0] is fds.DOT
+    # the one normalize is trace.normalized, the reduction's target
+    assert reduction.target == schema
+    assert schema_builds == {"normalize": 1}
 
 
 def test_traces_of_different_inputs_differ_on_one_plan():

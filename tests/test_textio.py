@@ -8,7 +8,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_csv_by_csv_module
@@ -804,6 +804,41 @@ def test_parse_triangles():
     assert parse_triangles("# no triangles\n") == TripartiteGraph((), (), (), [])
     with pytest.raises(DataError):
         parse_triangles("a b\n")
+
+
+# Lines and pieces of the three formats, and characters that trip up
+# parsers: non-ASCII digits and spaces, a digit string past int()'s
+# limit, NUL
+_PIECES = (
+    "relation R(A,B)", "fd R: A -> B", "fd R: -> A", "p cnf 2 1\n1 -2 0",
+    "p cnf 2 0", "p cnf 2", "p cnf x 1", "1 -2 0", "a1 b1 c1",
+    "relation", "fd", "R", "S", "(", ")", "A", "B", ",", ":", "->", "#",
+    "p", "cnf", "c", "%", "0", "1", "-1", "2", "-3", "1_0", "+1", "1e3",
+    "\u0663", "\u00e9", "9" * 5000, " ", "\t", "\r", "\x0b", "\x00",
+    "\u2028", "\ufeff",
+)
+_hostile_lines = st.one_of(
+    st.sampled_from(_PIECES),
+    st.lists(st.sampled_from(_PIECES), max_size=10).map("".join),
+    st.lists(st.sampled_from(_PIECES), max_size=10).map(" ".join),
+)
+_hostile_texts = st.one_of(st.text(), st.lists(_hostile_lines, max_size=6).map("\n".join))
+
+
+@pytest.mark.parametrize("parse", [parse_schema, parse_dimacs, parse_triangles])
+@settings(max_examples=200, deadline=None)
+@given(text=_hostile_texts)
+@example(text="p cnf x 1")
+@example(text="p cnf 2 1\n1 x 0")
+@example(text="p cnf -1 0")
+@example(text="relation R(A,A)\nfd S: A -> B")
+@example(text="a1 b1\n")
+def test_readers_return_or_raise_their_error_on_any_text(parse, text):
+    """Any text is read, or refused with the reader's own error."""
+    try:
+        parse(text)
+    except (SchemaParseError, DataError):
+        pass
 
 
 def test_triangle_parsing_scales_with_the_file():
