@@ -56,14 +56,20 @@ class CliError(Exception):
     """Fatal condition reported to stderr; maps to exit code 1."""
 
 
-def _load_schema_file(path: str) -> SchemaDocument:
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file (a leading BOM dropped); ``what`` names
+    the file in the error when it cannot be read."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read schema file: {exc}") from exc
+        raise CliError(f"cannot read {what} file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _load_schema_file(path: str) -> SchemaDocument:
+    text = _read_text(path, "schema")
     try:
         document = parse_schema(text)
     except SchemaParseError as exc:
@@ -224,13 +230,7 @@ _GADGET_BUILDERS: dict[str, Callable] = {
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
-    try:
-        with open(args.infile, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read input file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{args.infile}: {exc}") from exc
+    text = _read_text(args.infile, "input")
     schema = HARD_SCHEMAS[args.type]
     try:
         if args.type == "tr":

@@ -13,7 +13,9 @@ Facts are plain tuples of constants, positionally aligned with the
 signature's attribute list.
 
 The one closure fixpoint in the package, :func:`_closure`, runs on FDs
-as ``(lhs, rhs)`` bitmask pairs over a signature's positions.
+as ``(lhs, rhs)`` bitmask pairs over a signature's positions;
+:func:`_closures` memoizes it for callers that ask for many closures
+under one FD set.
 
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check reads each FD through (lhs, rhs) getters
@@ -342,6 +344,19 @@ def _closure(fds: Collection[MaskFd], closed: int) -> int:
                 closed |= rhs
                 changed = True
     return closed
+
+
+def _closures(fds: Collection[MaskFd]) -> Callable[[int], int]:
+    """:func:`_closure` under ``fds`` as a function that computes each
+    closure at most once."""
+    closures: dict[int, int] = {}
+
+    def cl(closed: int) -> int:
+        if closed not in closures:
+            closures[closed] = _closure(fds, closed)
+        return closures[closed]
+
+    return cl
 
 
 def closure(schema: FdSchema, attrs: Iterable[str]) -> ClosureResult:

@@ -10,11 +10,15 @@ classifier rejects.
 The witness dispatcher (:func:`hard_case_witness`) reads the FD set the
 classifier got stuck on, as attribute bitmasks, and picks one of five
 construction templates from the mask closures of two (or three) of its
-minimal lhs sites. Each applied rewrite reduces the schema after it to
+minimal lhs sites. A template is a table: a column's rule depends only
+on which of those sites and closures hold it, so each case is a list of
+``(mask, rule)`` rows, and a column takes the rule of the first row
+whose mask holds it. Each applied rewrite reduces the schema after it to
 the schema before it by padding its removed columns with the reserved
 constant; composed, those reductions put that constant on every column
-the rewrites removed, so the rules are built once over the input
-columns, for one reduction onto the normalized input schema.
+the rewrites removed. So the removed columns are the table's first row,
+and the rules are built once over the input columns, for one reduction
+onto the normalized input schema.
 :func:`verify_reduction` checks any such map on one source fact pair
 per agreement pattern.
 """
@@ -35,7 +39,7 @@ from .fds import (
     Instance,
     Signature,
     _DotType,
-    _closure,
+    _closures,
     _getter_at,
     pair_consistent,
 )
@@ -277,91 +281,29 @@ class FactWiseReduction:
         return _compile_rule(self.rules, positions)
 
     def apply(self, fact: Fact) -> Fact:
-        """The image of a source fact: a tuple of the source's arity."""
+        """The image of a source fact: a tuple of the target's arity."""
         return self._compiled(fact + (DOT,))
 
 
-def _rules_from_2r(columns, x1, x2, x1_star, x2_star) -> list[Rule]:
+def _rules(columns, cases, default) -> tuple[Rule, ...]:
+    """One rule per column (a bit): the rule of the first ``(mask, rule)``
+    case whose mask holds the column, or ``default`` when none does."""
     rules = []
     for a in columns:
-        if a & x1 and a & x2:
-            rules.append(DOT)
-        elif a & x1:
-            rules.append("A")
-        elif a & x2:
-            rules.append("B")
-        elif a & x1_star:
-            rules.append(("A", "C"))
-        elif a & x2_star:
-            rules.append(("B", "C"))
+        for mask, rule in cases:
+            if a & mask:
+                break
         else:
-            rules.append(("A", "B"))
-    return rules
+            rule = default
+        rules.append(rule)
+    return tuple(rules)
 
 
-def _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star) -> list[Rule]:
-    rules = []
-    for a in columns:
-        if a & x1 and a & x2:
-            rules.append(DOT)
-        elif a & x1:
-            rules.append("A")
-        elif a & x2:
-            rules.append("B")
-        elif a & x1_star and not a & x2_plus:
-            rules.append(("A", "C"))
-        elif a & x2_star:
-            rules.append(("B", "C"))
-        else:
-            rules.append("A")
-    return rules
-
-
-def _rules_from_tr(columns, x1, x2, x3) -> list[Rule]:
-    rules = []
-    for a in columns:
-        inside = (bool(a & x1), bool(a & x2), bool(a & x3))
-        if inside == (True, True, True):
-            rules.append(DOT)
-        elif inside == (True, True, False):
-            rules.append("A")
-        elif inside == (True, False, True):
-            rules.append("B")
-        elif inside == (False, True, True):
-            rules.append("C")
-        elif inside == (True, False, False):
-            rules.append(("A", "B"))
-        elif inside == (False, True, False):
-            rules.append(("A", "C"))
-        elif inside == (False, False, True):
-            rules.append(("B", "C"))
-        else:
-            rules.append(("A", "B", "C"))
-    return rules
-
-
-def _rules_from_2fd(columns, x1, x2, x1_star) -> list[Rule]:
-    rules = []
-    for a in columns:
-        if a & x1 and a & x2:
-            rules.append(DOT)
-        elif a & x1:
-            rules.append("C")
-        elif a & x2 and a & x1_star:
-            rules.append("B")
-        elif a & x2:
-            rules.append(("A", "B"))
-        elif a & x1_star:
-            rules.append(("B", "C"))
-        else:
-            rules.append(("A", "B", "C"))
-    return rules
-
-
-def _terminal_witness(fds, columns) -> tuple[int, str, list[Rule]]:
-    """Case id, hard core and one rule per column (a bit), by the first
-    closure-structure case that matches a pair of minimal sites of the
-    stuck FD set ``fds`` (masks), the sites in canonical order.
+def _terminal_witness(fds) -> tuple[int, str, list[tuple[int, Rule]], Rule]:
+    """Case id, hard core, and the case's rule table as ``(mask, rule)``
+    rows and a default for :func:`_rules`, by the first closure-structure
+    case that matches a pair of minimal sites of the stuck FD set ``fds``
+    (masks), the sites in canonical order.
 
     In ascending mask order, which puts every subset of an lhs before it,
     an lhs is a minimal site exactly when no site kept before it lies
@@ -373,31 +315,34 @@ def _terminal_witness(fds, columns) -> tuple[int, str, list[Rule]]:
         if all(site & ~lhs for site in sites):
             sites.append(lhs)
     sites.sort(key=_positions)
-    closures: dict[int, int] = {}
-
-    def cl(site: int) -> int:
-        if site not in closures:
-            closures[site] = _closure(fds, site)
-        return closures[site]
-
+    cl = _closures(fds)
     for x1, x2 in itertools.permutations(sites, 2):
         x1_plus, x2_plus = cl(x1), cl(x2)
         x1_star, x2_star = x1_plus & ~x1, x2_plus & ~x2
         if not x1_star & x2_plus and not x2_star & x1_plus:
-            return 1, "2r", _rules_from_2r(columns, x1, x2, x1_star, x2_star)
-        if x1_star & x2_star and not x1_star & x2 and not x2_star & x1:
-            return 2, "rl", _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star)
-        if x1_star & x2 and not x2_star & x1:
-            return 3, "rl", _rules_from_rl(columns, x1, x2, x1_star, x2_plus, x2_star)
+            cases = [(x1 & x2, DOT), (x1, "A"), (x2, "B"),
+                     (x1_star, ("A", "C")), (x2_star, ("B", "C"))]
+            return 1, "2r", cases, ("A", "B")
+        case_2 = x1_star & x2_star and not x1_star & x2 and not x2_star & x1
+        case_3 = x1_star & x2 and not x2_star & x1
+        if case_2 or case_3:
+            cases = [(x1 & x2, DOT), (x1, "A"), (x2, "B"),
+                     (x1_star & ~x2_plus, ("A", "C")), (x2_star, ("B", "C"))]
+            return 2 if case_2 else 3, "rl", cases, "A"
         if x1_star & x2 and x2_star & x1:
             if not x1 & ~x2 & ~x2_star and not x2 & ~x1 & ~x1_star:
                 # a stuck schema has a third minimum here: were x1 and x2
                 # the only minima, they would be an lhs marriage for S3
-                third = next((s for s in sites if s not in (x1, x2)), None)
-                if third is not None:
-                    return 4, "tr", _rules_from_tr(columns, x1, x2, third)
+                x3 = next((s for s in sites if s not in (x1, x2)), None)
+                if x3 is not None:
+                    cases = [(x1 & x2 & x3, DOT), (x1 & x2, "A"), (x1 & x3, "B"),
+                             (x2 & x3, "C"), (x1, ("A", "B")), (x2, ("A", "C")),
+                             (x3, ("B", "C"))]
+                    return 4, "tr", cases, ("A", "B", "C")
             elif x2 & ~x1 & ~x1_star:
-                return 5, "2fd", _rules_from_2fd(columns, x1, x2, x1_star)
+                cases = [(x1 & x2, DOT), (x1, "C"), (x2 & x1_star, "B"),
+                         (x2, ("A", "B")), (x1_star, ("B", "C"))]
+                return 5, "2fd", cases, ("A", "B", "C")
     raise ReductionError(
         "no closure-structure case matched; this should be unreachable "
         "for a stuck schema with FDs left"
@@ -424,10 +369,10 @@ def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
         )
     target = trace.normalized
     columns = [1 << i for i in range(target.signature.arity)]
-    case_id, core, rules = _terminal_witness(trace._fds, columns)
+    case_id, core, cases, default = _terminal_witness(trace._fds)
     removed = sum(removed for _, _, removed in trace._plan)  # disjoint masks
-    padded = tuple(DOT if a & removed else rule for a, rule in zip(columns, rules))
-    return case_id, FactWiseReduction(HARD_SCHEMAS[core], target, padded)
+    rules = _rules(columns, [(removed, DOT), *cases], default)
+    return case_id, FactWiseReduction(HARD_SCHEMAS[core], target, rules)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ edge joins back into its key. When no two block keys share an X1 or an
 X2 value, every block is an edge of its own, and the matching takes
 them all, since a non-empty block repairs to at least one fact; such a
 step returns the union of its block repairs, as S1 does, with no sort,
-no problem and no matcher call. Otherwise the S3 step sorts its block
+no problem and no matcher call, so the matcher only gets graphs with
+two edges that share an endpoint. Otherwise the S3 step sorts its block
 keys once and splits them into ``(x, y)`` with the two endpoint getters
 compiled with the plan, in C-level ``zip`` and ``map`` calls. The
 matching runs in pure Python: one optimum with its LP duals, then one
@@ -362,10 +363,8 @@ def max_weight_matching(
     That list is the lex greedy: take the edges in canonical order, keep
     an edge when its endpoints are free and the edges after it can still
     complete an optimum with it, and stop once the optimum is reached.
-    When no two edges share an endpoint, that is every edge up to the
-    last positive one.
 
-    Otherwise :func:`_optimum` gives one optimum ``mate`` and LP duals
+    :func:`_optimum` gives one optimum ``mate`` and LP duals
     ``y >= 0``. By complementary slackness the optima are exactly the
     matchings of tight edges (``y[a] + y[b] == w``) that cover every
     vertex of positive dual. So an edge that is not tight is rejected at
@@ -380,16 +379,9 @@ def max_weight_matching(
     if not edges:
         return ()
     xs, ys, weights = zip(*edges)
-    lefts, rights = dict.fromkeys(xs), dict.fromkeys(ys)
-    if len(lefts) == len(edges) == len(rights):
-        # every component is one edge: all of them up to the last positive one
-        stop = len(edges)
-        while stop and not weights[stop - 1]:
-            stop -= 1
-        return tuple(zip(xs[:stop], ys[:stop]))
     # left and right vertices are numbered in one range, lefts first
-    lefts = dict(zip(lefts, count()))
-    rights = dict(zip(rights, count(len(lefts))))
+    lefts = dict(zip(dict.fromkeys(xs), count()))
+    rights = dict(zip(dict.fromkeys(ys), count(len(lefts))))
     ends = list(zip(map(lefts.__getitem__, xs), map(rights.__getitem__, ys), weights))
     target, mate, duals = _optimum(ends, len(lefts), len(lefts) + len(rights))
     tight: list[list[tuple[int, int]]] = [[] for _ in duals]

@@ -28,7 +28,7 @@ canonical FD order matters only where a rule picks "first":
 * S2 takes, among the empty-lhs FDs, the rhs whose sorted position list
   is smallest;
 * S3 orders the distinct lhs masks by their sorted position lists, and
-  computes each closure by :func:`~fdrepair.fds._closure`, at most once.
+  computes each closure at most once, by :func:`~fdrepair.fds._closures`.
 
 No step builds a schema or sorts the whole FD set. The trace keeps the
 *mask plan*, each step's kind, witness and removed positions over the
@@ -48,24 +48,42 @@ rules to one schema. Nothing is cached across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Collection, Optional, Union
 
-from .fds import Fd, FdSchema, MaskFd, _closure, _mask_fds, normalize, project
+from .fds import Fd, FdSchema, MaskFd, _closures, _mask_fds, normalize, project
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SimplificationStep:
-    """One applied rewrite: what was removed, and the schemas around it."""
+    """One applied rewrite: what was removed, and the schemas around it.
+
+    ``repr`` is a dataclass's with each attribute set's members sorted,
+    so it is the same under every hash seed.
+    """
 
     kind: str
     removed_attributes: frozenset[str]
     witness: Witness
     schema_before: FdSchema
     schema_after: FdSchema
+
+    def __repr__(self) -> str:
+        parts = (f"{f.name}={_sorted_repr(getattr(self, f.name))}" for f in fields(self))
+        return f"SimplificationStep({', '.join(parts)})"
+
+
+def _sorted_repr(value) -> str:
+    """``repr`` of a value with each non-empty attribute set's members,
+    in it or in a tuple, in sorted order."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_sorted_repr, value))})"
+    if isinstance(value, frozenset) and value:
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    return repr(value)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -198,13 +216,7 @@ def _s3(fds: Collection[MaskFd]) -> Optional[tuple[int, int]]:
     determined = 0
     for _, rhs in fds:
         determined |= rhs
-    closures: dict[int, int] = {}
-
-    def cl(lhs: int) -> int:
-        if lhs not in closures:
-            closures[lhs] = _closure(fds, lhs)
-        return closures[lhs]
-
+    cl = _closures(fds)
     for i, x1 in enumerate(sites):
         for x2 in sites[i + 1 :]:
             for lhs in sites:

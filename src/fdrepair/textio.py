@@ -27,18 +27,18 @@ write escapes each leading ``~`` again (``~o`` becomes ``~s~o``), so
 write, read, write gives the same bytes only when no written cell
 starts with ``~``.
 
-The CSV writer puts the facts in canonical (column-wise) order. When
-every cell is a str with no NUL and no leading ``~``, which is what the
-CSV reader gives on most input, each fact becomes one line, its cells
+The CSV writer puts the facts in canonical (column-wise) order, by one
+of two routes. When every cell is a str with no NUL, no leading ``~``
+and no character that csv quotes (``,`` ``"`` ``\\r`` ``\\n``), and no
+row is a single empty cell, which csv writes as ``""``, as on most
+input the CSV reader gives, each fact becomes one line, its cells
 joined with NUL, and the lines are sorted. NUL sorts below every other
-character, so that orders the facts column-wise too. When no cell holds
-a character that csv quotes (``,`` ``"`` ``\\r`` ``\\n``) and no row is
-a single empty cell, which csv writes as ``""``, the lines are written
-as one text with each NUL turned into a comma; otherwise ``csv.writer``
-writes the split lines, and quotes a cell holding ``\\r`` on every
-Python version, as 3.13 does. Any other instance renders each distinct
-value once and sorts by the per-column tuple order of
-:attr:`Instance.sorted_facts`.
+character, so that orders the facts column-wise too, and the lines are
+written as one text with each NUL turned into a comma. Any other
+instance renders each distinct value once, sorts by the per-column
+tuple order of :attr:`Instance.sorted_facts`, and goes through
+``csv.writer``, which quotes a cell holding ``\\r`` on every Python
+version, as 3.13 does.
 """
 
 from __future__ import annotations
@@ -330,17 +330,18 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     )
 
 
-def _plain_lines(instance: Instance) -> Optional[tuple[list[str], str]]:
-    """The facts as lines of NUL-joined cells in canonical order, and the
-    lines joined with ``"\\n"``; None unless every cell is a str with no
-    NUL and no leading ``~``.
+def _plain_text(instance: Instance) -> Optional[str]:
+    """The facts as one text in canonical order, one line per fact with
+    its cells joined by commas and no final newline; None unless every
+    cell is a str that csv writes as it is, with no NUL and no leading
+    ``~``, and no row is a single empty cell, which csv writes as ``""``.
 
-    NUL sorts below every other character and is in no cell, so the
-    lines sort in column-wise order. The check runs on the joined text
-    with C-level string operations: ``join`` raises on DOT and tuples, a
-    NUL inside a cell adds to the separators' count, and a leading ``~``
-    sits at the start, after a NUL or after a line break. A cell holding
-    ``"\\n~"`` is refused too, and the rendering path writes it the same.
+    The facts are joined with NUL and sorted: NUL sorts below every other
+    character and is in no cell, so the lines sort in column-wise order.
+    The check runs on the joined text with C-level string operations:
+    ``join`` raises on DOT and tuples, a NUL or a ``"\\n"`` inside a cell
+    adds to the separators' count, and a leading ``~`` sits at the
+    start, after a NUL or after a line break.
     """
     try:
         lines = sorted(map("\x00".join, instance.facts))
@@ -348,13 +349,19 @@ def _plain_lines(instance: Instance) -> Optional[tuple[list[str], str]]:
         return None
     text = "\n".join(lines)
     if (
-        text.count("\x00") != (instance.signature.arity - 1) * len(lines)
+        not lines
+        or lines[0] == ""
+        or text.count("\x00") != (instance.signature.arity - 1) * len(lines)
+        or text.count("\n") != len(lines) - 1
         or text.startswith("~")
         or "\x00~" in text
         or "\n~" in text
+        or "," in text
+        or '"' in text
+        or "\r" in text
     ):
         return None
-    return lines, text
+    return text.replace("\x00", ",")
 
 
 def _csv_writer(handle, carriage_return: bool):
@@ -381,34 +388,20 @@ def write_instance_csv(path: str, instance: Instance) -> None:
     descriptor, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
-            plain = _plain_lines(instance)
-            if plain is None:
+            text = _plain_text(instance)
+            if text is not None:
+                _csv_writer(handle, False).writerow(sig.attributes)
+                handle.write(text)
+                handle.write("\n")
+            else:
                 values = set(chain.from_iterable(instance.facts))
                 rendered = {value: render_constant(value) for value in values}
                 rows = instance.sorted_facts
                 if any(value != text for value, text in rendered.items()):
                     rows = (map(rendered.__getitem__, fact) for fact in rows)
                 carriage_return = any("\r" in text for text in rendered.values())
-            else:
-                lines, text = plain
-                carriage_return = "\r" in text
-                rows = None
-                if (
-                    "," in text
-                    or '"' in text
-                    or carriage_return
-                    # a "\n" inside a cell, or no lines at all
-                    or text.count("\n") >= len(lines)
-                    # a row of one empty cell is written as ""
-                    or lines[0] == ""
-                ):
-                    rows = (line.split("\x00") for line in lines)
-            writer = _csv_writer(handle, carriage_return)
-            writer.writerow(sig.attributes)
-            if rows is None:
-                handle.write(text.replace("\x00", ","))
-                handle.write("\n")
-            else:
+                writer = _csv_writer(handle, carriage_return)
+                writer.writerow(sig.attributes)
                 writer.writerows(rows)
         os.replace(tmp_path, path)
     except BaseException:

@@ -1,18 +1,15 @@
 """One digest of every closure system's outcome on up to four attributes.
 
-For each hard family the line is its witness's case id and rules; for
-each tractable family it is ``find_crep``'s repair of one seeded
-instance, as its sorted facts. The script prints the family counts and
-the SHA-256 of those lines, so runs under two ``PYTHONHASHSEED`` values
-can be compared with ``cmp``:
+For each family the lines are the ``repr`` of its trace, then, for a
+hard family, its witness's case id and rules, and for a tractable
+family ``find_crep``'s repair of one seeded instance, as its sorted
+facts. The script prints the family counts and the SHA-256 of those
+lines, so runs under two ``PYTHONHASHSEED`` values can be compared with
+``cmp``:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/closure_digest.py > d0
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/closure_digest.py > d1
     cmp d0 d1
-
-A trace's ``repr`` is left out: dataclass reprs print frozensets in hash
-order, so it differs between hash seeds where the witness and the
-repair do not.
 """
 
 import hashlib
@@ -25,6 +22,7 @@ from test_closure_systems import basis, closure_systems
 from fdrepair.fds import Signature
 from fdrepair.gadgets import hard_case_witness
 from fdrepair.repair import find_crep
+from fdrepair.simplify import classify
 
 
 def main() -> None:
@@ -35,6 +33,7 @@ def main() -> None:
         signature = Signature("R", tuple("ABCD"[:n]))
         for family in closure_systems(n):
             schema = basis(signature, family)
+            digest.update(f"{classify(schema)!r}\n".encode())
             instance = random_instance(rng, signature, max_facts=10)
             result = find_crep(schema, instance)
             if result is None:

@@ -76,6 +76,18 @@ def test_classify_missing_file_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_schema_and_gadget_input_files_are_named_by_kind(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv, kind in (
+        (["classify", "--schema", missing], "schema"),
+        (["gadget", "--type", "tr", "--in", missing, "--out", str(tmp_path / "o")], "input"),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {kind} file: ") and missing in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_classify_stable_is_deterministic(tmp_path, capsys):
     schema = write(tmp_path, "s.fd", TWO_RELATIONS)
     main(["classify", "--schema", schema, "--stable"])

@@ -515,10 +515,9 @@ def test_zero_weight_edges_before_the_last_needed_edge_are_kept():
         assert matcher(after) == (("a", "b"),)
 
 
-def test_matching_of_disjoint_edges_agrees_with_enumeration(monkeypatch):
-    # no two edges share an endpoint: the matcher takes the edges up to
-    # the last positive one and never computes an optimum
-    monkeypatch.setattr(fdrepair.repair, "_optimum", None)
+def test_matching_of_disjoint_edges_agrees_with_enumeration():
+    # no two edges share an endpoint: the lex-first optimum is the edges
+    # up to the last positive one
     rng = random.Random(7)
     zero_tails = 0
     for _ in range(2500):
@@ -691,6 +690,16 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
             ],
         ),
         (a_b_b_a, [tuple(rng.choice(cells) for _ in "ABC") for _ in range(80)]),
+        # S1 on C, then S3 as the last step: per C value three rows over
+        # four A and four B values, whose blocks share an endpoint or not
+        (
+            schema_of("ABC", "CA->B", "CB->A"),
+            [
+                (f"a{rng.randrange(4)}", f"b{rng.randrange(4)}", f"c{c}")
+                for c in range(200)
+                for _ in range(3)
+            ],
+        ),
         # four rows per D value over three B and three C values: the S3
         # blocks of most D values share an endpoint, so the matching runs
         (
@@ -709,6 +718,9 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
     assert sum(len(problem.edges) > 1 for problem in seen) > 100
     for problem in seen:
         assert problem == BipartiteMatchProblem(problem.edges)
+        # blocks that share no endpoint are a union, never a matching
+        xs, ys, _ = zip(*problem.edges)
+        assert len(set(xs)) < len(xs) or len(set(ys)) < len(ys), problem
 
 
 def test_s3_union_equals_the_matching(worked_example):

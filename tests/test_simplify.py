@@ -1,5 +1,8 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +16,7 @@ from generators import (
 )
 from oracles import classify_by_projection, saturate
 
+import fdrepair
 from fdrepair import fds, simplify
 from fdrepair.fds import (
     Fd,
@@ -354,6 +358,38 @@ def test_trace_round_trips_through_pickle(worked_example, gap_schema):
         restored = pickle.loads(pickle.dumps(trace))
         assert restored == trace and hash(restored) == hash(trace)
         assert restored._plan == trace._plan
+
+
+# the worked example, with an S3 step on one-column sites, and a schema
+# whose S3 step joins two two-column sites
+REPR_SCHEMAS = (
+    "relation R(A,B,C,D,E,F)\nfd R: -> A\nfd R: D,B -> A,C,E\n"
+    "fd R: D,C -> B\nfd R: D,B -> F\n"
+    "relation S(A,B,C,D,E)\nfd S: A,B -> C,D\nfd S: C,D -> A,B\nfd S: A,B,C -> E\n"
+)
+
+
+def test_trace_repr_is_the_same_under_every_hash_seed():
+    # attribute sets are frozensets, whose own repr follows string hashing
+    program = (
+        "from fdrepair.simplify import classify\n"
+        "from fdrepair.textio import parse_schema\n"
+        f"for schema in parse_schema({REPR_SCHEMAS!r}).relations:\n"
+        "    print(repr(classify(schema)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(fdrepair.__file__))
+    reprs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", program],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        reprs.add(run.stdout)
+    assert len(reprs) == 1
+    (text,) = reprs
+    assert "removed_attributes=frozenset({'B', 'C'})" in text
+    assert "witness=(frozenset({'A', 'B'}), frozenset({'C', 'D'}))" in text
 
 
 @pytest.fixture

@@ -377,16 +377,23 @@ def test_csv_write_equals_cell_by_cell_rendering(tmp_path, monkeypatch):
         assert _outcome(_written_csv, tmp_path, inst) == _outcome(
             _reference_csv, inst
         )
-    # str cells with no NUL and no leading ``~`` are written as they are,
-    # with no per-value rendering
-    inst = Instance(sig, plain)
+    # str cells with no NUL and no leading ``~`` are written as they are:
+    # with cells that csv quotes, through the rendering route with the
+    # same bytes; without, as one text with no per-value rendering
+    quoted = Instance(sig, plain)
+    assert not _one_text(quoted)
+    assert _written_csv(tmp_path, quoted) == _reference_csv(quoted)
+    assert _written_csv(tmp_path, quoted) == _csv_writer_bytes(quoted)
+    inst = Instance(sig, [fact for fact in plain if _one_text(Instance(sig, [fact]))])
+    assert len(inst) > 20 and _one_text(inst)
     expected = _reference_csv(inst)
 
     def refuse(value):
         pytest.fail(f"rendered {value!r}")
 
     monkeypatch.setattr(fdrepair.textio, "render_constant", refuse)
-    assert _written_csv(tmp_path, inst) == expected
+    written, routed = _written_and_routed(tmp_path, inst)
+    assert written == expected and not routed
 
 
 CELLS = st.sampled_from(PLAIN_CELLS + ["a\x00b", "~a"]) | st.text()
