@@ -132,14 +132,6 @@ class Signature:
     def arity(self) -> int:
         return len(self.attributes)
 
-    def position(self, attr: str) -> int:
-        try:
-            return self.attributes.index(attr)
-        except ValueError:
-            raise SchemaError(
-                f"attribute {attr!r} not in relation {self.relation}"
-            ) from None
-
     def check_attrs(self, attrs: Iterable[str]) -> frozenset[str]:
         attrs = frozenset(attrs)
         unknown = attrs - set(self.attributes)

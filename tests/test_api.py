@@ -2,10 +2,15 @@
 
 The benchmark (``perfbench/tracing.py`` and ``perfbench/workloads.py``)
 wraps and reads these; renaming one silently breaks its traces.
+``repair.linear_sum_assignment`` is kept only for ``perfbench/tracing.py``:
+the matcher calls no solver, so the name is resolved lazily, and only a
+read of it imports scipy.
 """
 
 import dataclasses
 import inspect
+
+import scipy.optimize
 
 import fdrepair
 from fdrepair import fds, gadgets, oracle, repair
@@ -28,6 +33,8 @@ def test_benchmark_contract_names():
     fields = {f.name for f in dataclasses.fields(repair.RepairResult)}
     assert {"repair", "size"} <= fields
     assert callable(repair.linear_sum_assignment)
+    # the tracer wraps the real solver
+    assert repair.linear_sum_assignment is scipy.optimize.linear_sum_assignment
     # the tracer wraps exactly the module-level names that pass this test
     assert inspect.isfunction(oracle.brute_force_crep)
     # it also counts matchings and ``len(problem.edges)`` per matching

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
 import sys
 from collections import Counter
 
@@ -10,10 +12,12 @@ from generators import (
     A_B_B_A_SCHEMA,
     WORKED_EXAMPLE_SCHEMA,
     ab_c_a_d_rows,
+    dense_rows,
     one_to_one_rows,
     worked_example_rows,
 )
 
+import fdrepair.repair
 from fdrepair import cli, simplify
 from fdrepair.cli import main
 from fdrepair.fds import is_consistent
@@ -626,3 +630,83 @@ def test_each_command_classifies_each_relation_once(
         "repair": {"R": 1},
         "repair --fallback-oracle": {"R": 1, "H": 1},
     }
+
+
+# -- a runtime with only the standard library -----------------------------------
+
+# Runs ``main`` once per argv list given as JSON, then prints the exit codes
+# and the third-party modules loaded, as JSON on the last line
+STDLIB_ONLY_PROGRAM = """
+import json, sys
+from fdrepair.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_every_command_runs_on_the_standard_library_alone(
+    tmp_path, monkeypatch, capsys
+):
+    # one dense A -> B, B -> A component whose matching runs _optimum and
+    # _augment; a hard relation for the oracle; a triangle gadget
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = dense_rows(random.Random(3), 5)
+    (data / "R.csv").write_text(
+        "A,B,C\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8"
+    )
+    (data / "H.csv").write_text(
+        "A,B,C\na2,b1,c1\na1,b1,c2\na1,b1,c1\na1,b2,c1\na2,b2,c2\n",
+        encoding="utf-8",
+    )
+    s3 = write(tmp_path, "s3.fd", A_B_B_A_SCHEMA)
+    hard = write(tmp_path, "hard.fd", HARD_SCHEMA.replace("R", "H"))
+    tri = write(tmp_path, "t.txt", "a1 b1 c1\na1 b1 c2\na2 b1 c1\n")
+
+    def runs(out):
+        return [
+            ["repair", "--schema", s3, "--data", str(data),
+             "--out", str(out / "s3"), "--stable"],
+            ["repair", "--schema", hard, "--data", str(data),
+             "--out", str(out / "oracle"), "--fallback-oracle", "10", "--stable"],
+            ["classify", "--schema", hard, "--stable"],
+            ["verify-reduction", "--schema", hard, "--stable"],
+            ["gadget", "--type", "tr", "--in", tri, "--out", str(out / "gadget")],
+        ]
+
+    def written(out):
+        return {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY_PROGRAM,
+         json.dumps(runs(tmp_path / "alone"))],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    *reports, last = run.stdout.splitlines(keepends=True)
+    result = json.loads(last)
+    assert result["loaded"] == []
+
+    calls = Counter()
+    for name in ("_optimum", "_augment"):
+        original = getattr(fdrepair.repair, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fdrepair.repair, name, counted)
+    assert result["codes"] == [main(argv) for argv in runs(tmp_path / "here")]
+    assert calls["_optimum"] and calls["_augment"]
+    here = capsys.readouterr().out
+    alone, here_dir = str(tmp_path / "alone"), str(tmp_path / "here")
+    assert "".join(reports).replace(alone, here_dir) == here
+    files = written(tmp_path / "alone")
+    assert {"s3/R.csv", "oracle/H.csv", "gadget/R.csv"} <= set(files)
+    assert files == written(tmp_path / "here")

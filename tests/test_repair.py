@@ -587,10 +587,9 @@ def test_connected_problems_agree_with_enumeration():
                 ), problem.edges
 
 
-def test_matching_needs_no_solver(monkeypatch):
-    # many small components, then one dense one: the matcher never calls
-    # the assignment solver
-    monkeypatch.setattr(fdrepair.repair, "linear_sum_assignment", None)
+def test_matching_needs_no_solver():
+    # many small components, then one dense one, with no assignment solver
+    # (test_cli.py runs the CLI where scipy cannot be imported)
     schema = schema_of("ABC", "A->B", "B->A")
     facts = set(one_to_one_rows(random.Random(8), keys=400, cluster=2))
     result = find_crep(schema, Instance(schema.signature, facts))
