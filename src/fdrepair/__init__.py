@@ -22,7 +22,6 @@ from .fds import (
     is_consistent,
     normalize,
     pair_consistent,
-    project,
     violating_pairs,
 )
 from .gadgets import (
@@ -70,7 +69,6 @@ __all__ = [
     "max_weight_matching",
     "normalize",
     "pair_consistent",
-    "project",
     "verify_reduction",
     "violating_pairs",
     "__version__",

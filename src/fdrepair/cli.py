@@ -38,7 +38,7 @@ from .gadgets import (
 )
 from .oracle import DEFAULT_FACT_CAP, brute_force_crep
 from .repair import _find_crep
-from .simplify import SimplificationTrace, _positions, classify
+from .simplify import SimplificationTrace, classify
 from .textio import (
     DataError,
     SchemaDocument,
@@ -79,17 +79,16 @@ def _load_schema_file(path: str) -> SchemaDocument:
     return document
 
 
-def _removed(trace: SimplificationTrace) -> list[tuple[str, tuple[str, ...]]]:
+def _steps(trace: SimplificationTrace) -> list[dict]:
     """Each applied rewrite's kind and removed columns, in signature order."""
-    attrs = trace._schema.signature.attributes
     return [
-        (kind, tuple(attrs[i] for i in _positions(removed)))
+        {"kind": kind, "removed": list(trace._names(removed))}
         for kind, _, removed in trace._plan
     ]
 
 
-def _format_steps(trace: SimplificationTrace) -> str:
-    parts = [f"{kind}:{{{','.join(attrs)}}}" for kind, attrs in _removed(trace)]
+def _format_steps(steps: list[dict]) -> str:
+    parts = [f"{step['kind']}:{{{','.join(step['removed'])}}}" for step in steps]
     return " ".join(parts) or "(none)"
 
 
@@ -113,35 +112,31 @@ def _timing_line(started: float) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     document = _load_schema_file(args.schema)
     lines: list[str] = []
-    payload = []
-    any_hard = False
+    records = []
     for schema in document.relations:
         started = time.perf_counter()
         trace = classify(schema)
-        any_hard = any_hard or not trace.tractable
+        record = {
+            "relation": schema.signature.relation,
+            "attributes": list(schema.signature.attributes),
+            "tractable": trace.tractable,
+            "steps": _steps(trace),
+            "terminal_fds": trace._render_fds(),
+        }
+        records.append(record)
+        if args.json:
+            continue
         lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(trace.tractable).lower()}")
-        lines.append(f"  steps: {_format_steps(trace)}")
-        lines.append(f"  terminal-fds: {trace.terminal.render_fds()}")
+        lines.append(f"  tractable: {str(record['tractable']).lower()}")
+        lines.append(f"  steps: {_format_steps(record['steps'])}")
+        lines.append(f"  terminal-fds: {record['terminal_fds']}")
         if not args.stable:
             lines.append(_timing_line(started))
-        payload.append(
-            {
-                "relation": schema.signature.relation,
-                "attributes": list(schema.signature.attributes),
-                "tractable": trace.tractable,
-                "steps": [
-                    {"kind": kind, "removed": list(attrs)}
-                    for kind, attrs in _removed(trace)
-                ],
-                "terminal_fds": trace.terminal.render_fds(),
-            }
-        )
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(records, indent=2) + "\n")
     else:
         _emit(lines)
-    return 2 if any_hard else 0
+    return 0 if all(record["tractable"] for record in records) else 2
 
 
 def _load_relation_csv(data_dir: str, schema: FdSchema):
@@ -185,7 +180,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         write_instance_csv(out_path, result.repair)
         lines.extend(_relation_header(schema))
         lines.append(f"  tractable: {str(trace.tractable).lower()}")
-        lines.append(f"  steps: {_format_steps(trace)}")
+        lines.append(f"  steps: {_format_steps(_steps(trace))}")
         lines.append(f"  method: {method}")
         lines.append(f"  input-facts: {len(ingest.instance)}")
         lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")

@@ -227,8 +227,8 @@ class FdSchema:
     def _keys(self) -> tuple[tuple[Fd, Callable, Callable], ...]:
         """Each FD with its (lhs, rhs) getters, compiled on first use.
 
-        Lazy, because most schemas (such as the projections ``classify``
-        makes) are never asked about conflicts. Not a field: equality,
+        Lazy, because most schemas (such as a ``classify`` trace's
+        terminal) are never asked about conflicts. Not a field: equality,
         hashing and ``repr`` ignore it. The FDs were checked against the
         signature when the schema was built, so their attributes are read
         straight off a position map.
@@ -397,24 +397,6 @@ def normalize(schema: FdSchema) -> FdSchema:
         if rhs:
             kept.append(Fd(fd.lhs, rhs))
     return FdSchema._of_checked(schema.signature, kept)
-
-
-def project(schema: FdSchema, removed: Iterable[str]) -> FdSchema:
-    """Remove the given attributes from the signature and from every FD.
-
-    Surviving attributes keep their order; the resulting FD set is
-    normalized, in the same pass.
-    """
-    removed = schema.signature.check_attrs(removed)
-    attrs = tuple(a for a in schema.signature.attributes if a not in removed)
-    new_sig = Signature._of_checked(schema.signature.relation, attrs)
-    fds = []
-    for fd in schema.fds:
-        lhs = fd.lhs - removed
-        rhs = fd.rhs - removed - lhs
-        if rhs:
-            fds.append(Fd(lhs, rhs))
-    return FdSchema._of_checked(new_sig, fds)
 
 
 def _lhs_groups(

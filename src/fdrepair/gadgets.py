@@ -41,6 +41,7 @@ from .fds import (
     _DotType,
     _closures,
     _getter_at,
+    normalize,
     pair_consistent,
 )
 from .oracle import CapExceededError
@@ -367,7 +368,7 @@ def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
         raise ReductionError(
             "schema is tractable; there is no hardness witness"
         )
-    target = trace.normalized
+    target = normalize(trace._schema)
     columns = [1 << i for i in range(target.signature.arity)]
     case_id, core, cases, default = _terminal_witness(trace._fds)
     removed = sum(removed for _, _, removed in trace._plan)  # disjoint masks

@@ -30,36 +30,34 @@ canonical FD order matters only where a rule picks "first":
 * S3 orders the distinct lhs masks by their sorted position lists, and
   computes each closure at most once, by :func:`~fdrepair.fds._closures`.
 
-No step builds a schema or sorts the whole FD set. The trace keeps the
-*mask plan*, each step's kind, witness and removed positions over the
-input signature, the verdict and the FD set it stopped on, as masks;
-the repair engine and the CLI read column positions off the plan, and
-the hardness witness reads the stopped FD set. ``steps``, ``terminal`` and
-``normalized`` (the normalized input, step 0's ``schema_before``) are
-built the first time they are read, as cached properties: the plan is
-replayed with :func:`~fdrepair.fds.normalize` and
-:func:`~fdrepair.fds.project`, each witness taken from the FDs of the
-schema before its step. So they are the objects a step-by-step
-projection builds, equal, with the same hash, ``repr`` and pickle, and a
-caller that reads only the verdict or the plan builds none of them.
-:func:`find_s1`, :func:`find_s2` and :func:`find_s3` apply the same mask
-rules to one schema. Nothing is cached across calls.
+No step builds a schema or sorts the whole FD set. The trace is the
+*mask plan*: each step's kind, witness and removed positions over the
+input signature, the verdict and the FD set it stopped on, as masks.
+The repair engine and the CLI read column positions off the plan, and
+the hardness witness reads the stopped FD set. One renderer turns a
+mask into attribute names: ``steps``, ``terminal``, ``repr`` and the
+CLI's report name the plan through it, and only ``terminal`` builds a
+schema. Equality and hashing compare the signature and the normalized
+input FD set, as masks, which fix everything else. :func:`find_s1`,
+:func:`find_s2` and :func:`find_s3` apply the same mask rules to one
+schema, and name their witnesses as the trace's steps do. Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Collection, Optional, Union
+from typing import Callable, Collection, Optional, Union
 
-from .fds import Fd, FdSchema, MaskFd, _closures, _mask_fds, normalize, project
+from .fds import Fd, FdSchema, MaskFd, Signature, _closures, _mask_fds
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
 
 @dataclass(frozen=True, repr=False)
 class SimplificationStep:
-    """One applied rewrite: what was removed, and the schemas around it.
+    """One applied rewrite: its kind, what it removed, and its witness.
 
     ``repr`` is a dataclass's with each attribute set's members sorted,
     so it is the same under every hash seed.
@@ -68,8 +66,6 @@ class SimplificationStep:
     kind: str
     removed_attributes: frozenset[str]
     witness: Witness
-    schema_before: FdSchema
-    schema_after: FdSchema
 
     def __repr__(self) -> str:
         parts = (f"{f.name}={_sorted_repr(getattr(self, f.name))}" for f in fields(self))
@@ -95,10 +91,10 @@ class SimplificationTrace:
     attribute's bit, the S2 rhs or the S3 pair ``(X1, X2)``, and
     ``removed`` the positions the step removes. ``_fds`` is the FD set
     the rewrites stopped on, as masks over the same positions: empty
-    exactly when the schema is tractable. ``steps``, ``terminal`` and
-    ``normalized`` are built from the plan on first read. Equality,
-    hashing and ``repr`` read ``(steps, terminal, tractable)``, as those
-    of a dataclass of these three fields would.
+    exactly when the schema is tractable. ``steps`` and ``terminal``
+    render the plan and ``_fds`` on first read. Two traces are equal
+    when their signatures and normalized input FD sets are, and
+    ``repr`` prints ``steps``, ``terminal`` and ``tractable``.
     """
 
     tractable: bool
@@ -106,44 +102,34 @@ class SimplificationTrace:
     _plan: tuple[tuple[str, Union[int, tuple[int, int]], int], ...]
     _fds: frozenset[MaskFd]
 
-    @cached_property
-    def normalized(self) -> FdSchema:
-        """The normalized input: step 0's ``schema_before``, or the
-        terminal schema when no step applies."""
-        return normalize(self._schema)
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The one renderer from the plan's masks to input attribute names."""
+        return _attr_names(self._schema.signature.attributes, mask)
 
     @cached_property
     def terminal(self) -> FdSchema:
-        return self.steps[-1].schema_after if self._plan else self.normalized
+        """The schema the rewrites stopped on: the kept attributes and the
+        stopped FD set."""
+        signature, names = self._schema.signature, self._names
+        # the steps remove disjoint sets of the input's positions
+        kept = (1 << signature.arity) - 1 - sum(removed for _, _, removed in self._plan)
+        return FdSchema._of_checked(
+            Signature._of_checked(signature.relation, names(kept)),
+            [Fd(names(lhs), names(rhs)) for lhs, rhs in self._fds],
+        )
 
     @cached_property
     def steps(self) -> tuple[SimplificationStep, ...]:
-        """The plan replayed on schemas, ``project`` removing each step's
-        witness. A witness is read off the schema before its step: the S2
-        FD and the S3 lhs are that schema's own objects (the first FD in
-        canonical order that holds them), so every set iterates, prints
-        and pickles as a step-by-step projection's does."""
+        """The plan's steps, their masks rendered as attribute names."""
         attrs = self._schema.signature.attributes
-        steps = []
-        before = self.normalized
-        for kind, witness, _ in self._plan:
-            if kind == "S1":
-                witness = attrs[witness.bit_length() - 1]
-                removed = frozenset([witness])
-            elif kind == "S2":
-                rhs = _attr_set(attrs, witness)
-                witness = next(fd for fd in before.fds if not fd.lhs and fd.rhs == rhs)
-                removed = witness.rhs
-            else:
-                sites: dict = {}
-                for fd in before.fds:
-                    sites.setdefault(fd.lhs, fd.lhs)
-                witness = tuple(sites[_attr_set(attrs, lhs)] for lhs in witness)
-                removed = witness[0] | witness[1]
-            after = project(before, removed)
-            steps.append(SimplificationStep(kind, removed, witness, before, after))
-            before = after
-        return tuple(steps)
+        return tuple(
+            SimplificationStep(
+                kind,
+                frozenset(_attr_names(attrs, removed)),
+                _named_witness(attrs, kind, witness),
+            )
+            for kind, witness, removed in self._plan
+        )
 
     @property
     def removed_sets(self) -> tuple[frozenset[str], ...]:
@@ -153,21 +139,37 @@ class SimplificationTrace:
     def kinds(self) -> tuple[str, ...]:
         return tuple(kind for kind, _, _ in self._plan)
 
-    def _fields(self) -> tuple:
-        return (self.steps, self.terminal, self.tractable)
+    @cached_property
+    def _key(self) -> tuple:
+        """The signature and the normalized input FD set: the plan, the
+        verdict and the stopped FD set are functions of them."""
+        return (self._schema.signature, frozenset(_normal_masks(self._schema)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key)
+
+    def _render_fds(self) -> str:
+        """``terminal.render_fds()``, rendered from the stopped FD set's
+        masks in canonical order: sorted by the positions of the lhs,
+        then of the rhs."""
+        names = self._names
+        fds = sorted(self._fds, key=lambda fd: tuple(map(_positions, fd)))
+        text = "; ".join(
+            f"{','.join(names(lhs))} -> {','.join(names(rhs))}" for lhs, rhs in fds
+        )
+        return text or "(none)"
 
     def __repr__(self) -> str:
+        relation = self._schema.signature.relation
         return (
             f"SimplificationTrace(steps={self.steps!r}, "
-            f"terminal={self.terminal!r}, tractable={self.tractable!r})"
+            f"terminal=FdSchema({relation}, [{self._render_fds()}]), "
+            f"tractable={self.tractable!r})"
         )
 
 
@@ -177,8 +179,24 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _attr_set(attrs: tuple[str, ...], mask: int) -> frozenset[str]:
-    return frozenset(a for i, a in enumerate(attrs) if mask >> i & 1)
+def _normal_masks(schema: FdSchema) -> set[MaskFd]:
+    """The schema's FDs as masks, each rhs without its lhs, none empty."""
+    return {(lhs, rhs & ~lhs) for lhs, rhs in _mask_fds(schema) if rhs & ~lhs}
+
+
+def _attr_names(attrs: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The attributes at ``mask``'s positions, in signature order."""
+    return tuple(a for i, a in enumerate(attrs) if mask >> i & 1)
+
+
+def _named_witness(attrs: tuple[str, ...], kind: str, witness) -> Witness:
+    """A rule's mask witness by attribute name: the S1 attribute, the S2
+    FD with an empty lhs, or the S3 pair of lhs."""
+    if kind == "S1":
+        return _attr_names(attrs, witness)[0]
+    if kind == "S2":
+        return Fd(frozenset(), _attr_names(attrs, witness))
+    return tuple(frozenset(_attr_names(attrs, x)) for x in witness)
 
 
 def _s1(fds: Collection[MaskFd]) -> Optional[int]:
@@ -232,29 +250,26 @@ def _s3(fds: Collection[MaskFd]) -> Optional[tuple[int, int]]:
     return None
 
 
+def _find(schema: FdSchema, kind: str, rule: Callable) -> Optional[Witness]:
+    """``rule``'s witness on the schema's FD masks, by attribute name."""
+    witness = rule(_mask_fds(schema))
+    attrs = schema.signature.attributes
+    return None if witness is None else _named_witness(attrs, kind, witness)
+
+
 def find_s1(schema: FdSchema) -> Optional[str]:
     """Attribute on every FD's lhs, lowest signature position first."""
-    bit = _s1(_mask_fds(schema))
-    return None if bit is None else schema.signature.attributes[bit.bit_length() - 1]
+    return _find(schema, "S1", _s1)
 
 
 def find_s2(schema: FdSchema) -> Optional[Fd]:
     """First FD (canonical order) with an empty lhs, if any."""
-    rhs = _s2(_mask_fds(schema))
-    if rhs is None:
-        return None
-    return Fd(frozenset(), _attr_set(schema.signature.attributes, rhs))
+    return _find(schema, "S2", _s2)
 
 
-def find_s3(
-    schema: FdSchema,
-) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+def find_s3(schema: FdSchema) -> Optional[tuple[frozenset[str], frozenset[str]]]:
     """First lhs marriage (X1, X2), distinct lhs in canonical FD order."""
-    pair = _s3(_mask_fds(schema))
-    if pair is None:
-        return None
-    attrs = schema.signature.attributes
-    return (_attr_set(attrs, pair[0]), _attr_set(attrs, pair[1]))
+    return _find(schema, "S3", _s3)
 
 
 def classify(schema: FdSchema) -> SimplificationTrace:
@@ -265,7 +280,7 @@ def classify(schema: FdSchema) -> SimplificationTrace:
     arity steps. The schema is tractable exactly when the terminal FD
     set is empty.
     """
-    fds = {(lhs, rhs & ~lhs) for lhs, rhs in _mask_fds(schema) if rhs & ~lhs}
+    fds = _normal_masks(schema)
     plan = []
     while fds:
         witness = _s1(fds)

@@ -17,8 +17,10 @@ subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
 equivalent spellings get one verdict. :func:`classify_by_projection`
 runs the rewrite loop on ``FdSchema`` values, each rule by its set
-definition and each step by ``project``, not on attribute bitmasks, and
-:func:`witness_by_closures` picks the hardness witness on its terminal
+definition and each step by :func:`project`, not on attribute bitmasks;
+:func:`projection_steps` keeps the schemas before and after each step,
+which the library's trace does not build. :func:`witness_by_closures`
+picks the hardness witness on its terminal
 schema: minimal sites by comparing every pair of FDs
 (:func:`local_minima`), closures on attribute names
 (:func:`closure_by_fixpoint`, the classifier's fixpoint without masks),
@@ -32,16 +34,17 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+from dataclasses import dataclass
 
 from fdrepair.fds import (
     DOT,
     Fd,
     FdSchema,
     Instance,
+    Signature,
     _conflicts,
     constant_key,
     normalize,
-    project,
 )
 from fdrepair.gadgets import (
     HARD_SCHEMAS,
@@ -129,6 +132,24 @@ def _s3_by_sets(schema: FdSchema):
     return None
 
 
+def project(schema: FdSchema, removed) -> FdSchema:
+    """Remove the given attributes from the signature and from every FD.
+
+    Surviving attributes keep their order; the resulting FD set is
+    normalized, in the same pass.
+    """
+    removed = schema.signature.check_attrs(removed)
+    attrs = tuple(a for a in schema.signature.attributes if a not in removed)
+    new_sig = Signature._of_checked(schema.signature.relation, attrs)
+    fds = []
+    for fd in schema.fds:
+        lhs = fd.lhs - removed
+        rhs = fd.rhs - removed - lhs
+        if rhs:
+            fds.append(Fd(lhs, rhs))
+    return FdSchema._of_checked(new_sig, fds)
+
+
 # kind -> (finder, attributes its witness removes), in the order that
 # the rules are tried
 _RULES = {
@@ -138,36 +159,49 @@ _RULES = {
 }
 
 
-def _step(before: FdSchema, kind: str, witness) -> SimplificationStep:
-    removed = _RULES[kind][1](witness)
-    return SimplificationStep(
-        kind=kind,
-        removed_attributes=removed,
-        witness=witness,
-        schema_before=before,
-        schema_after=project(before, removed),
-    )
+@dataclass(frozen=True)
+class ProjectionStep:
+    """One step of the projection loop: the rewrite, as ``classify``'s
+    trace shows it, and the schemas before and after it."""
+
+    kind: str
+    removed_attributes: frozenset
+    witness: object
+    schema_before: FdSchema
+    schema_after: FdSchema
+
+    @property
+    def view(self) -> SimplificationStep:
+        return SimplificationStep(self.kind, self.removed_attributes, self.witness)
 
 
-def classify_by_projection(schema: FdSchema) -> tuple:
-    """``(steps, terminal, tractable)`` of ``fdrepair.simplify.classify``,
-    by its rules read on ``FdSchema`` values: each step tries S1, S2 and
-    S3 in that order on the current schema, by their set definitions,
-    and ``project`` removes the first witness found."""
+def projection_steps(schema: FdSchema) -> tuple:
+    """``(steps, terminal)`` of the rewrite loop on ``FdSchema`` values:
+    each step tries S1, S2 and S3 in that order on the current schema,
+    by their set definitions, and ``project`` removes the first witness
+    found."""
     current = normalize(schema)
     steps = []
     while current.fds:
-        for kind, (find, _) in _RULES.items():
+        for kind, (find, removes) in _RULES.items():
             witness = find(current)
             if witness is not None:
                 break
         else:
             break
-        step = _step(current, kind, witness)
-        assert step.schema_after.signature.arity < current.signature.arity
-        steps.append(step)
-        current = step.schema_after
-    return tuple(steps), current, not current.fds
+        removed = removes(witness)
+        after = project(current, removed)
+        assert after.signature.arity < current.signature.arity
+        steps.append(ProjectionStep(kind, removed, witness, current, after))
+        current = after
+    return tuple(steps), current
+
+
+def classify_by_projection(schema: FdSchema) -> tuple:
+    """``(steps, terminal, tractable)`` of ``fdrepair.simplify.classify``,
+    by :func:`projection_steps`."""
+    steps, terminal = projection_steps(schema)
+    return tuple(step.view for step in steps), terminal, not terminal.fds
 
 
 def local_minima(schema: FdSchema) -> tuple[Fd, ...]:

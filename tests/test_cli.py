@@ -191,6 +191,40 @@ def test_repair_output_is_pinned(tmp_path, capsys, schema, attrs, rows, digest):
     assert hashlib.sha256((out_dir / "R.csv").read_bytes()).hexdigest() == digest
 
 
+def test_repair_output_fed_back_is_escaped_again(tmp_path, capsys):
+    """``repair`` output is not a fixed point of ``repair``: the reader
+    keeps every cell as an opaque str, and the writer escapes a leading
+    ``~`` again, so ``~x`` becomes ``~s~x`` and then ``~s~s~x``. A reader
+    that undid the escapes would make it one, but would merge a user's
+    ``~sx`` and ``x`` cells, which must stay distinct values."""
+    schema_path = write(tmp_path, "s.fd", TRACTABLE_SCHEMA)
+    data = tmp_path / "d0"
+    data.mkdir()
+    (data / "R.csv").write_text(
+        "A,B\nk1,~x\nk2,~o\nk3,~sx\nk3,x\nk4,~sx\nk5,x\n", encoding="utf-8"
+    )
+    runs = []
+    for run in (1, 2):
+        out_dir = tmp_path / f"d{run}"
+        assert main([
+            "repair", "--schema", schema_path, "--data", str(data),
+            "--out", str(out_dir), "--stable",
+        ]) == 0
+        runs.append((capsys.readouterr().out, (out_dir / "R.csv").read_bytes()))
+        data = out_dir
+    (first_report, first), (second_report, second) = runs
+    # ~sx and x are two values of k3's B, so they conflict and one goes
+    assert (
+        "  input-facts: 6\n  dropped-duplicates: 0\n  repair-size: 5\n"
+    ) in first_report
+    assert first == b"A,B\nk1,~s~x\nk2,~s~o\nk3,x\nk4,~s~sx\nk5,x\n"
+    # fed back, every cell with a leading ~ gains one more ~s prefix
+    assert (
+        "  input-facts: 5\n  dropped-duplicates: 0\n  repair-size: 5\n"
+    ) in second_report
+    assert second == b"A,B\nk1,~s~s~x\nk2,~s~s~o\nk3,x\nk4,~s~s~sx\nk5,x\n"
+
+
 def test_repair_intractable_without_fallback(tmp_path, capsys):
     schema_path = write(tmp_path, "s.fd", HARD_SCHEMA)
     data = tmp_path / "d"

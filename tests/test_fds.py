@@ -16,6 +16,7 @@ from oracles import (
     first_violated_fd,
     local_minima,
     minima_sites,
+    project,
 )
 
 from fdrepair.fds import (
@@ -33,7 +34,6 @@ from fdrepair.fds import (
     is_consistent,
     normalize,
     pair_consistent,
-    project,
     violating_pairs,
 )
 
@@ -278,7 +278,7 @@ def test_minima_sites_collapse_equal_lhs():
     assert minima_sites(schema) == (frozenset("A"), frozenset("BC"))
 
 
-# -- projection --------------------------------------------------------------
+# -- projection (the reference's, which the classifier's trace is checked against)
 
 def test_project_worked_example_first_step():
     schema = schema_of("ABCDEF", "->A", "DB->ACE", "DC->B", "DB->F")

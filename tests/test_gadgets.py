@@ -16,6 +16,7 @@ from oracles import (
     cnf_satisfiable,
     image_by_name,
     max_edge_disjoint_triangles,
+    projection_steps,
     reduction_violations_by_pairs,
     terminal_witness_by_closures,
     witness_by_closures,
@@ -313,7 +314,9 @@ def test_padding_map_reduces_each_step(worked_example):
     schemas += [random_schema(rng, max_attrs=6, max_fds=5) for _ in range(1000)]
     kinds = Counter()
     for schema in schemas:
-        for step in classify(schema).steps:
+        steps = projection_steps(schema)[0]
+        assert tuple(step.view for step in steps) == classify(schema).steps
+        for step in steps:
             if not step.schema_after.fds:
                 continue
             rules = tuple(

@@ -1,5 +1,7 @@
+import importlib
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from generators import (
     random_schema,
     random_tractable_schema,
 )
-from oracles import classify_by_projection, saturate
+from oracles import classify_by_projection, project, projection_steps, saturate
 
 import fdrepair
 from fdrepair import fds, simplify
@@ -27,11 +29,11 @@ from fdrepair.fds import (
     closure,
     equivalent,
     normalize,
-    project,
 )
 from fdrepair.gadgets import HARD_SCHEMAS, hard_case_witness
 from fdrepair.repair import find_crep
 from fdrepair.simplify import (
+    SimplificationStep,
     classify,
     find_s1,
     find_s2,
@@ -116,16 +118,19 @@ def test_find_s3_is_the_lhs_marriage_definition():
 
 
 # -- applying steps ----------------------------------------------------------
-# A step is its finder's witness and the projection that removes the
-# witness's attributes, as classify records it.
+# A step is its finder's witness and the removal of the witness's
+# attributes, as classify records it; the reference's projection builds
+# the schema after it.
 
 def test_s1_step_removes_the_attribute():
     schema = schema_of("ABC", "AB->C")
     assert find_s1(schema) == "A"
     assert project(schema, {"A"}) == schema_of("BC", "B->C")
     step = classify(schema).steps[0]
-    assert (step.kind, step.witness, step.removed_attributes) == ("S1", "A", {"A"})
-    assert step.schema_after == schema_of("BC", "B->C")
+    assert step == SimplificationStep("S1", frozenset("A"), "A")
+    reference = projection_steps(schema)[0][0]
+    assert reference.view == step
+    assert reference.schema_after == schema_of("BC", "B->C")
 
 
 def test_s3_step_can_empty_the_schema():
@@ -135,9 +140,10 @@ def test_s3_step_can_empty_the_schema():
     after = project(schema, x1 | x2)
     assert after.fds == ()
     assert after.signature.arity == 0
-    (step,) = classify(schema).steps
+    trace = classify(schema)
+    (step,) = trace.steps
     assert (step.kind, step.removed_attributes) == ("S3", {"A", "B"})
-    assert step.schema_after == after
+    assert trace.terminal == after
 
 
 def test_no_rule_applies_where_its_precondition_fails():
@@ -153,8 +159,10 @@ def test_s2_matches_after_normalizing():
     assert find_s2(schema) == Fd(set(), {"A"})
     step = classify(schema_of("AB", "->A", "B->B")).steps[0]
     assert (step.kind, step.witness) == ("S2", Fd(set(), {"A"}))
-    assert step.schema_before == schema_of("AB", "->A")
-    assert step.schema_after == project(schema, {"A"})
+    reference = projection_steps(schema_of("AB", "->A", "B->B"))[0][0]
+    assert reference.view == step
+    assert reference.schema_before == schema_of("AB", "->A")
+    assert reference.schema_after == project(schema, {"A"})
 
 
 # -- classification ----------------------------------------------------------
@@ -194,7 +202,9 @@ def test_classify_progress_and_replay():
         trace = classify(schema)
         arity = normalize(schema).signature.arity
         current = normalize(schema)
-        for step in trace.steps:
+        steps = projection_steps(schema)[0]
+        assert tuple(step.view for step in steps) == trace.steps
+        for step in steps:
             assert step.schema_before == current
             assert step.schema_after.signature.arity < arity
             arity = step.schema_after.signature.arity
@@ -214,8 +224,10 @@ def test_classify_progress_and_replay():
 def test_classify_step_witnesses_recheck():
     rng = random.Random(12)
     for _ in range(40):
-        trace = classify(random_tractable_schema(rng))
-        for step in trace.steps:
+        schema = random_tractable_schema(rng)
+        steps = projection_steps(schema)[0]
+        assert tuple(step.view for step in steps) == classify(schema).steps
+        for step in steps:
             if step.kind == "S1":
                 assert find_s1(step.schema_before) == step.witness
             elif step.kind == "S2":
@@ -291,10 +303,11 @@ def test_alternative_rule_orders_agree():
 # -- the schemas classify derives ------------------------------------------------
 
 def test_trace_schemas_equal_the_checked_construction():
-    """Every schema of a trace is the value that the validating
-    constructors build from its attributes and FDs, down to its FD
-    order, hash, ``repr`` and pickle. The public constructors and
-    ``project`` still check what they are given."""
+    """The one schema a trace builds, its terminal, and every schema of
+    the reference's projection loop are the values that the validating
+    constructors build from their attributes and FDs, down to FD order,
+    hash, ``repr`` and pickle. The public constructors and ``project``
+    still check what they are given."""
     rng = random.Random(71)
     schemas = [random_tractable_schema(rng, 6, 5) for _ in range(150)]
     schemas += [random_intractable_schema(rng, 6, 5) for _ in range(150)]
@@ -302,7 +315,7 @@ def test_trace_schemas_equal_the_checked_construction():
     for schema in schemas:
         trace = classify(schema)
         derived = [trace.terminal]
-        for step in trace.steps:
+        for step in projection_steps(schema)[0]:
             derived += [step.schema_before, step.schema_after]
         for got in derived:
             sig = got.signature
@@ -325,18 +338,24 @@ def test_trace_schemas_equal_the_checked_construction():
 # -- the mask plan and its lazy views --------------------------------------------
 
 def assert_same_trace(trace, schema):
-    """The trace's fields are the values, hashes, ``repr`` and pickle
-    bytes that the step-by-step projection gives."""
+    """The trace's fields are the values, hashes and ``repr`` that the
+    step-by-step projection gives, before and after a pickle round trip
+    of the trace."""
     expected = classify_by_projection(schema)
     fields = (trace.steps, trace.terminal, trace.tractable)
     assert fields == expected, schema
-    assert hash(trace) == hash(expected)
+    assert hash(fields) == hash(expected)
     assert repr(trace) == (
         "SimplificationTrace(steps=%r, terminal=%r, tractable=%r)" % expected
     )
-    assert pickle.dumps(fields) == pickle.dumps(expected)
-    assert trace.normalized == normalize(schema)
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored == trace and hash(restored) == hash(trace)
+    assert (restored.steps, restored.terminal, restored.tractable) == expected
+    assert repr(restored) == repr(trace)
     assert trace.kinds == tuple(step.kind for step in expected[0])
+    # equal exactly when the normalized inputs are
+    assert trace == classify(normalize(schema))
+    assert (trace == classify(expected[1])) == (normalize(schema) == expected[1])
     return expected
 
 
@@ -392,10 +411,17 @@ def test_trace_repr_is_the_same_under_every_hash_seed():
     assert "witness=(frozenset({'A', 'B'}), frozenset({'C', 'D'}))" in text
 
 
+def _package_modules() -> list:
+    """The package and every module in it, imported."""
+    names = [f"fdrepair.{info.name}" for info in pkgutil.iter_modules(fdrepair.__path__)]
+    return [fdrepair, *map(importlib.import_module, names)]
+
+
 @pytest.fixture
 def schema_builds(monkeypatch):
-    """Counts the ``normalize``, ``project`` and ``FdSchema._of_checked``
-    calls, wherever the library calls them from."""
+    """Counts the ``normalize`` calls and the schemas built, by
+    ``FdSchema`` or ``FdSchema._of_checked``, wherever the library calls
+    them from."""
     counts = Counter()
 
     def counted(name, function):
@@ -405,10 +431,11 @@ def schema_builds(monkeypatch):
 
         return wrapper
 
-    for name in ("normalize", "project"):
-        wrapper = counted(name, getattr(fds, name))
-        for module in (fds, simplify):
-            monkeypatch.setattr(module, name, wrapper)
+    wrapper = counted("normalize", normalize)
+    for module in _package_modules():
+        if getattr(module, "normalize", None) is normalize:
+            monkeypatch.setattr(module, "normalize", wrapper)
+    monkeypatch.setattr(FdSchema, "__init__", counted("FdSchema", FdSchema.__init__))
     of_checked = FdSchema._of_checked.__func__
     monkeypatch.setattr(
         FdSchema, "_of_checked", classmethod(counted("_of_checked", of_checked))
@@ -422,34 +449,42 @@ def test_find_crep_builds_no_schema(worked_example, schema_builds):
     result = find_crep(worked_example, instance)
     assert result.trace.kinds == ("S2", "S1", "S3", "S2", "S2")
     assert result.size > 0
-    assert schema_builds == {}
-    # the counters see the views when they are read
+    # results compare and hash their traces by the input's masks
+    again = find_crep(worked_example, instance)
+    assert again == result and hash(again) == hash(result)
     assert len(result.trace.steps) == 5
-    assert schema_builds["project"] == 5 and schema_builds["normalize"] == 1
+    assert schema_builds == {}
 
 
 def test_trace_views_are_built_once(worked_example, schema_builds):
     trace = classify(worked_example)
-    assert schema_builds == {}
     steps = trace.steps
-    built = dict(schema_builds)
-    assert built["project"] == 5
-    assert trace.steps is steps and trace.terminal is steps[-1].schema_after
-    assert trace.normalized is steps[0].schema_before
-    assert dict(schema_builds) == built
+    assert len(steps) == 5 and trace.steps is steps
+    again = classify(worked_example)
+    assert trace == again and hash(trace) == hash(again)
+    assert repr(trace) == repr(again)
+    assert schema_builds == {}
+    # the terminal is the one schema a trace builds, and it is kept
+    terminal = trace.terminal
+    assert terminal.fds == () and terminal.signature.attributes == ()
+    assert trace.terminal is terminal
+    assert schema_builds == {"_of_checked": 1}
     # the terminal of a hard schema with no step is the normalized input
     hard = classify(HARD_SCHEMAS["2fd"])
-    assert hard.terminal is hard.normalized
-    assert schema_builds["project"] == 5
+    assert hard.terminal == HARD_SCHEMAS["2fd"]
+    assert schema_builds == {"_of_checked": 2}
+    # and no module of the package has a projection to call
+    assert not any(hasattr(module, "project") for module in _package_modules())
 
 
 def test_hard_case_witness_builds_only_the_normalized_input(schema_builds):
     # S1 removes D before the rewrites get stuck on the two-fd core; the
     # witness reads the stuck FD set's masks, not the terminal schema
     schema = schema_of("DABC", "DAB->C", "DC->B")
+    schema_builds.clear()
     case_id, reduction = hard_case_witness(schema)
     assert case_id == 5 and reduction.rules[0] is fds.DOT
-    # the one normalize is trace.normalized, the reduction's target
+    # the one normalize is the reduction's target
     assert reduction.target == schema
     assert schema_builds == {"normalize": 1}
 
@@ -461,6 +496,10 @@ def test_traces_of_different_inputs_differ_on_one_plan():
     second = classify(schema_of("BCD", "->B", "C->D"))
     assert first._plan == second._plan and first.kinds == ("S2", "S1", "S2")
     assert first.tractable and second.tractable
-    assert first.steps[0].schema_before != second.steps[0].schema_before
+    before = [
+        projection_steps(schema_of("BCD", *fds))[0][0].schema_before
+        for fds in (("->B", "C->B", "C->D"), ("->B", "C->D"))
+    ]
+    assert before[0] != before[1]
     assert first != second
     assert first == classify(schema_of("BCD", "C->B", "->B", "C->D"))
