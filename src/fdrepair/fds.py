@@ -13,7 +13,8 @@ Facts are plain tuples of constants, positionally aligned with the
 signature's attribute list.
 
 The one closure fixpoint in the package, :func:`_closure`, runs on FDs
-as ``(lhs, rhs)`` bitmask pairs over a signature's positions;
+as ``(lhs, rhs)`` bitmask pairs over a signature's positions, which each
+schema converts once (``FdSchema._masks``);
 :func:`_closures` memoizes it for callers that ask for many closures
 under one FD set.
 
@@ -146,19 +147,10 @@ class Signature:
         attrs = self.check_attrs(attrs)
         return tuple(a for a in self.attributes if a in attrs)
 
-    def getter(self, attrs: Iterable[str]) -> Callable[[Fact], tuple]:
-        """Map a fact to its values on ``attrs``, in signature order.
-
-        The fact must be a tuple (as every :class:`Instance` fact is): on
-        zero or one column the getter slices it, and a slice of a list
-        would be a list, which is no dict key.
-        """
-        attrs = self.check_attrs(attrs)
-        return _getter_at([i for i, a in enumerate(self.attributes) if a in attrs])
-
 
 def _getter_at(positions: list[int]) -> Callable[[Fact], tuple]:
-    """Map a fact tuple to its values at ``positions``."""
+    """Map a fact tuple (not a list, whose slice is no dict key) to its
+    values at ``positions``."""
     if len(positions) > 1:
         return itemgetter(*positions)
     # a slice of zero or one column keeps the value a tuple, in C
@@ -229,7 +221,7 @@ class FdSchema:
 
         Lazy, because most schemas (such as a ``classify`` trace's
         terminal) are never asked about conflicts. Not a field: equality,
-        hashing and ``repr`` ignore it. The FDs were checked against the
+        hashing, ``repr`` and pickle ignore it. The FDs were checked against the
         signature when the schema was built, so their attributes are read
         straight off a position map.
         """
@@ -239,6 +231,16 @@ class FdSchema:
             return _getter_at(sorted(map(position, attrs)))
 
         return tuple((fd, getter(fd.lhs), getter(fd.rhs)) for fd in self.fds)
+
+    @cached_property
+    def _masks(self) -> tuple[MaskFd, ...]:
+        """The FDs as ``(lhs, rhs)`` masks over the signature, on first use."""
+        bit = {a: 1 << i for i, a in enumerate(self.signature.attributes)}.__getitem__
+        return tuple((sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in self.fds)
+
+    def __getstate__(self) -> dict:
+        # the cached getters and masks are no part of the value
+        return {"signature": self.signature, "fds": self.fds}
 
     def __repr__(self) -> str:
         return f"FdSchema({self.signature.relation}, [{self.render_fds()}])"
@@ -320,12 +322,6 @@ class ClosureResult:
 MaskFd = tuple[int, int]
 
 
-def _mask_fds(schema: FdSchema) -> list[MaskFd]:
-    """The schema's FDs as ``(lhs, rhs)`` masks over its signature."""
-    bit = {a: 1 << i for i, a in enumerate(schema.signature.attributes)}.__getitem__
-    return [(sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in schema.fds]
-
-
 def _closure(fds: Collection[MaskFd], closed: int) -> int:
     """Least fixpoint of ``closed`` under the FDs."""
     changed = True
@@ -359,7 +355,7 @@ def closure(schema: FdSchema, attrs: Iterable[str]) -> ClosureResult:
     """
     base = schema.signature.check_attrs(attrs)
     names = schema.signature.attributes
-    closed = _closure(_mask_fds(schema), sum(1 << names.index(a) for a in base))
+    closed = _closure(schema._masks, sum(1 << names.index(a) for a in base))
     found = frozenset(a for i, a in enumerate(names) if closed >> i & 1)
     return ClosureResult(base, found)
 
@@ -376,7 +372,7 @@ def equivalent(first: FdSchema, second: FdSchema) -> bool:
     FD's rhs lies in the closure of its lhs under the other set."""
     if first.signature != second.signature:
         raise SchemaError("cannot compare FD sets over different signatures")
-    one, two = _mask_fds(first), _mask_fds(second)
+    one, two = first._masks, second._masks
     return all(not rhs & ~_closure(two, lhs) for lhs, rhs in one) and all(
         not rhs & ~_closure(one, lhs) for lhs, rhs in two
     )

@@ -15,40 +15,35 @@ columns removed so far, so the remaining steps can read the original
 columns directly, and a block's repair is already a set of original
 facts. A one-fact block conflicts with nothing, so it is its own repair
 and the rest of the plan never runs on it; most blocks of a wide table
-end there. No FD is left below the last step, so each of its blocks is
-its own repair too, and only its size matters. The last step therefore
-collects no blocks: it counts the facts per flat block key in a plain
-dict and recombines from the counts. A lone block, or S3 blocks that
-share no endpoint, keep the input list as it stands; otherwise the
-kept facts come out of one C-level filter over the facts' keys.
+end there. A lone block is its own optimum under every recombination
+rule, so facts that a step keeps in one block go on to the next step in
+the same call, and only a step that splits its facts recurses. No FD is
+left below the last step, so each of its blocks is its own repair too,
+and only its size matters. The last step therefore collects no blocks:
+it counts the facts per flat block key in a plain dict and recombines
+from the counts. A lone block, or S3 blocks that share no endpoint,
+keep the input list as it stands; otherwise the kept facts come out of
+one C-level filter over the facts' keys.
 
 Each step keys a fact with one C ``itemgetter``. An S1 or S2 step that
-removes one column keys a block by the bare value, not a 1-tuple;
-``RepairResult.block_sizes`` wraps the first step's keys when it is
-read. For S3 that key is flat, the X1 columns followed by the X2
-columns; every X1 part has the same length, so the flat keys sort in
-the order of the ``(x, y)`` pairs. When X1 and X2 are one column each,
-the endpoints are the key's two bare values, and a matched edge is its
-own flat key; otherwise they are the key's two slices, and a matched
-edge joins back into its key. When no two block keys share an X1 or an
-X2 value, every block is an edge of its own, and the matching takes
-them all, since a non-empty block repairs to at least one fact; such a
-step returns the union of its block repairs, as S1 does, with no sort,
-no problem and no matcher call, so the matcher only gets graphs with
-two edges that share an endpoint. Otherwise the S3 step sorts its block
-keys once and splits them into ``(x, y)`` with the two endpoint getters
-compiled with the plan, in C-level ``zip`` and ``map`` calls. The
-matching runs in pure Python: one optimum with its LP duals, then one
-lex greedy over the whole graph, with no solver and no split into
-components (see :func:`max_weight_matching`).
-
-Block sizes are kept only where they are read: at the first step, for
-``block_sizes`` (sorted only when first read), and where S2 chooses a
-block or S3 matches blocks. The last step's counts are its sizes. Below
-the first step and above the last, an S1 step, and an S3 step whose
-blocks share no endpoint, returns the union of its block repairs and
-nothing else, and when all its blocks hold one fact, that union is its
-input list as it stands.
+removes one column keys a block by the bare value, not a 1-tuple. For
+S3 that key is flat, the X1 columns followed by the X2 columns; every
+X1 part has the same length, so the flat keys sort in the order of the
+``(x, y)`` pairs. When X1 and X2 are one column each, the endpoints are
+the key's two bare values, and a matched edge is its own flat key;
+otherwise they are the key's two slices, and a matched edge joins back
+into its key. When no two block keys share an X1 or an X2 value, every
+block is an edge of its own, and the matching takes them all, since a
+non-empty block repairs to at least one fact; such a step returns the
+union of its block repairs, as S1 does, with no sort, no problem and no
+matcher call, so the matcher only gets graphs with two edges that share
+an endpoint. A union of one-fact blocks is the step's input list as it
+stands. Otherwise the S3 step sorts its block keys once and splits them
+into ``(x, y)`` with the two endpoint getters compiled with the plan, in
+C-level ``zip`` and ``map`` calls. The matching runs in pure Python: one
+optimum with its LP duals, then one lex greedy over the whole graph,
+with no solver and no split into components (see
+:func:`max_weight_matching`).
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -70,6 +65,7 @@ from .fds import (
     FdSchema,
     Instance,
     SchemaError,
+    _getter_at,
     canonical_sorted,
     constant_key,
 )
@@ -99,21 +95,35 @@ class RepairResult:
     order: an S1 or S2 block key is the tuple of the block's values on
     the removed columns, and an S3 block key is the pair ``(x, y)`` of
     its X1 and X2 values. It is empty when the schema has no FDs. It is
-    computed when first read, from the sizes by flat block key that the
-    repair kept and the step's map from a flat key to its block key, so
-    a caller that never reads it never sorts the blocks.
+    computed when first read: the input facts are grouped by the first
+    step's columns, and each multi-fact block is repaired again by the
+    rest of the plan, so a caller that never reads it pays nothing for
+    it. Equality and hashing read ``repair``, ``size`` and ``trace``.
     """
 
     repair: Instance
     size: int
     trace: Optional[SimplificationTrace]
-    _sizes: dict = field(default_factory=dict, repr=False, hash=False)
-    _block_key: Callable = field(default=tuple, repr=False, compare=False)
+    _input: frozenset = field(default=frozenset(), repr=False, compare=False)
 
     @cached_property
     def block_sizes(self) -> tuple[tuple[tuple, int], ...]:
-        sizes, block_key = self._sizes, self._block_key
-        return tuple((block_key(k), sizes[k]) for k in canonical_sorted(sizes))
+        trace = self.trace
+        if trace is None or not trace._plan:
+            return ()
+        kind, witness, removed = trace._plan[0]
+        if kind == "S3":
+            x_of, y_of = (_getter_at(_positions(x)) for x in witness)
+            key_of = lambda fact: (x_of(fact), y_of(fact))
+        else:
+            key_of = _getter_at(_positions(removed))
+        blocks: dict = {}
+        for fact in self._input:
+            blocks.setdefault(key_of(fact), []).append(fact)
+        plan, sizes = _compile(trace), {}
+        for key, block in blocks.items():
+            sizes[key] = len(block if len(block) == 1 else _solve(plan, block, 1))
+        return tuple((key, sizes[key]) for key in canonical_sorted(sizes))
 
 
 @dataclass(frozen=True)
@@ -155,36 +165,15 @@ class BipartiteMatchProblem:
         return problem
 
 
-# One compiled rewrite: its kind, the flat block key of a fact, the map
-# from a flat key to the block key that ``block_sizes`` reports, and, for
+# One compiled rewrite: its kind, the flat block key of a fact and, for
 # S3, the getters of the key's two endpoints and the map from a matched
 # edge back to its flat key. The flat key is the fact's value on the one
-# removed column, or the tuple of its values on several (S1, S2; block
-# key ``(value,)`` or the tuple itself), or on the X1 columns followed
-# by the X2 columns (S3; block key ``(x, y)``). An S3 endpoint is the
+# removed column, or the tuple of its values on several (S1, S2), or on
+# the X1 columns followed by the X2 columns (S3). An S3 endpoint is the
 # bare value when its lhs is one column, and otherwise the key's slice
 # ``x = key[:len(X1)]`` or ``y = key[len(X1):]``. Every key getter is a
 # C ``itemgetter``.
-PlanStep = tuple[
-    str,
-    Callable[[Fact], object],
-    Callable,
-    Optional[Callable],
-    Optional[Callable],
-    Optional[Callable],
-]
-
-
-def _one_tuple(value: Constant) -> tuple:
-    return (value,)
-
-
-def _one_tuple_pair(key: tuple) -> tuple:
-    return ((key[0],), (key[1],))
-
-
-def _pair(x_of: Callable, y_of: Callable) -> Callable[[tuple], tuple]:
-    return lambda key: (x_of(key), y_of(key))
+PlanStep = tuple[str, Callable, Optional[Callable], Optional[Callable], Optional[Callable]]
 
 
 def _joined(edge: tuple) -> tuple:
@@ -201,22 +190,17 @@ def _compile(trace: SimplificationTrace) -> list[PlanStep]:
             x1, x2 = map(_positions, witness)
             key_of = itemgetter(*x1, *x2)
             if len(x1) == len(x2) == 1:
-                # bare endpoints, as for one-column S1/S2 keys: the flat
-                # key is the edge (x, y), so a matched edge is its own key,
-                # which ``tuple`` returns as it is
-                plan.append(
-                    ("S3", key_of, _one_tuple_pair, itemgetter(0), itemgetter(1), tuple)
-                )
+                # bare endpoints, as for one-column S1/S2 keys: a matched
+                # edge (x, y) is its own flat key, which ``tuple`` returns
+                plan.append(("S3", key_of, itemgetter(0), itemgetter(1), tuple))
             else:
                 x_of = itemgetter(slice(len(x1)))
                 y_of = itemgetter(slice(len(x1), None))
-                plan.append(("S3", key_of, _pair(x_of, y_of), x_of, y_of, _joined))
+                plan.append(("S3", key_of, x_of, y_of, _joined))
         else:
             # on one column the key is the bare value, which groups faster
             # than a 1-tuple, and sorts (by constant_key) in the same order
-            columns = _positions(removed)
-            block_key = _one_tuple if len(columns) == 1 else tuple
-            plan.append((kind, itemgetter(*columns), block_key, None, None, None))
+            plan.append((kind, itemgetter(*_positions(removed)), None, None, None))
     return plan
 
 
@@ -228,7 +212,7 @@ def _shares_no_endpoint(keys: dict, x_of: Callable, y_of: Callable) -> bool:
 def _kept(step: PlanStep, sizes: dict) -> set:
     """The flat keys of the blocks an S2 or S3 step keeps, given the
     repair size of each of its blocks."""
-    kind, _, _, x_of, y_of, edge_key = step
+    kind, _, x_of, y_of, edge_key = step
     if kind == "S2":
         # facts differing on an empty lhs's rhs conflict: one block survives
         best = max(sizes.values())
@@ -244,83 +228,68 @@ def _kept(step: PlanStep, sizes: dict) -> set:
     return set(map(edge_key, max_weight_matching(problem)))
 
 
-def _solve(
-    plan: list[PlanStep], facts: list[Fact], depth: int
-) -> tuple[list[Fact], dict]:
-    """Repair ``facts`` under ``plan[depth:]``.
+def _solve(plan: list[PlanStep], facts: list[Fact], depth: int) -> list[Fact]:
+    """Repair two or more ``facts`` under ``plan[depth:]``.
 
-    Returns the repair and the repair size of every block of
-    ``plan[depth]``, keyed by its flat block key. Only the sizes at
-    depth 0 are read. The last step returns the fact counts it
-    recombines from; a step above it builds sizes only at depth 0 and
-    where S2 chooses a block or S3 matches blocks, and elsewhere they
-    are empty.
+    Facts that a step keeps in one block go on to the next step in this
+    call. A step that splits them recurses into its multi-fact blocks, at
+    a later step and on fewer facts, so calls nest at most min(steps,
+    facts - 1) deep.
     """
-    if depth == len(plan) or not facts:
-        return facts, {}
-    step = plan[depth]
-    kind, key_of, _, x_of, y_of, _ = step
-    if depth + 1 == len(plan):
-        # no FD is left below the last step, an S2 or S3 step (S1 never
-        # is): every block is its own repair, so its fact count is all
-        # the recombination reads
-        sizes: dict = {}
-        get = sizes.get
-        for key in map(key_of, facts):
-            sizes[key] = get(key, 0) + 1
-        if len(sizes) == 1 or (
-            kind == "S3" and _shares_no_endpoint(sizes, x_of, y_of)
-        ):
-            # a lone block is its own optimum under every recombination
-            # rule, and S3 blocks that share no X1 or X2 value are edges
-            # of their own, each taken by the matching
-            return facts, sizes
-        keep = _kept(step, sizes)
-        chosen = list(compress(facts, map(keep.__contains__, map(key_of, facts))))
-        assert kind == "S2" or len(chosen) == sum(
-            map(sizes.__getitem__, keep)
-        ), "matching weight must equal repair size"
-        return chosen, sizes
-    blocks: dict = {}
-    for fact in facts:
-        blocks.setdefault(key_of(fact), []).append(fact)
-    if kind == "S1" and depth:
-        # every lhs holds the witness column: blocks never conflict, and
-        # the repair is the union of the block repairs. S1 is never the
-        # last step: each FD keeps its rhs when a lhs column goes
-        if len(blocks) == len(facts):
-            # one fact per block, each its own repair: the union is facts
-            return facts, {}
+    last = len(plan) - 1
+    while depth < last:
+        kind, key_of, x_of, y_of, _ = step = plan[depth]
+        depth += 1
+        blocks: dict = {}
+        for fact in facts:
+            blocks.setdefault(key_of(fact), []).append(fact)
+        if len(blocks) == 1:
+            # a lone block is its own optimum under every recombination rule
+            continue
+        if kind == "S1" or (kind == "S3" and _shares_no_endpoint(blocks, x_of, y_of)):
+            # the union of the block repairs: S1 blocks never conflict, and
+            # the matching takes all S3 blocks when no two share an endpoint
+            if len(blocks) == len(facts):
+                return facts
+            chosen = []
+            for block in blocks.values():
+                chosen += block if len(block) == 1 else _solve(plan, block, depth)
+            return chosen
+        # a one-fact block conflicts with nothing: it is its own repair
+        repairs = {
+            key: block if len(block) == 1 else _solve(plan, block, depth)
+            for key, block in blocks.items()
+        }
         chosen = []
-        for block in blocks.values():
-            chosen += block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
-        return chosen, {}
-    # a one-fact block conflicts with nothing: it is its own repair
-    repairs = {
-        key: block if len(block) == 1 else _solve(plan, block, depth + 1)[0]
-        for key, block in blocks.items()
-    }
-    if len(repairs) == 1:
-        # a lone block is its own optimum under every recombination rule
-        (chosen,) = repairs.values()
-        return chosen, {} if depth else dict.fromkeys(repairs, len(chosen))
-    if kind == "S1" or (kind == "S3" and _shares_no_endpoint(repairs, x_of, y_of)):
-        # the union of the block repairs. S1 blocks never conflict (an S1
-        # step gets here only as the first step), and S3 blocks that share
-        # no X1 or X2 value are edges of their own, each taken by the
-        # matching, as each block's repair holds a fact
-        if len(repairs) == len(facts):
-            chosen = facts
-        else:
-            chosen = [fact for repair in repairs.values() for fact in repair]
-        if depth:
-            return chosen, {}
-        return chosen, {key: len(repair) for key, repair in repairs.items()}
-    sizes = {key: len(repair) for key, repair in repairs.items()}
-    chosen = []
-    for key in _kept(step, sizes):
-        chosen += repairs[key]
-    return chosen, sizes
+        for key in _kept(step, {key: len(repair) for key, repair in repairs.items()}):
+            chosen += repairs[key]
+        return chosen
+    # past the last step no FD is left: the facts are their own repair
+    return _last_step(plan[depth], facts) if depth == last else facts
+
+
+def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
+    """Repair two or more ``facts`` at the plan's last step.
+
+    No FD is left below it, an S2 or S3 step (S1 never is: each FD keeps
+    its rhs when a lhs column goes). Every block is its own repair, so
+    its fact count is all the recombination reads.
+    """
+    kind, key_of, x_of, y_of, _ = step
+    sizes: dict = {}
+    get = sizes.get
+    for key in map(key_of, facts):
+        sizes[key] = get(key, 0) + 1
+    if len(sizes) == 1 or (kind == "S3" and _shares_no_endpoint(sizes, x_of, y_of)):
+        # a lone block is its own optimum under every recombination rule,
+        # and the matching takes all S3 blocks when no two share an endpoint
+        return facts
+    keep = _kept(step, sizes)
+    chosen = list(compress(facts, map(keep.__contains__, map(key_of, facts))))
+    assert kind == "S2" or len(chosen) == sum(
+        map(sizes.__getitem__, keep)
+    ), "matching weight must equal repair size"
+    return chosen
 
 
 def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
@@ -344,16 +313,11 @@ def _find_crep(
         raise SchemaError("instance signature does not match schema")
     if not trace.tractable:
         return None
-    plan = _compile(trace)
-    chosen, sizes = _solve(plan, list(instance.facts), 0)
+    chosen = facts = instance.facts
+    if trace._plan and len(facts) > 1:
+        chosen = _solve(_compile(trace), list(facts), 0)
     repaired = Instance._of_checked(schema.signature, chosen)
-    return RepairResult(
-        repair=repaired,
-        size=len(repaired),
-        trace=trace,
-        _sizes=sizes,
-        _block_key=plan[0][2] if plan else tuple,
-    )
+    return RepairResult(repaired, len(repaired), trace, facts)
 
 
 def max_weight_matching(

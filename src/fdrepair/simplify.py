@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Collection, Optional, Union
 
-from .fds import Fd, FdSchema, MaskFd, Signature, _closures, _mask_fds
+from .fds import Fd, FdSchema, MaskFd, Signature, _closures
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
@@ -132,10 +132,6 @@ class SimplificationTrace:
         )
 
     @property
-    def removed_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(step.removed_attributes for step in self.steps)
-
-    @property
     def kinds(self) -> tuple[str, ...]:
         return tuple(kind for kind, _, _ in self._plan)
 
@@ -181,7 +177,7 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 def _normal_masks(schema: FdSchema) -> set[MaskFd]:
     """The schema's FDs as masks, each rhs without its lhs, none empty."""
-    return {(lhs, rhs & ~lhs) for lhs, rhs in _mask_fds(schema) if rhs & ~lhs}
+    return {(lhs, rhs & ~lhs) for lhs, rhs in schema._masks if rhs & ~lhs}
 
 
 def _attr_names(attrs: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -252,7 +248,7 @@ def _s3(fds: Collection[MaskFd]) -> Optional[tuple[int, int]]:
 
 def _find(schema: FdSchema, kind: str, rule: Callable) -> Optional[Witness]:
     """``rule``'s witness on the schema's FD masks, by attribute name."""
-    witness = rule(_mask_fds(schema))
+    witness = rule(schema._masks)
     attrs = schema.signature.attributes
     return None if witness is None else _named_witness(attrs, kind, witness)
 

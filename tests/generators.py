@@ -310,6 +310,30 @@ def ab_c_a_d_rows(rng: random.Random, a_values: int) -> list[tuple]:
     return rows
 
 
+def long_plan_relations() -> dict[str, tuple[str, list[tuple]]]:
+    """Two tractable relations whose plans are hundreds of steps long, as
+    schema text with two conflicting rows each.
+
+    ``s2-chain``: ``-> A0; A0 -> A1; ...; A698 -> A699`` over 700 columns,
+    700 S2 steps, rows that differ on the last column only. ``s1-run``:
+    ``A0,...,A1099 -> B``, 1,100 S1 steps and then S2, rows that differ on
+    B only. Each repairs to one fact.
+    """
+    chain = [f"A{i}" for i in range(700)]
+    fds = "".join(f"fd R: {lhs} -> {rhs}\n" for lhs, rhs in zip(["", *chain], chain))
+    run = [f"A{i}" for i in range(1100)]
+    return {
+        "s2-chain": (
+            f"relation R({','.join(chain)})\n{fds}",
+            [("0",) * 700, ("0",) * 699 + ("1",)],
+        ),
+        "s1-run": (
+            f"relation R({','.join(run)},B)\nfd R: {','.join(run)} -> B\n",
+            [("0",) * 1101, ("0",) * 1100 + ("1",)],
+        ),
+    }
+
+
 def random_cnf(
     rng: random.Random,
     max_vars: int = 8,

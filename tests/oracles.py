@@ -580,37 +580,36 @@ def brute_force_matching(problem) -> tuple:
     return best_seq
 
 
-def collecting_last_step(plan, facts, depth) -> tuple:
-    """``fdrepair.repair._solve`` at the plan's last step, by block lists.
+def collecting_last_step(step, facts) -> list:
+    """``fdrepair.repair._last_step`` on two or more facts, by block lists.
 
     Collects one list per block, then recombines the lists by their
     lengths: a lone block is kept whole, S2 keeps the first of the
     largest blocks in ``constant_key`` order, and S3 keeps the blocks
     that ``max_weight_matching`` takes, built through the checked
     ``BipartiteMatchProblem`` constructor, and with no shortcut for
-    blocks that share no endpoint. Returns the repair and every block's
-    size by flat block key, as ``_solve`` does.
+    blocks that share no endpoint. Returns the repair, as ``_last_step``
+    does.
     """
-    kind, key_of, _, x_of, y_of, _ = plan[depth]
-    assert depth + 1 == len(plan) and kind != "S1"
+    kind, key_of, x_of, y_of, _ = step
+    assert kind != "S1" and len(facts) > 1
     blocks: dict = {}
     for fact in facts:
         blocks.setdefault(key_of(fact), []).append(fact)
-    sizes = {key: len(block) for key, block in blocks.items()}
     if len(blocks) == 1:
-        return list(facts), sizes
+        return list(facts)
     if kind == "S2":
-        best = max(sizes.values())
-        pick = min((k for k, size in sizes.items() if size == best), key=constant_key)
-        return blocks[pick], sizes
+        best = max(map(len, blocks.values()))
+        pick = min((k for k, b in blocks.items() if len(b) == best), key=constant_key)
+        return blocks[pick]
     by_edge = {(x_of(key), y_of(key)): key for key in blocks}
     problem = BipartiteMatchProblem(
-        (x, y, sizes[key]) for (x, y), key in by_edge.items()
+        (x, y, len(blocks[key])) for (x, y), key in by_edge.items()
     )
     chosen = []
     for edge in max_weight_matching(problem):
         chosen += blocks[by_edge[edge]]
-    return chosen, sizes
+    return chosen
 
 
 def cnf_satisfiable(formula: CnfFormula, cap: int = 22) -> bool:

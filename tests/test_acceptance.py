@@ -55,7 +55,7 @@ def test_criterion_1_dichotomy_regression():
     worked = schema_of("ABCDEF", "->A", "DB->ACE", "DC->B", "DB->F")
     trace = classify(worked)
     ok = ok and trace.tractable
-    ok = ok and [sorted(s) for s in trace.removed_sets[:3]] == [
+    ok = ok and [sorted(s.removed_attributes) for s in trace.steps[:3]] == [
         ["A"],
         ["D"],
         ["B", "C"],

@@ -13,6 +13,7 @@ from generators import (
     WORKED_EXAMPLE_SCHEMA,
     ab_c_a_d_rows,
     dense_rows,
+    long_plan_relations,
     one_to_one_rows,
     worked_example_rows,
 )
@@ -20,8 +21,8 @@ from generators import (
 import fdrepair.repair
 from fdrepair import cli, simplify
 from fdrepair.cli import main
-from fdrepair.fds import is_consistent
-from fdrepair.oracle import is_s_repair
+from fdrepair.fds import Instance, is_consistent
+from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.textio import parse_schema, read_instance_csv
 
 TRACTABLE_SCHEMA = "relation R(A,B)\nfd R: A -> B\n"
@@ -664,6 +665,62 @@ def test_each_command_classifies_each_relation_once(
         "repair": {"R": 1},
         "repair --fallback-oracle": {"R": 1, "H": 1},
     }
+
+
+# -- plans hundreds of steps long ------------------------------------------------
+
+# Repairs each long-plan relation with find_crep and runs ``main`` once per
+# argv list given as JSON, under a recursion limit of 100, then prints the
+# sizes and the exit codes as JSON on the last line
+LOW_RECURSION_LIMIT_PROGRAM = """
+import json, sys
+from generators import long_plan_relations
+from fdrepair.cli import main
+from fdrepair.fds import Instance
+from fdrepair.repair import find_crep
+from fdrepair.textio import parse_schema
+relations = [(parse_schema(text).relations[0], rows)
+             for text, rows in long_plan_relations().values()]
+sys.setrecursionlimit(100)
+sizes = [find_crep(schema, Instance(schema.signature, rows)).size
+         for schema, rows in relations]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"sizes": sizes, "codes": codes}))
+"""
+
+
+def test_repair_of_long_plans_exits_zero(tmp_path, capsys):
+    # plans of 700 and 1,101 steps over two conflicting facts: exit 0 and
+    # the oracle's size, here and in a process whose recursion limit is
+    # 100, far below either plan's length
+    runs, sizes = [], []
+    for name, (text, rows) in long_plan_relations().items():
+        schema_path = write(tmp_path, f"{name}.fd", text)
+        data = tmp_path / name
+        data.mkdir()
+        schema = parse_schema(text).relations[0]
+        (data / "R.csv").write_text(
+            "".join(",".join(row) + "\n" for row in [schema.signature.attributes, *rows]),
+            encoding="utf-8",
+        )
+        size = brute_force_crep(schema, Instance(schema.signature, rows)).size
+        argv = ["repair", "--schema", schema_path, "--data", str(data),
+                "--out", str(tmp_path / f"{name}-out"), "--stable"]
+        assert main(argv) == 0
+        assert f"  repair-size: {size}\n" in capsys.readouterr().out
+        runs.append([*argv[:-2], str(tmp_path / f"{name}-low"), "--stable"])
+        sizes.append(size)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))}
+    run = subprocess.run(
+        [sys.executable, "-c", LOW_RECURSION_LIMIT_PROGRAM, json.dumps(runs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    *reports, last = run.stdout.splitlines()
+    assert json.loads(last) == {"sizes": sizes, "codes": [0, 0]}
+    assert reports.count("  repair-size: 1") == 2
 
 
 # -- a runtime with only the standard library -----------------------------------

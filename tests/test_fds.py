@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 
@@ -36,6 +37,7 @@ from fdrepair.fds import (
     pair_consistent,
     violating_pairs,
 )
+from fdrepair.simplify import classify, find_s3
 
 
 # -- construction and canonical form ----------------------------------------
@@ -172,6 +174,40 @@ def test_closure_matches_closed_set_oracle_on_random_schemas():
         assert closure(schema, base).closure == closure_by_closed_sets(
             schema, base
         )
+
+
+def test_closure_converts_the_fds_to_masks_once_per_schema(monkeypatch):
+    # closure, entails, equivalent and the classifier read one cached mask
+    # conversion of a schema's FDs: 100 closures convert them once
+    converted = collections.Counter()
+    convert = FdSchema._masks.func
+
+    def counting(schema):
+        converted[schema] += 1
+        return convert(schema)
+
+    masks = functools.cached_property(counting)
+    masks.__set_name__(FdSchema, "_masks")
+    monkeypatch.setattr(FdSchema, "_masks", masks)
+    schema = schema_of("ABCDE", "A->B", "B->C", "CD->E", "->D")
+    attrs = schema.signature.attributes
+    bases = [c for k in range(6) for c in itertools.combinations(attrs, k)]
+    for base in itertools.islice(itertools.cycle(bases), 100):
+        assert closure(schema, base).closure == closure_by_closed_sets(
+            schema, frozenset(base)
+        )
+    assert converted == {schema: 1}
+    # B -> A, C -> D: B and C on the 2nd and 3rd positions of A, B, C, D
+    assert schema_of("ABCD", "B->A", "C->D")._masks == ((2, 1), (4, 8))
+    converted.clear()
+    other = schema_of("ABCDE", "A->BC", "CD->E", "->D")
+    for _ in range(25):
+        assert entails(schema, Fd(frozenset("AD"), frozenset("E")))
+        assert equivalent(schema, other) is equivalent(other, schema) is False
+        classify(schema)
+        find_s3(other)
+    # the first schema's masks were converted by the closures above
+    assert converted == {other: 1}
 
 
 @settings(max_examples=100, deadline=None)

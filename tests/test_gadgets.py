@@ -202,7 +202,7 @@ def test_former_gap_schema_is_tractable(gap_schema):
     trace = classify(gap_schema)
     assert trace.tractable
     assert trace.kinds == ("S3",)
-    assert trace.removed_sets == (frozenset("ABC"),)
+    assert [s.removed_attributes for s in trace.steps] == [frozenset("ABC")]
     assert trace.steps[0].witness == (frozenset("A"), frozenset("BC"))
     with pytest.raises(ReductionError):
         hard_case_witness(gap_schema)
@@ -246,7 +246,7 @@ def test_witness_pads_every_removed_column():
         assert case_id == terminal_case
         assert reduction.source == HARD_SCHEMAS[core]
         assert reduction.target == normalize(schema)
-        removed = frozenset().union(*trace.removed_sets)
+        removed = frozenset().union(*(s.removed_attributes for s in trace.steps))
         kept = dict(zip(trace.terminal.signature.attributes, rules))
         assert removed.isdisjoint(kept)
         attrs = reduction.target.signature.attributes

@@ -409,11 +409,10 @@ def test_s_repair_and_consistency_build_no_pair(monkeypatch):
 
 def test_fd_keys_compile_once_per_schema(monkeypatch):
     # every getter is compiled by fds._getter_at; the FDs' own getters
-    # skip the attribute check of the public Signature.getter, because
-    # the FDs were checked when the schema was built
+    # skip the signature's attribute check, because the FDs were checked
+    # when the schema was built
     calls = []
     compile_getter = fdrepair.fds._getter_at
-    getter = Signature.getter
 
     def counting(positions):
         calls.append(positions)
@@ -423,23 +422,25 @@ def test_fd_keys_compile_once_per_schema(monkeypatch):
         raise AssertionError("FD getters must not re-check their attributes")
 
     monkeypatch.setattr(fdrepair.fds, "_getter_at", counting)
-    monkeypatch.setattr(Signature, "getter", refuse)
     hard = HARD_SCHEMAS["2fd"]
     schema = FdSchema(hard.signature, hard.fds)  # fresh, so not yet compiled
+    fresh = FdSchema(hard.signature, hard.fds)
     inst = gadget_2fd(CnfFormula(3, [[1, 2], [-1, -3], [2, 3], [-2]]))
-    first = brute_force_crep(schema, inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Signature, "check_attrs", refuse)
+        first = brute_force_crep(schema, inst)
+        assert len(calls) == 2 * len(schema.fds)
+        assert brute_force_crep(schema, inst) == first
+        assert is_s_repair(schema, inst, first.repair)
+        assert is_s_repair(schema, inst, first.repair)
     assert len(calls) == 2 * len(schema.fds)
-    assert brute_force_crep(schema, inst) == first
-    assert is_s_repair(schema, inst, first.repair)
-    assert is_s_repair(schema, inst, first.repair)
-    assert len(calls) == 2 * len(schema.fds)
-    # the compiled getters read what the checked public getter reads
+    # the compiled getters read the FD's attributes in signature order
+    names = schema.signature.attributes
     for fd, lhs, rhs in schema._keys:
         for attrs, compiled in ((fd.lhs, lhs), (fd.rhs, rhs)):
-            public = getter(schema.signature, attrs)
-            assert [compiled(f) for f in inst.facts] == [public(f) for f in inst.facts]
+            by_name = [tuple(v for a, v in zip(names, f) if a in attrs) for f in inst.facts]
+            assert [compiled(f) for f in inst.facts] == by_name
     # the compiled keys are no part of the value
-    fresh = FdSchema(hard.signature, hard.fds)
     restored = pickle.loads(pickle.dumps(schema))
     facts = inst.sorted_facts
     for other in (fresh, restored):

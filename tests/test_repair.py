@@ -12,6 +12,7 @@ from generators import (
     connected_match_problem,
     disjoint_match_problems,
     large_match_problem,
+    long_plan_relations,
     one_to_one_rows,
     random_instance,
     random_match_problem,
@@ -32,6 +33,7 @@ from fdrepair.fds import (
     Instance,
     SchemaError,
     Signature,
+    _getter_at,
     constant_key,
     is_consistent,
 )
@@ -44,6 +46,7 @@ from fdrepair.repair import (
     max_weight_matching,
 )
 from fdrepair.simplify import classify
+from fdrepair.textio import parse_schema
 
 
 # -- find_crep ---------------------------------------------------------------
@@ -119,6 +122,11 @@ def test_split_s1_empty_and_single_block():
     assert result.repair.facts <= inst.facts
 
 
+def _getter(signature, attrs):
+    """A fact's values on ``attrs``, in signature order."""
+    return _getter_at([i for i, a in enumerate(signature.attributes) if a in attrs])
+
+
 def test_blocks_partition_instance():
     # the blocks are exactly the realized values of the first step's
     # columns, and recombine by the rule of its kind
@@ -138,10 +146,10 @@ def test_blocks_partition_instance():
             # the witness is the lhs marriage (X1, X2) itself
             x1, x2 = step.witness
             assert x1 | x2 == step.removed_attributes and x1 != x2
-            first, second = map(inst.signature.getter, (x1, x2))
+            first, second = (_getter(inst.signature, lhs) for lhs in (x1, x2))
             keys = {(first(f), second(f)) for f in inst.facts}
         else:
-            key = inst.signature.getter(step.removed_attributes)
+            key = _getter(inst.signature, step.removed_attributes)
             keys = {key(f) for f in inst.facts}
         assert set(dict(result.block_sizes)) == keys
         assert len(result.block_sizes) == len(keys)
@@ -354,22 +362,31 @@ def test_plan_is_compiled_once(worked_example, monkeypatch):
 def test_no_solve_call_below_the_last_step(monkeypatch):
     # no FD is left below the plan's last step, so its blocks are their
     # own repairs: _solve runs at depth 0 and then only on multi-fact
-    # blocks of the steps before the last
-    depths = []
-    solve = fdrepair.repair._solve
+    # blocks of the steps before the last, and _last_step runs the last
+    # step's counts. Neither runs on fewer than two facts, and _solve
+    # does not run for a plan with no step
+    depths, lasts = [], []
+    solve, last_step = fdrepair.repair._solve, fdrepair.repair._last_step
 
     def recording(plan, facts, depth):
+        assert len(facts) > 1 and depth < len(plan)
         depths.append(depth)
         return solve(plan, facts, depth)
 
+    def recording_last(step, facts):
+        assert len(facts) > 1 and step[0] != "S1"
+        lasts.append(step[0])
+        return last_step(step, facts)
+
     monkeypatch.setattr(fdrepair.repair, "_solve", recording)
+    monkeypatch.setattr(fdrepair.repair, "_last_step", recording_last)
     # A -> B: S1 on A, then S2 on B. The A blocks 1 and 3 hold B blocks of
     # two and three facts, which used to get a call each; A block 2 is one
     # fact and gets none
     schema = schema_of("ABC", "A->B")
     inst = inst_of(schema, "1x1", "1x2", "1y1", "2x1", "3z1", "3z2", "3z3")
     result = find_crep(schema, inst)
-    assert depths == [0, 1, 1]
+    assert depths == [0, 1, 1] and lasts == ["S2", "S2"]
     assert result.repair == inst_of(schema, "1x1", "1x2", "2x1", "3z1", "3z2", "3z3")
     rng = random.Random(41)
     recursed = 0
@@ -377,9 +394,13 @@ def test_no_solve_call_below_the_last_step(monkeypatch):
         schema = random_tractable_schema(rng)
         inst = random_instance(rng, schema.signature, max_facts=10)
         depths.clear()
+        lasts.clear()
         result = find_crep(schema, inst)
         steps = len(result.trace.steps)
-        assert depths[0] == 0 and all(0 < d < steps for d in depths[1:])
+        assert depths[:1] == ([0] if steps and len(inst) > 1 else [])
+        assert all(0 < d < steps for d in depths[1:])
+        # the last step runs once per call at most, and only from a call
+        assert len(lasts) <= len(depths)
         assert result.size == brute_force_crep(schema, inst).size
         recursed += len(depths) > 1
     assert recursed > 10
@@ -425,33 +446,58 @@ def test_s2_tie_among_dot_str_and_tuple_blocks_is_pinned():
     assert repair_of(u, t) == ((t, "1"), (t, "2"), (t, "3"))
 
 
-def test_s1_below_the_top_returns_the_union(monkeypatch):
-    # below the first step an S1 repair is the union of its blocks'
-    # repairs; when each block is one fact that union is the input list
-    # itself. No plan ends in S1: an FD keeps its rhs when S1 removes a
-    # column of its lhs
-    calls = []
+def test_s1_below_the_top_returns_the_union(worked_example, monkeypatch):
+    # at every depth, an S1 repair, and an S3 repair whose blocks share no
+    # X1 and no X2 value, is the union of its blocks' repairs, and it is
+    # the input list itself when each block is one fact. A call goes on
+    # past the steps that keep its facts in one block, so the step that
+    # recombines is the first that splits them. No plan ends in S1: an FD
+    # keeps its rhs when S1 removes a column of its lhs
+    calls = Counter()
     solve = fdrepair.repair._solve
 
     def recording(plan, facts, depth):
-        chosen, sizes = solve(plan, facts, depth)
-        if depth and plan[depth][0] == "S1":
-            singles = len(set(map(plan[depth][1], facts))) == len(facts)
-            calls.append((singles, chosen is facts, sizes))
-        return chosen, sizes
+        chosen = solve(plan, facts, depth)
+        assert type(chosen) is list
+        while depth < len(plan) and len(set(map(plan[depth][1], facts))) == 1:
+            depth += 1
+        if depth + 1 >= len(plan):
+            return chosen
+        kind, key_of, x_of, y_of, _ = plan[depth]
+        blocks = {}
+        for fact in facts:
+            blocks.setdefault(key_of(fact), []).append(fact)
+        keys = list(blocks)
+        union_step = kind == "S1"
+        if kind == "S3":
+            union_step = len(set(map(x_of, keys))) == len(set(map(y_of, keys))) == len(keys)
+        if union_step:
+            singles = len(blocks) == len(facts)
+            assert (chosen is facts) == singles
+            union = set().union(
+                *(b if len(b) == 1 else solve(plan, b, depth + 1) for b in blocks.values())
+            )
+            assert len(chosen) == len(union) and set(chosen) == union
+            calls[kind, depth > 0, singles] += 1
+        return chosen
 
     monkeypatch.setattr(fdrepair.repair, "_solve", recording)
     rng = random.Random(43)
-    for _ in range(150):
-        schema = random_tractable_schema(rng)
-        inst = random_instance(rng, schema.signature, max_facts=10)
+    # S3 above the last step: at the top, and below S2 and S1 steps
+    s3_first = [schema_of("ABCD", "A->B", "B->A", "AC->D"), worked_example]
+    for n in range(900):
+        schema = s3_first[n // 3 % 2] if n % 3 == 2 else random_tractable_schema(rng)
+        # few facts for one-fact blocks, two values for multi-fact ones
+        pool = ("0", "1", "2")[: 2 + n % 2]
+        inst = random_instance(rng, schema.signature, rng.choice((4, 10)), pool)
         result = find_crep(schema, inst)
         assert result.trace.kinds[-1:] != ("S1",)
         assert result.size == brute_force_crep(schema, inst).size
         assert is_s_repair(schema, inst, result.repair)
-    assert all(singles == same and sizes == {} for singles, same, sizes in calls)
-    assert sum(singles for singles, _, _ in calls) > 10
-    assert sum(not singles for singles, _, _ in calls) > 10
+    assert calls["S1", True, True] > 10 and calls["S1", True, False] > 10
+    assert calls["S1", False, True] > 10 and calls["S1", False, False] > 10
+    assert calls["S3", True, True] + calls["S3", False, True] > 10
+    assert calls["S3", True, False] + calls["S3", False, False] > 10
 
 
 def test_many_small_s3_components_repair_fast():
@@ -763,7 +809,7 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
     # repair, size, block_sizes and trace must be the same. DOT, str and
     # tuple cells tie S2 blocks across types, where a filter on the
     # chosen key's own __eq__ would keep every fact of another type
-    shipped, matcher = fdrepair.repair._solve, fdrepair.repair.max_weight_matching
+    matcher = fdrepair.repair.max_weight_matching
     forced = Counter()
     steps = ()
 
@@ -771,13 +817,14 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
         forced["matchings"] += 1
         return matcher(problem)
 
-    def collecting(plan, facts, depth):
-        if facts and depth + 1 == len(plan):
-            step = steps[depth]
-            bare = step.kind == "S3" and all(len(lhs) == 1 for lhs in step.witness)
-            forced[step.kind, bare, depth > 0] += 1
-            return collecting_last_step(plan, facts, depth)
-        return shipped(plan, facts, depth)
+    def collecting(step, facts):
+        # the class of the plan's last step: its kind, whether its S3
+        # endpoints are bare values, and whether steps run before it
+        last = steps[-1]
+        assert step[0] == last.kind
+        bare = last.kind == "S3" and all(len(lhs) == 1 for lhs in last.witness)
+        forced[last.kind, bare, len(steps) > 1] += 1
+        return collecting_last_step(step, facts)
 
     monkeypatch.setattr(fdrepair.repair, "max_weight_matching", matching)
     rng = random.Random(53)
@@ -808,11 +855,14 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
         counted = _find_crep(schema, trace, inst)
         steps = trace.steps
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fdrepair.repair, "_solve", collecting)
+            patch.setattr(fdrepair.repair, "_last_step", collecting)
             collected = _find_crep(schema, trace, inst)
+            # block_sizes re-solves the first step's blocks when first read
+            patch.setattr(fdrepair.repair, "_last_step", collecting_last_step)
+            collected_sizes = collected.block_sizes
         assert counted.repair == collected.repair
         assert counted.size == collected.size
-        assert counted.block_sizes == collected.block_sizes
+        assert counted.block_sizes == collected_sizes
         assert counted.trace == collected.trace
     # S2 and S3 last steps, at the top and below it; S3 with one-column
     # (bare) endpoints and with multi-column ones
@@ -822,6 +872,70 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
         for below in (False, True)
     )
     assert forced["matchings"] > 1000
+
+
+def test_long_plans_repair_in_one_call(monkeypatch):
+    # a step that keeps its facts in one block hands them to the next step
+    # in the same call: plans of 700 and 1,101 steps over two facts run in
+    # one _solve call, with the oracle's size
+    calls = []
+    solve = fdrepair.repair._solve
+
+    def recording(plan, facts, depth):
+        calls.append(depth)
+        return solve(plan, facts, depth)
+
+    monkeypatch.setattr(fdrepair.repair, "_solve", recording)
+    for text, rows in long_plan_relations().values():
+        schema = parse_schema(text).relations[0]
+        inst = Instance(schema.signature, rows)
+        calls.clear()
+        result = find_crep(schema, inst)
+        assert len(result.trace.steps) >= 700 and calls == [0]
+        assert result.size == brute_force_crep(schema, inst).size == 1
+        assert is_s_repair(schema, inst, result.repair)
+        assert result.block_sizes == ((("0",), 1),)
+
+
+def test_solve_nesting_is_bounded_by_steps_and_facts(worked_example, monkeypatch):
+    # a nested _solve call repairs a multi-fact block of a step that split
+    # its caller's facts, at a later step: calls nest at most as deep as
+    # the plan has steps, and one less than the number of facts
+    solve = fdrepair.repair._solve
+    stack = []
+    deepest = 0
+
+    def nesting(plan, facts, depth):
+        nonlocal deepest
+        if stack:
+            assert len(facts) < stack[-1][0] and depth > stack[-1][1]
+        stack.append((len(facts), depth))
+        deepest = max(deepest, len(stack))
+        try:
+            return solve(plan, facts, depth)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(fdrepair.repair, "_solve", nesting)
+    rng = random.Random(59)
+    fixed = [worked_example, schema_of("ABCD", "A->B", "B->A", "AC->D")]
+    reached = Counter()
+    for n in range(1500):
+        if n % 3:
+            schema = random_tractable_schema(rng, max_attrs=8, max_fds=6)
+        else:
+            schema = fixed[n % 2]
+        pool = ("0", "1", "2", DOT, ("0",))[: 2 + n % 4]
+        inst = random_instance(rng, schema.signature, rng.choice((3, 8, 30)), pool)
+        deepest = 0
+        result = find_crep(schema, inst)
+        bound = min(len(result.trace.steps), max(len(inst) - 1, 0))
+        assert deepest <= bound
+        reached[deepest] += deepest == bound
+        assert not stack
+    # the bound is met, also three to five calls deep
+    assert reached[1] > 100 and reached[2] > 50
+    assert reached[3] + reached[4] + reached[5] > 20
 
 
 # -- cross-cutting invariants --------------------------------------------------

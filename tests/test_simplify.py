@@ -171,7 +171,7 @@ def test_classify_worked_example_full_trace(worked_example):
     trace = classify(worked_example)
     assert trace.tractable
     assert trace.kinds == ("S2", "S1", "S3", "S2", "S2")
-    assert [sorted(s) for s in trace.removed_sets] == [
+    assert [sorted(s.removed_attributes) for s in trace.steps] == [
         ["A"],
         ["D"],
         ["B", "C"],
