@@ -25,7 +25,7 @@ import time
 from functools import cache
 from typing import Callable, Optional
 
-from .fds import FdSchema
+from .fds import FdSchema, _names
 from .gadgets import (
     HARD_SCHEMAS,
     ReductionError,
@@ -81,8 +81,9 @@ def _load_schema_file(path: str) -> SchemaDocument:
 
 def _steps(trace: SimplificationTrace) -> list[dict]:
     """Each applied rewrite's kind and removed columns, in signature order."""
+    attrs = trace._schema.signature.attributes
     return [
-        {"kind": kind, "removed": list(trace._names(removed))}
+        {"kind": kind, "removed": list(_names(attrs, removed))}
         for kind, _, removed in trace._plan
     ]
 
@@ -96,49 +97,6 @@ def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _relation_header(schema: FdSchema) -> list[str]:
-    sig = schema.signature
-    return [
-        f"relation: {sig.relation}",
-        f"  attributes: {','.join(sig.attributes)}",
-        f"  fds: {schema.render_fds()}",
-    ]
-
-
-def _timing_line(started: float) -> str:
-    return f"  elapsed-ms: {(time.perf_counter() - started) * 1000.0:.2f}"
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    document = _load_schema_file(args.schema)
-    lines: list[str] = []
-    records = []
-    for schema in document.relations:
-        started = time.perf_counter()
-        trace = classify(schema)
-        record = {
-            "relation": schema.signature.relation,
-            "attributes": list(schema.signature.attributes),
-            "tractable": trace.tractable,
-            "steps": _steps(trace),
-            "terminal_fds": trace._render_fds(),
-        }
-        records.append(record)
-        if args.json:
-            continue
-        lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(record['tractable']).lower()}")
-        lines.append(f"  steps: {_format_steps(record['steps'])}")
-        lines.append(f"  terminal-fds: {record['terminal_fds']}")
-        if not args.stable:
-            lines.append(_timing_line(started))
-    if args.json:
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        _emit(lines)
-    return 0 if all(record["tractable"] for record in records) else 2
-
-
 def _load_relation_csv(data_dir: str, schema: FdSchema):
     path = os.path.join(data_dir, f"{schema.signature.relation}.csv")
     if not os.path.exists(path):
@@ -149,12 +107,61 @@ def _load_relation_csv(data_dir: str, schema: FdSchema):
         raise CliError(str(exc)) from exc
 
 
-def cmd_repair(args: argparse.Namespace) -> int:
+def _report(args: argparse.Namespace, relation: Callable, out=None) -> list[str]:
+    """The report lines of each relation in the ``--schema`` file, which
+    is loaded before ``out`` is created: its header, the lines that
+    ``relation(schema)`` gives with a repair or None, the repair written
+    to ``out`` and named, and ``elapsed-ms`` unless ``--stable``."""
     document = _load_schema_file(args.schema)
-    os.makedirs(args.out, exist_ok=True)
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
     lines: list[str] = []
     for schema in document.relations:
         started = time.perf_counter()
+        body, repair = relation(schema)
+        sig = schema.signature
+        lines.append(f"relation: {sig.relation}")
+        lines.append(f"  attributes: {','.join(sig.attributes)}")
+        lines.append(f"  fds: {schema.render_fds()}")
+        lines.extend(body)
+        if out is not None and repair is not None:
+            out_path = os.path.join(out, f"{sig.relation}.csv")
+            write_instance_csv(out_path, repair)
+            lines.append(f"  output: {out_path}")
+        if not args.stable:
+            lines.append(f"  elapsed-ms: {(time.perf_counter() - started) * 1000:.2f}")
+    return lines
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    records = []
+
+    def relation(schema: FdSchema):
+        trace = classify(schema)
+        record = {
+            "relation": schema.signature.relation,
+            "attributes": list(schema.signature.attributes),
+            "tractable": trace.tractable,
+            "steps": _steps(trace),
+            "terminal_fds": trace._render_fds(),
+        }
+        records.append(record)
+        return [
+            f"  tractable: {str(record['tractable']).lower()}",
+            f"  steps: {_format_steps(record['steps'])}",
+            f"  terminal-fds: {record['terminal_fds']}",
+        ], None
+
+    lines = _report(args, relation)
+    if args.json:
+        sys.stdout.write(json.dumps(records, indent=2) + "\n")
+    else:
+        _emit(lines)
+    return 0 if all(record["tractable"] for record in records) else 2
+
+
+def cmd_repair(args: argparse.Namespace) -> int:
+    def relation(schema: FdSchema):
         ingest = _load_relation_csv(args.data, schema)
         trace = classify(schema)
         if trace.tractable:
@@ -176,43 +183,31 @@ def cmd_repair(args: argparse.Namespace) -> int:
                 f"relation {schema.signature.relation} is intractable; "
                 "rerun with --fallback-oracle CAP to brute-force small inputs"
             )
-        out_path = os.path.join(args.out, f"{schema.signature.relation}.csv")
-        write_instance_csv(out_path, result.repair)
-        lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(trace.tractable).lower()}")
-        lines.append(f"  steps: {_format_steps(_steps(trace))}")
-        lines.append(f"  method: {method}")
-        lines.append(f"  input-facts: {len(ingest.instance)}")
-        lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")
-        lines.append(f"  repair-size: {result.size}")
-        lines.append(f"  removed-facts: {len(ingest.instance) - result.size}")
-        lines.append(f"  output: {out_path}")
-        if not args.stable:
-            lines.append(_timing_line(started))
-    _emit(lines)
+        return [
+            f"  tractable: {str(trace.tractable).lower()}",
+            f"  steps: {_format_steps(_steps(trace))}",
+            f"  method: {method}",
+            f"  input-facts: {len(ingest.instance)}",
+            f"  dropped-duplicates: {ingest.dropped_duplicates}",
+            f"  repair-size: {result.size}",
+            f"  removed-facts: {len(ingest.instance) - result.size}",
+        ], result.repair
+
+    _emit(_report(args, relation, args.out))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    document = _load_schema_file(args.schema)
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-    lines: list[str] = []
-    for schema in document.relations:
-        started = time.perf_counter()
+    def relation(schema: FdSchema):
         ingest = _load_relation_csv(args.data, schema)
         result = brute_force_crep(schema, ingest.instance, cap=args.cap)
-        lines.extend(_relation_header(schema))
-        lines.append(f"  input-facts: {len(ingest.instance)}")
-        lines.append(f"  dropped-duplicates: {ingest.dropped_duplicates}")
-        lines.append(f"  repair-size: {result.size}")
-        if args.out is not None:
-            out_path = os.path.join(args.out, f"{schema.signature.relation}.csv")
-            write_instance_csv(out_path, result.repair)
-            lines.append(f"  output: {out_path}")
-        if not args.stable:
-            lines.append(_timing_line(started))
-    _emit(lines)
+        return [
+            f"  input-facts: {len(ingest.instance)}",
+            f"  dropped-duplicates: {ingest.dropped_duplicates}",
+            f"  repair-size: {result.size}",
+        ], result.repair
+
+    _emit(_report(args, relation, args.out))
     return 0
 
 
@@ -260,44 +255,37 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_reduction(args: argparse.Namespace) -> int:
-    document = _load_schema_file(args.schema)
-    lines: list[str] = []
     failures = 0
-    for schema in document.relations:
-        started = time.perf_counter()
+
+    def relation(schema: FdSchema):
+        nonlocal failures
         trace = classify(schema)
-        lines.extend(_relation_header(schema))
-        lines.append(f"  tractable: {str(trace.tractable).lower()}")
+        lines = [f"  tractable: {str(trace.tractable).lower()}"]
         if trace.tractable:
-            lines.append("  witness: none (tractable schema)")
-        else:
-            try:
-                case_id, reduction = _witness(trace)
-            except ReductionError as exc:
-                failures += 1
-                lines.append(f"  witness: error ({exc})")
-            else:
-                report = verify_reduction(reduction)
-                lines.append(f"  witness: case {case_id}")
-                lines.append(
-                    f"  source: {reduction.source.signature.relation}"
-                    f" [{reduction.source.render_fds()}]"
-                )
-                lines.append(f"  pairs-checked: {report.pairs_checked}")
-                lines.append(
-                    f"  exhaustive: {str(report.exhaustive).lower()}"
-                )
-                lines.append(f"  violations: {len(report.violations)}")
-                for violation in report.violations[:5]:
-                    lines.append(
-                        f"    {violation.kind}: {violation.first!r} vs "
-                        f"{violation.second!r}"
-                    )
-                if report.violations:
-                    failures += 1
-        if not args.stable:
-            lines.append(_timing_line(started))
-    _emit(lines)
+            return [*lines, "  witness: none (tractable schema)"], None
+        try:
+            case_id, reduction = _witness(trace)
+        except ReductionError as exc:
+            failures += 1
+            return [*lines, f"  witness: error ({exc})"], None
+        report = verify_reduction(reduction)
+        lines.append(f"  witness: case {case_id}")
+        lines.append(
+            f"  source: {reduction.source.signature.relation}"
+            f" [{reduction.source.render_fds()}]"
+        )
+        lines.append(f"  pairs-checked: {report.pairs_checked}")
+        lines.append(f"  exhaustive: {str(report.exhaustive).lower()}")
+        lines.append(f"  violations: {len(report.violations)}")
+        for violation in report.violations[:5]:
+            lines.append(
+                f"    {violation.kind}: {violation.first!r} vs {violation.second!r}"
+            )
+        if report.violations:
+            failures += 1
+        return lines, None
+
+    _emit(_report(args, relation))
     return 1 if failures else 0
 
 

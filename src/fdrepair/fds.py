@@ -18,6 +18,11 @@ schema converts once (``FdSchema._masks``);
 :func:`_closures` memoizes it for callers that ask for many closures
 under one FD set.
 
+The mask helpers live here, one of each: :func:`_positions` walks a
+mask's set bits, :func:`_names` reads the attributes at them, and
+:func:`_render_fds` renders FD masks for ``FdSchema.render_fds``, the
+classifier's trace and the schema file writer.
+
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check reads each FD through (lhs, rhs) getters
 compiled once per :class:`FdSchema`. :func:`pair_consistent` applies
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
@@ -142,13 +147,8 @@ class Signature:
             )
         return attrs
 
-    def sorted_attrs(self, attrs: Iterable[str]) -> tuple[str, ...]:
-        """The given attributes, ordered by their signature position."""
-        attrs = self.check_attrs(attrs)
-        return tuple(a for a in self.attributes if a in attrs)
 
-
-def _getter_at(positions: list[int]) -> Callable[[Fact], tuple]:
+def _getter_at(positions: Sequence[int]) -> Callable[[Fact], tuple]:
     """Map a fact tuple (not a list, whose slice is no dict key) to its
     values at ``positions``."""
     if len(positions) > 1:
@@ -169,17 +169,8 @@ class Fd:
         object.__setattr__(self, "lhs", frozenset(self.lhs))
         object.__setattr__(self, "rhs", frozenset(self.rhs))
 
-    def render(self, signature: Signature | None = None) -> str:
-        if signature is not None:
-            lhs = ",".join(signature.sorted_attrs(self.lhs))
-            rhs = ",".join(signature.sorted_attrs(self.rhs))
-        else:
-            lhs = ",".join(sorted(self.lhs))
-            rhs = ",".join(sorted(self.rhs))
-        return f"{lhs} -> {rhs}"
-
     def __repr__(self) -> str:
-        return f"Fd({self.render()})"
+        return f"Fd({','.join(sorted(self.lhs))} -> {','.join(sorted(self.rhs))})"
 
 
 @dataclass(frozen=True)
@@ -196,9 +187,7 @@ class FdSchema:
 
     def __init__(self, signature: Signature, fds: Iterable[Fd] = ()):
         fds = tuple(fds)
-        for fd in fds:
-            signature.check_attrs(fd.lhs)
-            signature.check_attrs(fd.rhs)
+        signature.check_attrs(chain.from_iterable(fd.lhs | fd.rhs for fd in fds))
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "fds", _canonical_fds(signature, fds))
 
@@ -213,7 +202,7 @@ class FdSchema:
         return schema
 
     def render_fds(self) -> str:
-        return "; ".join(fd.render(self.signature) for fd in self.fds) or "(none)"
+        return _render_fds(self.signature.attributes, self._masks)
 
     @cached_property
     def _keys(self) -> tuple[tuple[Fd, Callable, Callable], ...]:
@@ -221,16 +210,13 @@ class FdSchema:
 
         Lazy, because most schemas (such as a ``classify`` trace's
         terminal) are never asked about conflicts. Not a field: equality,
-        hashing, ``repr`` and pickle ignore it. The FDs were checked against the
-        signature when the schema was built, so their attributes are read
-        straight off a position map.
+        hashing, ``repr`` and pickle ignore it. The getters read the
+        positions of the FDs' masks.
         """
-        position = {a: i for i, a in enumerate(self.signature.attributes)}.__getitem__
-
-        def getter(attrs: frozenset[str]) -> Callable[[Fact], tuple]:
-            return _getter_at(sorted(map(position, attrs)))
-
-        return tuple((fd, getter(fd.lhs), getter(fd.rhs)) for fd in self.fds)
+        return tuple(
+            (fd, _getter_at(_positions(lhs)), _getter_at(_positions(rhs)))
+            for fd, (lhs, rhs) in zip(self.fds, self._masks)
+        )
 
     @cached_property
     def _masks(self) -> tuple[MaskFd, ...]:
@@ -322,6 +308,33 @@ class ClosureResult:
 MaskFd = tuple[int, int]
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: an attribute set's sort key in
+    canonical FD order. Walks the set bits only, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(positions)
+
+
+def _names(attrs: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The attributes at ``mask``'s positions, in signature order."""
+    return tuple(map(attrs.__getitem__, _positions(mask)))
+
+
+def _render_fds(attrs: tuple[str, ...], fds: Iterable[MaskFd]) -> str:
+    """FD masks over ``attrs`` as ``lhs -> rhs`` texts in canonical order
+    (by the positions of the lhs, then of the rhs), each side's names in
+    signature order, joined by ``"; "``; ``"(none)"`` when there are none."""
+    text = "; ".join(
+        f"{','.join(_names(attrs, lhs))} -> {','.join(_names(attrs, rhs))}"
+        for lhs, rhs in sorted(fds, key=lambda fd: tuple(map(_positions, fd)))
+    )
+    return text or "(none)"
+
+
 def _closure(fds: Collection[MaskFd], closed: int) -> int:
     """Least fixpoint of ``closed`` under the FDs."""
     changed = True
@@ -356,8 +369,7 @@ def closure(schema: FdSchema, attrs: Iterable[str]) -> ClosureResult:
     base = schema.signature.check_attrs(attrs)
     names = schema.signature.attributes
     closed = _closure(schema._masks, sum(1 << names.index(a) for a in base))
-    found = frozenset(a for i, a in enumerate(names) if closed >> i & 1)
-    return ClosureResult(base, found)
+    return ClosureResult(base, frozenset(_names(names, closed)))
 
 
 def entails(schema: FdSchema, fd: Fd) -> bool:

@@ -19,15 +19,16 @@ constant; composed, those reductions put that constant on every column
 the rewrites removed. So the removed columns are the table's first row,
 and the rules are built once over the input columns, for one reduction
 onto the normalized input schema.
-:func:`verify_reduction` checks any such map on one source fact pair
-per agreement pattern.
+A reduction's rules are checked and compiled in one walk when the
+reduction is built, so a bad rule raises there and ``apply`` only runs
+the compiled getter. :func:`verify_reduction` checks any such map on
+one source fact pair per agreement pattern.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -41,11 +42,12 @@ from .fds import (
     _DotType,
     _closures,
     _getter_at,
+    _positions,
     normalize,
     pair_consistent,
 )
 from .oracle import CapExceededError
-from .simplify import SimplificationTrace, _positions, classify
+from .simplify import SimplificationTrace, classify
 
 
 class GadgetError(ValueError):
@@ -209,20 +211,6 @@ def gadget_tr(graph: TripartiteGraph) -> Instance:
 Rule = Union[_DotType, str, tuple]
 
 
-def _check_rule(rule, source_attrs: frozenset[str]) -> None:
-    if rule is DOT:
-        return
-    if isinstance(rule, str):
-        if rule not in source_attrs:
-            raise ReductionError(f"rule references unknown attribute {rule!r}")
-        return
-    if isinstance(rule, tuple):
-        for part in rule:
-            _check_rule(part, source_attrs)
-        return
-    raise ReductionError(f"bad rule: {rule!r}")
-
-
 class _Parts:
     """A getter of the tuple of its part getters' values."""
 
@@ -237,11 +225,18 @@ def _compile_rule(rule, positions: Mapping) -> Callable[[Fact], object]:
     """A getter of the rule's value, ``positions`` giving each attribute's
     (and DOT's) place in the fact. A tuple of attributes and DOTs is one
     itemgetter; a tuple with a tuple inside takes one getter per part.
+    Raises ReductionError on a name not in ``positions`` or a part that
+    is no rule.
     """
-    if rule is DOT or isinstance(rule, str):
+    if not isinstance(rule, tuple):
+        if rule is not DOT and not isinstance(rule, str):
+            raise ReductionError(f"bad rule: {rule!r}")
+        if rule not in positions:
+            raise ReductionError(f"rule references unknown attribute {rule!r}")
         return itemgetter(positions[rule])
+    parts = tuple(_compile_rule(part, positions) for part in rule)
     if any(isinstance(part, tuple) for part in rule):
-        return _Parts(tuple(_compile_rule(part, positions) for part in rule))
+        return _Parts(parts)
     return _getter_at([positions[part] for part in rule])
 
 
@@ -253,6 +248,11 @@ class FactWiseReduction:
     reduction is injective and maps a fact pair to a conflicting pair
     exactly when the originals conflict; both properties are checked
     empirically by :func:`verify_reduction`.
+
+    The rules are checked and compiled in one walk when the reduction is
+    built, into ``_compiled``: one getter over a source fact followed by
+    DOT. It is no field, so equality, hashing and ``repr`` ignore it,
+    and it pickles, being itemgetters and :class:`_Parts`, not lambdas.
     """
 
     source: FdSchema
@@ -264,22 +264,10 @@ class FactWiseReduction:
             raise ReductionError(
                 "need exactly one rule per target attribute"
             )
-        source_attrs = frozenset(self.source.signature.attributes)
-        for rule in self.rules:
-            _check_rule(rule, source_attrs)
-
-    @cached_property
-    def _compiled(self) -> Callable[[Fact], Fact]:
-        """The rules as one getter over a source fact followed by DOT.
-
-        Compiled on first use. Not a field: equality, hashing and
-        ``repr`` ignore it. It pickles, being itemgetters and
-        :class:`_Parts`, not lambdas.
-        """
         attrs = self.source.signature.attributes
         positions = {a: i for i, a in enumerate(attrs)}
         positions[DOT] = len(attrs)
-        return _compile_rule(self.rules, positions)
+        object.__setattr__(self, "_compiled", _compile_rule(self.rules, positions))
 
     def apply(self, fact: Fact) -> Fact:
         """The image of a source fact: a tuple of the target's arity."""

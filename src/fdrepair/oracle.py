@@ -20,6 +20,7 @@ from .fds import (
     SchemaError,
     _check_same_signature,
     _conflict_masks,
+    _positions,
     _rhs_by_lhs,
 )
 from .repair import RepairResult
@@ -70,7 +71,7 @@ def _clique_cover(adjacency: tuple[int, ...], mask: int) -> int:
     return cliques
 
 
-def _first_maximum_independent_set(adjacency: tuple[int, ...]) -> list[int]:
+def _first_maximum_independent_set(adjacency: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically first maximum independent set, by branch and bound.
 
     Branches on the lowest remaining vertex, taking it before leaving it
@@ -105,7 +106,7 @@ def _first_maximum_independent_set(adjacency: tuple[int, ...]) -> list[int]:
                 mask &= ~neighbours
             chosen |= low
             count += 1
-    return [i for i in range(best.bit_length()) if best >> i & 1]
+    return _positions(best)
 
 
 def brute_force_crep(

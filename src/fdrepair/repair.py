@@ -66,10 +66,11 @@ from .fds import (
     Instance,
     SchemaError,
     _getter_at,
+    _positions,
     canonical_sorted,
     constant_key,
 )
-from .simplify import SimplificationTrace, _positions, classify
+from .simplify import SimplificationTrace, classify
 
 
 def __getattr__(name: str):

@@ -34,14 +34,15 @@ No step builds a schema or sorts the whole FD set. The trace is the
 *mask plan*: each step's kind, witness and removed positions over the
 input signature, the verdict and the FD set it stopped on, as masks.
 The repair engine and the CLI read column positions off the plan, and
-the hardness witness reads the stopped FD set. One renderer turns a
-mask into attribute names: ``steps``, ``terminal``, ``repr`` and the
-CLI's report name the plan through it, and only ``terminal`` builds a
-schema. Equality and hashing compare the signature and the normalized
-input FD set, as masks, which fix everything else. :func:`find_s1`,
-:func:`find_s2` and :func:`find_s3` apply the same mask rules to one
-schema, and name their witnesses as the trace's steps do. Nothing is
-cached across calls.
+the hardness witness reads the stopped FD set. The mask helpers live
+in :mod:`fdrepair.fds`: ``_names`` names a mask's attributes for
+``steps``, ``terminal`` and the CLI's report, and ``_render_fds``
+renders the stopped FD set for ``repr`` and the CLI, so only
+``terminal`` builds a schema. Equality and hashing compare the
+signature and the normalized input FD set, as masks, which fix
+everything else. :func:`find_s1`, :func:`find_s2` and :func:`find_s3`
+apply the same mask rules to one schema, and name their witnesses as
+the trace's steps do. Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -50,7 +51,16 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Collection, Optional, Union
 
-from .fds import Fd, FdSchema, MaskFd, Signature, _closures
+from .fds import (
+    Fd,
+    FdSchema,
+    MaskFd,
+    Signature,
+    _closures,
+    _names,
+    _positions,
+    _render_fds,
+)
 
 Witness = Union[str, Fd, tuple[frozenset[str], frozenset[str]]]
 
@@ -102,20 +112,17 @@ class SimplificationTrace:
     _plan: tuple[tuple[str, Union[int, tuple[int, int]], int], ...]
     _fds: frozenset[MaskFd]
 
-    def _names(self, mask: int) -> tuple[str, ...]:
-        """The one renderer from the plan's masks to input attribute names."""
-        return _attr_names(self._schema.signature.attributes, mask)
-
     @cached_property
     def terminal(self) -> FdSchema:
         """The schema the rewrites stopped on: the kept attributes and the
         stopped FD set."""
-        signature, names = self._schema.signature, self._names
+        signature = self._schema.signature
+        attrs = signature.attributes
         # the steps remove disjoint sets of the input's positions
         kept = (1 << signature.arity) - 1 - sum(removed for _, _, removed in self._plan)
         return FdSchema._of_checked(
-            Signature._of_checked(signature.relation, names(kept)),
-            [Fd(names(lhs), names(rhs)) for lhs, rhs in self._fds],
+            Signature._of_checked(signature.relation, _names(attrs, kept)),
+            [Fd(_names(attrs, lhs), _names(attrs, rhs)) for lhs, rhs in self._fds],
         )
 
     @cached_property
@@ -125,7 +132,7 @@ class SimplificationTrace:
         return tuple(
             SimplificationStep(
                 kind,
-                frozenset(_attr_names(attrs, removed)),
+                frozenset(_names(attrs, removed)),
                 _named_witness(attrs, kind, witness),
             )
             for kind, witness, removed in self._plan
@@ -150,15 +157,8 @@ class SimplificationTrace:
         return hash(self._key)
 
     def _render_fds(self) -> str:
-        """``terminal.render_fds()``, rendered from the stopped FD set's
-        masks in canonical order: sorted by the positions of the lhs,
-        then of the rhs."""
-        names = self._names
-        fds = sorted(self._fds, key=lambda fd: tuple(map(_positions, fd)))
-        text = "; ".join(
-            f"{','.join(names(lhs))} -> {','.join(names(rhs))}" for lhs, rhs in fds
-        )
-        return text or "(none)"
+        """``terminal.render_fds()``, rendered from the stopped FD set's masks."""
+        return _render_fds(self._schema.signature.attributes, self._fds)
 
     def __repr__(self) -> str:
         relation = self._schema.signature.relation
@@ -169,30 +169,19 @@ class SimplificationTrace:
         )
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending: an attribute set's sort key in
-    canonical FD order."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _normal_masks(schema: FdSchema) -> set[MaskFd]:
     """The schema's FDs as masks, each rhs without its lhs, none empty."""
     return {(lhs, rhs & ~lhs) for lhs, rhs in schema._masks if rhs & ~lhs}
-
-
-def _attr_names(attrs: tuple[str, ...], mask: int) -> tuple[str, ...]:
-    """The attributes at ``mask``'s positions, in signature order."""
-    return tuple(a for i, a in enumerate(attrs) if mask >> i & 1)
 
 
 def _named_witness(attrs: tuple[str, ...], kind: str, witness) -> Witness:
     """A rule's mask witness by attribute name: the S1 attribute, the S2
     FD with an empty lhs, or the S3 pair of lhs."""
     if kind == "S1":
-        return _attr_names(attrs, witness)[0]
+        return _names(attrs, witness)[0]
     if kind == "S2":
-        return Fd(frozenset(), _attr_names(attrs, witness))
-    return tuple(frozenset(_attr_names(attrs, x)) for x in witness)
+        return Fd(frozenset(), _names(attrs, witness))
+    return tuple(frozenset(_names(attrs, x)) for x in witness)
 
 
 def _s1(fds: Collection[MaskFd]) -> Optional[int]:

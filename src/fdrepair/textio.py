@@ -55,6 +55,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .fds import Constant, DOT, Fd, FdSchema, Instance, SchemaError, Signature
+from .fds import _render_fds
 from .gadgets import CnfFormula, GadgetError, TripartiteGraph
 
 
@@ -139,6 +140,7 @@ def _split_attrs(
 def parse_schema(text: str) -> SchemaDocument:
     """Parse the schema DSL; declaration order is preserved."""
     signatures: dict[str, Signature] = {}
+    known: dict[str, set[str]] = {}
     fds: dict[str, list[Fd]] = {}
     order: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -162,6 +164,7 @@ def parse_schema(text: str) -> SchemaDocument:
             if len(set(attrs)) != len(attrs):
                 raise SchemaParseError(f"duplicate attribute in {name!r}", line_no)
             signatures[name] = Signature(name, attrs)
+            known[name] = set(attrs)
             fds[name] = []
             order.append(name)
         elif line.startswith("fd"):
@@ -183,9 +186,8 @@ def parse_schema(text: str) -> SchemaDocument:
                 allow_empty=False,
                 column=indent + match.start("rhs") + 1,
             )
-            known = set(signatures[name].attributes)
             for attr in (*lhs, *rhs):
-                if attr not in known:
+                if attr not in known[name]:
                     raise SchemaParseError(
                         f"attribute {attr!r} not declared in {name!r}", line_no
                     )
@@ -208,13 +210,14 @@ def format_schema(document: SchemaDocument) -> str:
     for schema in document.relations:
         sig = schema.signature
         lines.append(f"relation {sig.relation}({','.join(sig.attributes)})")
-        for fd in schema.fds:
-            if not fd.rhs:
+        for lhs, rhs in schema._masks:
+            text = _render_fds(sig.attributes, [(lhs, rhs)])
+            if not rhs:
                 raise SchemaError(
-                    f"fd {sig.relation}: {fd.render(sig).rstrip()} has an empty rhs,"
+                    f"fd {sig.relation}: {text.rstrip()} has an empty rhs,"
                     " which a schema file cannot express"
                 )
-            lines.append(f"fd {sig.relation}: {fd.render(sig)}")
+            lines.append(f"fd {sig.relation}: {text}")
     return "\n".join(lines) + "\n"
 
 

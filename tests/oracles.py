@@ -26,7 +26,9 @@ schema: minimal sites by comparing every pair of FDs
 (:func:`closure_by_fixpoint`, the classifier's fixpoint without masks),
 rules by attribute name.
 CSV files are read row by row with the csv module
-(:func:`read_csv_by_csv_module`).
+(:func:`read_csv_by_csv_module`). FDs are rendered by scanning the
+signature for each side's names (:func:`render_fd_by_name`), not from
+masks.
 """
 
 from __future__ import annotations
@@ -148,6 +150,23 @@ def project(schema: FdSchema, removed) -> FdSchema:
         if rhs:
             fds.append(Fd(lhs, rhs))
     return FdSchema._of_checked(new_sig, fds)
+
+
+def render_fd_by_name(signature: Signature, fd: Fd) -> str:
+    """``lhs -> rhs``, each side's names in signature order, found by
+    scanning every attribute of the signature for each side."""
+
+    def side(attrs) -> str:
+        return ",".join(a for a in signature.attributes if a in attrs)
+
+    return f"{side(fd.lhs)} -> {side(fd.rhs)}"
+
+
+def render_fds_by_name(schema: FdSchema) -> str:
+    """The schema's FDs, in their canonical order, by
+    :func:`render_fd_by_name`, joined by ``"; "``; ``"(none)"`` if none."""
+    texts = [render_fd_by_name(schema.signature, fd) for fd in schema.fds]
+    return "; ".join(texts) or "(none)"
 
 
 # kind -> (finder, attributes its witness removes), in the order that

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from oracles import (
     local_minima,
     minima_sites,
     project,
+    render_fd_by_name,
+    render_fds_by_name,
 )
 
 from fdrepair.fds import (
@@ -27,6 +30,7 @@ from fdrepair.fds import (
     Instance,
     SchemaError,
     Signature,
+    _positions,
     closure,
     constant_key,
     entails,
@@ -38,6 +42,7 @@ from fdrepair.fds import (
     violating_pairs,
 )
 from fdrepair.simplify import classify, find_s3
+from fdrepair.textio import SchemaDocument, format_schema
 
 
 # -- construction and canonical form ----------------------------------------
@@ -67,10 +72,31 @@ def test_fds_stored_canonically_regardless_of_input_order():
     first = schema_of("ABC", "C->B", "AB->C")
     second = schema_of("ABC", "AB->C", "C->B")
     assert first == second
-    assert [fd.render(first.signature) for fd in first.fds] == [
-        "A,B -> C",
-        "C -> B",
-    ]
+    assert first.render_fds() == "A,B -> C; C -> B"
+
+
+def test_schema_checks_its_attributes_once_whatever_its_fd_count(monkeypatch):
+    """Building a schema checks the union of its FDs' attributes in one
+    call, so a wide schema costs O(FDs + arity), not O(FDs x arity)."""
+    calls = []
+    check_attrs = Signature.check_attrs
+
+    def counting(signature, attrs):
+        calls.append(signature)
+        return check_attrs(signature, attrs)
+
+    monkeypatch.setattr(Signature, "check_attrs", counting)
+    for width in (2, 30, 300):
+        attrs = tuple(f"A{i}" for i in range(width))
+        fds = [Fd(set(), {"A0"})]
+        fds += [Fd({f"A{i - 1}"}, {f"A{i}"}) for i in range(1, width)]
+        calls.clear()
+        schema = FdSchema(Signature("R", attrs), fds)
+        assert len(calls) == 1 and len(schema.fds) == width
+        calls.clear()
+        with pytest.raises(SchemaError):
+            FdSchema(Signature("R", attrs), [*fds, Fd({"A0"}, {"Z"})])
+        assert len(calls) == 1
 
 
 def test_instance_dedupes_and_checks_arity():
@@ -135,6 +161,52 @@ def test_sorted_facts_is_canonical_order():
     for facts in (str_only, gadget, with_dot, mixed, drawn):
         inst = Instance(sig, facts)
         assert inst.sorted_facts == tuple(sorted(inst.facts, key=fact_key))
+
+
+# -- masks and rendering -----------------------------------------------------
+
+def test_positions_walks_the_set_bits():
+    """``_positions`` equals the walk over every bit below the highest,
+    on small masks and on masks over 5,000 bits with few bits set."""
+    rng = random.Random(83)
+    masks = [0, 1, 2, 3, 1 << 4999, (1 << 5000) - 1]
+    masks += [rng.getrandbits(rng.randint(1, 70)) for _ in range(2000)]
+    for _ in range(300):
+        bits = rng.sample(range(rng.randint(5000, 6000)), rng.randint(1, 6))
+        masks.append(sum(1 << bit for bit in bits))
+    for mask in masks:
+        walked = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        assert _positions(mask) == walked
+
+
+def test_fd_renderers_equal_the_by_name_reference():
+    """The one mask renderer gives the by-name reference's text for a
+    schema's ``render_fds``, for a trace's terminal FDs and for every
+    ``format_schema`` line, which raises on an empty rhs instead."""
+    rng = random.Random(47)
+    seen = collections.Counter()
+    for _ in range(1500):
+        schema = random_schema(rng, max_attrs=6, max_fds=5)
+        sig = schema.signature
+        assert schema.render_fds() == render_fds_by_name(schema)
+        trace = classify(schema)
+        assert trace._render_fds() == render_fds_by_name(trace.terminal)
+        texts = [render_fd_by_name(sig, fd) for fd in schema.fds]
+        empty = [text for fd, text in zip(schema.fds, texts) if not fd.rhs]
+        document = SchemaDocument(relations=(schema,))
+        if empty:
+            message = f"fd R: {empty[0].rstrip()} has an empty rhs"
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                format_schema(document)
+        else:
+            expected = [f"relation R({','.join(sig.attributes)})"]
+            expected += [f"fd R: {text}" for text in texts]
+            assert format_schema(document) == "\n".join(expected) + "\n"
+        seen["empty lhs"] += any(not fd.lhs for fd in schema.fds)
+        seen["rhs overlaps lhs"] += any(fd.lhs & fd.rhs for fd in schema.fds)
+        seen["empty rhs"] += bool(empty)
+        seen["stuck"] += bool(trace._fds)
+    assert min(seen.values()) > 100, seen
 
 
 # -- closure / entailment / equivalence -------------------------------------

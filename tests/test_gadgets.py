@@ -459,7 +459,23 @@ def test_compiled_rules_equal_the_by_name_reference():
 
 
 def test_rule_validation():
+    """Bad rules raise when the reduction is built, at any depth, and a
+    built reduction holds its compiled rules."""
+    schema = HARD_SCHEMAS["rl"]
     with pytest.raises(ReductionError):
-        FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B"))
-    with pytest.raises(ReductionError):
-        FactWiseReduction(HARD_SCHEMAS["rl"], HARD_SCHEMAS["rl"], ("A", "B", "Z"))
+        FactWiseReduction(schema, schema, ("A", "B"))
+    bad = [
+        ("A", "B", "Z"),
+        ("A", ("B", "Z"), "C"),
+        ("A", ("B", (DOT, "Z")), "C"),
+        ("A", ("B", 3), "C"),
+        ("A", ["B"], "C"),
+        ("A", (("B",), ["C"]), "C"),
+        ("A", None, "C"),
+    ]
+    for rules in bad:
+        with pytest.raises(ReductionError):
+            FactWiseReduction(schema, schema, rules)
+    reduction = FactWiseReduction(schema, schema, ("A", ("B", (DOT, "C")), DOT))
+    assert "_compiled" in vars(reduction)
+    assert reduction.apply(("a", "b", "c")) == ("a", ("b", (DOT, "c")), DOT)
