@@ -86,13 +86,9 @@ def constant_key(value: Constant):
     raise SchemaError(f"unsupported constant type: {type(value).__name__}")
 
 
-def fact_key(fact: Fact):
-    """Sort key giving the canonical (column-wise) order of facts."""
-    return tuple(constant_key(value) for value in fact)
-
-
-def canonical_sorted(values: Iterable, key: Callable = constant_key) -> list:
-    """``values`` in canonical order, ``key`` being the canonical sort key.
+def canonical_sorted(values: Iterable) -> list:
+    """``values`` in canonical (:func:`constant_key`) order; facts, being
+    tuple constants, in column-wise order.
 
     Plain tuple order is the same order wherever it is defined, that is
     while every compared pair of values is str/str or tuple/tuple, and it
@@ -103,7 +99,7 @@ def canonical_sorted(values: Iterable, key: Callable = constant_key) -> list:
     try:
         values.sort()
     except TypeError:
-        values.sort(key=key)
+        values.sort(key=constant_key)
     return values
 
 
@@ -123,16 +119,6 @@ class Signature:
                 raise SchemaError(f"bad attribute name: {attr!r}")
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(f"duplicate attributes in {self.relation}")
-
-    @classmethod
-    def _of_checked(cls, relation: str, attributes: tuple[str, ...]) -> "Signature":
-        """A signature of names known to be valid, such as a subsequence
-        of a checked signature's attributes under its relation name.
-        """
-        signature = object.__new__(cls)
-        object.__setattr__(signature, "relation", relation)
-        object.__setattr__(signature, "attributes", attributes)
-        return signature
 
     @property
     def arity(self) -> int:
@@ -190,16 +176,6 @@ class FdSchema:
         signature.check_attrs(chain.from_iterable(fd.lhs | fd.rhs for fd in fds))
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "fds", _canonical_fds(signature, fds))
-
-    @classmethod
-    def _of_checked(cls, signature: Signature, fds: Iterable[Fd]) -> "FdSchema":
-        """A schema of FDs known to be over the signature's attributes,
-        such as FDs derived from a checked schema's, in canonical order.
-        """
-        schema = object.__new__(cls)
-        object.__setattr__(schema, "signature", signature)
-        object.__setattr__(schema, "fds", _canonical_fds(signature, fds))
-        return schema
 
     def render_fds(self) -> str:
         return _render_fds(self.signature.attributes, self._masks)
@@ -288,8 +264,8 @@ class Instance:
 
     @property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        """The facts in canonical (:func:`fact_key`) order."""
-        return tuple(canonical_sorted(self.facts, key=fact_key))
+        """The facts in canonical (column-wise) order."""
+        return tuple(canonical_sorted(self.facts))
 
 
 @dataclass(frozen=True)
@@ -364,19 +340,20 @@ def closure(schema: FdSchema, attrs: Iterable[str]) -> ClosureResult:
     """Least fixpoint of ``attrs`` under the schema's FDs.
 
     Repeatedly adds the rhs of every FD whose lhs is already contained,
-    until nothing changes: :func:`_closure` on the FDs' masks.
+    until nothing changes: :func:`_closure` on the FDs' masks, from the
+    base's mask, converted in one pass over the signature.
     """
     base = schema.signature.check_attrs(attrs)
     names = schema.signature.attributes
-    closed = _closure(schema._masks, sum(1 << names.index(a) for a in base))
+    mask = sum(1 << i for i, a in enumerate(names) if a in base)
+    closed = _closure(schema._masks, mask)
     return ClosureResult(base, frozenset(_names(names, closed)))
 
 
 def entails(schema: FdSchema, fd: Fd) -> bool:
     """Whether every instance satisfying the schema's FDs satisfies ``fd``."""
-    schema.signature.check_attrs(fd.lhs)
-    rhs = schema.signature.check_attrs(fd.rhs)
-    return rhs <= closure(schema, fd.lhs).closure
+    closed = closure(schema, fd.lhs).closure
+    return schema.signature.check_attrs(fd.rhs) <= closed
 
 
 def equivalent(first: FdSchema, second: FdSchema) -> bool:
@@ -397,14 +374,12 @@ def normalize(schema: FdSchema) -> FdSchema:
     FDs whose rhs becomes empty disappear. The result is deduplicated and
     canonically ordered. Idempotent, and preserves entailment.
     """
-    if all(fd.rhs and fd.rhs.isdisjoint(fd.lhs) for fd in schema.fds):
-        return schema
     kept = []
     for fd in schema.fds:
         rhs = fd.rhs - fd.lhs
         if rhs:
             kept.append(Fd(fd.lhs, rhs))
-    return FdSchema._of_checked(schema.signature, kept)
+    return FdSchema(schema.signature, kept)
 
 
 def _lhs_groups(

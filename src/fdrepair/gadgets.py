@@ -18,7 +18,11 @@ the schema before it by padding its removed columns with the reserved
 constant; composed, those reductions put that constant on every column
 the rewrites removed. So the removed columns are the table's first row,
 and the rules are built once over the input columns, for one reduction
-onto the normalized input schema.
+onto the input schema as given. A reduction need only keep which fact
+pairs conflict, and normalizing changes no such pair: two facts that
+agree on X agree on every attribute of Y inside X, so X -> Y splits the
+pairs that X -> (Y minus X) splits, and an FD with Y inside X splits
+none.
 A reduction's rules are checked and compiled in one walk when the
 reduction is built, so a bad rule raises there and ``apply`` only runs
 the compiled getter. :func:`verify_reduction` checks any such map on
@@ -43,7 +47,6 @@ from .fds import (
     _closures,
     _getter_at,
     _positions,
-    normalize,
     pair_consistent,
 )
 from .oracle import CapExceededError
@@ -344,7 +347,8 @@ def hard_case_witness(schema: FdSchema) -> tuple[int, FactWiseReduction]:
     The schema must be one the classifier rejects. The witness is built
     against the stuck schema that the rewrites leave; the columns they
     removed get the reserved constant, so the returned reduction targets
-    the (normalized) input schema itself.
+    the input schema itself, as given: an rhs attribute that is also on
+    its lhs splits no fact pair, so normalizing would change nothing.
     """
     return _witness(classify(schema))
 
@@ -356,7 +360,7 @@ def _witness(trace: SimplificationTrace) -> tuple[int, FactWiseReduction]:
         raise ReductionError(
             "schema is tractable; there is no hardness witness"
         )
-    target = normalize(trace._schema)
+    target = trace._schema
     columns = [1 << i for i in range(target.signature.arity)]
     case_id, core, cases, default = _terminal_witness(trace._fds)
     removed = sum(removed for _, _, removed in trace._plan)  # disjoint masks

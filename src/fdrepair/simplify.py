@@ -120,8 +120,8 @@ class SimplificationTrace:
         attrs = signature.attributes
         # the steps remove disjoint sets of the input's positions
         kept = (1 << signature.arity) - 1 - sum(removed for _, _, removed in self._plan)
-        return FdSchema._of_checked(
-            Signature._of_checked(signature.relation, _names(attrs, kept)),
+        return FdSchema(
+            Signature(signature.relation, _names(attrs, kept)),
             [Fd(_names(attrs, lhs), _names(attrs, rhs)) for lhs, rhs in self._fds],
         )
 

@@ -37,8 +37,8 @@ character, so that orders the facts column-wise too, and the lines are
 written as one text with each NUL turned into a comma. Any other
 instance renders each distinct value once, sorts by the per-column
 tuple order of :attr:`Instance.sorted_facts`, and goes through
-``csv.writer``, which quotes a cell holding ``\\r`` on every Python
-version, as 3.13 does.
+``csv.writer``. On both routes a cell or header name holding ``\\r`` is
+quoted on every Python version, as 3.13 does.
 """
 
 from __future__ import annotations
@@ -372,10 +372,10 @@ def _csv_writer(handle, carriage_return: bool):
     cell holding ``,`` ``"`` ``\\r`` or ``\\n``.
 
     csv quotes a cell that holds a character of its line terminator, and
-    Python 3.13 quotes a ``"\\r"`` too. So when some cell holds
-    ``"\\r"``, the rows are written with ``"\\r\\n"`` ends, one per
-    ``write`` call, and each end is written as ``"\\n"``; unquoted, the
-    ``"\\r"`` would end the row for every CSV reader.
+    Python 3.13 quotes a ``"\\r"`` too. So when some cell or header name
+    holds ``"\\r"``, the rows are written with ``"\\r\\n"`` ends, one
+    per ``write`` call, and each end is written as ``"\\n"``; unquoted,
+    the ``"\\r"`` would end the row for every CSV reader.
     """
     if not carriage_return:
         return csv.writer(handle, lineterminator="\n")
@@ -392,20 +392,21 @@ def write_instance_csv(path: str, instance: Instance) -> None:
     try:
         with os.fdopen(descriptor, "w", newline="", encoding="utf-8") as handle:
             text = _plain_text(instance)
-            if text is not None:
-                _csv_writer(handle, False).writerow(sig.attributes)
-                handle.write(text)
-                handle.write("\n")
-            else:
+            cells = ()  # the plain text holds no "\r"
+            if text is None:
                 values = set(chain.from_iterable(instance.facts))
                 rendered = {value: render_constant(value) for value in values}
                 rows = instance.sorted_facts
                 if any(value != text for value, text in rendered.items()):
                     rows = (map(rendered.__getitem__, fact) for fact in rows)
-                carriage_return = any("\r" in text for text in rendered.values())
-                writer = _csv_writer(handle, carriage_return)
-                writer.writerow(sig.attributes)
+                cells = rendered.values()
+            carriage_return = any("\r" in t for t in chain(sig.attributes, cells))
+            writer = _csv_writer(handle, carriage_return)
+            writer.writerow(sig.attributes)
+            if text is None:
                 writer.writerows(rows)
+            else:
+                handle.writelines((text, "\n"))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -353,3 +353,18 @@ def random_cnf(
             clause = [sign * v for v in variables]
         clauses.append(clause)
     return CnfFormula(num_vars, clauses)
+
+
+def redundant_basis(rng: random.Random, schema: FdSchema) -> FdSchema:
+    """An equivalent spelling: the basis split into one-attribute rhs,
+    widened lhs and rhs that repeat lhs attributes, plus implied FDs."""
+    fds = []
+    for fd in schema.fds:
+        for attr in fd.rhs:
+            extra = frozenset(rng.sample(sorted(fd.lhs), len(fd.lhs) // 2))
+            fds.append(Fd(fd.lhs, extra | {attr}))
+    for fd in rng.sample(schema.fds, min(3, len(schema.fds))):
+        wider = fd.lhs | {rng.choice(schema.signature.attributes)}
+        fds.append(Fd(wider, fd.rhs))
+    rng.shuffle(fds)
+    return FdSchema(schema.signature, fds)

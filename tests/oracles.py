@@ -142,14 +142,14 @@ def project(schema: FdSchema, removed) -> FdSchema:
     """
     removed = schema.signature.check_attrs(removed)
     attrs = tuple(a for a in schema.signature.attributes if a not in removed)
-    new_sig = Signature._of_checked(schema.signature.relation, attrs)
+    new_sig = Signature(schema.signature.relation, attrs)
     fds = []
     for fd in schema.fds:
         lhs = fd.lhs - removed
         rhs = fd.rhs - removed - lhs
         if rhs:
             fds.append(Fd(lhs, rhs))
-    return FdSchema._of_checked(new_sig, fds)
+    return FdSchema(new_sig, fds)
 
 
 def render_fd_by_name(signature: Signature, fd: Fd) -> str:
@@ -353,15 +353,14 @@ def witness_by_closures(schema: FdSchema, terminal: FdSchema = None) -> tuple:
     (or ``terminal``, when the caller has it), its minimal sites by
     comparing every pair of FDs, their closures on attribute names, the
     five cases' rules by attribute name, and DOT on every input column
-    that the terminal schema lost."""
+    that the terminal schema lost, onto ``schema`` as given."""
     if terminal is None:
         terminal = classify_by_projection(schema)[1]
     assert terminal.fds, schema
     case_id, core, rules = terminal_witness_by_closures(terminal)
     kept = dict(zip(terminal.signature.attributes, rules))
-    target = normalize(schema)
-    padded = tuple(kept.get(a, DOT) for a in target.signature.attributes)
-    return case_id, FactWiseReduction(HARD_SCHEMAS[core], target, padded)
+    padded = tuple(kept.get(a, DOT) for a in schema.signature.attributes)
+    return case_id, FactWiseReduction(HARD_SCHEMAS[core], schema, padded)
 
 
 def _agreement(schema: FdSchema, f, g) -> set:

@@ -12,6 +12,7 @@ from conftest import inst_of, schema_of
 from generators import random_instance, random_schema
 from oracles import (
     closure_by_closed_sets,
+    closure_by_fixpoint,
     conflict_by_definition,
     consistent_by_definition,
     entails_by_two_fact_models,
@@ -35,7 +36,6 @@ from fdrepair.fds import (
     constant_key,
     entails,
     equivalent,
-    fact_key,
     is_consistent,
     normalize,
     pair_consistent,
@@ -160,7 +160,7 @@ def test_sorted_facts_is_canonical_order():
     ]
     for facts in (str_only, gadget, with_dot, mixed, drawn):
         inst = Instance(sig, facts)
-        assert inst.sorted_facts == tuple(sorted(inst.facts, key=fact_key))
+        assert inst.sorted_facts == tuple(sorted(inst.facts, key=constant_key))
 
 
 # -- masks and rendering -----------------------------------------------------
@@ -315,6 +315,51 @@ def test_entails_matches_two_fact_model_oracle():
         assert entails(schema, fd) == entails_by_two_fact_models(schema, fd)
 
 
+def _wide_chain(rng: random.Random, arity: int) -> FdSchema:
+    """``-> A0; A0 -> A1; ...`` over ``arity`` shuffled columns, plus
+    random FDs of up to three attributes a side."""
+    attrs = [f"A{i}" for i in range(arity)]
+    fds = [Fd(frozenset(), {"A0"})]
+    fds += [Fd({attrs[i - 1]}, {attrs[i]}) for i in range(1, arity)]
+    for _ in range(arity // 4):
+        fds.append(Fd(rng.sample(attrs, rng.randint(0, 3)), rng.sample(attrs, 3)))
+    rng.shuffle(attrs)
+    return FdSchema(Signature("R", tuple(attrs)), fds)
+
+
+def test_closure_and_entails_equal_the_references(monkeypatch):
+    """Seeded schemas, one of them 400 columns wide: ``closure`` equals the
+    fixpoint on names, ``entails`` the two-fact models (the fixpoint's
+    entailment on the wide one), and each side of an FD is checked once."""
+    rng = random.Random(29)
+    schemas = [random_schema(rng, max_attrs=6, max_fds=5) for _ in range(300)]
+    for schema in schemas:
+        attrs = schema.signature.attributes
+        for _ in range(3):
+            base = frozenset(a for a in attrs if rng.random() < 0.4)
+            assert closure(schema, base).closure == closure_by_fixpoint(schema, base)
+            fd = Fd(base, frozenset(a for a in attrs if rng.random() < 0.4))
+            assert entails(schema, fd) == entails_by_two_fact_models(schema, fd)
+    wide = _wide_chain(rng, 400)
+    attrs = wide.signature.attributes
+    checks = collections.Counter()
+    check_attrs = Signature.check_attrs
+
+    def counting(signature, names):
+        checks[signature] += 1
+        return check_attrs(signature, names)
+
+    monkeypatch.setattr(Signature, "check_attrs", counting)
+    for base in (attrs[::2], attrs[1::2], attrs[:3], (), attrs):
+        assert closure(wide, base).closure == closure_by_fixpoint(wide, base)
+    for _ in range(40):
+        fd = Fd(rng.sample(attrs, rng.randint(0, 3)), rng.sample(attrs, 2))
+        expected = fd.rhs <= closure_by_fixpoint(wide, fd.lhs)
+        assert entails(wide, fd) == expected
+    # one check per closure, two per entailment: its lhs and its rhs
+    assert checks == {wide.signature: 5 + 2 * 40}
+
+
 def test_equivalent_published_pair():
     first = schema_of("ABC", "A->BC", "C->A")
     second = schema_of("ABC", "A->C", "C->AB")
@@ -464,7 +509,7 @@ def test_violating_pairs_counts():
     pairs = violating_pairs(schema, inst_of(schema, "1a", "1b", "2a"))
     assert len(pairs) == 1
     ((f, g, fd),) = pairs
-    assert fact_key(f) < fact_key(g)
+    assert constant_key(f) < constant_key(g)
     assert fd == Fd({"A"}, {"B"})
 
 

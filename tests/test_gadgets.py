@@ -11,6 +11,7 @@ from generators import (
     random_instance,
     random_intractable_schema,
     random_schema,
+    redundant_basis,
 )
 from oracles import (
     cnf_satisfiable,
@@ -245,7 +246,7 @@ def test_witness_pads_every_removed_column():
         terminal_case, core, rules = terminal_witness_by_closures(trace.terminal)
         assert case_id == terminal_case
         assert reduction.source == HARD_SCHEMAS[core]
-        assert reduction.target == normalize(schema)
+        assert reduction.target is schema
         removed = frozenset().union(*(s.removed_attributes for s in trace.steps))
         kept = dict(zip(trace.terminal.signature.attributes, rules))
         assert removed.isdisjoint(kept)
@@ -259,6 +260,48 @@ def test_witness_pads_every_removed_column():
         report = verify_reduction(reduction)
         assert report.ok and report.exhaustive, (schema, report.violations[:2])
         checked += 1
+
+
+def _spellings_not_normal(rng: random.Random, schema: FdSchema) -> list:
+    """Two equivalent spellings of ``schema``, neither of them normal: one
+    with an added FD whose rhs overlaps its lhs, implied by augmenting
+    some FD with one attribute, and a trivial FD ``X -> X``; and the
+    :func:`redundant_basis` spelling of that one, whose split of
+    ``X -> X`` puts every rhs inside its lhs."""
+    attrs = schema.signature.attributes
+    fd = rng.choice(schema.fds)
+    extra = {rng.choice(attrs)}
+    trivial = frozenset(rng.sample(attrs, rng.randint(1, len(attrs))))
+    added = (Fd(fd.lhs | extra, fd.rhs | extra), Fd(trivial, trivial))
+    augmented = FdSchema(schema.signature, schema.fds + added)
+    return [augmented, redundant_basis(rng, augmented)]
+
+
+def test_witness_onto_a_schema_that_is_not_normal_checks_as_onto_its_normal_form():
+    """Normalizing changes no conflicting pair, so the witness's report
+    onto the input as given equals, field by field, the report of the
+    same rules onto the normalized input, and both are ok."""
+    rng = random.Random(29)
+    checked = 0
+    cases = Counter()
+    while checked < 1000:
+        for spelling in _spellings_not_normal(rng, random_intractable_schema(rng)):
+            normal = normalize(spelling)
+            assert normal is not spelling and normal != spelling, spelling
+            case_id, reduction = hard_case_witness(spelling)
+            assert reduction.target is spelling
+            onto_normal = FactWiseReduction(reduction.source, normal, reduction.rules)
+            # one trace, so one case and one rule table, for both forms
+            assert hard_case_witness(normal) == (case_id, onto_normal)
+            report = verify_reduction(reduction)
+            expected = verify_reduction(onto_normal)
+            assert report.pairs_checked == expected.pairs_checked == 7
+            assert report.exhaustive == expected.exhaustive
+            assert report.violations == expected.violations == (), spelling
+            assert report == expected and report.ok
+            cases[case_id] += 1
+        checked += 1
+    assert set(cases) == {1, 2, 3, 4, 5}, cases
 
 
 def test_witness_equals_the_closure_loop():

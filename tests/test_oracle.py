@@ -33,7 +33,7 @@ from fdrepair.fds import (
     Signature,
     _conflicts,
     _lhs_groups,
-    fact_key,
+    constant_key,
     is_consistent,
     normalize,
 )
@@ -106,9 +106,9 @@ def test_returns_lexicographically_smallest_maximum():
             schema = random_schema(rng, max_attrs=3, max_fds=3)
         inst = random_instance(rng, schema.signature, max_facts=12)
         result = brute_force_crep(schema, inst)
-        # independent reference: enumerate subsets in fact_key order
+        # independent reference: enumerate subsets in constant_key order
         best = lex_first_max_repair_by_subsets(
-            schema, sorted(inst.facts, key=fact_key)
+            schema, sorted(inst.facts, key=constant_key)
         )
         assert result.repair.sorted_facts == best
         assert result.size == len(best)
@@ -398,7 +398,7 @@ def test_s_repair_and_consistency_build_no_pair(monkeypatch):
                     bound += 1
     assert bound >= 2  # at least fds's own two
     kept = repair.sorted_facts
-    dropped = sorted(inst.facts - repair.facts, key=fact_key)
+    dropped = sorted(inst.facts - repair.facts, key=constant_key)
     less = Instance(schema.signature, kept[1:])
     more = Instance(schema.signature, kept + (dropped[0],))
     assert is_s_repair(schema, inst, repair) and is_consistent(schema, repair)

@@ -515,6 +515,24 @@ def test_csv_write_of_plain_cells_is_one_text(tmp_path, monkeypatch):
         assert routed and written == _csv_writer_bytes(inst), repr(cell)
 
 
+def test_csv_header_holding_a_carriage_return_is_quoted(tmp_path):
+    # on both routes the "\r" decision covers the header names: the name
+    # is quoted, as Python 3.13 writes it, and the file reads back
+    sig = Signature("R", ("A\rB", "C"))
+    for row, one_text, expected in [
+        (("x", "y"), True, b'"A\rB",C\nx,y\n'),
+        ((DOT, "y"), False, b'"A\rB",C\n~o,y\n'),
+    ]:
+        inst = Instance(sig, [row])
+        written, routed = _written_and_routed(tmp_path, inst)
+        assert written == expected == _reference_csv(inst), row
+        assert _one_text(inst) == one_text and routed == (not one_text), row
+        path = str(tmp_path / "R.csv")
+        write_instance_csv(path, inst)
+        read = read_instance_csv(path, sig).instance
+        assert read == Instance(sig, [tuple(map(render_constant, row))])
+
+
 ROUTED_CELLS = st.sampled_from(
     ["", "a", "ab", "b", "~a", "a\x00b"] + ODD_CELLS
 ) | st.text(max_size=4)
