@@ -40,7 +40,6 @@ from .oracle import DEFAULT_FACT_CAP, brute_force_crep
 from .repair import _find_crep
 from .simplify import SimplificationTrace, classify
 from .textio import (
-    DataError,
     SchemaDocument,
     SchemaParseError,
     format_schema,
@@ -101,10 +100,7 @@ def _load_relation_csv(data_dir: str, schema: FdSchema):
     path = os.path.join(data_dir, f"{schema.signature.relation}.csv")
     if not os.path.exists(path):
         raise CliError(f"no data file for relation: {path}")
-    try:
-        return read_instance_csv(path, schema.signature)
-    except DataError as exc:
-        raise CliError(str(exc)) from exc
+    return read_instance_csv(path, schema.signature)
 
 
 def _report(args: argparse.Namespace, relation: Callable, out=None) -> list[str]:
@@ -234,7 +230,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
                 f"  variables: {formula.num_vars}\n"
                 f"  clauses: {len(formula.clauses)}"
             )
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{args.infile}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{schema.signature.relation}.csv")

@@ -14,14 +14,15 @@ signature's attribute list.
 
 The one closure fixpoint in the package, :func:`_closure`, runs on FDs
 as ``(lhs, rhs)`` bitmask pairs over a signature's positions, which each
-schema converts once (``FdSchema._masks``);
+schema converts once, when it is built (``FdSchema._masks``);
 :func:`_closures` memoizes it for callers that ask for many closures
 under one FD set.
 
 The mask helpers live here, one of each: :func:`_positions` walks a
-mask's set bits, :func:`_names` reads the attributes at them, and
-:func:`_render_fds` renders FD masks for ``FdSchema.render_fds``, the
-classifier's trace and the schema file writer.
+mask's set bits, :func:`_mask_order` keys canonical FD order by them,
+:func:`_names` reads the attributes at them, and :func:`_render_fds`
+renders FD masks for ``FdSchema.render_fds``, the classifier's trace
+and the schema file writer.
 
 Two facts conflict when they agree on an FD's lhs and differ on its
 rhs. Every conflict check reads each FD through (lhs, rhs) getters
@@ -163,19 +164,26 @@ class Fd:
 class FdSchema:
     """A signature together with a set of FDs over it.
 
-    FDs are stored deduplicated in a canonical order (sorted by the
-    signature positions of the lhs, then of the rhs), so every
-    "pick the first one" downstream is deterministic.
+    FDs are stored deduplicated in canonical order (:func:`_mask_order`),
+    so every "pick the first one" downstream is deterministic. ``_masks``,
+    no field, holds them as masks, from the same pass over their names.
     """
 
     signature: Signature
     fds: tuple[Fd, ...]
 
     def __init__(self, signature: Signature, fds: Iterable[Fd] = ()):
-        fds = tuple(fds)
-        signature.check_attrs(chain.from_iterable(fd.lhs | fd.rhs for fd in fds))
+        # reversed: of equal FDs (equal masks) the dict keeps the first given
+        fds = tuple(fds)[::-1]
+        bit = {a: 1 << i for i, a in enumerate(signature.attributes)}.__getitem__
+        try:
+            by_mask = {(sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))): fd for fd in fds}
+        except KeyError:  # an unknown name: the check raises, naming each
+            signature.check_attrs(chain.from_iterable(fd.lhs | fd.rhs for fd in fds))
+        masks = tuple(sorted(by_mask, key=_mask_order))
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "fds", _canonical_fds(signature, fds))
+        object.__setattr__(self, "fds", tuple(map(by_mask.__getitem__, masks)))
+        object.__setattr__(self, "_masks", masks)
 
     def render_fds(self) -> str:
         return _render_fds(self.signature.attributes, self._masks)
@@ -194,45 +202,34 @@ class FdSchema:
             for fd, (lhs, rhs) in zip(self.fds, self._masks)
         )
 
-    @cached_property
-    def _masks(self) -> tuple[MaskFd, ...]:
-        """The FDs as ``(lhs, rhs)`` masks over the signature, on first use."""
-        bit = {a: 1 << i for i, a in enumerate(self.signature.attributes)}.__getitem__
-        return tuple((sum(map(bit, fd.lhs)), sum(map(bit, fd.rhs))) for fd in self.fds)
-
     def __getstate__(self) -> dict:
-        # the cached getters and masks are no part of the value
+        # the masks and the cached getters are no part of the value
         return {"signature": self.signature, "fds": self.fds}
+
+    def __setstate__(self, state: dict) -> None:
+        FdSchema.__init__(self, state["signature"], state["fds"])
 
     def __repr__(self) -> str:
         return f"FdSchema({self.signature.relation}, [{self.render_fds()}])"
-
-
-def _canonical_fds(signature: Signature, fds: Iterable[Fd]) -> tuple[Fd, ...]:
-    """The distinct FDs, sorted by the signature positions of the lhs,
-    then of the rhs. Every attribute must be in the signature.
-    """
-    fds = set(fds)
-    if len(fds) < 2:
-        return tuple(fds)
-    pos = {a: i for i, a in enumerate(signature.attributes)}.__getitem__
-    key = lambda fd: (sorted(map(pos, fd.lhs)), sorted(map(pos, fd.rhs)))
-    return tuple(sorted(fds, key=key))
 
 
 @dataclass(frozen=True)
 class Instance:
     """A deduplicated set of facts over a signature.
 
-    Every cell must be a constant; anything else raises
-    :class:`SchemaError` here rather than at some later sort.
+    Every cell must be a constant; anything else, unhashable cells
+    included, raises :class:`SchemaError` here rather than at some later sort.
     """
 
     signature: Signature
     facts: frozenset[Fact]
 
     def __init__(self, signature: Signature, facts: Iterable[Fact] = ()):
-        facts = frozenset(tuple(f) for f in facts)
+        facts = list(map(tuple, facts))
+        try:
+            facts = frozenset(facts)
+        except TypeError:
+            pass  # an unhashable cell, which the checks below name
         for fact in facts:
             if len(fact) != signature.arity:
                 raise SchemaError(
@@ -243,7 +240,7 @@ class Instance:
                 if type(value) is not str:
                     constant_key(value)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "facts", frozenset(facts))
 
     def __len__(self) -> int:
         return len(self.facts)
@@ -295,6 +292,11 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(positions)
 
 
+def _mask_order(fd: MaskFd) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An FD mask's key in canonical FD order: its lhs's positions, then its rhs's."""
+    return tuple(map(_positions, fd))
+
+
 def _names(attrs: tuple[str, ...], mask: int) -> tuple[str, ...]:
     """The attributes at ``mask``'s positions, in signature order."""
     return tuple(map(attrs.__getitem__, _positions(mask)))
@@ -306,7 +308,7 @@ def _render_fds(attrs: tuple[str, ...], fds: Iterable[MaskFd]) -> str:
     signature order, joined by ``"; "``; ``"(none)"`` when there are none."""
     text = "; ".join(
         f"{','.join(_names(attrs, lhs))} -> {','.join(_names(attrs, rhs))}"
-        for lhs, rhs in sorted(fds, key=lambda fd: tuple(map(_positions, fd)))
+        for lhs, rhs in sorted(fds, key=_mask_order)
     )
     return text or "(none)"
 

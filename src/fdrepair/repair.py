@@ -65,6 +65,7 @@ from .fds import (
     FdSchema,
     Instance,
     SchemaError,
+    _check_same_signature,
     _getter_at,
     _positions,
     canonical_sorted,
@@ -310,8 +311,7 @@ def _find_crep(
     schema: FdSchema, trace: SimplificationTrace, instance: Instance
 ) -> Optional[RepairResult]:
     """:func:`find_crep` of the schema that ``trace`` classified."""
-    if schema.signature != instance.signature:
-        raise SchemaError("instance signature does not match schema")
+    _check_same_signature(schema, instance)
     if not trace.tractable:
         return None
     chosen = facts = instance.facts

@@ -107,10 +107,13 @@ class SimplificationTrace:
     ``repr`` prints ``steps``, ``terminal`` and ``tractable``.
     """
 
-    tractable: bool
     _schema: FdSchema
     _plan: tuple[tuple[str, Union[int, tuple[int, int]], int], ...]
     _fds: frozenset[MaskFd]
+
+    @property
+    def tractable(self) -> bool:
+        return not self._fds
 
     @cached_property
     def terminal(self) -> FdSchema:
@@ -281,6 +284,4 @@ def classify(schema: FdSchema) -> SimplificationTrace:
         plan.append((kind, witness, removed))
         kept = ~removed
         fds = {(lhs & kept, rhs & kept) for lhs, rhs in fds if rhs & kept}
-    return SimplificationTrace(
-        tractable=not fds, _schema=schema, _plan=tuple(plan), _fds=frozenset(fds)
-    )
+    return SimplificationTrace(_schema=schema, _plan=tuple(plan), _fds=frozenset(fds))

@@ -142,7 +142,6 @@ def parse_schema(text: str) -> SchemaDocument:
     signatures: dict[str, Signature] = {}
     known: dict[str, set[str]] = {}
     fds: dict[str, list[Fd]] = {}
-    order: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         indent = len(raw) - len(raw.lstrip())
@@ -166,7 +165,6 @@ def parse_schema(text: str) -> SchemaDocument:
             signatures[name] = Signature(name, attrs)
             known[name] = set(attrs)
             fds[name] = []
-            order.append(name)
         elif line.startswith("fd"):
             match = _FD_RE.match(line)
             if not match:
@@ -196,7 +194,7 @@ def parse_schema(text: str) -> SchemaDocument:
             raise SchemaParseError(
                 f"expected 'relation' or 'fd', got {line.split()[0]!r}", line_no
             )
-    relations = tuple(FdSchema(signatures[n], fds[n]) for n in order)
+    relations = tuple(FdSchema(sig, fds[name]) for name, sig in signatures.items())
     return SchemaDocument(relations=relations)
 
 
@@ -262,8 +260,8 @@ def _split_lines(text: str) -> Optional[list[str]]:
 def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     """Load a CSV with a header matching the signature's attributes.
 
-    Column order is free (values are realigned by name); duplicate rows
-    collapse and are counted.
+    Column order is free: one name-to-column map realigns the values.
+    Duplicate rows collapse and are counted.
 
     The file is read as one text. Plain text (see :func:`_split_lines`)
     is split at line breaks and commas with C string methods; any other
@@ -289,12 +287,11 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
             raise DataError(f"{path}: missing header row")
     else:
         header = lines[0].split(",")
-    expected = set(signature.attributes)
-    got = [cell.strip() for cell in header]
-    if len(set(got)) != len(got):
+    column = {name.strip(): i for i, name in enumerate(header)}
+    if len(column) != len(header):
         raise DataError(f"{path}: duplicate column in header")
-    missing = expected - set(got)
-    extra = set(got) - expected
+    missing = set(signature.attributes).difference(column)
+    extra = column.keys() - signature.attributes
     if missing or extra:
         parts = []
         if missing:
@@ -302,8 +299,8 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
         if extra:
             parts.append(f"unexpected columns {sorted(extra)}")
         raise DataError(f"{path}: {'; '.join(parts)}")
-    positions = [got.index(attr) for attr in signature.attributes]
-    width = len(got)
+    positions = list(map(column.__getitem__, signature.attributes))
+    width = len(header)
     # a header of one column or none is already in signature order
     realign = itemgetter(*positions) if len(positions) > 1 else tuple
     if rows is None:

@@ -28,7 +28,9 @@ rules by attribute name.
 CSV files are read row by row with the csv module
 (:func:`read_csv_by_csv_module`). FDs are rendered by scanning the
 signature for each side's names (:func:`render_fd_by_name`), not from
-masks.
+masks; canonical FD order sorts by each side's looked-up positions
+(:func:`canonical_fds_by_name`), and masks come from scanning the
+signature (:func:`masks_by_name`).
 """
 
 from __future__ import annotations
@@ -150,6 +152,28 @@ def project(schema: FdSchema, removed) -> FdSchema:
         if rhs:
             fds.append(Fd(lhs, rhs))
     return FdSchema(new_sig, fds)
+
+
+def canonical_fds_by_name(signature: Signature, fds) -> tuple[Fd, ...]:
+    """The distinct FDs in canonical order, sorted by the list of their
+    lhs attributes' signature positions, then of their rhs's: found by
+    looking up each name, not from masks."""
+    position = {a: i for i, a in enumerate(signature.attributes)}.__getitem__
+
+    def key(fd: Fd) -> tuple:
+        return sorted(map(position, fd.lhs)), sorted(map(position, fd.rhs))
+
+    return tuple(sorted(set(fds), key=key))
+
+
+def masks_by_name(signature: Signature, fds) -> tuple[tuple[int, int], ...]:
+    """Each FD as ``(lhs, rhs)`` bitmasks, bit ``i`` for the signature's
+    ``i``-th attribute, found by scanning the signature for each side."""
+
+    def mask(attrs) -> int:
+        return sum(1 << i for i, a in enumerate(signature.attributes) if a in attrs)
+
+    return tuple((mask(fd.lhs), mask(fd.rhs)) for fd in fds)
 
 
 def render_fd_by_name(signature: Signature, fd: Fd) -> str:

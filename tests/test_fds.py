@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import pickle
 import random
 import re
 
@@ -13,11 +14,13 @@ from generators import random_instance, random_schema
 from oracles import (
     closure_by_closed_sets,
     closure_by_fixpoint,
+    canonical_fds_by_name,
     conflict_by_definition,
     consistent_by_definition,
     entails_by_two_fact_models,
     first_violated_fd,
     local_minima,
+    masks_by_name,
     minima_sites,
     project,
     render_fd_by_name,
@@ -75,9 +78,11 @@ def test_fds_stored_canonically_regardless_of_input_order():
     assert first.render_fds() == "A,B -> C; C -> B"
 
 
-def test_schema_checks_its_attributes_once_whatever_its_fd_count(monkeypatch):
-    """Building a schema checks the union of its FDs' attributes in one
-    call, so a wide schema costs O(FDs + arity), not O(FDs x arity)."""
+def test_schema_checks_its_attributes_only_when_one_is_unknown(monkeypatch):
+    """Building a schema converts its FDs' names to masks in one pass, so
+    a wide schema costs O(FDs + arity), not O(FDs x arity). A valid build
+    never calls ``check_attrs``; an unknown name calls it once, over the
+    union of all FD attributes, and the error names every unknown one."""
     calls = []
     check_attrs = Signature.check_attrs
 
@@ -92,11 +97,30 @@ def test_schema_checks_its_attributes_once_whatever_its_fd_count(monkeypatch):
         fds += [Fd({f"A{i - 1}"}, {f"A{i}"}) for i in range(1, width)]
         calls.clear()
         schema = FdSchema(Signature("R", attrs), fds)
-        assert len(calls) == 1 and len(schema.fds) == width
-        calls.clear()
-        with pytest.raises(SchemaError):
-            FdSchema(Signature("R", attrs), [*fds, Fd({"A0"}, {"Z"})])
-        assert len(calls) == 1
+        assert calls == [] and len(schema.fds) == width
+        for bad, unknown in (
+            ([Fd({"A0"}, {"Z"})], "['Z']"),
+            ([Fd({"Y"}, {"A0"}), Fd({"A0"}, {"Z", "A1"})], "['Y', 'Z']"),
+        ):
+            calls.clear()
+            with pytest.raises(SchemaError) as caught:
+                FdSchema(Signature("R", attrs), [*fds, *bad])
+            assert str(caught.value) == f"attributes {unknown} not in relation R"
+            assert len(calls) == 1
+
+
+def test_instance_rejects_unhashable_cells():
+    # a list, a set and a tuple that holds a list: each is no constant,
+    # and the error names its type rather than failing to hash it
+    sig = Signature("R", ("A", "B"))
+    for bad, kind in ((["b"], "list"), ({"b"}, "set"), (("b", ["c"]), "list")):
+        for facts in ([("a", bad)], [("a", "b"), ("a", bad), ("a", "b")]):
+            with pytest.raises(SchemaError, match=f"unsupported constant type: {kind}$"):
+                Instance(sig, facts)
+            with pytest.raises(SchemaError, match=f"unsupported constant type: {kind}$"):
+                Instance(sig, iter(facts))
+    accepted = Instance(sig, iter([["a", "b"], ("a", "b"), ("a", ("b", DOT))]))
+    assert accepted.facts == frozenset({("a", "b"), ("a", ("b", DOT))})
 
 
 def test_instance_dedupes_and_checks_arity():
@@ -249,37 +273,90 @@ def test_closure_matches_closed_set_oracle_on_random_schemas():
 
 
 def test_closure_converts_the_fds_to_masks_once_per_schema(monkeypatch):
-    # closure, entails, equivalent and the classifier read one cached mask
-    # conversion of a schema's FDs: 100 closures convert them once
-    converted = collections.Counter()
-    convert = FdSchema._masks.func
-
-    def counting(schema):
-        converted[schema] += 1
-        return convert(schema)
-
-    masks = functools.cached_property(counting)
-    masks.__set_name__(FdSchema, "_masks")
-    monkeypatch.setattr(FdSchema, "_masks", masks)
+    # closure, entails, equivalent and the classifier read the masks that
+    # building the schema converted: none of them converts or builds again
+    assert not isinstance(vars(FdSchema).get("_masks"), functools.cached_property)
+    # B -> A, C -> D: B and C on the 2nd and 3rd positions of A, B, C, D
+    assert schema_of("ABCD", "B->A", "C->D")._masks == ((2, 1), (4, 8))
     schema = schema_of("ABCDE", "A->B", "B->C", "CD->E", "->D")
+    other = schema_of("ABCDE", "A->BC", "CD->E", "->D")
+    masks = {s: vars(s)["_masks"] for s in (schema, other)}
+    builds = collections.Counter()
+    build = FdSchema.__init__
+
+    def counting(self, signature, fds=()):
+        builds[signature] += 1
+        build(self, signature, fds)
+
+    monkeypatch.setattr(FdSchema, "__init__", counting)
     attrs = schema.signature.attributes
     bases = [c for k in range(6) for c in itertools.combinations(attrs, k)]
     for base in itertools.islice(itertools.cycle(bases), 100):
         assert closure(schema, base).closure == closure_by_closed_sets(
             schema, frozenset(base)
         )
-    assert converted == {schema: 1}
-    # B -> A, C -> D: B and C on the 2nd and 3rd positions of A, B, C, D
-    assert schema_of("ABCD", "B->A", "C->D")._masks == ((2, 1), (4, 8))
-    converted.clear()
-    other = schema_of("ABCDE", "A->BC", "CD->E", "->D")
+    assert schema._masks is masks[schema]
     for _ in range(25):
         assert entails(schema, Fd(frozenset("AD"), frozenset("E")))
         assert equivalent(schema, other) is equivalent(other, schema) is False
         classify(schema)
         find_s3(other)
-    # the first schema's masks were converted by the closures above
-    assert converted == {other: 1}
+    assert schema._masks is masks[schema] and other._masks is masks[other]
+    assert builds == {}
+    # a pickled schema rebuilds its masks, equal to the original's
+    restored = pickle.loads(pickle.dumps(schema))
+    assert vars(restored)["_masks"] == schema._masks and restored == schema
+    assert builds == {schema.signature: 1}
+
+
+def test_schema_order_and_masks_equal_the_by_name_reference():
+    """2,000 seeded schemas, their FDs permuted and duplicated, often with
+    an empty lhs, over attribute names whose order is not the signature's:
+    ``fds``, ``_masks``, ``repr``, ``hash`` and a pickle round trip follow
+    the canonical order found by name (``canonical_fds_by_name``), and of
+    equal FDs the first given is the one kept."""
+    rng = random.Random(30)
+    seen = collections.Counter()
+    for n in range(2000):
+        # past ten columns, position order differs from digit-string order
+        arity = rng.randint(1, 14 if n % 4 else 6)
+        names = [f"{rng.choice('PQRS')}{i}" for i in range(arity)]
+        rng.shuffle(names)
+        signature = Signature(f"T{n}", tuple(names))
+        fds = [
+            Fd(
+                rng.sample(names, rng.choice([0, 0, 1, 1, 2, 3]) % (arity + 1)),
+                rng.sample(names, rng.randint(0, min(arity, 3))),
+            )
+            for _ in range(rng.randint(0, 8))
+        ]
+        given_fds = [Fd(fd.lhs, fd.rhs) for fd in fds + rng.choices(fds, k=len(fds))]
+        rng.shuffle(given_fds)
+        schema = FdSchema(signature, given_fds)
+        expected = canonical_fds_by_name(signature, fds)
+        seen["empty lhs"] += any(not fd.lhs for fd in expected)
+        seen["duplicated"] += len(given_fds) > len(expected)
+        seen["two or more"] += len(expected) > 1
+        assert schema.fds == expected
+        # of equal FDs the first given is kept, as a set keeps it: equal
+        # frozensets may iterate differently, and so pickle differently
+        first = {}
+        for fd in given_fds:
+            first.setdefault(fd, fd)
+        assert all(fd is first[fd] for fd in schema.fds)
+        assert vars(schema)["_masks"] == masks_by_name(signature, expected)
+        rendered = "; ".join(render_fd_by_name(signature, fd) for fd in expected)
+        assert repr(schema) == f"FdSchema(T{n}, [{rendered or '(none)'}])"
+        assert hash(schema) == hash((signature, expected))
+        reversed_schema = FdSchema(signature, reversed(given_fds))
+        assert reversed_schema == schema and reversed_schema._masks == schema._masks
+        restored = pickle.loads(pickle.dumps(schema))
+        assert restored == schema and restored.fds == expected
+        assert vars(restored)["_masks"] == schema._masks
+        # the pickle holds the value only: no masks, no compiled getters
+        schema._keys
+        assert pickle.dumps(schema) == pickle.dumps(FdSchema(signature, schema.fds))
+    assert min(seen.values()) > 500, seen
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from collections import Counter
 
@@ -80,6 +81,14 @@ def test_signature_mismatch():
     schema = schema_of("AB", "A->B")
     with pytest.raises(SchemaError):
         find_crep(schema, Instance(Signature("R", ("A", "C")), []))
+    # the error names both relations, as the other checks' errors do, on
+    # a tractable schema and on a hard one
+    for fds in (["A->B"], ["A->B", "B->A", "A->A"], ["AB->C", "C->B"]):
+        schema = schema_of("ABC", *fds)
+        other = Instance(Signature("S", ("A", "B", "C")), [("a", "b", "c")])
+        message = "instance over S('A', 'B', 'C') does not match schema R('A', 'B', 'C')"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            find_crep(schema, other)
 
 
 def test_empty_instance_tractable_schema():

@@ -226,6 +226,38 @@ def test_csv_header_realignment(tmp_path):
 
 
 
+def test_csv_wide_shuffled_header_is_realigned_on_both_routes(tmp_path, monkeypatch):
+    # 5,600 columns in a shuffled order, split at commas when the text is
+    # plain, and read by csv when one header name is quoted
+    routes = []
+    split_lines = fdrepair.textio._split_lines
+
+    def recorded(text):
+        lines = split_lines(text)
+        routes.append(lines is not None)
+        return lines
+
+    monkeypatch.setattr(fdrepair.textio, "_split_lines", recorded)
+    rng = random.Random(5600)
+    signature = Signature("R", tuple(f"C{i}" for i in range(5600)))
+    order = list(range(5600))
+    rng.shuffle(order)
+    facts = [tuple(f"v{i}r{row}" for i in range(5600)) for row in range(3)]
+    body = "".join(",".join(fact[i] for i in order) + "\n" for fact in facts)
+    header = [f"C{i}" for i in order]
+    path = tmp_path / "R.csv"
+    for quoted, plain in ((None, True), (rng.randrange(5600), False)):
+        names = list(header)
+        if quoted is not None:
+            names[quoted] = f'"{names[quoted]}"'
+        path.write_text(",".join(names) + "\n" + body + body, encoding="utf-8")
+        result = read_instance_csv(str(path), signature)
+        assert routes.pop() is plain
+        assert result.instance == Instance(signature, facts)
+        assert result.dropped_duplicates == 3
+        assert (result.instance, 3) == read_csv_by_csv_module(str(path), signature)
+
+
 def test_csv_leading_byte_order_mark(tmp_path):
     # spreadsheet exports start with a UTF-8 BOM; it is not part of the
     # first column's name
