@@ -20,29 +20,36 @@ rule, so facts that a step keeps in one block go on to the next step in
 the same call, and only a step that splits its facts recurses. No FD is
 left below the last step, so each of its blocks is its own repair too,
 and only its size matters. The last step therefore collects no blocks:
-it counts the facts per flat block key in a plain dict and recombines
-from the counts. A lone block, or S3 blocks that share no endpoint,
-keep the input list as it stands; otherwise the kept facts come out of
-one C-level filter over the facts' keys.
+it keys each fact once, counts the keys with one C-level count into a
+plain dict, and recombines from the counts. An S2 key is the flat key.
+An S3 key is an int code: the step ranks the facts' distinct X1 values
+and distinct X2 values once each, in canonical order, and codes a fact
+as ``rank(x) * ny + rank(y)``, where ``ny`` is the number of distinct X2
+values. The ranks are dense, so the blocks share no endpoint exactly
+when there are as many blocks as X1 values and as X2 values, and int
+order is canonical ``(x, y)`` order, so the codes sort as plain ints and
+the matcher gets int endpoints. A lone block, or S3 blocks that share no
+endpoint, keep the input list as it stands; otherwise the kept facts
+come out of one C-level filter over the same list of keys.
 
-Each step keys a fact with one C ``itemgetter``. An S1 or S2 step that
-removes one column keys a block by the bare value, not a 1-tuple. For
-S3 that key is flat, the X1 columns followed by the X2 columns; every
-X1 part has the same length, so the flat keys sort in the order of the
-``(x, y)`` pairs. When X1 and X2 are one column each, the endpoints are
-the key's two bare values, and a matched edge is its own flat key;
-otherwise they are the key's two slices, and a matched edge joins back
-into its key. When no two block keys share an X1 or an X2 value, every
-block is an edge of its own, and the matching takes them all, since a
-non-empty block repairs to at least one fact; such a step returns the
-union of its block repairs, as S1 does, with no sort, no problem and no
-matcher call, so the matcher only gets graphs with two edges that share
-an endpoint. A union of one-fact blocks is the step's input list as it
-stands. Otherwise the S3 step sorts its block keys once and splits them
-into ``(x, y)`` with the two endpoint getters compiled with the plan, in
-C-level ``zip`` and ``map`` calls. The matching runs in pure Python: one
-optimum with its LP duals, then one lex greedy over the whole graph,
-with no solver and no split into components (see
+Each step before the last keys a fact with one C ``itemgetter``. An S1
+or S2 step that removes one column keys a block by the bare value, not a
+1-tuple. For S3 that key is flat, the X1 columns followed by the X2
+columns; every X1 part has the same length, so the flat keys sort in the
+order of the ``(x, y)`` pairs. When X1 and X2 are one column each, the
+endpoints are the key's two bare values, and a matched edge is its own
+flat key; otherwise they are the key's two slices, and a matched edge
+joins back into its key. When no two block keys share an X1 or an X2
+value, every block is an edge of its own, and the matching takes them
+all, since a non-empty block repairs to at least one fact; such a step
+returns the union of its block repairs, as S1 does, with no sort, no
+problem and no matcher call, so the matcher only gets graphs with two
+edges that share an endpoint. A union of one-fact blocks is the step's
+input list as it stands. Otherwise the S3 step sorts its block keys once
+and splits them into ``(x, y)`` with the two endpoint getters compiled
+with the plan, in C-level ``zip`` and ``map`` calls. The matching runs
+in pure Python: one optimum with its LP duals, then one lex greedy over
+the whole graph, with no solver and no split into components (see
 :func:`max_weight_matching`).
 
 Every tie is broken canonically (block-key order, or the
@@ -52,11 +59,12 @@ the same repair.
 
 from __future__ import annotations
 
+from collections import _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress, count
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .fds import (
@@ -100,7 +108,8 @@ class RepairResult:
     computed when first read: the input facts are grouped by the first
     step's columns, and each multi-fact block is repaired again by the
     rest of the plan, so a caller that never reads it pays nothing for
-    it. Equality and hashing read ``repair``, ``size`` and ``trace``.
+    it, and a pickle leaves it out. Equality and hashing read ``repair``,
+    ``size`` and ``trace``.
     """
 
     repair: Instance
@@ -126,6 +135,12 @@ class RepairResult:
         for key, block in blocks.items():
             sizes[key] = len(block if len(block) == 1 else _solve(plan, block, 1))
         return tuple((key, sizes[key]) for key in canonical_sorted(sizes))
+
+    def __getstate__(self) -> dict:
+        # ``block_sizes``, once read, is cached but no part of the value
+        state = dict(vars(self))
+        state.pop("block_sizes", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -160,7 +175,10 @@ class BipartiteMatchProblem:
         """A problem over valid edges already in canonical order.
 
         The S3 step sorts its block keys once and builds its problem here,
-        with no second sort or check.
+        with no second sort or check. The last step's endpoints are int
+        ranks, not constants: they are in canonical order as ints, which
+        ``max_weight_matching`` reads, and only the checked constructor's
+        ``constant_key`` sort would refuse them.
         """
         problem = object.__new__(cls)
         object.__setattr__(problem, "edges", edges)
@@ -173,9 +191,13 @@ class BipartiteMatchProblem:
 # removed column, or the tuple of its values on several (S1, S2), or on
 # the X1 columns followed by the X2 columns (S3). An S3 endpoint is the
 # bare value when its lhs is one column, and otherwise the key's slice
-# ``x = key[:len(X1)]`` or ``y = key[len(X1):]``. Every key getter is a
-# C ``itemgetter``.
-PlanStep = tuple[str, Callable, Optional[Callable], Optional[Callable], Optional[Callable]]
+# ``x = key[:len(X1)]`` or ``y = key[len(X1):]``. A last S3 step keys no
+# block: its getters read a fact's X1 and X2 values straight off the
+# fact, and :func:`_last_step` ranks them. Every getter is a C
+# ``itemgetter``.
+PlanStep = tuple[
+    str, Optional[Callable], Optional[Callable], Optional[Callable], Optional[Callable]
+]
 
 
 def _joined(edge: tuple) -> tuple:
@@ -186,10 +208,14 @@ def _compile(trace: SimplificationTrace) -> list[PlanStep]:
     """Turn the trace's mask plan into steps over columns of the original
     signature: its masks are over the input signature's positions."""
     plan: list[PlanStep] = []
-    for kind, witness, removed in trace._plan:
+    last = len(trace._plan) - 1
+    for depth, (kind, witness, removed) in enumerate(trace._plan):
         if kind == "S3":
             # the witness is the lhs marriage (X1, X2); they may overlap
             x1, x2 = map(_positions, witness)
+            if depth == last:
+                plan.append(("S3", None, itemgetter(*x1), itemgetter(*x2), None))
+                continue
             key_of = itemgetter(*x1, *x2)
             if len(x1) == len(x2) == 1:
                 # bare endpoints, as for one-column S1/S2 keys: a matched
@@ -275,23 +301,46 @@ def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
 
     No FD is left below it, an S2 or S3 step (S1 never is: each FD keeps
     its rhs when a lhs column goes). Every block is its own repair, so
-    its fact count is all the recombination reads.
+    its fact count is all the recombination reads. An S2 block is keyed
+    by its flat key, and an S3 block by the int code of its endpoints'
+    ranks (see the module docstring).
     """
     kind, key_of, x_of, y_of, _ = step
+    if kind == "S3":
+        # x_rank maps each X1 value to its rank times ny, so that one add
+        # per fact gives its code
+        xs, ys = list(map(x_of, facts)), list(map(y_of, facts))
+        y_rank = _ranks(ys, 1)
+        ny = len(y_rank)
+        x_rank = _ranks(xs, ny)
+        keys = list(map(add, map(x_rank.__getitem__, xs), map(y_rank.__getitem__, ys)))
+    else:
+        keys = list(map(key_of, facts))
     sizes: dict = {}
-    get = sizes.get
-    for key in map(key_of, facts):
-        sizes[key] = get(key, 0) + 1
-    if len(sizes) == 1 or (kind == "S3" and _shares_no_endpoint(sizes, x_of, y_of)):
+    _count_elements(sizes, keys)
+    if len(sizes) == 1 or (kind == "S3" and len(sizes) == len(x_rank) == ny):
         # a lone block is its own optimum under every recombination rule,
-        # and the matching takes all S3 blocks when no two share an endpoint
+        # and the matching takes all S3 blocks when no two share an
+        # endpoint: the ranks are dense, so then each rank has one block
         return facts
-    keep = _kept(step, sizes)
-    chosen = list(compress(facts, map(keep.__contains__, map(key_of, facts))))
-    assert kind == "S2" or len(chosen) == sum(
+    if kind == "S2":
+        keep = _kept(step, sizes)
+        return list(compress(facts, map(keep.__contains__, keys)))
+    problem = BipartiteMatchProblem._of_sorted_edges(
+        tuple((key // ny, key % ny, sizes[key]) for key in sorted(sizes))
+    )
+    keep = {x * ny + y for x, y in max_weight_matching(problem)}
+    chosen = list(compress(facts, map(keep.__contains__, keys)))
+    assert len(chosen) == sum(
         map(sizes.__getitem__, keep)
     ), "matching weight must equal repair size"
     return chosen
+
+
+def _ranks(values: list, step: int) -> dict:
+    """Each distinct value of ``values`` mapped to its rank in canonical
+    order, times ``step``."""
+    return dict(zip(canonical_sorted(set(values)), count(0, step)))
 
 
 def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:

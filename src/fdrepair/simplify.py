@@ -104,7 +104,8 @@ class SimplificationTrace:
     exactly when the schema is tractable. ``steps`` and ``terminal``
     render the plan and ``_fds`` on first read. Two traces are equal
     when their signatures and normalized input FD sets are, and
-    ``repr`` prints ``steps``, ``terminal`` and ``tractable``.
+    ``repr`` prints ``steps``, ``terminal`` and ``tractable``. A pickle
+    holds ``_schema``, ``_plan`` and ``_fds`` only.
     """
 
     _schema: FdSchema
@@ -158,6 +159,10 @@ class SimplificationTrace:
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+    def __getstate__(self) -> dict:
+        # the cached views and the hash key are no part of the value
+        return {"_schema": self._schema, "_plan": self._plan, "_fds": self._fds}
 
     def _render_fds(self) -> str:
         """``terminal.render_fds()``, rendered from the stopped FD set's masks."""

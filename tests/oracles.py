@@ -10,8 +10,9 @@ conflict definition (:func:`greedy_s_repair`). Repair maximality is
 also read off the library's conflict pairs (:func:`s_repair_by_pairs`):
 it calls the library's pair view, but not its per-FD maps. A repair
 plan's last step is recombined from one list per block
-(:func:`collecting_last_step`): it calls the library's matcher, but
-not its counting. The hardness gadgets' ground truths come from a
+(:func:`collecting_last_step`), and by counts per tuple block key
+(:func:`tuple_key_last_step`), not per int code: both call the
+library's matcher, but not its counting. The hardness gadgets' ground truths come from a
 truth table (:func:`cnf_satisfiable`) and from exhausting triangle
 subsets (:func:`max_edge_disjoint_triangles`).
 :func:`saturate` is one more spelling of an FD set, for checking that
@@ -622,6 +623,16 @@ def brute_force_matching(problem) -> tuple:
     return best_seq
 
 
+def block_key_of(step):
+    """A compiled plan step's block key: its own key getter, or for a last
+    S3 step, which keys no block itself, the pair ``(x, y)`` of a fact's
+    X1 and X2 values."""
+    _, key_of, x_of, y_of, _ = step
+    if key_of is None:
+        return lambda fact: (x_of(fact), y_of(fact))
+    return key_of
+
+
 def collecting_last_step(step, facts) -> list:
     """``fdrepair.repair._last_step`` on two or more facts, by block lists.
 
@@ -629,11 +640,11 @@ def collecting_last_step(step, facts) -> list:
     lengths: a lone block is kept whole, S2 keeps the first of the
     largest blocks in ``constant_key`` order, and S3 keeps the blocks
     that ``max_weight_matching`` takes, built through the checked
-    ``BipartiteMatchProblem`` constructor, and with no shortcut for
-    blocks that share no endpoint. Returns the repair, as ``_last_step``
-    does.
+    ``BipartiteMatchProblem`` constructor on the blocks' ``(x, y)``
+    values, and with no shortcut for blocks that share no endpoint.
+    Returns the repair, as ``_last_step`` does.
     """
-    kind, key_of, x_of, y_of, _ = step
+    kind, key_of = step[0], block_key_of(step)
     assert kind != "S1" and len(facts) > 1
     blocks: dict = {}
     for fact in facts:
@@ -644,14 +655,40 @@ def collecting_last_step(step, facts) -> list:
         best = max(map(len, blocks.values()))
         pick = min((k for k, b in blocks.items() if len(b) == best), key=constant_key)
         return blocks[pick]
-    by_edge = {(x_of(key), y_of(key)): key for key in blocks}
-    problem = BipartiteMatchProblem(
-        (x, y, len(blocks[key])) for (x, y), key in by_edge.items()
-    )
+    problem = BipartiteMatchProblem((x, y, len(b)) for (x, y), b in blocks.items())
     chosen = []
     for edge in max_weight_matching(problem):
-        chosen += blocks[by_edge[edge]]
+        chosen += blocks[edge]
     return chosen
+
+
+def tuple_key_last_step(step, facts) -> list:
+    """``fdrepair.repair._last_step`` on two or more facts, by tuple keys.
+
+    The route the last step took before it coded S3 blocks as ints:
+    count the facts per block key in a dict (an S3 block keyed by its
+    ``(x, y)`` values), keep the input list as it stands for a lone
+    block or for S3 blocks that share no endpoint, else pick the kept
+    keys (S2: the first largest block in ``constant_key`` order; S3:
+    ``max_weight_matching`` over the checked ``BipartiteMatchProblem``
+    of the counts) and keep the facts with those keys, in input order.
+    """
+    key_of = block_key_of(step)
+    sizes: dict = {}
+    for key in map(key_of, facts):
+        sizes[key] = sizes.get(key, 0) + 1
+    if len(sizes) == 1:
+        return facts
+    if step[0] == "S2":
+        best = max(sizes.values())
+        keep = {min((k for k, n in sizes.items() if n == best), key=constant_key)}
+    else:
+        xs, ys = zip(*sizes)
+        if len(set(xs)) == len(sizes) == len(set(ys)):
+            return facts
+        problem = BipartiteMatchProblem((x, y, n) for (x, y), n in sizes.items())
+        keep = set(max_weight_matching(problem))
+    return [fact for fact in facts if key_of(fact) in keep]
 
 
 def cnf_satisfiable(formula: CnfFormula, cap: int = 22) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import re
 import time
@@ -22,14 +23,17 @@ from generators import (
     worked_example_rows,
 )
 from oracles import (
+    block_key_of,
     brute_force_matching,
     collecting_last_step,
     max_repair_size_by_subsets,
+    tuple_key_last_step,
 )
 
 import fdrepair.repair
 from fdrepair.fds import (
     DOT,
+    Fd,
     FdSchema,
     Instance,
     SchemaError,
@@ -46,7 +50,7 @@ from fdrepair.repair import (
     find_crep,
     max_weight_matching,
 )
-from fdrepair.simplify import classify
+from fdrepair.simplify import SimplificationTrace, classify
 from fdrepair.textio import parse_schema
 
 
@@ -461,52 +465,77 @@ def test_s1_below_the_top_returns_the_union(worked_example, monkeypatch):
     # the input list itself when each block is one fact. A call goes on
     # past the steps that keep its facts in one block, so the step that
     # recombines is the first that splits them. No plan ends in S1: an FD
-    # keeps its rhs when S1 removes a column of its lhs
+    # keeps its rhs when S1 removes a column of its lhs. A last S3 step
+    # keys no block itself (its blocks are the facts' (x, y) pairs), and
+    # each of its blocks is its own repair, so its union is the input
+    # list itself whatever the block sizes
     calls = Counter()
     solve = fdrepair.repair._solve
 
     def recording(plan, facts, depth):
         chosen = solve(plan, facts, depth)
         assert type(chosen) is list
-        while depth < len(plan) and len(set(map(plan[depth][1], facts))) == 1:
+        while depth < len(plan) and len(set(map(block_key_of(plan[depth]), facts))) == 1:
             depth += 1
-        if depth + 1 >= len(plan):
+        if depth == len(plan):
             return chosen
-        kind, key_of, x_of, y_of, _ = plan[depth]
+        step = plan[depth]
+        kind, key_of, x_of, y_of, _ = step
+        last = depth + 1 == len(plan)
+        assert (key_of is None) == (last and kind == "S3")
+        block_of = block_key_of(step)
         blocks = {}
         for fact in facts:
-            blocks.setdefault(key_of(fact), []).append(fact)
-        keys = list(blocks)
+            blocks.setdefault(block_of(fact), []).append(fact)
         union_step = kind == "S1"
         if kind == "S3":
-            union_step = len(set(map(x_of, keys))) == len(set(map(y_of, keys))) == len(keys)
+            ends = list(blocks) if last else [(x_of(k), y_of(k)) for k in blocks]
+            xs, ys = zip(*ends)
+            union_step = len(set(xs)) == len(set(ys)) == len(blocks)
         if union_step:
             singles = len(blocks) == len(facts)
-            assert (chosen is facts) == singles
+            assert (chosen is facts) == (singles or last)
             union = set().union(
                 *(b if len(b) == 1 else solve(plan, b, depth + 1) for b in blocks.values())
             )
             assert len(chosen) == len(union) and set(chosen) == union
-            calls[kind, depth > 0, singles] += 1
+            calls[kind, last, depth > 0, singles] += 1
         return chosen
 
     monkeypatch.setattr(fdrepair.repair, "_solve", recording)
     rng = random.Random(43)
-    # S3 above the last step: at the top, and below S2 and S1 steps
+    # S3 above the last step: at the top, and below S2 and S1 steps; S3
+    # as the last step: alone, and below an S1 step
     s3_first = [schema_of("ABCD", "A->B", "B->A", "AC->D"), worked_example]
-    for n in range(900):
-        schema = s3_first[n // 3 % 2] if n % 3 == 2 else random_tractable_schema(rng)
+    s3_last = [schema_of("ABC", "A->B", "B->A"), schema_of("ABCD", "CA->B", "CB->A")]
+    for n in range(1200):
+        if n % 4 == 2:
+            schema = s3_first[n // 4 % 2]
+        elif n % 4 == 3:
+            schema = s3_last[n // 4 % 2]
+        else:
+            schema = random_tractable_schema(rng)
         # few facts for one-fact blocks, two values for multi-fact ones
         pool = ("0", "1", "2")[: 2 + n % 2]
         inst = random_instance(rng, schema.signature, rng.choice((4, 10)), pool)
+        if n % 8 == 3:
+            # B copies A, so no two of the last S3 step's blocks share an
+            # endpoint, and the other columns make multi-fact blocks
+            rows = [(a, a, *rest) for a, _, *rest in inst.facts]
+            inst = Instance(schema.signature, rows)
         result = find_crep(schema, inst)
         assert result.trace.kinds[-1:] != ("S1",)
         assert result.size == brute_force_crep(schema, inst).size
         assert is_s_repair(schema, inst, result.repair)
-    assert calls["S1", True, True] > 10 and calls["S1", True, False] > 10
-    assert calls["S1", False, True] > 10 and calls["S1", False, False] > 10
-    assert calls["S3", True, True] + calls["S3", False, True] > 10
-    assert calls["S3", True, False] + calls["S3", False, False] > 10
+    for below in (False, True):
+        for singles in (False, True):
+            assert calls["S1", False, below, singles] > 10, (below, singles)
+        # a last S3 step at the top, and below an S1 step
+        assert calls["S3", True, below, False] + calls["S3", True, below, True] > 10
+    for singles in (False, True):
+        assert calls["S3", False, True, singles] + calls["S3", False, False, singles] > 10
+    # a last S3 union of multi-fact blocks is the input list too
+    assert calls["S3", True, False, False] + calls["S3", True, True, False] > 10
 
 
 def test_many_small_s3_components_repair_fast():
@@ -530,6 +559,32 @@ def test_many_small_s3_components_repair_fast():
     assert result.size == expected
     assert is_consistent(schema, result.repair)
     assert elapsed < 10.0, f"{elapsed:.1f}s"
+
+
+def test_equal_traces_and_results_pickle_to_the_same_bytes(worked_example):
+    # a trace's steps, terminal and hash key, and a result's block_sizes,
+    # are cached on first read but are no part of the value: an equal
+    # trace or result pickles to the same bytes whatever views were read
+    a_b_b_a = schema_of("ABC", "A->B", "B->A")
+    cases = [
+        (worked_example, worked_example_rows(random.Random(7), 20)),
+        (a_b_b_a, [("a", "b", "1"), ("a", "c", "2"), ("d", "b", "3")]),
+        (HARD_SCHEMAS["tr"], [("a", "b", "c")]),
+    ]
+    for schema, rows in cases:
+        inst = Instance(schema.signature, rows)
+        fresh, read = classify(schema), classify(schema)
+        read.steps, read.terminal, hash(read), repr(read)
+        assert pickle.dumps(fresh) == pickle.dumps(read)
+        restored = pickle.loads(pickle.dumps(read))
+        assert restored == read and restored.steps == read.steps
+        fresh, read = find_crep(schema, inst), find_crep(schema, inst)
+        if read is None:
+            continue
+        read.block_sizes, hash(read), read.trace.steps, read.trace.terminal
+        assert pickle.dumps(fresh) == pickle.dumps(read)
+        restored = pickle.loads(pickle.dumps(read))
+        assert restored == read and restored.block_sizes == read.block_sizes
 
 
 # -- matching ----------------------------------------------------------------
@@ -717,15 +772,30 @@ def test_match_problem_validation():
 
 def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
     # the S3 step builds its problems without the public constructor's
-    # sort and checks; each must equal the checked problem on its edges
+    # sort and checks. An inner step's problem must equal the checked
+    # problem on its edges. The last step's problem has int endpoints,
+    # each the rank of a value among the step's distinct X1 or X2 values
+    # in constant_key order: its edges must come sorted, and mapped back
+    # through those ranks they must be, in the same order, the edges of
+    # the checked problem of the facts' (x, y) block counts
     seen = []
+    at_last = []
     original = fdrepair.repair.max_weight_matching
+    last_step = fdrepair.repair._last_step
 
     def recording(problem):
-        seen.append(problem)
+        seen.append((problem, at_last[-1] if at_last else None))
         return original(problem)
 
+    def recording_last(step, facts):
+        at_last.append((step, facts))
+        try:
+            return last_step(step, facts)
+        finally:
+            at_last.pop()
+
     monkeypatch.setattr(fdrepair.repair, "max_weight_matching", recording)
+    monkeypatch.setattr(fdrepair.repair, "_last_step", recording_last)
     rng = random.Random(31)
     a_b_b_a = schema_of("ABC", "A->B", "B->A")
     # DOT and tuple cells make the plain sort fail, so the keyed sort runs
@@ -744,6 +814,11 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
             ],
         ),
         (a_b_b_a, [tuple(rng.choice(cells) for _ in "ABC") for _ in range(80)]),
+        # two columns a side, with DOT and tuple cells
+        (
+            schema_of("ABCDE", "AB->CD", "CD->AB"),
+            [tuple(rng.choice(cells[:3]) for _ in "ABCDE") for _ in range(200)],
+        ),
         # S1 on C, then S3 as the last step: per C value three rows over
         # four A and four B values, whose blocks share an endpoint or not
         (
@@ -769,29 +844,57 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
         before = len(seen)
         find_crep(schema, Instance(schema.signature, rows))
         assert len(seen) > before
-    assert sum(len(problem.edges) > 1 for problem in seen) > 100
-    for problem in seen:
-        assert problem == BipartiteMatchProblem(problem.edges)
+    checked = Counter()
+    for problem, last in seen:
         # blocks that share no endpoint are a union, never a matching
         xs, ys, _ = zip(*problem.edges)
         assert len(set(xs)) < len(xs) or len(set(ys)) < len(ys), problem
+        checked[last is not None, len(problem.edges) > 1] += 1
+        if last is None:
+            assert problem == BipartiteMatchProblem(problem.edges)
+            continue
+        (_, _, x_of, y_of, _), facts = last
+        x_values = sorted(set(map(x_of, facts)), key=constant_key)
+        y_values = sorted(set(map(y_of, facts)), key=constant_key)
+        assert all(type(v) is int for edge in problem.edges for v in edge)
+        assert list(problem.edges) == sorted(problem.edges)
+        counts = Counter(zip(map(x_of, facts), map(y_of, facts)))
+        expected = BipartiteMatchProblem((x, y, n) for (x, y), n in counts.items())
+        mapped = tuple((x_values[x], y_values[y], w) for x, y, w in problem.edges)
+        assert mapped == expected.edges
+    assert checked[False, True] > 100 and checked[True, True] > 100
 
 
 def test_s3_union_equals_the_matching(worked_example):
     # an S3 level whose blocks share no X1 and no X2 value is recombined
     # as a union; forced through max_weight_matching instead, it must give
-    # the same repair, size and block_sizes
+    # the same repair, size and block_sizes. An inner level is forced
+    # through its gate, and the last step through the block-list
+    # reference, which has no such gate; the last step keeps its input
+    # list exactly when no two of its blocks share an endpoint
     gate = fdrepair.repair._shares_no_endpoint
+    last_step = fdrepair.repair._last_step
     levels = Counter()
 
     def counted(*args):
         shares_none = gate(*args)
-        levels[shares_none] += 1
+        levels["inner", shares_none] += 1
         return shares_none
+
+    def counted_last(step, facts):
+        chosen = last_step(step, facts)
+        if step[0] == "S3":
+            pairs = set(map(block_key_of(step), facts))
+            xs, ys = zip(*pairs)
+            shares_none = len(set(xs)) == len(pairs) == len(set(ys))
+            assert (chosen is facts) == shares_none
+            levels["last", shares_none] += 1
+        return chosen
 
     rng = random.Random(47)
     schemas = [worked_example, schema_of("ABC", "A->B", "B->A"),
-               schema_of("ABCD", "A->B", "B->A", "AC->D")]
+               schema_of("ABCD", "A->B", "B->A", "AC->D"),
+               schema_of("ABCDE", "AB->CD", "CD->AB")]
     while len(schemas) < 12:
         schema = random_tractable_schema(rng)
         if "S3" in classify(schema).kinds:
@@ -803,22 +906,31 @@ def test_s3_union_equals_the_matching(worked_example):
         inst = random_instance(rng, schema.signature, max_facts=12, pool=cells)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fdrepair.repair, "_shares_no_endpoint", counted)
+            patch.setattr(fdrepair.repair, "_last_step", counted_last)
             union = _find_crep(schema, trace, inst)
+            union_sizes = union.block_sizes
             patch.setattr(fdrepair.repair, "_shares_no_endpoint", lambda *args: False)
+            patch.setattr(fdrepair.repair, "_last_step", collecting_last_step)
             matched = _find_crep(schema, trace, inst)
+            matched_sizes = matched.block_sizes
         assert union.repair == matched.repair
         assert union.size == matched.size
-        assert union.block_sizes == matched.block_sizes
-    assert levels[True] > 1000 and levels[False] > 1000
+        assert union_sizes == matched_sizes
+    assert min(levels.values()) > 300 and len(levels) == 4
+    assert levels["inner", True] + levels["last", True] > 1000
+    assert levels["inner", False] + levels["last", False] > 1000
 
 
 def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatch):
     # the last step recombines from fact counts and keeps facts by their
-    # block keys; forced through one list per block instead, every
-    # repair, size, block_sizes and trace must be the same. DOT, str and
-    # tuple cells tie S2 blocks across types, where a filter on the
-    # chosen key's own __eq__ would keep every fact of another type
+    # block keys (an S3 block by the int code of its endpoints' ranks);
+    # forced through one list per block instead, every repair, size,
+    # block_sizes and trace must be the same, and so must each last step
+    # on its own input. DOT, str and tuple cells tie S2 blocks across
+    # types, where a filter on the chosen key's own __eq__ would keep
+    # every fact of another type
     matcher = fdrepair.repair.max_weight_matching
+    last_step = fdrepair.repair._last_step
     forced = Counter()
     steps = ()
 
@@ -833,7 +945,10 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
         assert step[0] == last.kind
         bare = last.kind == "S3" and all(len(lhs) == 1 for lhs in last.witness)
         forced[last.kind, bare, len(steps) > 1] += 1
-        return collecting_last_step(step, facts)
+        collected = collecting_last_step(step, facts)
+        counted = last_step(step, facts)
+        assert Counter(counted) == Counter(collected)
+        return collected
 
     monkeypatch.setattr(fdrepair.repair, "max_weight_matching", matching)
     rng = random.Random(53)
@@ -881,6 +996,76 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
         for below in (False, True)
     )
     assert forced["matchings"] > 1000
+
+
+def test_int_coded_last_step_equals_the_tuple_key_route():
+    # a seeded differential over 5,000 schemas whose plan ends in S3: the
+    # marriage X1 <-> X2 of one to three columns a side, alone, below an
+    # S1 step (a column on every lhs) or below an S2 step (a constant
+    # column), with free columns. X1 and X2 that share a column never
+    # reach S3 through classify, whose S1 removes the shared column
+    # first, so a fifth of the steps are compiled from a one-step plan
+    # whose X1 and X2 overlap. On random facts, DOT and tuple cells among
+    # them, the int-coded last step must return the tuple-key route's
+    # list, and the input list itself exactly when that route does
+    rng = random.Random(59)
+    names = "ABCDEFG"
+    pools = (("0", "1"), ("0", "1", "2"), ("0", "1", DOT, ("0",), ("0", DOT)))
+    seen = Counter()
+
+    def mask(positions):
+        return sum(1 << p for p in positions)
+
+    def sorts_plainly(values):
+        try:
+            sorted(set(values))
+        except TypeError:
+            return False
+        return True
+
+    while seen["schemas"] < 5000:
+        arity = rng.randint(2, 7)
+        signature = Signature("R", tuple(names[:arity]))
+        x1 = rng.sample(range(arity), rng.randint(1, min(3, arity - 1)))
+        rest = [p for p in range(arity) if p not in x1]
+        x2 = rng.sample(rest, rng.randint(1, min(3, len(rest))))
+        rest = [p for p in rest if p not in x2]
+        shape = rng.choice(("alone", "S1", "S2", "overlap"))
+        if shape == "overlap":
+            x2.append(rng.choice(x1))
+            plan = (("S3", (mask(x1), mask(x2)), mask(x1) | mask(x2)),)
+            trace = SimplificationTrace(FdSchema(signature), plan, frozenset())
+        else:
+            lhs1, lhs2 = ([signature.attributes[p] for p in x] for x in (x1, x2))
+            fds = [Fd(lhs1, lhs2), Fd(lhs2, lhs1)]
+            if shape != "alone" and rest:
+                z = signature.attributes[rest.pop()]
+                if shape == "S1":
+                    fds = [Fd([*fd.lhs, z], fd.rhs) for fd in fds]
+                else:
+                    fds.append(Fd((), [z]))
+            trace = classify(FdSchema(signature, fds))
+            if trace.kinds[-1:] != ("S3",):
+                continue
+        step = fdrepair.repair._compile(trace)[-1]
+        _, _, x_of, y_of, _ = step
+        pool = pools[seen["schemas"] % 3]
+        rows = [tuple(rng.choice(pool) for _ in names[:arity]) for _ in range(rng.randint(2, 14))]
+        facts = list(dict.fromkeys(rows))
+        if len(facts) < 2:
+            continue
+        got = fdrepair.repair._last_step(step, facts)
+        want = tuple_key_last_step(step, facts)
+        assert got == want and (got is facts) == (want is facts), (trace._plan, facts)
+        seen["schemas"] += 1
+        seen[shape, len(trace._plan) > 1] += 1
+        seen["matched"] += got is not facts
+        seen["multi", any(x & (x - 1) for x in trace._plan[-1][1])] += 1
+        seen["keyed"] += not (sorts_plainly(map(x_of, facts)) and sorts_plainly(map(y_of, facts)))
+    assert seen["matched"] > 1000 and seen["keyed"] > 500
+    assert seen["multi", True] > 1000 and seen["multi", False] > 1000
+    assert seen["overlap", False] > 500
+    assert seen["S1", True] > 500 and seen["S2", True] > 500 and seen["alone", False] > 500
 
 
 def test_long_plans_repair_in_one_call(monkeypatch):
