@@ -22,7 +22,6 @@ from .fds import (
     is_consistent,
     normalize,
     pair_consistent,
-    violating_pairs,
 )
 from .gadgets import (
     CnfFormula,
@@ -70,6 +69,5 @@ __all__ = [
     "normalize",
     "pair_consistent",
     "verify_reduction",
-    "violating_pairs",
     "__version__",
 ]

@@ -30,21 +30,18 @@ compiled once per :class:`FdSchema`. :func:`pair_consistent` applies
 them to its two facts directly. Consistency, and the oracle's
 maximality check, read one lhs -> rhs map per FD, :func:`_rhs_by_lhs`,
 in O(facts x FDs): facts are consistent exactly when each FD's map
-meets one rhs value per lhs value. The checks that need the conflicts
-themselves read one hash index, :func:`_lhs_groups`: per FD, the facts
-grouped by lhs values. The index has two views, which split each group
-by rhs values.
-:func:`_conflicts` yields each conflicting pair, in O(facts x FDs +
-conflicts), for :func:`violating_pairs`.
-:func:`_conflict_masks` gives each fact the bitmask of its conflicts,
-with no per-pair work, for the oracle's conflict graph.
+meets one rhs value per lhs value. The oracle's conflict graph needs the
+conflicts themselves, and reads them off one hash index,
+:func:`_conflict_masks`: per FD, the facts grouped by lhs values, each
+group split by rhs values, and each fact given the bitmask of its
+conflicts, with no per-pair work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
@@ -384,60 +381,32 @@ def normalize(schema: FdSchema) -> FdSchema:
     return FdSchema(schema.signature, kept)
 
 
-def _lhs_groups(
-    schema: FdSchema, facts: Sequence[Fact]
-) -> Iterator[tuple[Fd, Callable[[Fact], tuple], list[int]]]:
-    """``(fd, rhs, members)`` for each FD, in canonical order, and lhs group.
+def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
+    """Per fact, the bitmask of the facts it conflicts with (bit ``j`` for
+    ``facts[j]``).
 
-    ``members`` are the ascending indices of two or more facts that
-    agree on the FD's lhs, and ``rhs`` is the FD's compiled rhs getter.
-    Two facts conflict exactly when they are members of one group and
-    ``rhs`` tells them apart; a group of one fact conflicts with nothing
-    and is skipped.
+    Per FD, in canonical order, the facts are grouped by lhs values; a
+    group of one fact conflicts with nothing and is skipped. Each other
+    group's members are ORed into one mask per rhs value, and a member
+    conflicts with the group's total mask XOR its own rhs mask. Masks
+    grow with the instance, so this index is for small ones.
     """
-    for fd, lhs, rhs in schema._keys:
+    adjacency = [0] * len(facts)
+    for _, lhs, rhs in schema._keys:
         groups: dict[tuple, list[int]] = {}
         for i, key in enumerate(map(lhs, facts)):
             groups.setdefault(key, []).append(i)
         for members in groups.values():
-            if len(members) > 1:
-                yield fd, rhs, members
-
-
-def _conflicts(schema: FdSchema, facts: Sequence[Fact]) -> Iterator[tuple]:
-    """``(i, j, fd)`` for each FD, in canonical order, and pair it splits.
-
-    The pair view of :func:`_lhs_groups`: each group is split by rhs
-    values, and every two of its parts give their cross pairs. Always
-    ``i < j``.
-    """
-    for fd, rhs, members in _lhs_groups(schema, facts):
-        by_rhs: dict[tuple, list[int]] = {}
-        for i in members:
-            by_rhs.setdefault(rhs(facts[i]), []).append(i)
-        for first, second in combinations(by_rhs.values(), 2):
-            for i, j in product(first, second):
-                yield (i, j, fd) if i < j else (j, i, fd)
-
-
-def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
-    """Per fact, the bitmask of the facts it conflicts with (bit ``j`` for
-    ``facts[j]``): the mask view of :func:`_lhs_groups`.
-
-    Each group's members are ORed into one mask per rhs value; a member
-    conflicts with the group's total mask XOR its own rhs mask. Masks
-    grow with the instance, so this view is for small ones.
-    """
-    adjacency = [0] * len(facts)
-    for _, rhs, members in _lhs_groups(schema, facts):
-        by_rhs: dict[tuple, int] = {}
-        for i in members:
-            value = rhs(facts[i])
-            by_rhs[value] = by_rhs.get(value, 0) | 1 << i
-        if len(by_rhs) > 1:
-            group = sum(by_rhs.values())
+            if len(members) == 1:
+                continue
+            by_rhs: dict[tuple, int] = {}
             for i in members:
-                adjacency[i] |= group ^ by_rhs[rhs(facts[i])]
+                value = rhs(facts[i])
+                by_rhs[value] = by_rhs.get(value, 0) | 1 << i
+            if len(by_rhs) > 1:
+                group = sum(by_rhs.values())
+                for i in members:
+                    adjacency[i] |= group ^ by_rhs[rhs(facts[i])]
     return adjacency
 
 
@@ -482,23 +451,6 @@ def is_consistent(schema: FdSchema, instance: Instance) -> bool:
     return all(
         _rhs_by_lhs(lhs, rhs, facts) is not None for _, lhs, rhs in schema._keys
     )
-
-
-def violating_pairs(
-    schema: FdSchema, instance: Instance
-) -> frozenset[tuple[Fact, Fact, Fd]]:
-    """All unordered fact pairs in conflict, with the first FD they violate.
-
-    Facts within a pair are ordered canonically; the FD reported is the
-    first violated one in the schema's canonical FD order. Empty exactly
-    when the instance is consistent.
-    """
-    _check_same_signature(schema, instance)
-    facts = instance.sorted_facts
-    first: dict[tuple[int, int], Fd] = {}
-    for i, j, fd in _conflicts(schema, facts):
-        first.setdefault((i, j), fd)
-    return frozenset((facts[i], facts[j], fd) for (i, j), fd in first.items())
 
 
 def _check_same_signature(schema: FdSchema, instance: Instance) -> None:

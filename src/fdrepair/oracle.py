@@ -36,10 +36,11 @@ class CapExceededError(ValueError):
 class ConflictGraph:
     """Facts as nodes, adjacency as bitmasks over the canonical order.
 
-    The adjacency is the mask view of the conflict index
-    (:func:`fdrepair.fds._conflict_masks`): per FD and lhs group, one OR
-    per member, with no per-pair work. Bit ``j`` of ``adjacency[i]`` is
-    set exactly when ``facts[i]`` and ``facts[j]`` conflict.
+    The adjacency is the package's one conflict index
+    (:func:`fdrepair.fds._conflict_masks`), read directly: per FD and
+    lhs group, one OR per member and rhs value, with no per-pair work.
+    Bit ``j`` of ``adjacency[i]`` is set exactly when ``facts[i]`` and
+    ``facts[j]`` conflict.
     """
 
     facts: tuple[Fact, ...]

@@ -60,8 +60,7 @@ the same repair.
 from __future__ import annotations
 
 from collections import _count_elements
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress, count
 from operator import add, itemgetter
@@ -74,7 +73,6 @@ from .fds import (
     Instance,
     SchemaError,
     _check_same_signature,
-    _getter_at,
     _positions,
     canonical_sorted,
     constant_key,
@@ -97,50 +95,17 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class RepairResult:
-    """A repair, its size, the schema trace, and per-block diagnostics.
+    """A repair, its size, and the schema trace it followed.
 
     ``trace`` is the classify trace the repair followed; it is None from
-    the oracle, which does not classify. ``block_sizes`` pairs each block
-    of the first rewrite step with the size of its repair, in block-key
-    order: an S1 or S2 block key is the tuple of the block's values on
-    the removed columns, and an S3 block key is the pair ``(x, y)`` of
-    its X1 and X2 values. It is empty when the schema has no FDs. It is
-    computed when first read: the input facts are grouped by the first
-    step's columns, and each multi-fact block is repaired again by the
-    rest of the plan, so a caller that never reads it pays nothing for
-    it, and a pickle leaves it out. Equality and hashing read ``repair``,
-    ``size`` and ``trace``.
+    the oracle, which does not classify. The result is these three
+    values and nothing else: it keeps no input facts and no per-block
+    view, so it compares, hashes and pickles as its value.
     """
 
     repair: Instance
     size: int
     trace: Optional[SimplificationTrace]
-    _input: frozenset = field(default=frozenset(), repr=False, compare=False)
-
-    @cached_property
-    def block_sizes(self) -> tuple[tuple[tuple, int], ...]:
-        trace = self.trace
-        if trace is None or not trace._plan:
-            return ()
-        kind, witness, removed = trace._plan[0]
-        if kind == "S3":
-            x_of, y_of = (_getter_at(_positions(x)) for x in witness)
-            key_of = lambda fact: (x_of(fact), y_of(fact))
-        else:
-            key_of = _getter_at(_positions(removed))
-        blocks: dict = {}
-        for fact in self._input:
-            blocks.setdefault(key_of(fact), []).append(fact)
-        plan, sizes = _compile(trace), {}
-        for key, block in blocks.items():
-            sizes[key] = len(block if len(block) == 1 else _solve(plan, block, 1))
-        return tuple((key, sizes[key]) for key in canonical_sorted(sizes))
-
-    def __getstate__(self) -> dict:
-        # ``block_sizes``, once read, is cached but no part of the value
-        state = dict(vars(self))
-        state.pop("block_sizes", None)
-        return state
 
 
 @dataclass(frozen=True)
@@ -349,9 +314,8 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     Returns None exactly when :func:`fdrepair.simplify.classify` reports
     the schema intractable; otherwise the result is a consistent,
     maximum-size subinstance. The classifier runs once; its trace is
-    compiled into a plan that repairs the facts block by block (see the
-    module docstring). ``block_sizes`` describes the blocks of the first
-    step only.
+    compiled into a plan that repairs the facts block by block, once
+    (see the module docstring).
     """
     return _find_crep(schema, classify(schema), instance)
 
@@ -367,7 +331,7 @@ def _find_crep(
     if trace._plan and len(facts) > 1:
         chosen = _solve(_compile(trace), list(facts), 0)
     repaired = Instance._of_checked(schema.signature, chosen)
-    return RepairResult(repaired, len(repaired), trace, facts)
+    return RepairResult(repaired, len(repaired), trace)
 
 
 def max_weight_matching(

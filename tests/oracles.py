@@ -7,8 +7,12 @@ from evaluating each rule by attribute name. Maximum-weight matchings
 come from exhausting edge subsets (:func:`brute_force_matching`), and
 maximal but not maximum repairs from a greedy pass over the pairwise
 conflict definition (:func:`greedy_s_repair`). Repair maximality is
-also read off the library's conflict pairs (:func:`s_repair_by_pairs`):
-it calls the library's pair view, but not its per-FD maps. A repair
+also read off the pairs of the oracle's conflict graph
+(:func:`graph_pairs`, :func:`s_repair_by_pairs`): they read the
+library's conflict index, but not its per-FD maps. Lhs groups are
+formed by attribute name (:func:`wide_lhs_groups`). The blocks of a plan's first step are
+grouped by the step's attribute names (:func:`first_step_blocks`) and
+sized by subset enumeration (:func:`first_step_block_sizes`). A repair
 plan's last step is recombined from one list per block
 (:func:`collecting_last_step`), and by counts per tuple block key
 (:func:`tuple_key_last_step`), not per int code: both call the
@@ -47,7 +51,6 @@ from fdrepair.fds import (
     FdSchema,
     Instance,
     Signature,
-    _conflicts,
     constant_key,
     normalize,
 )
@@ -57,6 +60,7 @@ from fdrepair.gadgets import (
     FactWiseReduction,
     TripartiteGraph,
 )
+from fdrepair.oracle import ConflictGraph
 from fdrepair.repair import BipartiteMatchProblem, max_weight_matching
 from fdrepair.simplify import SimplificationStep
 from fdrepair.textio import DataError
@@ -503,24 +507,89 @@ def s_repair_by_definition(schema: FdSchema, facts, kept) -> bool:
     )
 
 
+def graph_pairs(schema: FdSchema, instance: Instance) -> set:
+    """The pairs ``(f, g)``, ``f`` before ``g`` canonically, that the
+    oracle's ``ConflictGraph`` joins: the library's conflict index."""
+    graph = ConflictGraph.build(schema, instance)
+    facts = graph.facts
+    return {
+        (facts[i], facts[j])
+        for i, mask in enumerate(graph.adjacency)
+        for j in range(i + 1, len(facts))
+        if mask >> j & 1
+    }
+
+
 def s_repair_by_pairs(
     schema: FdSchema, instance: Instance, candidate: Instance
 ) -> bool:
-    """Maximality and consistency over the conflict index's pair view.
+    """Maximality and consistency over the conflict graph's pairs.
 
-    No yielded pair may lie inside the candidate, and each fact outside
-    it must be in a yielded pair with a kept fact. The package checks
-    the same with one lhs -> rhs map per FD and no pair.
+    No pair of :func:`graph_pairs` may lie inside the candidate, and
+    each fact outside it must be in a pair with a kept fact. The package
+    checks the same with one lhs -> rhs map per FD and no pair.
     """
-    facts = tuple(instance.facts)
-    kept = [fact in candidate.facts for fact in facts]
-    covered = {i for i, keep in enumerate(kept) if keep}
-    for i, j, _ in _conflicts(schema, facts):
-        if kept[i] and kept[j]:
-            return False
-        if kept[i] or kept[j]:
-            covered.update((i, j))
-    return len(covered) == len(facts)
+    pairs = graph_pairs(schema, instance)
+    kept = candidate.facts
+    if any(f in kept and g in kept for f, g in pairs):
+        return False
+    covered = kept | {fact for pair in pairs if kept.intersection(pair) for fact in pair}
+    return covered >= instance.facts
+
+
+def _values_by_name(signature: Signature, names):
+    """A fact's values on the attributes ``names``, in signature order."""
+    attrs = signature.attributes
+    return lambda fact: tuple(v for a, v in zip(attrs, fact) if a in names)
+
+
+def wide_lhs_groups(schema: FdSchema, facts) -> int:
+    """Per FD, the groups of 3+ ``facts`` that agree on its lhs and meet
+    3+ rhs values, grouped by attribute name."""
+    wide = 0
+    for fd in schema.fds:
+        lhs, rhs = (_values_by_name(schema.signature, x) for x in (fd.lhs, fd.rhs))
+        groups: dict = {}
+        for fact in facts:
+            groups.setdefault(lhs(fact), []).append(fact)
+        wide += sum(
+            len(members) >= 3 and len(set(map(rhs, members))) >= 3
+            for members in groups.values()
+        )
+    return wide
+
+
+def first_step_blocks(trace, instance: Instance) -> dict:
+    """The blocks of ``trace``'s first step, grouped by attribute name.
+
+    An S1 or S2 block's key is the tuple of its facts' values on the
+    step's removed attributes; an S3 block's key is the pair ``(x, y)``
+    of their values on X1 and on X2, each in signature order. Each block
+    is an ``Instance``. Empty when the plan has no step.
+    """
+    if not trace.steps:
+        return {}
+    step, signature = trace.steps[0], instance.signature
+    if step.kind == "S3":
+        x_of, y_of = (_values_by_name(signature, x) for x in step.witness)
+        key_of = lambda fact: (x_of(fact), y_of(fact))
+    else:
+        key_of = _values_by_name(signature, step.removed_attributes)
+    blocks: dict = {}
+    for fact in instance.facts:
+        blocks.setdefault(key_of(fact), []).append(fact)
+    return {key: Instance(signature, block) for key, block in blocks.items()}
+
+
+def first_step_block_sizes(trace, instance: Instance) -> dict:
+    """Each block of ``trace``'s first step (:func:`first_step_blocks`)
+    with the size of its repair under the traced schema, by subset
+    enumeration."""
+    schema = trace._schema
+    return {
+        key: max_repair_size_by_subsets(schema, block)
+        for key, block in first_step_blocks(trace, instance).items()
+    }
 
 
 def rule_by_name(rule, values: dict):

@@ -19,7 +19,7 @@ from fdrepair import fds, gadgets, oracle, repair
 def test_public_names_resolve():
     for name in fdrepair.__all__:
         assert hasattr(fdrepair, name), name
-    for name in ("pair_consistent", "violating_pairs", "is_consistent"):
+    for name in ("pair_consistent", "is_consistent"):
         assert callable(getattr(fds, name)), name
     assert callable(oracle.ConflictGraph.build)
     fields = {f.name for f in dataclasses.fields(gadgets.ReductionReport)}
@@ -30,8 +30,9 @@ def test_benchmark_contract_names():
     assert set(gadgets.HARD_SCHEMAS) == {"2fd", "rl", "2r", "tr"}
     for key in gadgets.HARD_SCHEMAS:
         assert inspect.isfunction(getattr(gadgets, f"gadget_{key}")), key
+    # a result is its value: no input facts, no per-block view
     fields = {f.name for f in dataclasses.fields(repair.RepairResult)}
-    assert {"repair", "size"} <= fields
+    assert fields == {"repair", "size", "trace"}
     assert callable(repair.linear_sum_assignment)
     # the tracer wraps the real solver
     assert repair.linear_sum_assignment is scipy.optimize.linear_sum_assignment

@@ -19,6 +19,7 @@ from oracles import (
     consistent_by_definition,
     entails_by_two_fact_models,
     first_violated_fd,
+    graph_pairs,
     local_minima,
     masks_by_name,
     minima_sites,
@@ -42,8 +43,8 @@ from fdrepair.fds import (
     is_consistent,
     normalize,
     pair_consistent,
-    violating_pairs,
 )
+from fdrepair.oracle import ConflictGraph
 from fdrepair.simplify import classify, find_s3
 from fdrepair.textio import SchemaDocument, format_schema
 
@@ -582,35 +583,20 @@ def test_consistency_agreeing_pair():
 
 def test_violating_pairs_counts():
     schema = schema_of("AB", "A->B")
-    assert violating_pairs(schema, inst_of(schema, "1a", "2b")) == frozenset()
-    pairs = violating_pairs(schema, inst_of(schema, "1a", "1b", "2a"))
-    assert len(pairs) == 1
-    ((f, g, fd),) = pairs
-    assert constant_key(f) < constant_key(g)
-    assert fd == Fd({"A"}, {"B"})
+    assert graph_pairs(schema, inst_of(schema, "1a", "2b")) == set()
+    pairs = graph_pairs(schema, inst_of(schema, "1a", "1b", "2a"))
+    assert pairs == {(("1", "a"), ("1", "b"))}
 
 
 def test_violating_pairs_all_pairs_conflict():
     schema = schema_of("A", "->A")
     inst = inst_of(schema, "1", "2", "3")
-    assert len(violating_pairs(schema, inst)) == 3
-
-
-def test_violating_pairs_report_the_first_fd_in_canonical_order():
-    # the pair violates both FDs; canonical order puts A->C before AB->C
-    # and A->C before B->C, whatever order they were written in
-    for schema in (
-        schema_of("ABC", "AB->C", "A->C"),
-        schema_of("ABC", "B->C", "A->C"),
-    ):
-        inst = inst_of(schema, "11x", "11y")
-        assert violating_pairs(schema, inst) == {
-            (("1", "1", "x"), ("1", "1", "y"), Fd({"A"}, {"C"}))
-        }
+    assert len(graph_pairs(schema, inst)) == 3
+    assert ConflictGraph.build(schema, inst).edge_count == 3
 
 
 def test_conflict_index_matches_the_definition():
-    """Pairs, reported FDs and pair checks against a pairwise reading."""
+    """Pairs and pair checks against a pairwise reading."""
     rng = random.Random(41)
     pool = ("0", "1", DOT, ("0", "1"))
     conflicts = multi = 0
@@ -622,11 +608,11 @@ def test_conflict_index_matches_the_definition():
             fd = first_violated_fd(schema, f, g)
             assert pair_consistent(schema, f, g) == (fd is None)
             if fd is not None:
-                expected.add((f, g, fd))
-                # also violating a later FD: the report has to choose
+                expected.add((f, g))
+                # also violating a later FD: the index joins the pair once
                 rest = FdSchema(schema.signature, schema.fds[1:])
                 multi += first_violated_fd(rest, f, g) not in (None, fd)
-        assert violating_pairs(schema, inst) == expected
+        assert graph_pairs(schema, inst) == expected
         assert is_consistent(schema, inst) == (not expected)
         conflicts += len(expected)
     assert conflicts > 300 and multi > 20
@@ -665,9 +651,9 @@ def test_consistent_iff_no_violating_pairs_random():
     for _ in range(60):
         schema = random_schema(rng, max_attrs=4)
         inst = random_instance(rng, schema.signature, max_facts=6)
-        empty = not violating_pairs(schema, inst)
-        assert is_consistent(schema, inst) == empty
-        assert empty == consistent_by_definition(schema, inst.sorted_facts)
+        expected = consistent_by_definition(schema, inst.sorted_facts)
+        assert is_consistent(schema, inst) == expected
+        assert (not graph_pairs(schema, inst)) == expected
 
 
 def test_signature_mismatch_raises():

@@ -9,6 +9,7 @@ import pytest
 from conftest import inst_of, schema_of
 from generators import dense_rows, random_instance, random_schema
 from oracles import (
+    _conflicting_pairs,
     brute_force_matching,
     cnf_satisfiable,
     conflict_by_definition,
@@ -20,6 +21,7 @@ from oracles import (
     max_triangle_packing_by_subsets,
     s_repair_by_definition,
     s_repair_by_pairs,
+    wide_lhs_groups,
 )
 
 import fdrepair.fds
@@ -31,8 +33,7 @@ from fdrepair.fds import (
     Instance,
     SchemaError,
     Signature,
-    _conflicts,
-    _lhs_groups,
+    _conflict_masks,
     constant_key,
     is_consistent,
     normalize,
@@ -296,10 +297,6 @@ def test_conflict_masks_match_the_pairs_and_the_definition():
         pool = rng.choice((("0", "1"), ("0", "1", "2")))
         inst = random_instance(rng, schema.signature, max_facts=40, pool=pool)
         facts = inst.sorted_facts
-        from_pairs = [0] * len(facts)
-        for i, j, _ in _conflicts(schema, facts):
-            from_pairs[i] |= 1 << j
-            from_pairs[j] |= 1 << i
         by_definition = tuple(
             sum(
                 1 << j
@@ -309,13 +306,9 @@ def test_conflict_masks_match_the_pairs_and_the_definition():
             for f in facts
         )
         graph = ConflictGraph.build(schema, inst)
-        assert graph.adjacency == tuple(from_pairs) == by_definition
-        edges = {(i, j) for i, j, _ in _conflicts(schema, facts)}
-        assert graph.edge_count == len(edges)
-        wide_groups += sum(
-            len(members) >= 3 and len({rhs(facts[i]) for i in members}) >= 3
-            for _, rhs, members in _lhs_groups(schema, facts)
-        )
+        assert graph.facts == facts and graph.adjacency == by_definition
+        assert graph.edge_count == len(_conflicting_pairs(schema, facts))
+        wide_groups += wide_lhs_groups(schema, facts)
     assert wide_groups >= 40
 
 
@@ -358,10 +351,7 @@ def test_s_repair_and_consistency_match_the_pairs_and_the_definition():
             assert is_consistent(schema, candidate) == consistent
             verdicts[expected, consistent] += 1
         assert is_consistent(schema, inst) == consistent_by_definition(schema, facts)
-        wide_groups += sum(
-            len(members) >= 3 and len({rhs(facts[i]) for i in members}) >= 3
-            for _, rhs, members in _lhs_groups(schema, facts)
-        )
+        wide_groups += wide_lhs_groups(schema, facts)
     # S-repairs, consistent but not maximal, and inconsistent candidates
     assert min(verdicts[True, True], verdicts[False, True]) >= 100
     assert verdicts[False, False] >= 100 and len(verdicts) == 3
@@ -393,10 +383,10 @@ def test_s_repair_and_consistency_build_no_pair(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name == "fdrepair" or name.startswith("fdrepair."):
             for attr, value in list(vars(module).items()):
-                if value is _conflicts or value is _lhs_groups:
+                if value is _conflict_masks:
                     monkeypatch.setattr(module, attr, refuse)
                     bound += 1
-    assert bound >= 2  # at least fds's own two
+    assert bound >= 2  # at least fds's own and the oracle's
     kept = repair.sorted_facts
     dropped = sorted(inst.facts - repair.facts, key=constant_key)
     less = Instance(schema.signature, kept[1:])
@@ -446,4 +436,4 @@ def test_fd_keys_compile_once_per_schema(monkeypatch):
     for other in (fresh, restored):
         assert other == schema and hash(other) == hash(schema)
         assert repr(other) == repr(schema)
-        assert list(_conflicts(other, facts)) == list(_conflicts(schema, facts))
+        assert _conflict_masks(other, facts) == _conflict_masks(schema, facts)
