@@ -22,15 +22,18 @@ left below the last step, so each of its blocks is its own repair too,
 and only its size matters. The last step therefore collects no blocks:
 it keys each fact once, counts the keys with one C-level count into a
 plain dict, and recombines from the counts. An S2 key is the flat key.
-An S3 key is an int code: the step ranks the facts' distinct X1 values
-and distinct X2 values once each, in canonical order, and codes a fact
-as ``rank(x) * ny + rank(y)``, where ``ny`` is the number of distinct X2
-values. The ranks are dense, so the blocks share no endpoint exactly
-when there are as many blocks as X1 values and as X2 values, and int
-order is canonical ``(x, y)`` order, so the codes sort as plain ints and
-the matcher gets int endpoints. A lone block, or S3 blocks that share no
-endpoint, keep the input list as it stands; otherwise the kept facts
-come out of one C-level filter over the same list of keys.
+An S3 key is an int code. The step ranks the facts' ``nx`` distinct X1
+values and ``ny`` distinct X2 values once each, in canonical order, and
+the ranks *are* the matcher's vertex ids: X1 value ``x`` is left
+``rank(x)`` and X2 value ``y`` is right ``nx + rank(y)``. A fact's code
+is its left id times ``nx + ny`` plus its right id. The ranks are dense,
+so the blocks share no endpoint exactly when there are as many blocks as
+X1 values and as X2 values, and int order is canonical ``(x, y)`` order,
+so the codes sort as plain ints. The matcher gets each code split back
+into its two ids, int endpoints that it takes as they are, and numbers
+nothing. A lone block, or S3 blocks that share no endpoint, keep the
+input list as it stands; otherwise the kept facts come out of one
+C-level filter over the same list of keys.
 
 Each step before the last keys a fact with one C ``itemgetter``. An S1
 or S2 step that removes one column keys a block by the bare value, not a
@@ -62,9 +65,9 @@ from __future__ import annotations
 from collections import _count_elements
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress, count
-from operator import add, itemgetter
-from typing import Callable, Iterable, Optional
+from itertools import compress, count, repeat
+from operator import add, floordiv, itemgetter, mod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fds import (
     Constant,
@@ -140,10 +143,11 @@ class BipartiteMatchProblem:
         """A problem over valid edges already in canonical order.
 
         The S3 step sorts its block keys once and builds its problem here,
-        with no second sort or check. The last step's endpoints are int
-        ranks, not constants: they are in canonical order as ints, which
-        ``max_weight_matching`` reads, and only the checked constructor's
-        ``constant_key`` sort would refuse them.
+        with no second sort or check. The last step's endpoints are not
+        constants but int vertex ids, lefts ``0 .. nx - 1`` then rights
+        ``nx + rank(y)``, in canonical order as ints: ``max_weight_matching``
+        takes them as they are. Only this constructor can build such a
+        problem, since the checked one's ``constant_key`` refuses ints.
         """
         problem = object.__new__(cls)
         object.__setattr__(problem, "edges", edges)
@@ -268,22 +272,26 @@ def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
     its rhs when a lhs column goes). Every block is its own repair, so
     its fact count is all the recombination reads. An S2 block is keyed
     by its flat key, and an S3 block by the int code of its endpoints'
-    ranks (see the module docstring).
+    vertex ids, which are their ranks (see the module docstring).
     """
     kind, key_of, x_of, y_of, _ = step
     if kind == "S3":
-        # x_rank maps each X1 value to its rank times ny, so that one add
-        # per fact gives its code
+        # the ranks are the matcher's vertex ids: X1 value x is rank(x) and
+        # X2 value y is nx + rank(y). A fact's code is its left id times
+        # n = nx + ny plus its right id, so x_code maps each X1 value to
+        # its id times n, and one add per fact gives the code
         xs, ys = list(map(x_of, facts)), list(map(y_of, facts))
-        y_rank = _ranks(ys, 1)
-        ny = len(y_rank)
-        x_rank = _ranks(xs, ny)
-        keys = list(map(add, map(x_rank.__getitem__, xs), map(y_rank.__getitem__, ys)))
+        x_values, y_values = canonical_sorted(set(xs)), canonical_sorted(set(ys))
+        nx, ny = len(x_values), len(y_values)
+        n = nx + ny
+        x_code = dict(zip(x_values, count(0, n)))
+        y_code = dict(zip(y_values, count(nx)))
+        keys = list(map(add, map(x_code.__getitem__, xs), map(y_code.__getitem__, ys)))
     else:
         keys = list(map(key_of, facts))
     sizes: dict = {}
     _count_elements(sizes, keys)
-    if len(sizes) == 1 or (kind == "S3" and len(sizes) == len(x_rank) == ny):
+    if len(sizes) == 1 or (kind == "S3" and len(sizes) == nx == ny):
         # a lone block is its own optimum under every recombination rule,
         # and the matching takes all S3 blocks when no two share an
         # endpoint: the ranks are dense, so then each rank has one block
@@ -291,21 +299,22 @@ def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
     if kind == "S2":
         keep = _kept(step, sizes)
         return list(compress(facts, map(keep.__contains__, keys)))
+    codes = sorted(sizes)
     problem = BipartiteMatchProblem._of_sorted_edges(
-        tuple((key // ny, key % ny, sizes[key]) for key in sorted(sizes))
+        tuple(
+            zip(
+                map(floordiv, codes, repeat(n)),
+                map(mod, codes, repeat(n)),
+                map(sizes.__getitem__, codes),
+            )
+        )
     )
-    keep = {x * ny + y for x, y in max_weight_matching(problem)}
+    keep = {x * n + y for x, y in max_weight_matching(problem)}
     chosen = list(compress(facts, map(keep.__contains__, keys)))
     assert len(chosen) == sum(
         map(sizes.__getitem__, keep)
     ), "matching weight must equal repair size"
     return chosen
-
-
-def _ranks(values: list, step: int) -> dict:
-    """Each distinct value of ``values`` mapped to its rank in canonical
-    order, times ``step``."""
-    return dict(zip(canonical_sorted(set(values)), count(0, step)))
 
 
 def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
@@ -359,23 +368,36 @@ def max_weight_matching(
     other tight edge ``(a, b)`` is matched in ``mate``, and the old mates
     of ``a`` and ``b`` that have a positive dual are covered again by at
     most two :func:`_augment` searches. The edge is accepted when they
-    succeed; otherwise ``mate`` is restored.
+    succeed; otherwise ``mate`` is restored. The per-vertex tight-edge
+    lists those searches walk are built on the first search, so a run
+    that needs none builds none.
+
+    Constant endpoints are numbered in one range of vertex ids, lefts
+    first. Int endpoints, which only the last S3 step builds (see
+    :meth:`BipartiteMatchProblem._of_sorted_edges`), already are those
+    ids and are taken as they are.
     """
     edges = problem.edges
     if not edges:
         return ()
-    xs, ys, weights = zip(*edges)
-    # left and right vertices are numbered in one range, lefts first
-    lefts = dict(zip(dict.fromkeys(xs), count()))
-    rights = dict(zip(dict.fromkeys(ys), count(len(lefts))))
-    ends = list(zip(map(lefts.__getitem__, xs), map(rights.__getitem__, ys), weights))
-    target, mate, duals = _optimum(ends, len(lefts), len(lefts) + len(rights))
-    tight: list[list[tuple[int, int]]] = [[] for _ in duals]
-    for i, (a, b, w) in enumerate(ends):
-        if duals[a] + duals[b] == w:
-            tight[a].append((i, b))
-            tight[b].append((i, a))
-    free = [True] * len(duals)
+    if type(edges[0][0]) is int:
+        # the last S3 step's ranks, already vertex ids: lefts 0 .. nx - 1,
+        # then rights (the checked constructor refuses int endpoints)
+        ends = edges
+        n_left = edges[-1][0] + 1
+        n = max(map(itemgetter(1), edges)) + 1
+    else:
+        xs, ys, weights = zip(*edges)
+        # left and right vertices are numbered in one range, lefts first
+        lefts = dict(zip(dict.fromkeys(xs), count()))
+        rights = dict(zip(dict.fromkeys(ys), count(len(lefts))))
+        ends = list(
+            zip(map(lefts.__getitem__, xs), map(rights.__getitem__, ys), weights)
+        )
+        n_left, n = len(lefts), len(lefts) + len(rights)
+    target, mate, duals = _optimum(ends, n_left, n)
+    tight: Optional[list[list[tuple[int, int]]]] = None
+    free = [True] * n
     accepted: list[int] = []
     weight = 0
     for i, (a, b, w) in enumerate(ends):
@@ -390,6 +412,8 @@ def max_weight_matching(
             for v in lost:
                 mate[v] = -1
             mate[a], mate[b] = b, a
+            if tight is None and any(duals[v] for v in lost):
+                tight = _tight(ends, duals)
             if not all(
                 _augment(v, i, tight, mate, free, duals, changed)
                 for v in lost
@@ -405,8 +429,20 @@ def max_weight_matching(
     return tuple(edges[i][:2] for i in accepted)
 
 
+def _tight(
+    ends: Sequence[tuple[int, int, int]], duals: list[int]
+) -> list[list[tuple[int, int]]]:
+    """Per vertex, ``(i, z)`` for each tight edge ``i`` that joins it to ``z``."""
+    tight: list[list[tuple[int, int]]] = [[] for _ in duals]
+    for i, (a, b, w) in enumerate(ends):
+        if duals[a] + duals[b] == w:
+            tight[a].append((i, b))
+            tight[b].append((i, a))
+    return tight
+
+
 def _optimum(
-    ends: list[tuple[int, int, int]], n_left: int, n: int
+    ends: Sequence[tuple[int, int, int]], n_left: int, n: int
 ) -> tuple[int, list[int], list[int]]:
     """One maximum-weight matching of ``ends`` and integer LP duals.
 

@@ -789,14 +789,115 @@ def test_match_problem_validation():
             BipartiteMatchProblem([("x", "y", weight)])
     with pytest.raises(SchemaError):
         BipartiteMatchProblem([("x", "y", 1), ("x", "y", 2)])
+    # int endpoints are the last S3 step's vertex ids, which only the
+    # engine builds: max_weight_matching reads an int endpoint as an id,
+    # so the checked constructor must refuse int and bool endpoints
+    for end in (0, 1, True, False, (0,), ("x", 1)):
+        for edges in (
+            [(end, "y", 1)],
+            [("y", end, 1)],
+            [("x", "y", 1), (end, "y", 2)],
+            [("x", "y", 1), ("x", end, 2)],
+        ):
+            with pytest.raises(SchemaError):
+                BipartiteMatchProblem(edges)
+
+
+def _rank_id_problem(problem):
+    """``problem`` in the last S3 step's form, and its vertex names.
+
+    A left's id is its rank among the lefts in constant_key order, and a
+    right's is the left count plus its rank among the rights; the names
+    list maps each id back to its endpoint.
+    """
+    left, right = _nodes(problem)
+    ids = {x: k for k, x in enumerate(left)}
+    rights = {y: k for k, y in enumerate(right, len(ids))}
+    edges = tuple((ids[x], rights[y], w) for x, y, w in problem.edges)
+    return BipartiteMatchProblem._of_sorted_edges(edges), left + right
+
+
+def _band_problem(rng, size, width, max_weight):
+    """Left ``i`` joined to rights ``i .. i + width - 1``; right ``j`` is
+    named so that the rights sort in the reverse of ``j``."""
+    return BipartiteMatchProblem(
+        (f"L{i:02d}", f"R{99 - j:02d}", rng.randint(1, max_weight))
+        for i in range(size)
+        for j in range(i, min(i + width, size))
+    )
+
+
+def test_rank_id_problems_match_as_their_constants(monkeypatch):
+    # a seeded differential of the matcher's two input forms: int
+    # endpoints, which it reads as vertex ids, and the checked problem's
+    # constants, which it numbers. On unit-weight random graphs, weights
+    # 0-3 and band graphs whose rights sort in reverse, the rank-id
+    # problem's matching, mapped back, must be the constant problem's,
+    # and the enumeration's where the graph is small. The lex greedy
+    # builds its tight lists only for its first augment: both the runs
+    # that never build them and the runs that do must occur
+    tight = fdrepair.repair._tight
+    built = []
+
+    def counted(*args):
+        built[-1] += 1
+        return tight(*args)
+
+    monkeypatch.setattr(fdrepair.repair, "_tight", counted)
+
+    def matched(problem):
+        built.append(0)
+        matching = max_weight_matching(problem)
+        assert built[-1] <= 1
+        return matching, built.pop()
+
+    rng = random.Random(3303)
+    seen = Counter()
+    for n in range(3000):
+        family = ("unit", "mixed", "band")[n % 3]
+        if family == "unit":
+            problem = random_match_problem(
+                rng, max_side=rng.choice((4, 9)), max_edges=30
+            )
+            problem = BipartiteMatchProblem((x, y, 1) for x, y, _ in problem.edges)
+        elif family == "mixed":
+            problem = random_match_problem(
+                rng, max_side=rng.choice((4, 9)), max_edges=30, max_weight=3
+            )
+        else:
+            size = rng.randint(2, 12)
+            problem = _band_problem(rng, size, rng.randint(2, 4), rng.choice((1, 3)))
+        ids, names = _rank_id_problem(problem)
+        assert list(ids.edges) == sorted(ids.edges)
+        by_ids, id_builds = matched(ids)
+        by_names, name_builds = matched(problem)
+        mapped = tuple((names[x], names[y]) for x, y in by_ids)
+        assert mapped == by_names, problem.edges
+        if len(problem.edges) <= 12:
+            assert by_names == brute_force_matching(problem), problem.edges
+            seen["enumerated"] += 1
+        # the two forms number the vertices apart, so their optima (and
+        # so their augments) may differ
+        seen[family, "ids", id_builds] += 1
+        seen[family, "names", name_builds] += 1
+    assert seen["enumerated"] > 1000
+    assert all(
+        seen[family, form, builds] > 50
+        for family in ("unit", "mixed", "band")
+        for form in ("ids", "names")
+        for builds in (0, 1)
+    )
 
 
 def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
     # the S3 step builds its problems without the public constructor's
     # sort and checks. An inner step's problem must equal the checked
     # problem on its edges. The last step's problem has int endpoints,
-    # each the rank of a value among the step's distinct X1 or X2 values
-    # in constant_key order: its edges must come sorted, and mapped back
+    # the matcher's vertex ids: an X1 value's id is its rank among the
+    # step's nx distinct X1 values in constant_key order, and an X2
+    # value's id is nx plus its rank among the distinct X2 values. The
+    # left ids must be exactly 0 .. nx - 1 and the right ids exactly
+    # nx .. nx + ny - 1, its edges must come sorted, and mapped back
     # through those ranks they must be, in the same order, the edges of
     # the checked problem of the facts' (x, y) block counts
     seen = []
@@ -877,11 +978,16 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
         (_, _, x_of, y_of, _), facts = last
         x_values = sorted(set(map(x_of, facts)), key=constant_key)
         y_values = sorted(set(map(y_of, facts)), key=constant_key)
+        nx, ny = len(x_values), len(y_values)
         assert all(type(v) is int for edge in problem.edges for v in edge)
         assert list(problem.edges) == sorted(problem.edges)
+        assert {x for x, _, _ in problem.edges} == set(range(nx))
+        assert {y for _, y, _ in problem.edges} == set(range(nx, nx + ny))
         counts = Counter(zip(map(x_of, facts), map(y_of, facts)))
         expected = BipartiteMatchProblem((x, y, n) for (x, y), n in counts.items())
-        mapped = tuple((x_values[x], y_values[y], w) for x, y, w in problem.edges)
+        mapped = tuple(
+            (x_values[x], y_values[y - nx], w) for x, y, w in problem.edges
+        )
         assert mapped == expected.edges
     assert checked[False, True] > 100 and checked[True, True] > 100
 
