@@ -37,7 +37,7 @@ from .gadgets import (
     verify_reduction,
 )
 from .oracle import DEFAULT_FACT_CAP, brute_force_crep
-from .repair import _find_crep
+from .repair import find_crep
 from .simplify import SimplificationTrace, classify
 from .textio import (
     SchemaDocument,
@@ -159,10 +159,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_repair(args: argparse.Namespace) -> int:
     def relation(schema: FdSchema):
         ingest = _load_relation_csv(args.data, schema)
-        trace = classify(schema)
-        if trace.tractable:
-            method = "exact"
-            result = _find_crep(schema, trace, ingest.instance)
+        result = find_crep(schema, ingest.instance)
+        if result is not None:
+            method, trace = "exact", result.trace
         elif args.fallback_oracle is not None:
             if len(ingest.instance) > args.fallback_oracle:
                 raise CliError(
@@ -170,7 +169,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
                     f"has {len(ingest.instance)} facts, above the oracle cap "
                     f"{args.fallback_oracle}"
                 )
-            method = "oracle"
+            # the report shows the hard trace, which find_crep does not return
+            method, trace = "oracle", classify(schema)
             result = brute_force_crep(
                 schema, ingest.instance, cap=args.fallback_oracle
             )

@@ -186,8 +186,9 @@ class FdSchema:
         return _render_fds(self.signature.attributes, self._masks)
 
     @cached_property
-    def _keys(self) -> tuple[tuple[Fd, Callable, Callable], ...]:
-        """Each FD with its (lhs, rhs) getters, compiled on first use.
+    def _keys(self) -> tuple[tuple[Callable, Callable], ...]:
+        """Each FD's (lhs, rhs) getters, in ``fds`` order, compiled on
+        first use.
 
         Lazy, because most schemas (such as a ``classify`` trace's
         terminal) are never asked about conflicts. Not a field: equality,
@@ -195,8 +196,8 @@ class FdSchema:
         positions of the FDs' masks.
         """
         return tuple(
-            (fd, _getter_at(_positions(lhs)), _getter_at(_positions(rhs)))
-            for fd, (lhs, rhs) in zip(self.fds, self._masks)
+            (_getter_at(_positions(lhs)), _getter_at(_positions(rhs)))
+            for lhs, rhs in self._masks
         )
 
     def __getstate__(self) -> dict:
@@ -392,7 +393,7 @@ def _conflict_masks(schema: FdSchema, facts: Sequence[Fact]) -> list[int]:
     grow with the instance, so this index is for small ones.
     """
     adjacency = [0] * len(facts)
-    for _, lhs, rhs in schema._keys:
+    for lhs, rhs in schema._keys:
         groups: dict[tuple, list[int]] = {}
         for i, key in enumerate(map(lhs, facts)):
             groups.setdefault(key, []).append(i)
@@ -434,7 +435,7 @@ def pair_consistent(schema: FdSchema, f: Fact, g: Fact) -> bool:
     Reads each FD's compiled getters on the pair directly: the facts
     conflict when they agree on some lhs and differ on its rhs.
     """
-    for _, lhs, rhs in schema._keys:
+    for lhs, rhs in schema._keys:
         if lhs(f) == lhs(g) and rhs(f) != rhs(g):
             return False
     return True
@@ -449,7 +450,7 @@ def is_consistent(schema: FdSchema, instance: Instance) -> bool:
     _check_same_signature(schema, instance)
     facts = instance.facts
     return all(
-        _rhs_by_lhs(lhs, rhs, facts) is not None for _, lhs, rhs in schema._keys
+        _rhs_by_lhs(lhs, rhs, facts) is not None for lhs, rhs in schema._keys
     )
 
 

@@ -150,7 +150,7 @@ def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bo
     if len(uncovered) != len(instance.facts) - len(kept):
         raise SchemaError("candidate is not a subinstance")
     _check_same_signature(schema, instance)
-    for _, lhs, rhs in schema._keys:
+    for lhs, rhs in schema._keys:
         mapped = _rhs_by_lhs(lhs, rhs, kept)
         if mapped is None:
             return False

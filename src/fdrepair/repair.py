@@ -21,39 +21,37 @@ the same call, and only a step that splits its facts recurses. No FD is
 left below the last step, so each of its blocks is its own repair too,
 and only its size matters. The last step therefore collects no blocks:
 it keys each fact once, counts the keys with one C-level count into a
-plain dict, and recombines from the counts. An S2 key is the flat key.
-An S3 key is an int code. The step ranks the facts' ``nx`` distinct X1
-values and ``ny`` distinct X2 values once each, in canonical order, and
-the ranks *are* the matcher's vertex ids: X1 value ``x`` is left
-``rank(x)`` and X2 value ``y`` is right ``nx + rank(y)``. A fact's code
-is its left id times ``nx + ny`` plus its right id. The ranks are dense,
-so the blocks share no endpoint exactly when there are as many blocks as
-X1 values and as X2 values, and int order is canonical ``(x, y)`` order,
-so the codes sort as plain ints. The matcher gets each code split back
-into its two ids, int endpoints that it takes as they are, and numbers
-nothing. A lone block, or S3 blocks that share no endpoint, keep the
-input list as it stands; otherwise the kept facts come out of one
-C-level filter over the same list of keys.
+plain dict, and recombines from the counts. An S2 block is counted by
+its key, and an S3 block by an int code in place of its pair. The step
+ranks the facts' ``nx`` distinct X1 values and ``ny`` distinct X2 values
+once each, in canonical order, and the ranks *are* the matcher's vertex
+ids: X1 value ``x`` is left ``rank(x)`` and X2 value ``y`` is right
+``nx + rank(y)``. A fact's code is its left id times ``nx + ny`` plus
+its right id. The ranks are dense, so the blocks share no endpoint
+exactly when there are as many blocks as X1 values and as X2 values,
+and int order is canonical ``(x, y)`` order, so the codes sort as plain
+ints. The matcher gets each code split back into its two ids, int
+endpoints that it takes as they are, and numbers nothing. A lone block,
+or S3 blocks that share no endpoint, keep the input list as it stands;
+otherwise the kept facts come out of one C-level filter over the same
+list of keys.
 
-Each step before the last keys a fact with one C ``itemgetter``. An S1
-or S2 step that removes one column keys a block by the bare value, not a
-1-tuple. For S3 that key is flat, the X1 columns followed by the X2
-columns; every X1 part has the same length, so the flat keys sort in the
-order of the ``(x, y)`` pairs. When X1 and X2 are one column each, the
-endpoints are the key's two bare values, and a matched edge is its own
-flat key; otherwise they are the key's two slices, and a matched edge
-joins back into its key. When no two block keys share an X1 or an X2
+Each step before the last keys a fact with one getter. An S1 or S2 step
+that removes one column keys a block by the bare value, not a 1-tuple.
+An S3 block, at every depth, is the edge ``(x, y)`` of its X1 and X2
+values, each the bare value on one column and a tuple on several; the
+key is one C ``itemgetter`` when both sides are one column. So a matched
+edge is its own block key. When no two block keys share an X1 or an X2
 value, every block is an edge of its own, and the matching takes them
 all, since a non-empty block repairs to at least one fact; such a step
 returns the union of its block repairs, as S1 does, with no sort, no
 problem and no matcher call, so the matcher only gets graphs with two
 edges that share an endpoint. A union of one-fact blocks is the step's
 input list as it stands. Otherwise the S3 step sorts its block keys once
-and splits them into ``(x, y)`` with the two endpoint getters compiled
-with the plan, in C-level ``zip`` and ``map`` calls. The matching runs
-in pure Python: one optimum with its LP duals, then one lex greedy over
-the whole graph, with no solver and no split into components (see
-:func:`max_weight_matching`).
+and splits them into ``(x, y)`` in C-level ``zip`` and ``map`` calls.
+The matching runs in pure Python: one optimum with its LP duals, then
+one lex greedy over the whole graph, with no solver and no split into
+components (see :func:`max_weight_matching`).
 
 Every tie is broken canonically (block-key order, or the
 lexicographically smallest optimal edge set), so repeated runs return
@@ -154,75 +152,64 @@ class BipartiteMatchProblem:
         return problem
 
 
-# One compiled rewrite: its kind, the flat block key of a fact and, for
-# S3, the getters of the key's two endpoints and the map from a matched
-# edge back to its flat key. The flat key is the fact's value on the one
-# removed column, or the tuple of its values on several (S1, S2), or on
-# the X1 columns followed by the X2 columns (S3). An S3 endpoint is the
-# bare value when its lhs is one column, and otherwise the key's slice
-# ``x = key[:len(X1)]`` or ``y = key[len(X1):]``. A last S3 step keys no
-# block: its getters read a fact's X1 and X2 values straight off the
-# fact, and :func:`_last_step` ranks them. Every getter is a C
-# ``itemgetter``.
-PlanStep = tuple[
-    str, Optional[Callable], Optional[Callable], Optional[Callable], Optional[Callable]
-]
+# One compiled rewrite: its kind, the block key of a fact and, for S3,
+# the getters of a fact's X1 and X2 values. An S1 or S2 key is the
+# fact's value on the one removed column, or the tuple of its values on
+# several. An S3 key is the pair ``(x, y)`` of the fact's X1 and X2
+# values, each the bare value on one column and a tuple on several, so a
+# matched edge is its own block key. Every getter but the pair of a
+# multi-column S3 side is a C ``itemgetter``.
+PlanStep = tuple[str, Callable, Optional[Callable], Optional[Callable]]
+
+_x_of, _y_of = itemgetter(0), itemgetter(1)
 
 
-def _joined(edge: tuple) -> tuple:
-    return edge[0] + edge[1]
+def _pair_of(x_of: Callable, y_of: Callable) -> Callable:
+    return lambda fact: (x_of(fact), y_of(fact))
 
 
 def _compile(trace: SimplificationTrace) -> list[PlanStep]:
     """Turn the trace's mask plan into steps over columns of the original
     signature: its masks are over the input signature's positions."""
     plan: list[PlanStep] = []
-    last = len(trace._plan) - 1
-    for depth, (kind, witness, removed) in enumerate(trace._plan):
+    for kind, witness, removed in trace._plan:
         if kind == "S3":
             # the witness is the lhs marriage (X1, X2); they may overlap
             x1, x2 = map(_positions, witness)
-            if depth == last:
-                plan.append(("S3", None, itemgetter(*x1), itemgetter(*x2), None))
-                continue
-            key_of = itemgetter(*x1, *x2)
+            x_of, y_of = itemgetter(*x1), itemgetter(*x2)
             if len(x1) == len(x2) == 1:
-                # bare endpoints, as for one-column S1/S2 keys: a matched
-                # edge (x, y) is its own flat key, which ``tuple`` returns
-                plan.append(("S3", key_of, itemgetter(0), itemgetter(1), tuple))
+                # the same pair, built in C
+                key_of = itemgetter(*x1, *x2)
             else:
-                x_of = itemgetter(slice(len(x1)))
-                y_of = itemgetter(slice(len(x1), None))
-                plan.append(("S3", key_of, x_of, y_of, _joined))
+                key_of = _pair_of(x_of, y_of)
+            plan.append(("S3", key_of, x_of, y_of))
         else:
             # on one column the key is the bare value, which groups faster
             # than a 1-tuple, and sorts (by constant_key) in the same order
-            plan.append((kind, itemgetter(*_positions(removed)), None, None, None))
+            plan.append((kind, itemgetter(*_positions(removed)), None, None))
     return plan
 
 
-def _shares_no_endpoint(keys: dict, x_of: Callable, y_of: Callable) -> bool:
-    """Whether no two flat S3 block keys share an X1 or an X2 value."""
-    return len(set(map(x_of, keys))) == len(keys) == len(set(map(y_of, keys)))
+def _shares_no_endpoint(keys: dict) -> bool:
+    """Whether no two S3 block keys ``(x, y)`` share an X1 or an X2 value."""
+    return len(set(map(_x_of, keys))) == len(keys) == len(set(map(_y_of, keys)))
 
 
 def _kept(step: PlanStep, sizes: dict) -> set:
-    """The flat keys of the blocks an S2 or S3 step keeps, given the
-    repair size of each of its blocks."""
-    kind, _, x_of, y_of, edge_key = step
-    if kind == "S2":
+    """The keys of the blocks an S2 or S3 step keeps, given the repair
+    size of each of its blocks."""
+    if step[0] == "S2":
         # facts differing on an empty lhs's rhs conflict: one block survives
         best = max(sizes.values())
         largest = (key for key, size in sizes.items() if size == best)
         return {min(largest, key=constant_key)}
-    # a repair joins each X1 value and each X2 value at most once. Every
-    # X1 part has the same length, so flat key order is (x, y) order, and
-    # one sort gives the edges in canonical order
+    # a repair joins each X1 value and each X2 value at most once; one
+    # sort gives the edges (x, y) in canonical order
     keys = canonical_sorted(sizes)
     problem = BipartiteMatchProblem._of_sorted_edges(
-        tuple(zip(map(x_of, keys), map(y_of, keys), map(sizes.__getitem__, keys)))
+        tuple(zip(map(_x_of, keys), map(_y_of, keys), map(sizes.__getitem__, keys)))
     )
-    return set(map(edge_key, max_weight_matching(problem)))
+    return set(max_weight_matching(problem))
 
 
 def _solve(plan: list[PlanStep], facts: list[Fact], depth: int) -> list[Fact]:
@@ -235,7 +222,7 @@ def _solve(plan: list[PlanStep], facts: list[Fact], depth: int) -> list[Fact]:
     """
     last = len(plan) - 1
     while depth < last:
-        kind, key_of, x_of, y_of, _ = step = plan[depth]
+        kind, key_of, _, _ = step = plan[depth]
         depth += 1
         blocks: dict = {}
         for fact in facts:
@@ -243,7 +230,7 @@ def _solve(plan: list[PlanStep], facts: list[Fact], depth: int) -> list[Fact]:
         if len(blocks) == 1:
             # a lone block is its own optimum under every recombination rule
             continue
-        if kind == "S1" or (kind == "S3" and _shares_no_endpoint(blocks, x_of, y_of)):
+        if kind == "S1" or (kind == "S3" and _shares_no_endpoint(blocks)):
             # the union of the block repairs: S1 blocks never conflict, and
             # the matching takes all S3 blocks when no two share an endpoint
             if len(blocks) == len(facts):
@@ -261,8 +248,7 @@ def _solve(plan: list[PlanStep], facts: list[Fact], depth: int) -> list[Fact]:
         for key in _kept(step, {key: len(repair) for key, repair in repairs.items()}):
             chosen += repairs[key]
         return chosen
-    # past the last step no FD is left: the facts are their own repair
-    return _last_step(plan[depth], facts) if depth == last else facts
+    return _last_step(plan[last], facts)
 
 
 def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
@@ -271,10 +257,10 @@ def _last_step(step: PlanStep, facts: list[Fact]) -> list[Fact]:
     No FD is left below it, an S2 or S3 step (S1 never is: each FD keeps
     its rhs when a lhs column goes). Every block is its own repair, so
     its fact count is all the recombination reads. An S2 block is keyed
-    by its flat key, and an S3 block by the int code of its endpoints'
+    by the step's key, and an S3 block by the int code of its endpoints'
     vertex ids, which are their ranks (see the module docstring).
     """
-    kind, key_of, x_of, y_of, _ = step
+    kind, key_of, x_of, y_of = step
     if kind == "S3":
         # the ranks are the matcher's vertex ids: X1 value x is rank(x) and
         # X2 value y is nx + rank(y). A fact's code is its left id times
@@ -326,14 +312,8 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     compiled into a plan that repairs the facts block by block, once
     (see the module docstring).
     """
-    return _find_crep(schema, classify(schema), instance)
-
-
-def _find_crep(
-    schema: FdSchema, trace: SimplificationTrace, instance: Instance
-) -> Optional[RepairResult]:
-    """:func:`find_crep` of the schema that ``trace`` classified."""
     _check_same_signature(schema, instance)
+    trace = classify(schema)
     if not trace.tractable:
         return None
     chosen = facts = instance.facts

@@ -692,16 +692,6 @@ def brute_force_matching(problem) -> tuple:
     return best_seq
 
 
-def block_key_of(step):
-    """A compiled plan step's block key: its own key getter, or for a last
-    S3 step, which keys no block itself, the pair ``(x, y)`` of a fact's
-    X1 and X2 values."""
-    _, key_of, x_of, y_of, _ = step
-    if key_of is None:
-        return lambda fact: (x_of(fact), y_of(fact))
-    return key_of
-
-
 def collecting_last_step(step, facts) -> list:
     """``fdrepair.repair._last_step`` on two or more facts, by block lists.
 
@@ -713,7 +703,7 @@ def collecting_last_step(step, facts) -> list:
     values, and with no shortcut for blocks that share no endpoint.
     Returns the repair, as ``_last_step`` does.
     """
-    kind, key_of = step[0], block_key_of(step)
+    kind, key_of = step[:2]
     assert kind != "S1" and len(facts) > 1
     blocks: dict = {}
     for fact in facts:
@@ -742,7 +732,7 @@ def tuple_key_last_step(step, facts) -> list:
     ``max_weight_matching`` over the checked ``BipartiteMatchProblem``
     of the counts) and keep the facts with those keys, in input order.
     """
-    key_of = block_key_of(step)
+    key_of = step[1]
     sizes: dict = {}
     for key in map(key_of, facts):
         sizes[key] = sizes.get(key, 0) + 1

@@ -659,12 +659,51 @@ def test_each_command_classifies_each_relation_once(
         assert main(argv) in (0, 2), command
         counts[command] = Counter(calls)
     assert "method: oracle" in capsys.readouterr().out
+    # a hard relation's report shows its trace, which find_crep does not
+    # return, so the oracle fallback classifies it a second time
     assert counts == {
         "classify": {"R": 1, "H": 1},
         "verify-reduction": {"R": 1, "H": 1},
         "repair": {"R": 1},
-        "repair --fallback-oracle": {"R": 1, "H": 1},
+        "repair --fallback-oracle": {"R": 1, "H": 2},
     }
+
+
+def test_repair_enters_the_engine_through_find_crep(tmp_path, data_dir, monkeypatch):
+    # fdrepair repair calls the public find_crep once per relation, which
+    # classifies it once; only a hard relation that the oracle repairs is
+    # classified again, by the CLI, for its report
+    calls = Counter()
+    engine, classify = cli.find_crep, simplify.classify
+
+    def counted_find_crep(schema, instance):
+        calls["find_crep", schema.signature.relation] += 1
+        return engine(schema, instance)
+
+    def counted_classify(schema):
+        calls["classify", schema.signature.relation] += 1
+        return classify(schema)
+
+    monkeypatch.setattr(cli, "find_crep", counted_find_crep)
+    monkeypatch.setattr(cli, "classify", counted_classify)
+    monkeypatch.setattr(fdrepair.repair, "classify", counted_classify)
+    both = write(tmp_path, "both.fd", TRACTABLE_SCHEMA + HARD_SCHEMA.replace("R", "H"))
+    (data_dir / "H.csv").write_text("A,B,C\n1,1,1\n1,1,2\n2,1,1\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    base = ["repair", "--schema", both, "--data", str(data_dir), "--out", out]
+    for extra, code, h_classify in (
+        (["--fallback-oracle", "10"], 0, 2),
+        (["--fallback-oracle", "2"], 1, 1),  # over the cap: no oracle run
+        ([], 1, 1),  # no fallback: an error
+    ):
+        calls.clear()
+        assert main(base + extra) == code, extra
+        assert calls == {
+            ("find_crep", "R"): 1,
+            ("classify", "R"): 1,
+            ("find_crep", "H"): 1,
+            ("classify", "H"): h_classify,
+        }, extra
 
 
 # -- plans hundreds of steps long ------------------------------------------------

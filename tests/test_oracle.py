@@ -426,7 +426,7 @@ def test_fd_keys_compile_once_per_schema(monkeypatch):
     assert len(calls) == 2 * len(schema.fds)
     # the compiled getters read the FD's attributes in signature order
     names = schema.signature.attributes
-    for fd, lhs, rhs in schema._keys:
+    for fd, (lhs, rhs) in zip(schema.fds, schema._keys, strict=True):
         for attrs, compiled in ((fd.lhs, lhs), (fd.rhs, rhs)):
             by_name = [tuple(v for a, v in zip(names, f) if a in attrs) for f in inst.facts]
             assert [compiled(f) for f in inst.facts] == by_name

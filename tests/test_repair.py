@@ -24,7 +24,6 @@ from generators import (
     worked_example_rows,
 )
 from oracles import (
-    block_key_of,
     brute_force_matching,
     collecting_last_step,
     first_step_block_sizes,
@@ -51,7 +50,6 @@ from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import (
     BipartiteMatchProblem,
     RepairResult,
-    _find_crep,
     find_crep,
     max_weight_matching,
 )
@@ -367,6 +365,77 @@ def test_s3_flat_key_splits_into_x1_and_x2():
     )
 
 
+def test_inner_s3_step_keys_blocks_by_x1_then_x2(monkeypatch):
+    # AB -> CD, C -> ABD: S3 on X1 = AB and X2 = C, then S2 on D, so the
+    # matching runs above the last step, with a two-column X1 side. Each
+    # problem's edges must be (X1 values, X2 value) read by attribute
+    # name, X1 on the left, weighted by the blocks' subset-enumerated
+    # repair sizes. DOT and tuple cells make the plain sort fail, so the
+    # keyed sort runs
+    problems = []
+    original = fdrepair.repair.max_weight_matching
+
+    def recording(problem):
+        problems.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(fdrepair.repair, "max_weight_matching", recording)
+    schema = schema_of("ABCDE", "AB->CD", "C->ABD")
+    names = schema.signature.attributes
+
+    def edges_by_name(inst):
+        blocks = {}
+        for fact in inst.facts:
+            row = dict(zip(names, fact))
+            blocks.setdefault(((row["A"], row["B"]), row["C"]), []).append(fact)
+        return BipartiteMatchProblem(
+            (x, y, max_repair_size_by_subsets(schema, Instance(inst.signature, block)))
+            for (x, y), block in blocks.items()
+        ).edges
+
+    # X1 values x1 < x2 < x3 and X2 values y1 < y2, on the path
+    # x1 - y2 - x3 - y1 - x2 with weights 1, 2, 2, 1. Both {(x1, y2),
+    # (x3, y1)} and {(x2, y1), (x3, y2)} weigh 3; the lex greedy over
+    # (x, y) order takes the first, over (y, x) order the second
+    x1, x2, x3 = (DOT, "0"), ("0", DOT), ("0", ("0",))
+    y1, y2 = "1", ("1",)
+    inst = inst_of(
+        schema,
+        (*x1, y2, "d0", "e0"),
+        (*x1, y2, "d1", "e0"),
+        (*x2, y1, "d0", "e0"),
+        (*x3, y1, "d0", "e0"),
+        (*x3, y1, "d0", "e1"),
+        (*x3, y1, "d1", "e0"),
+        (*x3, y2, DOT, "e0"),
+        (*x3, y2, DOT, "e1"),
+    )
+    result = find_crep(schema, inst)
+    assert result.trace.kinds == ("S3", "S2")
+    assert len(problems) == 1
+    assert problems[0].edges == edges_by_name(inst) == (
+        (x1, y2, 1), (x2, y1, 1), (x3, y1, 2), (x3, y2, 2),
+    )
+    assert result.size == brute_force_crep(schema, inst).size == 3
+    # pinned: the (x, y) tie-break, and S2's first D block in a tie
+    assert result.repair.sorted_facts == (
+        (*x1, y2, "d0", "e0"),
+        (*x3, y1, "d0", "e0"),
+        (*x3, y1, "d0", "e1"),
+    )
+    rng = random.Random(67)
+    cells = (DOT, "0", ("0",))
+    matched = 0
+    for _ in range(300):
+        inst = random_instance(rng, schema.signature, max_facts=10, pool=cells)
+        problems.clear()
+        result = find_crep(schema, inst)
+        assert all(problem.edges == edges_by_name(inst) for problem in problems)
+        assert result.size == brute_force_crep(schema, inst).size
+        matched += len(problems)
+    assert matched > 50
+
+
 def test_plan_is_compiled_once(worked_example, monkeypatch):
     # steps: S2 on A, S1 on D, S3 on B/C, S2 on E, S2 on F; three
     # blocks at every level
@@ -477,32 +546,32 @@ def test_s1_below_the_top_returns_the_union(worked_example, monkeypatch):
     # the input list itself when each block is one fact. A call goes on
     # past the steps that keep its facts in one block, so the step that
     # recombines is the first that splits them. No plan ends in S1: an FD
-    # keeps its rhs when S1 removes a column of its lhs. A last S3 step
-    # keys no block itself (its blocks are the facts' (x, y) pairs), and
-    # each of its blocks is its own repair, so its union is the input
-    # list itself whatever the block sizes
+    # keeps its rhs when S1 removes a column of its lhs. An S3 step keys
+    # a block by the facts' (x, y) pair at every depth. Each block of a
+    # last S3 step is its own repair, so its union is the input list
+    # itself whatever the block sizes
     calls = Counter()
     solve = fdrepair.repair._solve
 
     def recording(plan, facts, depth):
         chosen = solve(plan, facts, depth)
         assert type(chosen) is list
-        while depth < len(plan) and len(set(map(block_key_of(plan[depth]), facts))) == 1:
+        while depth < len(plan) and len(set(map(plan[depth][1], facts))) == 1:
             depth += 1
         if depth == len(plan):
             return chosen
-        step = plan[depth]
-        kind, key_of, x_of, y_of, _ = step
+        kind, key_of, x_of, y_of = plan[depth]
         last = depth + 1 == len(plan)
-        assert (key_of is None) == (last and kind == "S3")
-        block_of = block_key_of(step)
+        if kind == "S3":
+            assert all(key_of(fact) == (x_of(fact), y_of(fact)) for fact in facts)
+        else:
+            assert x_of is None and y_of is None
         blocks = {}
         for fact in facts:
-            blocks.setdefault(block_of(fact), []).append(fact)
+            blocks.setdefault(key_of(fact), []).append(fact)
         union_step = kind == "S1"
         if kind == "S3":
-            ends = list(blocks) if last else [(x_of(k), y_of(k)) for k in blocks]
-            xs, ys = zip(*ends)
+            xs, ys = zip(*blocks)
             union_step = len(set(xs)) == len(set(ys)) == len(blocks)
         if union_step:
             singles = len(blocks) == len(facts)
@@ -975,7 +1044,7 @@ def test_s3_step_builds_the_checked_problem(worked_example, monkeypatch):
         if last is None:
             assert problem == BipartiteMatchProblem(problem.edges)
             continue
-        (_, _, x_of, y_of, _), facts = last
+        (_, _, x_of, y_of), facts = last
         x_values = sorted(set(map(x_of, facts)), key=constant_key)
         y_values = sorted(set(map(y_of, facts)), key=constant_key)
         nx, ny = len(x_values), len(y_values)
@@ -1011,7 +1080,7 @@ def test_s3_union_equals_the_matching(worked_example):
     def counted_last(step, facts):
         chosen = last_step(step, facts)
         if step[0] == "S3":
-            pairs = set(map(block_key_of(step), facts))
+            pairs = set(map(step[1], facts))
             xs, ys = zip(*pairs)
             shares_none = len(set(xs)) == len(pairs) == len(set(ys))
             assert (chosen is facts) == shares_none
@@ -1034,12 +1103,13 @@ def test_s3_union_equals_the_matching(worked_example):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fdrepair.repair, "_shares_no_endpoint", counted)
             patch.setattr(fdrepair.repair, "_last_step", counted_last)
-            union = _find_crep(schema, trace, inst)
+            union = find_crep(schema, inst)
             patch.setattr(fdrepair.repair, "_shares_no_endpoint", lambda *args: False)
             patch.setattr(fdrepair.repair, "_last_step", collecting_last_step)
-            matched = _find_crep(schema, trace, inst)
+            matched = find_crep(schema, inst)
         assert union.repair == matched.repair
         assert union.size == matched.size
+        assert union.trace == matched.trace == trace
         if n % 10 == 0:
             # every tenth size also recombines from the reference's blocks
             _recombined(union, inst)
@@ -1103,11 +1173,11 @@ def test_last_step_counts_agree_with_collected_blocks(worked_example, monkeypatc
     for n in range(6000):
         schema, trace = schemas[n % len(schemas)], traces[n % len(schemas)]
         inst = random_instance(rng, schema.signature, max_facts=14, pool=cells)
-        counted = _find_crep(schema, trace, inst)
+        counted = find_crep(schema, inst)
         steps = trace.steps
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fdrepair.repair, "_last_step", collecting)
-            collected = _find_crep(schema, trace, inst)
+            collected = find_crep(schema, inst)
         assert counted.repair == collected.repair
         assert counted.size == collected.size
         assert counted.trace == collected.trace
@@ -1174,7 +1244,7 @@ def test_int_coded_last_step_equals_the_tuple_key_route():
             if trace.kinds[-1:] != ("S3",):
                 continue
         step = fdrepair.repair._compile(trace)[-1]
-        _, _, x_of, y_of, _ = step
+        _, _, x_of, y_of = step
         pool = pools[seen["schemas"] % 3]
         rows = [tuple(rng.choice(pool) for _ in names[:arity]) for _ in range(rng.randint(2, 14))]
         facts = list(dict.fromkeys(rows))
