@@ -10,7 +10,12 @@ A *constant* (cell value) is one of:
 * a tuple of constants (structured values built by the gadget layer).
 
 Facts are plain tuples of constants, positionally aligned with the
-signature's attribute list.
+signature's attribute list. An :class:`Instance` keeps its distinct
+facts as one tuple of rows in first-seen order, and the repair path, the
+CSV writer and the consistency checks walk those rows, in the order
+they sit in memory. Its ``facts``, the frozenset view, is built on first
+read and then kept; equality, hashing and pickles use that set, so the
+rows' order is no part of the value.
 
 The one closure fixpoint in the package, :func:`_closure`, runs on FDs
 as ``(lhs, rhs)`` bitmask pairs over a signature's positions, which each
@@ -211,9 +216,17 @@ class FdSchema:
         return f"FdSchema({self.signature.relation}, [{self.render_fds()}])"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Instance:
     """A deduplicated set of facts over a signature.
+
+    The value is the signature and the set ``facts``: equality, hashing
+    and pickles use them and nothing else, and ``repr`` prints the set in
+    canonical order. ``_rows``, no field, like ``FdSchema._masks``, holds
+    the distinct facts as one tuple in first-seen order; the repair path,
+    the writer and the consistency checks walk it, in the order the facts
+    sit in memory. ``facts``, the frozenset view of the rows, is built on
+    first read and then kept in the instance dict.
 
     Every cell must be a constant; anything else, unhashable cells
     included, raises :class:`SchemaError` here rather than at some later sort.
@@ -225,7 +238,7 @@ class Instance:
     def __init__(self, signature: Signature, facts: Iterable[Fact] = ()):
         facts = list(map(tuple, facts))
         try:
-            facts = frozenset(facts)
+            facts = dict.fromkeys(facts)
         except TypeError:
             pass  # an unhashable cell, which the checks below name
         for fact in facts:
@@ -238,29 +251,65 @@ class Instance:
                 if type(value) is not str:
                     constant_key(value)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "facts", frozenset(facts))
+        # a copy of the dedup, unless the checks let an unhashable cell
+        # through (a str subclass with no hash), which raises TypeError here
+        object.__setattr__(self, "_rows", tuple(dict.fromkeys(facts)))
+
+    def __getattr__(self, name: str):
+        # only a missing attribute gets here: ``facts`` before its first
+        # read. A plain hook, not cached_property, which takes a lock on
+        # every first read on CPython 3.11
+        if name != "facts":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        facts = frozenset(self._rows)
+        object.__setattr__(self, "facts", facts)
+        return facts
+
+    def __getstate__(self) -> dict:
+        # the value alone: the rows' order is no part of it
+        return {"signature": self.signature, "facts": self.facts}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "signature", state["signature"])
+        object.__setattr__(self, "facts", state["facts"])
+        object.__setattr__(self, "_rows", tuple(state["facts"]))
+
+    def __repr__(self) -> str:
+        # a dataclass's, with the facts in canonical order: the same text
+        # whatever the rows' order or the hash seed
+        facts = ", ".join(map(repr, self.sorted_facts))
+        facts = f"frozenset({{{facts}}})" if facts else "frozenset()"
+        return f"Instance(signature={self.signature!r}, facts={facts})"
 
     def __len__(self) -> int:
-        return len(self.facts)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.sorted_facts)
 
     @classmethod
     def _of_checked(cls, signature: Signature, facts: Iterable[Fact]) -> "Instance":
-        """An instance of facts known to fit: tuples of the signature's
-        arity whose cells are constants, such as facts taken from a
-        checked instance or rows of ``str`` cells of the right width.
+        """An instance of facts known to fit and to be distinct: tuples of
+        the signature's arity whose cells are constants, no two equal.
+
+        The callers: the repair engine and the oracle (subsets of a
+        checked instance's rows), the CNF gadgets (one fact per literal of
+        a clause, and :class:`fdrepair.gadgets.CnfFormula` dedups each
+        clause's literals) and the CSV reader (rows of ``str`` cells of
+        the right width, deduped in first-seen order). The facts become
+        the rows as given, with no dedup and no frozenset built.
         """
         instance = object.__new__(cls)
         object.__setattr__(instance, "signature", signature)
-        object.__setattr__(instance, "facts", frozenset(facts))
+        object.__setattr__(instance, "_rows", tuple(facts))
         return instance
 
     @property
     def sorted_facts(self) -> tuple[Fact, ...]:
         """The facts in canonical (column-wise) order."""
-        return tuple(canonical_sorted(self.facts))
+        return tuple(canonical_sorted(self._rows))
 
 
 @dataclass(frozen=True)
@@ -448,7 +497,7 @@ def is_consistent(schema: FdSchema, instance: Instance) -> bool:
     O(facts x FDs); no conflicting pair is built.
     """
     _check_same_signature(schema, instance)
-    facts = instance.facts
+    facts = instance._rows
     return all(
         _rhs_by_lhs(lhs, rhs, facts) is not None for lhs, rhs in schema._keys
     )

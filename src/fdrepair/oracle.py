@@ -144,10 +144,11 @@ def is_s_repair(schema: FdSchema, instance: Instance, candidate: Instance) -> bo
     """
     if candidate.signature != instance.signature:
         raise SchemaError("candidate signature does not match instance")
-    kept = candidate.facts
-    uncovered = instance.facts - kept
+    kept = candidate._rows
+    uncovered = set(instance._rows)
+    uncovered.difference_update(kept)
     # a subinstance takes len(kept) facts out of the instance, any other set fewer
-    if len(uncovered) != len(instance.facts) - len(kept):
+    if len(uncovered) != len(instance) - len(kept):
         raise SchemaError("candidate is not a subinstance")
     _check_same_signature(schema, instance)
     for lhs, rhs in schema._keys:

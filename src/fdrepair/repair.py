@@ -4,7 +4,9 @@
 compiles its trace's mask plan into a *plan*: one step per applied
 rewrite, each naming the columns of the original signature that the
 rewrite removes, read straight off the plan's position masks.
-The plan then runs on the raw fact tuples. Each step splits the facts
+The plan runs on the instance's rows in read order: the raw fact tuples,
+distinct and in first-seen order, walked as they sit in memory, with no
+fact frozenset built on the way in or out. Each step splits the facts
 into blocks that agree on its columns, repairs every block with the
 rest of the plan, and recombines: a plain union for S1, a best-block
 choice for S2, and a maximum-weight bipartite matching over block repair
@@ -316,9 +318,9 @@ def find_crep(schema: FdSchema, instance: Instance) -> Optional[RepairResult]:
     trace = classify(schema)
     if not trace.tractable:
         return None
-    chosen = facts = instance.facts
-    if trace._plan and len(facts) > 1:
-        chosen = _solve(_compile(trace), list(facts), 0)
+    chosen = rows = instance._rows
+    if trace._plan and len(rows) > 1:
+        chosen = _solve(_compile(trace), list(rows), 0)
     repaired = Instance._of_checked(schema.signature, chosen)
     return RepairResult(repaired, len(repaired), trace)
 

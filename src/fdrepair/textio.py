@@ -261,7 +261,10 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
     """Load a CSV with a header matching the signature's attributes.
 
     Column order is free: one name-to-column map realigns the values.
-    Duplicate rows collapse and are counted.
+    Duplicate rows collapse and are counted: one ``dict.fromkeys`` pass
+    keeps each fact once, in first-seen order, and those are the
+    instance's rows. No frozenset is built; ``facts`` is built on its
+    first read, and equality, hashing and pickles use that set.
 
     The file is read as one text. Plain text (see :func:`_split_lines`)
     is split at line breaks and commas with C string methods; any other
@@ -324,7 +327,7 @@ def read_instance_csv(path: str, signature: Signature) -> IngestResult:
             )
         # csv cells are str and every row has the signature's width
         facts = list(map(realign, rows))
-    instance = Instance._of_checked(signature, facts)
+    instance = Instance._of_checked(signature, dict.fromkeys(facts))
     return IngestResult(
         instance=instance, dropped_duplicates=len(facts) - len(instance)
     )
@@ -336,15 +339,17 @@ def _plain_text(instance: Instance) -> Optional[str]:
     cell is a str that csv writes as it is, with no NUL and no leading
     ``~``, and no row is a single empty cell, which csv writes as ``""``.
 
-    The facts are joined with NUL and sorted: NUL sorts below every other
-    character and is in no cell, so the lines sort in column-wise order.
+    The instance's rows, in first-seen order, are joined with NUL and
+    sorted, and no fact frozenset is built: NUL sorts below every other
+    character and is in no cell, so the lines sort in column-wise order,
+    whatever order the rows were read in.
     The check runs on the joined text with C-level string operations:
     ``join`` raises on DOT and tuples, a NUL or a ``"\\n"`` inside a cell
     adds to the separators' count, and a leading ``~`` sits at the
     start, after a NUL or after a line break.
     """
     try:
-        lines = sorted(map("\x00".join, instance.facts))
+        lines = sorted(map("\x00".join, instance._rows))
     except TypeError:
         return None
     text = "\n".join(lines)
@@ -391,7 +396,7 @@ def write_instance_csv(path: str, instance: Instance) -> None:
             text = _plain_text(instance)
             cells = ()  # the plain text holds no "\r"
             if text is None:
-                values = set(chain.from_iterable(instance.facts))
+                values = set(chain.from_iterable(instance._rows))
                 rendered = {value: render_constant(value) for value in values}
                 rows = instance.sorted_facts
                 if any(value != text for value, text in rendered.items()):

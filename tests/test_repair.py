@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import inst_of, schema_of
 from generators import (
+    ab_c_a_d_rows,
     connected_match_problem,
     dense_rows,
     disjoint_match_problems,
@@ -18,6 +19,7 @@ from generators import (
     long_plan_relations,
     one_to_one_rows,
     random_instance,
+    random_cnf,
     random_match_problem,
     random_schema,
     random_tractable_schema,
@@ -45,7 +47,15 @@ from fdrepair.fds import (
     constant_key,
     is_consistent,
 )
-from fdrepair.gadgets import HARD_SCHEMAS
+from fdrepair.gadgets import (
+    HARD_SCHEMAS,
+    CnfFormula,
+    TripartiteGraph,
+    gadget_2fd,
+    gadget_2r,
+    gadget_rl,
+    gadget_tr,
+)
 from fdrepair.oracle import brute_force_crep, is_s_repair
 from fdrepair.repair import (
     BipartiteMatchProblem,
@@ -54,7 +64,7 @@ from fdrepair.repair import (
     max_weight_matching,
 )
 from fdrepair.simplify import SimplificationTrace, classify
-from fdrepair.textio import parse_schema
+from fdrepair.textio import parse_schema, read_instance_csv, write_instance_csv
 
 
 # -- find_crep ---------------------------------------------------------------
@@ -1359,3 +1369,122 @@ def test_repair_deterministic_across_fact_order():
         rng.shuffle(facts)
         again = find_crep(schema, Instance(schema.signature, facts))
         assert baseline.repair == again.repair
+
+
+# -- rows in read order --------------------------------------------------------
+
+def _tables_with_duplicates(rng, schema_of_worked):
+    """Seeded tables of the worked example, ``AB->C, A->D`` and dense
+    ``A->B, B->A``, each with a fifth of its rows repeated."""
+    tables = [
+        (schema_of_worked, worked_example_rows(rng, 40)),
+        (schema_of("ABCD", "AB->C", "A->D"), ab_c_a_d_rows(rng, 60)),
+        (schema_of("ABC", "A->B", "B->A"), dense_rows(rng, 12)),
+    ]
+    return [(schema, rows + rng.sample(rows, len(rows) // 5)) for schema, rows in tables]
+
+
+def _row_orders(rng, rows):
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    return [list(rows), shuffled, rows[::-1], sorted(rows)]
+
+
+def _write_rows(path, signature, rows, line_end="\n"):
+    lines = [",".join(signature.attributes), *map(",".join, rows)]
+    path.write_bytes(line_end.join(lines).encode() + line_end.encode())
+    return str(path)
+
+
+def test_row_order_never_shows(tmp_path, worked_example):
+    # one table given in shuffled, reversed and sorted row order, with
+    # duplicates, is one instance: equal, with one hash, one repr and one
+    # pickled value, the same repairs from the engine and the oracle, and
+    # the same written bytes, whichever order its rows were read in
+    rng = random.Random(35)
+    for t, (schema, rows) in enumerate(_tables_with_duplicates(rng, worked_example)):
+        sig = schema.signature
+        distinct = len(set(rows))
+        small = list(dict.fromkeys(rows))[:16]
+        small += small[:4]
+        seen = []
+        for n, (order, small_order) in enumerate(
+            zip(_row_orders(rng, rows), _row_orders(rng, small))
+        ):
+            inst = Instance(sig, order)
+            read = read_instance_csv(_write_rows(tmp_path / f"in{t}-{n}.csv", sig, order), sig)
+            assert read.instance == inst and read.dropped_duplicates == len(rows) - distinct
+            restored = pickle.loads(pickle.dumps(inst))
+            assert restored == inst and len(restored) == len(inst) == distinct
+            result = find_crep(schema, read.instance)
+            oracle = brute_force_crep(schema, Instance(sig, small_order))
+            assert oracle.size == find_crep(schema, Instance(sig, small_order)).size
+            out = tmp_path / f"out{t}-{n}.csv"
+            write_instance_csv(str(out), result.repair)
+            write_instance_csv(str(tmp_path / "whole.csv"), inst)
+            seen.append((
+                inst, hash(inst), repr(inst), result, oracle,
+                out.read_bytes(), (tmp_path / "whole.csv").read_bytes(),
+            ))
+        first = seen[0]
+        for other in seen[1:]:
+            assert other == first
+
+
+def test_repair_path_builds_no_fact_frozenset(tmp_path, worked_example):
+    # read -> find_crep -> write walks the rows and never reads ``facts``,
+    # so no fact frozenset is built for the input or the repair, and the
+    # input's rows come back as they went in. The gadgets and the oracle
+    # build none either
+    rng = random.Random(36)
+    for t, (schema, rows) in enumerate(_tables_with_duplicates(rng, worked_example)):
+        sig = schema.signature
+        inst = read_instance_csv(_write_rows(tmp_path / f"in{t}.csv", sig, rows), sig).instance
+        before = inst._rows
+        result = find_crep(schema, inst)
+        write_instance_csv(str(tmp_path / f"out{t}.csv"), result.repair)
+        assert "facts" not in vars(inst) and "facts" not in vars(result.repair)
+        assert inst._rows is before and before == tuple(dict.fromkeys(rows))
+        assert result.repair.facts <= inst.facts and is_consistent(schema, result.repair)
+    universe = [(f"a{i}", f"b{j}", f"c{k}") for i in range(3) for j in range(3) for k in range(3)]
+    for _ in range(8):
+        formula = random_cnf(rng, max_vars=5, max_clauses=4, mixed=False)
+        graph = TripartiteGraph(
+            ("a0", "a1", "a2"), ("b0", "b1", "b2"), ("c0", "c1", "c2"), rng.sample(universe, 8)
+        )
+        gadgets = [("2fd", gadget_2fd(formula)), ("rl", gadget_rl(formula)),
+                   ("2r", gadget_2r(formula)), ("tr", gadget_tr(graph))]
+        for kind, inst in gadgets:
+            result = brute_force_crep(HARD_SCHEMAS[kind], inst)
+            assert "facts" not in vars(inst) and "facts" not in vars(result.repair)
+
+
+def test_unchecked_instances_get_distinct_rows(tmp_path, worked_example):
+    # Instance._of_checked takes its facts as the rows with no dedup, so
+    # each caller must give distinct facts: the engine and the oracle
+    # (subsets of an instance's rows), the CNF gadgets (CnfFormula drops
+    # repeated literals) and the CSV reader on both of its routes (split
+    # at commas, and csv.reader for CRLF text)
+    rng = random.Random(37)
+
+    def distinct(inst):
+        return len(set(inst._rows)) == len(inst._rows)
+
+    for t, (schema, rows) in enumerate(_tables_with_duplicates(rng, worked_example)):
+        sig = schema.signature
+        for line_end in ("\n", "\r\n"):
+            path = _write_rows(tmp_path / f"in{t}.csv", sig, rows, line_end)
+            inst = read_instance_csv(path, sig).instance
+            assert distinct(inst) and len(inst) == len(set(rows)) < len(rows)
+            assert distinct(find_crep(schema, inst).repair)
+        small = Instance(sig, rows[:12] + rows[:3])
+        assert distinct(brute_force_crep(schema, small).repair)
+    for mixed in (True, False) * 10:
+        formula = random_cnf(rng, max_vars=5, max_clauses=4, mixed=mixed)
+        doubled = CnfFormula(formula.num_vars, [c + c[::-1] for c in formula.clauses])
+        built = [gadget_rl(doubled), gadget_2r(doubled)]
+        if not mixed:
+            built.append(gadget_2fd(doubled))
+        for inst in built:
+            assert distinct(inst)
+            assert len(inst) == sum(map(len, formula.clauses))
